@@ -397,8 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "fractional operators.",
         epilog="Expression grammar: +, -, *, /, ^ (right-associative, binds "
                "tighter than unary minus), exp, ln, sin, cos, sqrt, abs, pow, "
-               "constants pi and e, variables t and x.  The environment "
-               "variable PRABHAKAR_THREADS caps row-evaluation workers.")
+               "constants pi and e, variables t and x.")
     subs = parser.add_subparsers(dest="command", required=True)
 
     ml = subs.add_parser("ml", help="three-parameter Mittag-Leffler value")

@@ -36,8 +36,6 @@ rather than silently degraded.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,10 +148,7 @@ def ml3_tele_variant(v: str, params: PrabhakarParams) -> ML3Params:
     if v not in _VARIANTS:
         raise InvalidParams(f"variant must be one of {_VARIANTS}, got {v!r}")
     al, be, ga = params.alpha, params.beta, params.gamma
-    d2 = 1.0 if v == "V4" else 2.0
-    d3 = be if v in ("V3", "V4") else be + 1.0
-    d5 = 2.0 if v in ("V1", "V3") else 1.0
-    d8 = 2.0 if v in ("V2", "V3") else 1.0
+    d2, d3, d5, d8 = _variant_shifts(v, be)
     packed = ML3Params(ga, 1.0, ga, 1.0, 1.0, d2, be, al, d3,
                        ga, ga, 1.0, d5, 1.0, 1.0, 1.0, 1.0, 1.0, d8)
     if min(discriminants3(packed)) <= 0.0:
@@ -163,11 +158,24 @@ def ml3_tele_variant(v: str, params: PrabhakarParams) -> ML3Params:
 
 
 def _variant_shifts(v: str, beta: float) -> tuple:
+    """The four entries (d2, d3, d5, d8) in which the variants differ."""
     d2 = 1.0 if v == "V4" else 2.0
     d3 = beta if v in ("V3", "V4") else beta + 1.0
     d5 = 2.0 if v in ("V1", "V3") else 1.0
     d8 = 2.0 if v in ("V2", "V3") else 1.0
     return d2, d3, d5, d8
+
+
+def _power_rows(r: np.ndarray, count: int) -> np.ndarray:
+    """Rows r^0, r^1, ..., r^(count-1) of a 1-D array, shape (count, n).
+
+    Running products: one multiply per entry instead of a float pow.
+    """
+    out = np.empty((count, r.size))
+    out[0] = 1.0
+    out[1:] = r
+    np.cumprod(out[1:], axis=0, out=out[1:])
+    return out
 
 
 class TeleEngine:
@@ -281,9 +289,7 @@ class TeleEngine:
         s = np.atleast_1d(np.asarray(s, dtype=float))
         rx = self._sign_a * (s / self.t_ref) ** self.params.beta
         rz = self._sign_d * (s / self.t_ref) ** self.params.alpha
-        xn = rx[None, :] ** np.arange(self.m_cap, dtype=float)[:, None]
-        zn = rz[None, :] ** np.arange(self.k_cap, dtype=float)[:, None]
-        return xn, zn
+        return _power_rows(rx, self.m_cap), _power_rows(rz, self.k_cap)
 
     def cvec(self, s, shifted: bool) -> np.ndarray:
         """Coefficient matrix c(m; s_n), shape (m_cap, n).
@@ -302,8 +308,7 @@ class TeleEngine:
         the physical argument (b dx_n)^j.
         """
         dx = np.atleast_1d(np.asarray(dx_values, dtype=float))
-        ry = self._sign_b * dx / self.x_ref
-        return ry[:, None] ** np.arange(self.j_cap, dtype=float)[None, :]
+        return _power_rows(self._sign_b * dx / self.x_ref, self.j_cap).T
 
     def gamma_e2(self, s) -> np.ndarray:
         """G(gamma) * E2(a s^beta, delta s^alpha) for an array of times."""
@@ -340,6 +345,11 @@ def _call_txy(fn, t: float, xs: np.ndarray) -> np.ndarray:
     return flat.reshape(xs.shape)
 
 
+def _uniform_mesh(x_max: float, quad: QuadPolicy) -> np.ndarray:
+    """The uniform mesh of max(quad.n_points, 8) cells on [0, x_max]."""
+    return np.linspace(0.0, max(x_max, 1e-300), max(quad.n_points, 8) + 1)
+
+
 def _as_trace(tau, x_max: float, quad: QuadPolicy) -> TraceSolution:
     if isinstance(tau, TraceSolution):
         if tau.x_grid[0] > 1e-12 or tau.x_grid[-1] < x_max - 1e-12:
@@ -347,8 +357,7 @@ def _as_trace(tau, x_max: float, quad: QuadPolicy) -> TraceSolution:
                 f"trace grid [{tau.x_grid[0]}, {tau.x_grid[-1]}] does not "
                 f"cover [0, {x_max}]")
         return tau
-    n = max(quad.n_points, 8)
-    grid = np.linspace(0.0, max(x_max, 1e-300), n + 1)
+    grid = _uniform_mesh(x_max, quad)
     return TraceSolution(x_grid=grid, tau=_call_on(tau, grid))
 
 
@@ -389,13 +398,69 @@ def _is_zero_forcing(f) -> bool:
     return f is None or bool(getattr(f, "is_zero", False))
 
 
-def _worker_count(n_rows: int) -> int:
-    raw = os.environ.get("PRABHAKAR_THREADS", "1")
-    try:
-        limit = int(raw)
-    except ValueError:
-        limit = 1
-    return max(1, min(limit, n_rows))
+def _gauss_jacobi(n: int, beta: float) -> tuple:
+    """n-point Gauss rule for the weight (1+u)^beta on [-1, 1], beta > -1.
+
+    Golub-Welsch on the Jacobi matrix of the Jacobi weight with
+    alpha = 0; beta = 0 gives Gauss-Legendre.  numpy's eigh keeps
+    scipy.linalg, which scipy's own root finders load, out of the
+    solver's memory.
+    """
+    k = np.arange(1.0, n)
+    s = 2.0 * k + beta
+    diag = np.empty(n)
+    diag[0] = beta / (beta + 2.0)
+    diag[1:] = beta * beta / (s * (s + 2.0))
+    off = 2.0 * k * (k + beta) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1)
+                                 + np.diag(off, -1))
+    return nodes, 2.0 ** (beta + 1.0) / (beta + 1.0) * vecs[0] ** 2
+
+
+def _xi_moments(mesh: np.ndarray, x_nodes: np.ndarray, eps2: float,
+                j_cap: int, x_ref: float, sign_b: float) -> tuple:
+    """Packed blocks Q_i[k, j] = int_0^{x_i} xi^-eps2 hat_k(xi) y_i(xi)^j dxi.
+
+    hat_k is the piecewise-linear hat function of mesh node k and
+    y_i(xi) = sign_b (x_i - xi) / x_ref.  Block i has one row per hat
+    that meets [0, x_i], so it stops at the cell that holds x_i.  Per
+    cell the integrand is xi^-eps2 times a polynomial of degree j_cap:
+    Gauss-Jacobi with weight xi^-eps2 on the cell at 0 and
+    Gauss-Legendre on the others, both with j_cap // 2 + 2 points, are
+    exact for the polynomial factor.
+
+    Returns (q, rows, starts): block i is q[starts[i]:starts[i+1]] and
+    rows[r] is the hat index k of packed row r.
+    """
+    n_gauss = j_cap // 2 + 2
+    u_leg, w_leg = _gauss_jacobi(n_gauss, 0.0)
+    u_jac, w_jac = _gauss_jacobi(n_gauss, -eps2)
+    blocks = []
+    for x in x_nodes:
+        hi = min(int(np.searchsorted(mesh, x, side="left")), mesh.size - 1)
+        block = np.zeros((hi + 1, j_cap))
+        if hi > 0:
+            lo, top = mesh[:hi], mesh[1:hi + 1]
+            half = 0.5 * (np.minimum(top, x) - lo)
+            u = np.tile(u_leg, (hi, 1))
+            u[0] = u_jac
+            xi = lo[:, None] + half[:, None] * (1.0 + u)
+            w = half[:, None] * w_leg * xi ** (-eps2)
+            # xi^-eps2 on [0, 2 half] is half^-eps2 (1+u)^-eps2, and the
+            # Jacobi weights carry the (1+u)^-eps2 factor
+            w[0] = half[0] ** (1.0 - eps2) * w_jac
+            right = (xi - lo[:, None]) / (top - lo)[:, None]
+            hats = np.stack((w - w * right, w * right), axis=1)
+            ypow = _power_rows((sign_b * (x - xi) / x_ref).ravel(), j_cap)
+            # (hi, 2, gauss) @ (hi, gauss, j) -> left/right hat rows per cell
+            m = hats @ ypow.T.reshape(hi, n_gauss, j_cap)
+            block[:-1] = m[:, 0]
+            block[1:] += m[:, 1]
+        blocks.append(block)
+    sizes = np.array([b.shape[0] for b in blocks])
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    rows = np.concatenate([np.arange(n) for n in sizes])
+    return np.concatenate(blocks), rows, starts
 
 
 class ForcingTerm:
@@ -403,10 +468,24 @@ class ForcingTerm:
 
     Evaluates T(t, x) = int_0^t int_0^x (t-eta)^{beta-1} eta^{-eps1}
     xi^{-eps2} f(eta, xi) F4(a(t-eta)^beta; b(x-xi); delta(t-eta)^alpha)
-    dxi deta for one fixed x-grid.  The eta-integral is split at t/2 so
-    each half carries a single power weight (eta^{-eps1} on the left,
-    (t-eta)^{beta-1} on the right); the xi-integral absorbs xi^{-eps2}
-    on one unit-interval product rule.
+    dxi deta for one fixed x-grid.
+
+    The eta-integral is split at t/2 so each half carries a single power
+    weight (eta^{-eps1} on the left, (t-eta)^{beta-1} on the right).
+
+    In xi, f(eta, .) is replaced by its piecewise-linear interpolant on
+    one x-mesh shared by all x_i: the x-nodes themselves when they
+    ascend from 0 (the grids of ``solve`` and ``goursat_eval``, and any
+    such ``goursat_grid`` grid), otherwise the uniform
+    ``quad.n_points``-cell mesh on [0, max x].  The moments of
+    xi^{-eps2} hat_k(xi) (b(x_i - xi))^j against that interpolant are
+    computed once per instance (see ``_xi_moments``): Gauss-Jacobi with
+    weight xi^{-eps2} on the first cell integrates the singular weight
+    exactly, for every eps2 in [0, 1), and Gauss-Legendre takes the
+    cells where xi^{-eps2} is smooth, exactly when eps2 = 0.  A row then
+    costs one coefficient matrix for the eta nodes of both halves, one
+    call of f on the (eta x mesh) array, and one contraction with the
+    moments.
     """
 
     def __init__(self, engine: TeleEngine, f, eps1: float, eps2: float,
@@ -415,46 +494,58 @@ class ForcingTerm:
         self.f = f
         self.eps1, self.eps2 = float(eps1), float(eps2)
         self.x_nodes = np.asarray(x_nodes, dtype=float)
-        self.ypx = engine.ypowers(self.x_nodes)
         beta = engine.params.beta
         grading = max(quad.grading, 1.0 / beta)
         n_half = max(quad.n_points // 2, 8)
         left = build_rule(-self.eps1, graded_mesh(1.0, n_half, grading))
         right = build_rule(beta - 1.0, graded_mesh(1.0, n_half, grading))
-        xi_rule = build_rule(-self.eps2,
-                             graded_mesh(1.0, quad.n_points, grading))
         self.left = (left.nodes, left.weights)
         self.right = (right.nodes, right.weights)
-        self.xi_weights = xi_rule.weights
-        jj = np.arange(engine.j_cap, dtype=float)
-        self.wp = (1.0 - xi_rule.nodes)[:, None] ** jj[None, :]
-        self.xi_points = np.outer(self.x_nodes, xi_rule.nodes)
-        self.xscale = self.x_nodes ** (1.0 - self.eps2)
+        x = self.x_nodes
+        if x.size > 1 and x[0] == 0.0 and np.all(np.diff(x) > 0.0):
+            self.mesh = x
+        else:
+            self.mesh = _uniform_mesh(float(x.max()), quad)
+        self.q, self.q_rows, self.q_starts = _xi_moments(
+            self.mesh, x, self.eps2, engine.j_cap, engine.x_ref,
+            engine._sign_b)
+        self._broadcasts = True
+
+    def _sample(self, etas: np.ndarray) -> np.ndarray:
+        """f on the (eta x mesh) array.
+
+        One call on the 2-D array when f broadcasts; otherwise one call
+        per eta node with scalar t (``_call_txy``, which itself falls
+        back to scalar calls).
+        """
+        if self._broadcasts:
+            tt, xx = np.meshgrid(etas, self.mesh, indexing="ij")
+            try:
+                out = np.asarray(self.f(tt, xx), dtype=float)
+                if out.shape == tt.shape:
+                    return out
+            except (TypeError, ValueError):
+                pass
+            self._broadcasts = False
+        return np.array([_call_txy(self.f, float(eta), self.mesh)
+                         for eta in etas])
 
     def row(self, t: float) -> np.ndarray:
         if t <= 0.0:
             return np.zeros_like(self.x_nodes)
         half = 0.5 * t
         beta, eps1 = self.engine.params.beta, self.eps1
-        out = np.zeros_like(self.x_nodes)
-        for side in ("left", "right"):
-            nodes, weights = self.left if side == "left" else self.right
-            if side == "left":
-                etas = half * nodes
-                scale = half ** (1.0 - eps1)
-                extra = (t - etas) ** (beta - 1.0)
-            else:
-                etas = t - half * nodes
-                scale = half ** beta
-                extra = etas ** (-eps1) if eps1 > 0.0 else np.ones_like(etas)
-            c = self.engine.cvec(t - etas, shifted=False)
-            bmat = self.engine.jw["V4"].T @ c
-            for n, eta in enumerate(etas):
-                hmat = (self.ypx * bmat[:, n][None, :]) @ self.wp.T
-                fvals = _call_txy(self.f, float(eta), self.xi_points)
-                inner = (fvals * hmat) @ self.xi_weights
-                out += scale * weights[n] * extra[n] * self.xscale * inner
-        return out
+        (ln, lw), (rn, rw) = self.left, self.right
+        left, right = half * ln, t - half * rn
+        etas = np.concatenate((left, right))
+        coef = np.concatenate((
+            half ** (1.0 - eps1) * lw * (t - left) ** (beta - 1.0),
+            half ** beta * rw * right ** (-eps1)))
+        c = self.engine.cvec(t - etas, shifted=False)
+        bmat = self.engine.jw["V4"].T @ c
+        amat = (self._sample(etas) * coef[:, None]).T @ bmat.T
+        cells = np.einsum("rj,rj->r", self.q, amat[self.q_rows])
+        return np.add.reduceat(cells, self.q_starts)
 
 
 class _GridEvaluator:
@@ -537,14 +628,8 @@ class _GridEvaluator:
 
     def evaluate(self) -> np.ndarray:
         u = np.empty((self.t_nodes.size, self.x_nodes.size))
-        workers = _worker_count(self.t_nodes.size)
-        if workers == 1:
-            for i, t in enumerate(self.t_nodes):
-                u[i] = self.row(float(t))
-            return u
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, row in enumerate(pool.map(self.row, self.t_nodes)):
-                u[i] = row
+        for i, t in enumerate(self.t_nodes):
+            u[i] = self.row(float(t))
         return u
 
 
@@ -562,8 +647,7 @@ def goursat_grid(params: PrabhakarParams, coeffs: TelegraphCoeffs,
     factor (full forcing t^-eps1 x^-eps2 f(t,x)), or None.  The trace and
     boundary data must agree at the corner within corner_tol (a solved
     discrete trace carries its assembly noise there).  Returns the matrix
-    u[i, j] = u(t_i, x_j).  Rows are independent; the PRABHAKAR_THREADS
-    environment variable caps the worker count.
+    u[i, j] = u(t_i, x_j).
     """
     ev = _GridEvaluator(params, coeffs, tau, phi, f, t_nodes, x_nodes,
                         eps1, eps2, quad, series, arg_cap, corner_tol)

@@ -95,16 +95,23 @@ def build_rule(weight_exponent: float, mesh: GradedMesh) -> WeightedRule:
 
     Each cell [s_j, s_{j+1}] contributes the exact weighted integrals of the
     two linear hat-function pieces, so the rule integrates w times any
-    piecewise-linear function exactly.
+    piecewise-linear function exactly.  The cell moments are those of
+    ``power_moment``; the node powers go through Python's float pow, as
+    in ``power_moment``, because numpy's vectorized pow may round the
+    last bit differently and the weights would no longer be the same.
     """
+    if weight_exponent <= -1.0:
+        raise DomainError(
+            f"power weight exponent must exceed -1, got {weight_exponent}")
     s = mesh.nodes
-    n = mesh.n_cells
-    w = np.zeros(n + 1)
-    for j in range(n):
-        a, b = s[j], s[j + 1]
-        h = b - a
-        m0 = power_moment(weight_exponent, a, b, 0)
-        m1 = power_moment(weight_exponent, a, b, 1)
-        w[j] += (b * m0 - m1) / h
-        w[j + 1] += (m1 - a * m0) / h
+    a, b = s[:-1], s[1:]
+    h = b - a
+    p0, p1 = weight_exponent + 1.0, weight_exponent + 2.0
+    sp0 = np.array([v ** p0 for v in s.tolist()])
+    sp1 = np.array([v ** p1 for v in s.tolist()])
+    m0 = (sp0[1:] - sp0[:-1]) / p0
+    m1 = (sp1[1:] - sp1[:-1]) / p1
+    w = np.zeros(s.size)
+    w[:-1] += (b * m0 - m1) / h
+    w[1:] += (m1 - a * m0) / h
     return WeightedRule(nodes=s, weights=w)

@@ -1,10 +1,10 @@
 """Tests of the closed-form telegraph solution evaluator."""
 
 import math
-import os
 
 import numpy as np
 import pytest
+from scipy.integrate import quad as adaptive
 
 from prabtel.errors import (
     ArgumentOutOfRange,
@@ -17,9 +17,11 @@ from prabtel.expr import ExprFunction
 from prabtel.fracops import PrabhakarParams, QuadPolicy
 from prabtel.goursat import (
     Domain2D,
+    ForcingTerm,
     TeleEngine,
     TelegraphCoeffs,
     TraceSolution,
+    _gauss_jacobi,
     goursat_eval,
     goursat_grid,
     ml2_tele,
@@ -257,18 +259,75 @@ class TestRepresentation:
                          eps1=0.25, eps2=0.5, quad=QuadPolicy(n_points=64))
         assert np.all(np.isfinite(u)) and np.any(u != 0.0)
 
-    def test_thread_env_var_is_deterministic(self):
-        tau = lambda x: 1.0 + 0.3 * np.asarray(x, dtype=float)
-        phi = lambda t: 1.0 + 0.1 * np.asarray(t, dtype=float)
-        grids = (np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 9))
-        base = goursat_grid(PARAMS, COEFFS, tau, phi, None, *grids)
-        old = os.environ.get("PRABHAKAR_THREADS")
-        os.environ["PRABHAKAR_THREADS"] = "4"
-        try:
-            threaded = goursat_grid(PARAMS, COEFFS, tau, phi, None, *grids)
-        finally:
-            if old is None:
-                del os.environ["PRABHAKAR_THREADS"]
-            else:
-                os.environ["PRABHAKAR_THREADS"] = old
-        assert np.array_equal(base, threaded)
+
+def wavy(t, x):
+    return (np.cos(3.0 * x) * (1.0 + t) + np.sqrt(x + 0.01)) / 5.0
+
+
+class TestForcingTerm:
+    @pytest.mark.parametrize("beta", [0.0, -0.5, -0.9])
+    def test_gauss_jacobi_exact_to_degree_2n_minus_1(self, beta):
+        nodes, weights = _gauss_jacobi(18, beta)
+        k = np.arange(36)
+        # int_{-1}^{1} (1+u)^beta (1+u)^k du
+        exact = 2.0 ** (beta + k + 1.0) / (beta + k + 1.0)
+        got = weights @ (1.0 + nodes)[:, None] ** k
+        np.testing.assert_allclose(got, exact, rtol=1e-13)
+
+    def test_singular_weights_against_adaptive_double_integral(self):
+        eps1, eps2 = 0.25, 0.5
+        eng = TeleEngine(PARAMS, COEFFS, 1.0, 1.0)
+
+        def reference(t, x):
+            def inner(eta):
+                b4 = eng.jw["V4"].T @ eng.cvec(t - eta, shifted=False)[:, 0]
+                return adaptive(
+                    lambda xi: wavy(eta, xi) * float(eng.ypowers(x - xi)[0] @ b4),
+                    0.0, x, weight="alg", wvar=(-eps2, 0.0),
+                    epsabs=1e-11, epsrel=1e-10)[0]
+            return adaptive(inner, 0.0, t, weight="alg",
+                            wvar=(-eps1, PARAMS.beta - 1.0),
+                            epsabs=1e-11, epsrel=1e-10)[0]
+
+        forcing = ForcingTerm(eng, wavy, eps1, eps2, np.array([0.4, 1.0]),
+                              QuadPolicy(n_points=64))
+        errs = [abs(forcing.row(t)[i] - reference(t, x))
+                for i, (t, x) in enumerate(((0.5, 0.4), (1.0, 1.0)))]
+        # bound: the larger error of a graded per-x xi rule with the same
+        # n_points at these two points (6.52e-5, at t = 0.5, x = 0.4)
+        assert max(errs) <= 6.52e-5
+
+    def test_f_sampled_once_per_row(self):
+        calls = []
+
+        def f(t, x):
+            calls.append(1)
+            return wavy(t, x)
+
+        t_nodes, x_nodes = np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 17)
+        goursat_grid(PARAMS, COEFFS, zeros, zeros, f, t_nodes, x_nodes,
+                     quad=QuadPolicy(n_points=64))
+        assert 0 < len(calls) <= t_nodes.size - 1
+
+    def test_non_broadcasting_forcing_matches_numpy_twin(self):
+        grids = (np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 9))
+        kw = dict(quad=QuadPolicy(n_points=32))
+        calls = []
+
+        def per_eta(t, x):
+            calls.append(1)
+            return math.exp(t) * x
+
+        want = goursat_grid(PARAMS, COEFFS, zeros, zeros,
+                            lambda t, x: np.exp(t) * x, *grids, **kw)
+        got = goursat_grid(PARAMS, COEFFS, zeros, zeros, per_eta, *grids, **kw)
+        assert np.abs(got - want).max() <= 1e-13
+        # one failed broadcast call, then one call per eta node and row
+        n_eta = 2 * (32 // 2 + 1)
+        assert len(calls) == 1 + (grids[0].size - 1) * n_eta
+
+        scalar = lambda t, x: math.cos(3.0 * x) * (1.0 + t)
+        twin = lambda t, x: np.cos(3.0 * x) * (1.0 + t)
+        got = goursat_grid(PARAMS, COEFFS, zeros, zeros, scalar, *grids, **kw)
+        want = goursat_grid(PARAMS, COEFFS, zeros, zeros, twin, *grids, **kw)
+        assert np.abs(got - want).max() <= 1e-13

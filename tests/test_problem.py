@@ -1,6 +1,7 @@
 """End-to-end driver tests: data validation, strict gates, solve, verify."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -173,6 +174,17 @@ class TestSolve:
         base = solve(smooth_problem(), n_t=10, n_x=10, quad=QUICK)
         scaled = solve(smooth_problem(scale=s), n_t=10, n_x=10, quad=QUICK)
         assert np.abs(scaled.u - s * base.u).max() <= 1e-10 * s
+
+    def test_nonlinear_forcing_self_convergence(self):
+        # the forcing is sampled on the solution x-grid; refinement must
+        # still shrink the self-difference on the shared nodes
+        prob = replace(smooth_problem(), f_smooth=lambda t, x: (
+            np.cos(3.0 * x) * (1.0 + t) + np.sqrt(x + 0.01)) / 5.0)
+        u = {n: solve(prob, n_t=n, n_x=n, quad=QuadPolicy(n_points=4 * n)).u
+             for n in (32, 64, 128)}
+        d_coarse = np.abs(u[64][::2, ::2] - u[32]).max()
+        d_fine = np.abs(u[128][::2, ::2] - u[64]).max()
+        assert d_coarse >= 3.0 * d_fine
 
 
 class TestGridSolutionValidation:

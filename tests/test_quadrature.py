@@ -113,3 +113,24 @@ class TestBuildRule:
         rule = build_rule(0.0, graded_mesh(1.0, 4, r=1.0))
         with pytest.raises(InvalidParams):
             rule.apply(np.ones(3))
+
+    @pytest.mark.parametrize("mu", [-0.75, -0.5, 0.0, 0.5])
+    @pytest.mark.parametrize("mesh", [graded_mesh(1.0, 200, r=2.0),
+                                      graded_mesh(2.5, 64, r=1.0)],
+                             ids=["graded", "uniform"])
+    def test_matches_cell_loop(self, mu, mesh):
+        # the weights are those of a per-cell loop over power_moment, bit
+        # for bit
+        s = mesh.nodes
+        want = np.zeros(s.size)
+        for j in range(mesh.n_cells):
+            a, b = s[j], s[j + 1]
+            m0 = power_moment(mu, a, b, 0)
+            m1 = power_moment(mu, a, b, 1)
+            want[j] += (b * m0 - m1) / (b - a)
+            want[j + 1] += (m1 - a * m0) / (b - a)
+        assert np.array_equal(build_rule(mu, mesh).weights, want)
+
+    def test_exponent_domain(self):
+        with pytest.raises(DomainError):
+            build_rule(-1.0, graded_mesh(1.0, 4))
