@@ -23,7 +23,6 @@ import numpy as np
 
 from .fracops import PrabhakarParams, QuadPolicy, caputo_prabhakar_deriv, prabhakar_integral
 from .goursat import Domain2D, TelegraphCoeffs, TeleEngine
-from .oracle import classical_telegraph_fd, load_fixtures
 from .problem import ProblemN, solve, verify
 from .specfun import ML2Params, ML3Params, SeriesPolicy, ml2, ml3, ml_prabhakar
 from .volterra import VolterraSystem, compute_A, picard_solve, solve_tau
@@ -82,6 +81,7 @@ def check_special_function_reductions():
 def check_oracle_equivalence():
     """Production double and triple series against the stored
     high-precision oracle values."""
+    from .oracle import load_fixtures
     fx = load_fixtures()
     tight = SeriesPolicy(rel_tol=1e-14)
     worst, count = 0.0, 0
@@ -103,6 +103,7 @@ def check_oracle_equivalence():
 def check_prabhakar_integral_identity():
     """Quadrature of the kernel against the closed form for y = 1, plus
     the derivative of a constant."""
+    from .oracle import load_fixtures
     fx = load_fixtures()
     worst = 0.0
     for entry in fx["prabhakar"]:
@@ -213,6 +214,7 @@ def check_positivity_and_a_bound():
 
 def check_classical_limit():
     """Near-classical orders against the box-scheme reference."""
+    from .oracle import classical_telegraph_fd
     params = PrabhakarParams(1.0, 0.999, 0.999, 0.0)
     prob = _smooth_problem(params=params)
     with warnings.catch_warnings():

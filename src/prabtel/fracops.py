@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidParams, NonConvergence, QuadratureFailure
 from .expr import ExprFunction
-from .quadrature import graded_mesh
+from .quadrature import _call_on, graded_mesh
 from .specfun import SeriesPolicy, rgamma
 
 __all__ = [
@@ -120,17 +120,6 @@ def kernel_cell_moments(params: PrabhakarParams, cell_edges: np.ndarray,
         f"kernel moment series did not converge within {series.max_terms_per_index} terms")
 
 
-def _sample(y, points: np.ndarray) -> np.ndarray:
-    """Evaluate y at an array of points, tolerating scalar-only callables."""
-    try:
-        vals = np.asarray(y(points), dtype=float)
-        if vals.shape == points.shape:
-            return vals
-    except Exception:
-        pass
-    return np.array([float(y(float(p))) for p in points])
-
-
 def _integral_fixed_n(params: PrabhakarParams, y, t: float, n: int,
                       grading: float, series: SeriesPolicy) -> tuple:
     """(integral value, weighted absolute mass) at a fixed panel count.
@@ -141,7 +130,7 @@ def _integral_fixed_n(params: PrabhakarParams, y, t: float, n: int,
     mesh = graded_mesh(t, n, r=grading)
     s = mesh.nodes
     m0, m1 = kernel_cell_moments(params, s, series)
-    vals = _sample(y, t - s)
+    vals = _call_on(y, t - s)
     lo, hi = s[:-1], s[1:]
     h = hi - lo
     # linear interpolant of y(t - s) on each cell against exact moments
@@ -203,7 +192,7 @@ def _derivative_of(y, t: float):
         xi = np.asarray(xi, dtype=float)
         a = np.maximum(xi - h, 0.0)
         b = np.minimum(xi + h, t)
-        return (_sample(y, b) - _sample(y, a)) / (b - a)
+        return (_call_on(y, b) - _call_on(y, a)) / (b - a)
 
     return fd
 

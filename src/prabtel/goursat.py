@@ -28,18 +28,18 @@ evaluation context.  Reference scales |a| t_max^beta, |b| x_max,
 power vector bounded by one.
 
 Accuracy envelope: the tensors are exponentiated log-gamma ratios in
-float64, and the alternating sums lose roughly one digit per unit of
-series-argument magnitude; arguments beyond ``arg_cap`` are refused
-rather than silently degraded.
+float64 (``math.lgamma`` tables, see ``TeleEngine``), and the alternating
+sums lose roughly one digit per unit of series-argument magnitude;
+arguments beyond ``arg_cap`` are refused rather than silently degraded.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     ArgumentOutOfRange,
@@ -49,7 +49,7 @@ from .errors import (
     NonConvergence,
 )
 from .fracops import PrabhakarParams, QuadPolicy
-from .quadrature import build_rule, graded_mesh
+from .quadrature import _call_on, build_rule, graded_mesh
 from .specfun import (
     ML2Params,
     ML3Params,
@@ -187,6 +187,15 @@ class TeleEngine:
         jw[v]  (m_cap, j_cap): G(m+j+d2) Ys^j / [G(m+d5) G(j+1) G(j+d8)]
     so that F_v(X; y; Z) = ypow @ jw[v].T @ ((kt @ zpow) * xpow) with the
     normalized power vectors xpow_m = (X/Xs)^m etc., all of modulus <= 1.
+
+    The tensors are exponentiated sums of log-gamma tables (``math.lgamma``;
+    no scipy), built with the series structure rather than one lgamma
+    per entry: every jw gamma has an integer argument (d2, d5, d8 are 1
+    or 2), so jw indexes one table of log n!, which also gives the k! of
+    kt; the numerator ratio G(g m+k+g) / G(g m+g) of kt is a
+    log-Pochhammer, a running sum of log(g m+g+i) along k; and the
+    d3 = beta+1 family is the d3 = beta one divided by its argument z
+    (G(z+1) = z G(z)), so one 2-D lgamma grid per cap step remains.
     """
 
     def __init__(self, params: PrabhakarParams, coeffs: TelegraphCoeffs,
@@ -228,37 +237,43 @@ class TeleEngine:
             return out
         return idx * math.log(scale)
 
-    def _kt(self, d3: float, m_cap: int, k_cap: int) -> np.ndarray:
+    def _tables(self, m_cap: int, j_cap: int, k_cap: int) -> tuple:
+        """(kt, jw) at the given caps (see the class docstring)."""
         al, be, ga = self.params.alpha, self.params.beta, self.params.gamma
-        m = np.arange(m_cap, dtype=float)[:, None]
-        k = np.arange(k_cap, dtype=float)[None, :]
-        lg = (gammaln(ga * m + k + ga) - gammaln(ga * m + ga)
-              - gammaln(k + 1.0) - gammaln(be * m + al * k + d3))
-        lg += self._log_scale(self.x_scale, m_cap)[:, None]
-        lg += self._log_scale(self.z_scale, k_cap)[None, :]
-        return np.exp(lg)
-
-    def _jw(self, v: str, m_cap: int, j_cap: int) -> np.ndarray:
-        d2, _, d5, d8 = _variant_shifts(v, self.params.beta)
-        m = np.arange(m_cap, dtype=float)[:, None]
-        j = np.arange(j_cap, dtype=float)[None, :]
-        lg = (gammaln(m + j + d2) - gammaln(m + d5)
-              - gammaln(j + 1.0) - gammaln(j + d8))
-        lg += self._log_scale(self.y_scale, j_cap)[None, :]
-        return np.exp(lg)
+        m, j, k = np.arange(m_cap), np.arange(j_cap), np.arange(k_cap)
+        log_fact = np.array([math.lgamma(n + 1.0)
+                             for n in range(max(m_cap + j_cap, k_cap))])
+        log_poch = np.zeros((m_cap, k_cap))
+        np.cumsum(np.log(ga * m[:, None] + ga + k[:-1]), axis=1,
+                  out=log_poch[:, 1:])
+        z = be * m[:, None] + al * k + be
+        lgz = np.fromiter(map(math.lgamma, z.ravel().tolist()), float, z.size)
+        lg = (log_poch - lgz.reshape(z.shape) - log_fact[:k_cap]
+              + self._log_scale(self.x_scale, m_cap)[:, None]
+              + self._log_scale(self.z_scale, k_cap))
+        kt0 = np.exp(lg)
+        kt = {"base": kt0, "shifted": kt0 / z}
+        mj = m[:, None] + j
+        lj = self._log_scale(self.y_scale, j_cap) - log_fact[:j_cap]
+        jw = {}
+        for v in _VARIANTS:
+            d2, _, d5, d8 = (int(d) for d in _variant_shifts(v, be))
+            # G(n) = (n-1)! at every integer argument n = m+j+d2, m+d5, j+d8
+            jw[v] = np.exp(log_fact[mj + (d2 - 1)]
+                           - log_fact[m + (d5 - 1)][:, None]
+                           + lj - log_fact[j + (d8 - 1)])
+        return kt, jw
 
     def _build_tensors(self):
-        be = self.params.beta
         cap = self.series.max_terms_per_index
         tail = 1e-15
         m_cap, j_cap, k_cap = 24, 16, 16
         while True:
-            kt0 = self._kt(be, m_cap, k_cap)
-            kt1 = self._kt(be + 1.0, m_cap, k_cap)
-            ktm = np.maximum(kt0, kt1)
-            jwm = self._jw("V1", m_cap, j_cap)
+            kt, jw = self._tables(m_cap, j_cap, k_cap)
+            ktm = np.maximum(kt["base"], kt["shifted"])
+            jwm = jw["V1"]
             for v in ("V2", "V3", "V4"):
-                jwm = np.maximum(jwm, self._jw(v, m_cap, j_cap))
+                jwm = np.maximum(jwm, jw[v])
             # positive majorant of every series; truncation is accepted
             # once the trailing rows of each index carry negligible mass
             sk = ktm.sum(axis=1)
@@ -281,8 +296,7 @@ class TeleEngine:
                     "series tensors still carry mass at "
                     f"caps ({m_cap}, {j_cap}, {k_cap})")
         self.m_cap, self.j_cap, self.k_cap = m_cap, j_cap, k_cap
-        self.kt = {"base": kt0, "shifted": kt1}
-        self.jw = {v: self._jw(v, m_cap, j_cap) for v in _VARIANTS}
+        self.kt, self.jw = kt, jw
 
     def t_powers(self, s) -> tuple:
         """Normalized power matrices ((m_cap, n), (k_cap, n)) for times s."""
@@ -319,18 +333,6 @@ class TeleEngine:
         shifted = v in ("V1", "V2")
         c = self.cvec(s, shifted)
         return self.ypowers(dx) @ (self.jw[v].T @ c)
-
-
-def _call_on(fn, values) -> np.ndarray:
-    """Evaluate a scalar-or-vectorized callable on a 1-D array."""
-    values = np.asarray(values, dtype=float)
-    try:
-        out = np.asarray(fn(values), dtype=float)
-        if out.shape == values.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(fn(float(v))) for v in values])
 
 
 def _call_txy(fn, t: float, xs: np.ndarray) -> np.ndarray:
@@ -479,7 +481,8 @@ class ForcingTerm:
     such ``goursat_grid`` grid), otherwise the uniform
     ``quad.n_points``-cell mesh on [0, max x].  The moments of
     xi^{-eps2} hat_k(xi) (b(x_i - xi))^j against that interpolant are
-    computed once per instance (see ``_xi_moments``): Gauss-Jacobi with
+    computed once per instance and shared by its ``with_rules`` copies
+    (see ``_xi_moments``): Gauss-Jacobi with
     weight xi^{-eps2} on the first cell integrates the singular weight
     exactly, for every eps2 in [0, 1), and Gauss-Legendre takes the
     cells where xi^{-eps2} is smooth, exactly when eps2 = 0.  A row then
@@ -494,13 +497,7 @@ class ForcingTerm:
         self.f = f
         self.eps1, self.eps2 = float(eps1), float(eps2)
         self.x_nodes = np.asarray(x_nodes, dtype=float)
-        beta = engine.params.beta
-        grading = max(quad.grading, 1.0 / beta)
-        n_half = max(quad.n_points // 2, 8)
-        left = build_rule(-self.eps1, graded_mesh(1.0, n_half, grading))
-        right = build_rule(beta - 1.0, graded_mesh(1.0, n_half, grading))
-        self.left = (left.nodes, left.weights)
-        self.right = (right.nodes, right.weights)
+        self._set_rules(quad)
         x = self.x_nodes
         if x.size > 1 and x[0] == 0.0 and np.all(np.diff(x) > 0.0):
             self.mesh = x
@@ -510,6 +507,26 @@ class ForcingTerm:
             self.mesh, x, self.eps2, engine.j_cap, engine.x_ref,
             engine._sign_b)
         self._broadcasts = True
+
+    def _set_rules(self, quad: QuadPolicy) -> None:
+        beta = self.engine.params.beta
+        mesh = graded_mesh(1.0, max(quad.n_points // 2, 8),
+                           max(quad.grading, 1.0 / beta))
+        left = build_rule(-self.eps1, mesh)
+        right = build_rule(beta - 1.0, mesh)
+        self.left = (left.nodes, left.weights)
+        self.right = (right.nodes, right.weights)
+
+    def with_rules(self, quad: QuadPolicy) -> "ForcingTerm":
+        """The same term with the eta rules of ``quad``.
+
+        The xi-moments depend only on the x-nodes, eps2 and the engine,
+        so the copy shares them; a solve builds them once for its
+        assembly levels and its grid fill.
+        """
+        twin = copy.copy(self)
+        twin._set_rules(quad)
+        return twin
 
     def _sample(self, etas: np.ndarray) -> np.ndarray:
         """f on the (eta x mesh) array.
@@ -548,34 +565,28 @@ class ForcingTerm:
         return np.add.reduceat(cells, self.q_starts)
 
 
-class _GridEvaluator:
-    """One grid evaluation: engine, trace moments, and shared rules."""
+def _forcing_term(engine: TeleEngine, f, eps1: float, eps2: float,
+                  x_nodes: np.ndarray, quad: QuadPolicy):
+    """The ForcingTerm of f on these x-nodes, or None for zero forcing."""
+    if _is_zero_forcing(f):
+        return None
+    return ForcingTerm(engine, f, eps1, eps2, x_nodes, quad)
 
-    def __init__(self, params, coeffs, tau, phi, f, t_nodes, x_nodes,
-                 eps1, eps2, quad, series, arg_cap,
-                 corner_tol=_CORNER_TOL):
-        self.t_nodes = np.asarray(t_nodes, dtype=float)
-        self.x_nodes = np.asarray(x_nodes, dtype=float)
-        if self.t_nodes.ndim != 1 or self.t_nodes.size == 0:
-            raise DomainError("t_nodes must be a non-empty 1-D array")
-        if self.x_nodes.ndim != 1 or self.x_nodes.size == 0:
-            raise DomainError("x_nodes must be a non-empty 1-D array")
-        if np.any(self.t_nodes < 0.0) or np.any(self.x_nodes < 0.0):
-            raise DomainError("grid nodes must be nonnegative")
-        if not (0.0 <= eps1 < params.beta):
-            raise InvalidParams(
-                f"eps1 must satisfy 0 <= eps1 < beta, got {eps1}")
-        if not (0.0 <= eps2 < 1.0):
-            raise InvalidParams(f"eps2 must satisfy 0 <= eps2 < 1, got {eps2}")
-        t_max = float(self.t_nodes.max())
-        x_max = float(self.x_nodes.max())
-        self.params, self.coeffs = params, coeffs
-        self.phi, self.f = phi, f
-        self.eps1, self.eps2 = float(eps1), float(eps2)
-        self.quad = quad
-        self.trace = _as_trace(tau, x_max, quad)
-        self.engine = TeleEngine(params, coeffs, t_max, x_max,
-                                 series=series, arg_cap=arg_cap)
+
+class _GridEvaluator:
+    """One grid evaluation: engine, trace moments, and shared rules.
+
+    ``forcing`` is a ForcingTerm on x_nodes with the eta rules of
+    ``quad``, or None.
+    """
+
+    def __init__(self, engine: TeleEngine, tau, phi, forcing,
+                 t_nodes: np.ndarray, x_nodes: np.ndarray,
+                 quad: QuadPolicy, corner_tol: float = _CORNER_TOL):
+        self.t_nodes, self.x_nodes = t_nodes, x_nodes
+        self.engine, self.phi, self.forcing = engine, phi, forcing
+        self.params, self.coeffs = engine.params, engine.coeffs
+        self.trace = _as_trace(tau, float(x_nodes.max()), quad)
         self.phi0 = float(phi(0.0))
         tau0 = float(self.trace(0.0))
         if abs(self.phi0 - tau0) > corner_tol:
@@ -584,18 +595,14 @@ class _GridEvaluator:
                 f"exceeds {corner_tol}")
         eng = self.engine
         self.tau_x = self.trace(self.x_nodes)
-        self.ebx = np.exp(coeffs.b * self.x_nodes)
+        self.ebx = np.exp(self.coeffs.b * self.x_nodes)
         self.ypx = eng.ypowers(self.x_nodes)
         self.mom = _trace_moments(self.trace, self.x_nodes, eng.j_cap,
                                   eng.x_ref, eng._sign_b)
-        grading = max(quad.grading, 1.0 / params.beta)
-        mesh = graded_mesh(1.0, quad.n_points, grading)
-        rule = build_rule(params.beta - 1.0, mesh)
+        beta = self.params.beta
+        mesh = graded_mesh(1.0, quad.n_points, max(quad.grading, 1.0 / beta))
+        rule = build_rule(beta - 1.0, mesh)
         self.conv_nodes, self.conv_weights = rule.nodes, rule.weights
-        self.with_forcing = not _is_zero_forcing(f)
-        if self.with_forcing:
-            self.forcing = ForcingTerm(eng, f, self.eps1, self.eps2,
-                                       self.x_nodes, quad)
 
     def row(self, t: float) -> np.ndarray:
         if t == 0.0:
@@ -611,7 +618,7 @@ class _GridEvaluator:
         u = u - a * self.phi0 * tbeta * (self.ypx @ (eng.jw["V1"].T @ c1))
         u = u + a * b * tbeta * (self.mom @ (eng.jw["V2"].T @ c1))
         u = u + a * b * self.x_nodes * self._phi_convolution(t)
-        if self.with_forcing:
+        if self.forcing is not None:
             u = u + self.forcing.row(t)
         return u
 
@@ -649,9 +656,23 @@ def goursat_grid(params: PrabhakarParams, coeffs: TelegraphCoeffs,
     discrete trace carries its assembly noise there).  Returns the matrix
     u[i, j] = u(t_i, x_j).
     """
-    ev = _GridEvaluator(params, coeffs, tau, phi, f, t_nodes, x_nodes,
-                        eps1, eps2, quad, series, arg_cap, corner_tol)
-    return ev.evaluate()
+    t_nodes = np.asarray(t_nodes, dtype=float)
+    x_nodes = np.asarray(x_nodes, dtype=float)
+    if t_nodes.ndim != 1 or t_nodes.size == 0:
+        raise DomainError("t_nodes must be a non-empty 1-D array")
+    if x_nodes.ndim != 1 or x_nodes.size == 0:
+        raise DomainError("x_nodes must be a non-empty 1-D array")
+    if np.any(t_nodes < 0.0) or np.any(x_nodes < 0.0):
+        raise DomainError("grid nodes must be nonnegative")
+    if not (0.0 <= eps1 < params.beta):
+        raise InvalidParams(f"eps1 must satisfy 0 <= eps1 < beta, got {eps1}")
+    if not (0.0 <= eps2 < 1.0):
+        raise InvalidParams(f"eps2 must satisfy 0 <= eps2 < 1, got {eps2}")
+    engine = TeleEngine(params, coeffs, float(t_nodes.max()),
+                        float(x_nodes.max()), series=series, arg_cap=arg_cap)
+    forcing = _forcing_term(engine, f, eps1, eps2, x_nodes, quad)
+    return _GridEvaluator(engine, tau, phi, forcing, t_nodes, x_nodes, quad,
+                          corner_tol).evaluate()
 
 
 def goursat_eval(params: PrabhakarParams, coeffs: TelegraphCoeffs,

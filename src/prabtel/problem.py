@@ -31,16 +31,17 @@ from .errors import InvalidData, InvalidParams, RegimeViolation
 from .fracops import PrabhakarParams, QuadPolicy, kernel_cell_moments
 from .goursat import (
     Domain2D,
+    TeleEngine,
     TelegraphCoeffs,
     TraceSolution,
-    _call_on,
     _call_txy,
+    _forcing_term,
+    _GridEvaluator,
     _is_zero_forcing,
-    goursat_grid,
 )
-from .quadrature import build_rule, graded_mesh
+from .quadrature import _call_on, build_rule, graded_mesh
 from .specfun import SeriesPolicy
-from .volterra import _in_strict_regime, assemble_system, solve_tau
+from .volterra import _M_ZERO_TOL, _assemble, _in_strict_regime, solve_tau
 
 __all__ = [
     "ProblemN",
@@ -54,7 +55,6 @@ __all__ = [
 # the nonlocal weight must not vanish identically; probed on this many
 # uniformly spaced samples
 _M_PROBE = 129
-_M_ZERO_TOL = 1e-14
 
 # the reduced right-hand side must reproduce phi(0) at x = 0 for the trace
 # and the boundary data to meet at the corner
@@ -256,10 +256,17 @@ def solve(problem: ProblemN, n_t: int = 64, n_x: int = 64,
             raise RegimeViolation(
                 "strict mode rejects the coefficient regime: "
                 + "; ".join(failures))
-    system = assemble_system(problem.params, problem.coeffs, problem.domain,
-                             problem.M, problem.phi, problem.psi,
-                             problem.f_smooth, problem.eps1, problem.eps2,
-                             replace(quad, n_points=n_x), series)
+    # one engine and one forcing xi-moment table serve the assembly and
+    # the grid fill: both run on (q, p) and on the same x-grid
+    domain = problem.domain
+    engine = TeleEngine(problem.params, problem.coeffs, domain.q, domain.p,
+                        series=series)
+    x_grid = np.linspace(0.0, domain.p, n_x + 1)
+    quad_x = replace(quad, n_points=n_x)
+    forcing = _forcing_term(engine, problem.f_smooth, problem.eps1,
+                            problem.eps2, x_grid, quad_x)
+    system = _assemble(engine, domain, problem.M, problem.phi, problem.psi,
+                       forcing, quad_x, x_grid)
     phi0 = float(np.asarray(problem.phi(0.0), dtype=float))
     g0_defect = abs(float(system.rhs[0]) - phi0)
     # widen the corner gate by the assembly's own refinement estimate so
@@ -274,17 +281,16 @@ def solve(problem: ProblemN, n_t: int = 64, n_x: int = 64,
             raise RegimeViolation(msg)
         warnings.warn(msg, RuntimeWarning, stacklevel=2)
     trace = solve_tau(system)
-    t_grid = np.linspace(0.0, problem.domain.q, n_t + 1)
-    u = goursat_grid(problem.params, problem.coeffs, trace, problem.phi,
-                     problem.f_smooth, t_grid, system.x_grid,
-                     eps1=problem.eps1, eps2=problem.eps2,
-                     quad=quad, series=series,
-                     corner_tol=max(1e-8, 2.0 * g0_defect))
+    t_grid = np.linspace(0.0, domain.q, n_t + 1)
+    grid_forcing = None if forcing is None else forcing.with_rules(quad)
+    u = _GridEvaluator(engine, trace, problem.phi, grid_forcing, t_grid,
+                       x_grid, quad,
+                       corner_tol=max(1e-8, 2.0 * g0_defect)).evaluate()
     diagnostics = dict(system.diagnostics)
     diagnostics["tau_residual"] = trace.diagnostics.get("residual")
     diagnostics["g0_defect"] = g0_defect
     diagnostics["strict_regime"] = problem.strict_regime
-    return GridSolution(t_grid=t_grid, x_grid=system.x_grid.copy(), u=u,
+    return GridSolution(t_grid=t_grid, x_grid=x_grid, u=u,
                         tau=trace, A=float(diagnostics["a_display"]),
                         compatibility=compatibility_check(problem, quad),
                         diagnostics=diagnostics)

@@ -115,3 +115,20 @@ def build_rule(weight_exponent: float, mesh: GradedMesh) -> WeightedRule:
     w[:-1] += (b * m0 - m1) / h
     w[1:] += (m1 - a * m0) / h
     return WeightedRule(nodes=s, weights=w)
+
+
+def _call_on(fn, values) -> np.ndarray:
+    """Evaluate a scalar-or-vectorized callable on a 1-D array.
+
+    One call on the whole array when fn broadcasts; if that call raises
+    TypeError or ValueError or returns another shape, one call per
+    point.  Any other error propagates.
+    """
+    values = np.asarray(values, dtype=float)
+    try:
+        out = np.asarray(fn(values), dtype=float)
+        if out.shape == values.shape:
+            return out
+    except (TypeError, ValueError):
+        pass
+    return np.array([float(fn(float(v))) for v in values])

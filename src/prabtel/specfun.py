@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
-
 from .errors import InvalidParams, NonConvergence
 
 __all__ = [
@@ -537,7 +535,8 @@ def _require_num(arg: float, what: str) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# High-precision rescue for cancelled sums
+# High-precision rescue for cancelled sums; mpmath is imported here only,
+# so a solve that never needs the rescue never loads it
 # ---------------------------------------------------------------------------
 
 def _rescue_dps(kappa: float, overflowed: bool) -> int:
@@ -547,12 +546,15 @@ def _rescue_dps(kappa: float, overflowed: bool) -> int:
 
 
 def _mp_pole(arg) -> bool:
-    return arg <= 0 and arg == mpmath.floor(arg)
+    # int() truncates toward zero, which for arg <= 0 matches floor
+    # exactly at the integers; it takes floats and mpf alike
+    return arg <= 0 and arg == int(arg)
 
 
 def _mp_gamma_div(num_args, den_args):
     """Product of numerator gammas over denominator gammas in mpf; returns
     None when a denominator pole zeroes the term."""
+    import mpmath
     val = mpmath.mpf(1)
     for a in num_args:
         if _mp_pole(a):
@@ -566,6 +568,7 @@ def _mp_gamma_div(num_args, den_args):
 
 
 def _mp_ml(alpha, beta, gamma, z, policy, dps):
+    import mpmath
     with mpmath.workdps(dps):
         a, b, g, zz = (mpmath.mpf(v) for v in (alpha, beta, gamma, z))
         total = mpmath.mpf(0)
@@ -593,6 +596,7 @@ def _mp_ml(alpha, beta, gamma, z, policy, dps):
 
 
 def _mp_ml2(params, x, y, policy, dps):
+    import mpmath
     p = params
     with mpmath.workdps(dps):
         xx, yy = mpmath.mpf(x), mpmath.mpf(y)
@@ -642,6 +646,7 @@ def _mp_inner_sum(coef, arg, policy):
     coef returns an mpf or None (zeroed term). Used by the ml3 rescue, where
     the j and k sums are independent for fixed m.
     """
+    import mpmath
     total = mpmath.mpf(0)
     small = 0
     for i in range(policy.max_terms_per_index):
@@ -662,6 +667,7 @@ def _mp_inner_sum(coef, arg, policy):
 
 
 def _mp_ml3(params, x, y, z, policy, dps):
+    import mpmath
     # for fixed m the triple series factorizes into a product of a j-sum and
     # a k-sum, so the rescue costs O(M*(J+K)) gamma evaluations
     p = params

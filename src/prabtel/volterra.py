@@ -45,14 +45,12 @@ from .errors import (
 from .fracops import PrabhakarParams, QuadPolicy
 from .goursat import (
     Domain2D,
-    ForcingTerm,
     TeleEngine,
     TelegraphCoeffs,
     TraceSolution,
-    _call_on,
-    _is_zero_forcing,
+    _forcing_term,
 )
-from .quadrature import build_rule, graded_mesh
+from .quadrature import _call_on, build_rule, graded_mesh
 from .specfun import SeriesPolicy
 
 A_TOL = 1e-10
@@ -182,10 +180,14 @@ def kernel_M1(params: PrabhakarParams, coeffs: TelegraphCoeffs, M,
     return float(_m1_at(engine, M, domain, quad, np.array([x - xi]))[0])
 
 
-def _g_values(engine: TeleEngine, M, phi, psi, f, eps1: float, eps2: float,
+def _g_values(engine: TeleEngine, M, phi, psi, forcing,
               domain: Domain2D, quad: QuadPolicy,
               x_arr: np.ndarray) -> np.ndarray:
-    """Right-hand side g on an array of x values (display normalization)."""
+    """Right-hand side g on an array of x values (display normalization).
+
+    ``forcing`` is a ForcingTerm on x_arr with the eta rules of ``quad``,
+    or None.
+    """
     co, q = engine.coeffs, domain.q
     phi0 = float(phi(0.0))
     out = _call_on(psi, x_arr).copy()
@@ -220,8 +222,7 @@ def _g_values(engine: TeleEngine, M, phi, psi, f, eps1: float, eps2: float,
     j3 = engine.ypowers(x_arr) @ (engine.jw["V3"].T @ cacc)
     out += co.a * co.b * x_arr * j3
 
-    if not _is_zero_forcing(f):
-        forcing = ForcingTerm(engine, f, eps1, eps2, x_arr, quad)
+    if forcing is not None:
         f_outer = build_rule(0.0, graded_mesh(
             q, max(quad.n_points // 2, 16), grading))
         m_outer = _call_on(M, f_outer.nodes)
@@ -241,8 +242,10 @@ def rhs_g(params: PrabhakarParams, coeffs: TelegraphCoeffs, M, phi, psi, f,
     if not (0.0 <= x <= domain.p):
         raise InvalidData(f"x must lie in [0, p], got {x}")
     engine = TeleEngine(params, coeffs, domain.q, domain.p, series=series)
-    return float(_g_values(engine, M, phi, psi, f, eps1, eps2,
-                           domain, quad, np.array([x]))[0])
+    x_arr = np.array([x])
+    forcing = _forcing_term(engine, f, eps1, eps2, x_arr, quad)
+    return float(_g_values(engine, M, phi, psi, forcing, domain, quad,
+                           x_arr)[0])
 
 
 _STRICT_NOTE = ("uniqueness is only proven for a < 0, b < 0, delta < 0, "
@@ -268,8 +271,21 @@ def assemble_system(params: PrabhakarParams, coeffs: TelegraphCoeffs,
     refinement deltas for the kernel and right-hand side assembly.
     """
     engine = TeleEngine(params, coeffs, domain.q, domain.p, series=series)
+    x_grid = np.linspace(0.0, domain.p, quad.n_points + 1)
+    forcing = _forcing_term(engine, f, eps1, eps2, x_grid, quad)
+    return _assemble(engine, domain, M, phi, psi, forcing, quad, x_grid)
+
+
+def _assemble(engine: TeleEngine, domain: Domain2D, M, phi, psi, forcing,
+              quad: QuadPolicy, x_grid: np.ndarray) -> VolterraSystem:
+    """``assemble_system`` on a given engine and x-grid.
+
+    ``forcing`` is a ForcingTerm on x_grid with the eta rules of
+    ``quad``, or None; the coarse level reuses its xi-moments.
+    """
+    params, coeffs = engine.params, engine.coeffs
     if not _in_strict_regime(params, coeffs):
-        warnings.warn(_STRICT_NOTE, RuntimeWarning, stacklevel=2)
+        warnings.warn(_STRICT_NOTE, RuntimeWarning, stacklevel=3)
     i_m, i_e = _a_integrals(engine, M, domain, quad)
     a_display = i_m - i_e
     a_true = 1.0 - i_m - i_e
@@ -278,20 +294,18 @@ def assemble_system(params: PrabhakarParams, coeffs: TelegraphCoeffs,
             f"reduction divisor |1 - int M - E2 moment| = {abs(a_true):.3g} "
             f"does not clear {A_TOL}")
 
-    n = quad.n_points
-    x_grid = np.linspace(0.0, domain.p, n + 1)
     diffs = x_grid - x_grid[0]
     m1 = _m1_at(engine, M, domain, quad, diffs)
-    idx = np.arange(n + 1)
+    idx = np.arange(x_grid.size)
     m2 = np.tril(m1[np.maximum(idx[:, None] - idx[None, :], 0)]) / a_true
-    g = _g_values(engine, M, phi, psi, f, eps1, eps2, domain, quad, x_grid)
+    g = _g_values(engine, M, phi, psi, forcing, domain, quad, x_grid)
 
     coarse = QuadPolicy(n_points=max(quad.n_points // 2, 8),
                         grading=quad.grading, tol=quad.tol)
     i_m_c, i_e_c = _a_integrals(engine, M, domain, coarse)
     m1_c = _m1_at(engine, M, domain, coarse, diffs)
-    g_c = _g_values(engine, M, phi, psi, f, eps1, eps2, domain, coarse,
-                    x_grid)
+    forcing_c = None if forcing is None else forcing.with_rules(coarse)
+    g_c = _g_values(engine, M, phi, psi, forcing_c, domain, coarse, x_grid)
     diagnostics = {
         "a_display": a_display,
         "a_true": a_true,

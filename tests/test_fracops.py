@@ -91,6 +91,19 @@ class TestPrabhakarIntegral:
         with pytest.raises(DomainError):
             prabhakar_integral(p, ONES, 0.0)
 
+    def test_data_error_surfaces_after_one_call(self):
+        # only TypeError/ValueError mean "not vectorized"; any other error
+        # of the array call is the data's own and must not be retried
+        calls = []
+
+        def y(s):
+            calls.append(1)
+            raise ZeroDivisionError("data fails")
+
+        with pytest.raises(ZeroDivisionError):
+            prabhakar_integral(PrabhakarParams(1.0, 0.5, 0.5, -1.0), y, 1.0)
+        assert len(calls) == 1
+
     def test_nonintegrable_weight_rejected(self):
         p = PrabhakarParams(1.0, -0.2, 0.5, -1.0)
         with pytest.raises(DomainError):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad as adaptive
+from scipy.special import gammaln
 
 from prabtel.errors import (
     ArgumentOutOfRange,
@@ -22,6 +23,7 @@ from prabtel.goursat import (
     TelegraphCoeffs,
     TraceSolution,
     _gauss_jacobi,
+    _variant_shifts,
     goursat_eval,
     goursat_grid,
     ml2_tele,
@@ -126,6 +128,54 @@ class TestEngine:
         with pytest.raises(InvalidParams):
             TeleEngine(PrabhakarParams(1.0, 0.5, -0.5, -1.0), COEFFS,
                        1.0, 1.0)
+
+
+def _reference_tensors(eng):
+    """kt and jw of the engine's caps straight from scipy's gammaln."""
+    al, be, ga = eng.params.alpha, eng.params.beta, eng.params.gamma
+    m = np.arange(eng.m_cap, dtype=float)[:, None]
+    k = np.arange(eng.k_cap, dtype=float)[None, :]
+    j = np.arange(eng.j_cap, dtype=float)[None, :]
+
+    def log_scale(scale, n):
+        if scale <= 0.0:
+            return np.where(np.arange(n) == 0, 0.0, -np.inf)
+        return np.arange(n) * math.log(scale)
+
+    lx = log_scale(eng.x_scale, eng.m_cap)[:, None]
+    lz = log_scale(eng.z_scale, eng.k_cap)[None, :]
+    kt = {name: np.exp(gammaln(ga * m + k + ga) - gammaln(ga * m + ga)
+                       - gammaln(k + 1.0) - gammaln(be * m + al * k + d3)
+                       + lx + lz)
+          for name, d3 in (("base", be), ("shifted", be + 1.0))}
+    jw = {}
+    for v in ("V1", "V2", "V3", "V4"):
+        d2, _, d5, d8 = _variant_shifts(v, be)
+        jw[v] = np.exp(gammaln(m + j + d2) - gammaln(m + d5)
+                       - gammaln(j + 1.0) - gammaln(j + d8)
+                       + log_scale(eng.y_scale, eng.j_cap)[None, :])
+    return kt, jw
+
+
+class TestTensorTables:
+    @pytest.mark.parametrize("params, coeffs, caps", [
+        ((1.0, 0.5, 0.5, -0.5), (-0.25, -0.5), None),
+        ((0.7, 0.3, 1.3, -2.0), (-3.0, 2.0), None),
+        ((1.0, 0.5, 0.5, -1.0), (-10.0, -1.0), (768, 64, 32)),
+        ((1.0, 0.5, 0.5, 0.0), (0.0, -1.0), None),
+    ])
+    def test_match_gammaln_reference(self, params, coeffs, caps):
+        eng = TeleEngine(PrabhakarParams(*params), TelegraphCoeffs(*coeffs),
+                         1.0, 1.0)
+        if caps is not None:
+            assert (eng.m_cap, eng.j_cap, eng.k_cap) == caps
+        kt, jw = _reference_tensors(eng)
+        pairs = [(eng.kt[n], kt[n]) for n in kt]
+        pairs += [(eng.jw[v], jw[v]) for v in jw]
+        for got, want in pairs:
+            assert got.shape == want.shape
+            # entries below 1e-300 are subnormal or zero in both
+            np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-300)
 
 
 class TestTraceSolution:

@@ -1,11 +1,15 @@
 """End-to-end driver tests: data validation, strict gates, solve, verify."""
 
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import prabtel.goursat as goursat
+from prabtel.acceptance import cli_env
 from prabtel.errors import InvalidData, InvalidParams, RegimeViolation
 from prabtel.fracops import PrabhakarParams, QuadPolicy
 from prabtel.goursat import Domain2D, TelegraphCoeffs
@@ -278,3 +282,42 @@ class TestResidualReport:
         d = ResidualReport(1.0, 2.0, 3.0, 4.0).as_dict()
         assert d == {"boundary": 1.0, "nonlocal": 2.0, "pde": 3.0,
                      "compatibility": 4.0}
+
+
+class TestSharedSetup:
+    def test_one_engine_and_one_xi_table_per_solve(self, monkeypatch):
+        counts = {"engine": 0, "xi": 0}
+        init, xi_moments = goursat.TeleEngine.__init__, goursat._xi_moments
+
+        def counted_init(self, *args, **kwargs):
+            counts["engine"] += 1
+            init(self, *args, **kwargs)
+
+        def counted_xi(*args):
+            counts["xi"] += 1
+            return xi_moments(*args)
+
+        monkeypatch.setattr(goursat.TeleEngine, "__init__", counted_init)
+        monkeypatch.setattr(goursat, "_xi_moments", counted_xi)
+        solve(smooth_problem(), n_t=16, n_x=16, quad=QUICK)
+        assert counts == {"engine": 1, "xi": 1}
+
+    def test_cold_solve_loads_neither_scipy_nor_mpmath(self, tmp_path):
+        # the solver needs numpy only: scipy serves the tests, mpmath the
+        # series rescue and the oracle
+        code = "\n".join((
+            "import sys",
+            "import prabtel",
+            "from prabtel.acceptance import _smooth_problem",
+            "loaded = lambda: sorted({'scipy', 'mpmath'} & set(sys.modules))",
+            "print(loaded())",
+            "prob = _smooth_problem()",
+            "sol = prabtel.solve(prob, 16, 16, prabtel.QuadPolicy(n_points=64))",
+            "prabtel.verify(prob, sol)",
+            "print(loaded())",
+        ))
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True, cwd=tmp_path,
+                                env=cli_env(), timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["[]", "[]"]
