@@ -17,7 +17,6 @@ from .errors import (
     InvalidParams,
     MaxIterExceeded,
     NonConvergence,
-    NonDifferentiable,
     ParseError,
     PrabtelError,
     QuadratureFailure,
@@ -77,7 +76,6 @@ __all__ = [
     "ML3Params",
     "MaxIterExceeded",
     "NonConvergence",
-    "NonDifferentiable",
     "ParseError",
     "PrabhakarParams",
     "PrabtelError",

@@ -82,7 +82,3 @@ class ParseError(PrabtelError):
 class EvalError(PrabtelError):
     """Expression evaluation hit a domain fault (log of a non-positive
     number, division by zero, ...)."""
-
-
-class NonDifferentiable(PrabtelError):
-    """Symbolic differentiation is not defined for a node (abs)."""

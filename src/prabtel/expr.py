@@ -3,8 +3,7 @@
 The data functions phi(t), psi(x), M(t) and the smooth forcing factor are
 supplied as text expressions in the variables ``t`` and ``x``. This module
 parses them with a recursive-descent parser, evaluates them on floats or
-numpy arrays, and differentiates them symbolically (the Caputo-Prabhakar
-derivative needs y').
+numpy arrays, and renders them back to text.
 
 Grammar (public contract, also documented in the CLI help)::
 
@@ -26,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import EvalError, NonDifferentiable, ParseError
+from .errors import EvalError, ParseError
 
 __all__ = [
     "Num",
@@ -38,9 +37,7 @@ __all__ = [
     "ExprFunction",
     "parse",
     "evaluate",
-    "differentiate",
     "render",
-    "simplify",
 ]
 
 _FUNCTION_ARITY = {
@@ -329,154 +326,6 @@ def _eval_node(ast: ExprAst, t, x):
 
 
 # ---------------------------------------------------------------------------
-# Simplification and differentiation
-# ---------------------------------------------------------------------------
-
-def _is_num(ast: ExprAst, value=None) -> bool:
-    if not isinstance(ast, Num):
-        return False
-    return value is None or ast.value == value
-
-
-def simplify(ast: ExprAst) -> ExprAst:
-    """Light structural simplification: constant folding plus the unit and
-    absorbing-element identities (0*e -> 0, 1*e -> e, e+0 -> e, e^1 -> e)."""
-    if isinstance(ast, (Num, Var)):
-        return ast
-    if isinstance(ast, Neg):
-        child = simplify(ast.child)
-        if isinstance(child, Num):
-            return Num(-child.value, ast.pos)
-        if isinstance(child, Neg):
-            return child.child
-        return Neg(child, ast.pos)
-    if isinstance(ast, Bin):
-        left = simplify(ast.left)
-        right = simplify(ast.right)
-        op = ast.op
-        if isinstance(left, Num) and isinstance(right, Num):
-            try:
-                folded = evaluate(Bin(op, left, right, ast.pos))
-            except EvalError:
-                return Bin(op, left, right, ast.pos)
-            return Num(folded, ast.pos)
-        if op == "+":
-            if _is_num(left, 0.0):
-                return right
-            if _is_num(right, 0.0):
-                return left
-        elif op == "-":
-            if _is_num(right, 0.0):
-                return left
-            if _is_num(left, 0.0):
-                return simplify(Neg(right, ast.pos))
-        elif op == "*":
-            if _is_num(left, 0.0) or _is_num(right, 0.0):
-                return Num(0.0, ast.pos)
-            if _is_num(left, 1.0):
-                return right
-            if _is_num(right, 1.0):
-                return left
-        elif op == "/":
-            if _is_num(left, 0.0) and not _is_num(right, 0.0):
-                return Num(0.0, ast.pos)
-            if _is_num(right, 1.0):
-                return left
-        elif op == "^":
-            if _is_num(right, 1.0):
-                return left
-            if _is_num(right, 0.0):
-                return Num(1.0, ast.pos)
-        return Bin(op, left, right, ast.pos)
-    if isinstance(ast, Call):
-        return Call(ast.fn, tuple(simplify(a) for a in ast.args), ast.pos)
-    return ast
-
-
-def differentiate(ast: ExprAst, var: str) -> ExprAst:
-    """Symbolic derivative with respect to 't' or 'x', lightly simplified.
-
-    abs is rejected with NonDifferentiable (it has no derivative at 0).
-    """
-    if var not in ("t", "x"):
-        raise ValueError(f"differentiation variable must be 't' or 'x', got {var!r}")
-    return simplify(_diff(ast, var))
-
-
-def _diff(ast: ExprAst, var: str) -> ExprAst:
-    if isinstance(ast, Num):
-        return Num(0.0, ast.pos)
-    if isinstance(ast, Var):
-        return Num(1.0 if ast.name == var else 0.0, ast.pos)
-    if isinstance(ast, Neg):
-        return Neg(_diff(ast.child, var), ast.pos)
-    if isinstance(ast, Bin):
-        u, v = ast.left, ast.right
-        du, dv = _diff(u, var), _diff(v, var)
-        p = ast.pos
-        if ast.op in ("+", "-"):
-            return Bin(ast.op, du, dv, p)
-        if ast.op == "*":
-            return Bin("+", Bin("*", du, v, p), Bin("*", u, dv, p), p)
-        if ast.op == "/":
-            num = Bin("-", Bin("*", du, v, p), Bin("*", u, dv, p), p)
-            return Bin("/", num, Bin("^", v, Num(2.0, p), p), p)
-        if ast.op == "^":
-            return _diff_power(u, v, du, dv, p)
-        raise NonDifferentiable(f"operator {ast.op!r}")
-    if isinstance(ast, Call):
-        p = ast.pos
-        if ast.fn == "pow":
-            u, v = ast.args
-            return _diff_power(u, v, _diff(u, var), _diff(v, var), p)
-        (u,) = ast.args
-        du = _diff(u, var)
-        if ast.fn == "exp":
-            outer = Call("exp", (u,), p)
-        elif ast.fn == "ln":
-            return Bin("/", du, u, p)
-        elif ast.fn == "sin":
-            outer = Call("cos", (u,), p)
-        elif ast.fn == "cos":
-            outer = Neg(Call("sin", (u,), p), p)
-        elif ast.fn == "sqrt":
-            return Bin("/", du, Bin("*", Num(2.0, p), Call("sqrt", (u,), p), p), p)
-        elif ast.fn == "abs":
-            raise NonDifferentiable("abs is not differentiable at 0")
-        else:
-            raise NonDifferentiable(f"function {ast.fn!r}")
-        return Bin("*", outer, du, p)
-    raise NonDifferentiable(f"node {ast!r}")
-
-
-def _diff_power(u: ExprAst, v: ExprAst, du: ExprAst, dv: ExprAst, p: int) -> ExprAst:
-    if isinstance(v, Num):
-        # d(u^c) = c * u^(c-1) * u'
-        return Bin(
-            "*",
-            Bin("*", Num(v.value, p), Bin("^", u, Num(v.value - 1.0, p), p), p),
-            du,
-            p,
-        )
-    if isinstance(u, Num):
-        # d(a^v) = a^v * ln(a) * v'
-        return Bin(
-            "*",
-            Bin("*", Bin("^", u, v, p), Call("ln", (u,), p), p),
-            dv,
-            p,
-        )
-    # general: u^v * (v' ln u + v u'/u)
-    tail = Bin(
-        "+",
-        Bin("*", dv, Call("ln", (u,), p), p),
-        Bin("*", v, Bin("/", du, u, p), p),
-        p,
-    )
-    return Bin("*", Bin("^", u, v, p), tail, p)
-
-
-# ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
 
@@ -548,30 +397,20 @@ def render(ast: ExprAst) -> str:
 class ExprFunction:
     """Callable wrapper around a parsed expression.
 
-    Instances evaluate on floats or arrays via ``fn(t=..., x=...)``, report
-    whether they are structurally zero, and expose symbolic derivatives as
-    new ExprFunction objects.
+    Instances evaluate on floats or arrays via ``fn(t=..., x=...)`` and
+    report whether they are a literal zero.
     """
 
-    def __init__(self, source, ast: ExprAst = None):
-        if ast is None:
-            ast = parse(source)
-        self.source = source if isinstance(source, str) else render(ast)
-        self.ast = simplify(ast)
-
-    @classmethod
-    def from_ast(cls, ast: ExprAst) -> "ExprFunction":
-        return cls(render(ast), ast)
+    def __init__(self, source: str):
+        self.source = source
+        self.ast = parse(source)
 
     def __call__(self, t=0.0, x=0.0):
         return evaluate(self.ast, t=t, x=x)
 
-    def derivative(self, var: str) -> "ExprFunction":
-        return ExprFunction.from_ast(differentiate(self.ast, var))
-
     @property
     def is_zero(self) -> bool:
-        return _is_num(self.ast, 0.0)
+        return isinstance(self.ast, Num) and self.ast.value == 0.0
 
     def __repr__(self) -> str:
         return f"ExprFunction({self.source!r})"

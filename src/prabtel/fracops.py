@@ -7,7 +7,10 @@ the data is replaced by its linear interpolant while the kernel moments are
 integrated exactly by summing the Mittag-Leffler series term by term (each
 term is a power moment in closed form). The Caputo-Prabhakar derivative of
 order 0 < beta < 1 is the same integral at substituted parameters
-(alpha, 1-beta, -gamma, delta) applied to y'.
+(alpha, 1-beta, -gamma, delta) applied to y'. Both the pointwise
+derivative and the grid rows of ``verify`` take y' as the slope of the
+piecewise-linear interpolant, so the derivative is a slope sum against
+exact kernel moments (``_slope_weights``).
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InvalidParams, NonConvergence, QuadratureFailure
-from .expr import ExprFunction
 from .quadrature import _call_on, graded_mesh
 from .specfun import SeriesPolicy, rgamma
 
@@ -142,23 +144,18 @@ def _integral_fixed_n(params: PrabhakarParams, y, t: float, n: int,
     return value, mass
 
 
-def prabhakar_integral(params: PrabhakarParams, y, t: float,
-                       quad: QuadPolicy = QuadPolicy(),
-                       series: SeriesPolicy = SeriesPolicy()) -> float:
-    """Prabhakar fractional integral of y over [0, t].
-
-    Computes int_0^t (t-xi)^(beta-1) E^gamma_{alpha,beta}[delta (t-xi)^alpha]
-    y(xi) dxi by product integration on a graded mesh, doubling the panel
-    count until the estimated error falls below quad.tol (absolute while the
-    weighted data mass is below one, relative to that mass above).
-    """
+def _refine(name: str, fixed_n, params: PrabhakarParams, y, t: float,
+            quad: QuadPolicy, series: SeriesPolicy) -> float:
+    """Value of the product rule fixed_n(params, y, t, n, grading, series)
+    -> (value, mass), doubling the panel count n from quad.n_points until
+    the estimated error falls below quad.tol."""
     if not (t > 0.0):
         raise DomainError(f"upper limit t must be positive, got {t}")
     prev = None
     prev_ext = None
     for k in range(_MAX_DOUBLINGS + 1):
-        cur, mass = _integral_fixed_n(params, y, t, quad.n_points * 2 ** k,
-                                      quad.grading, series)
+        cur, mass = fixed_n(params, y, t, quad.n_points * 2 ** k,
+                            quad.grading, series)
         if prev is not None:
             # tol is absolute while the weighted data mass is below one,
             # relative to the mass above; for the second-order rule the
@@ -174,27 +171,52 @@ def prabhakar_integral(params: PrabhakarParams, y, t: float,
             prev_ext = ext
         prev = cur
     raise QuadratureFailure(
-        f"prabhakar_integral did not reach tol={quad.tol} within "
+        f"{name} did not reach tol={quad.tol} within "
         f"{_MAX_DOUBLINGS} doublings of n_points={quad.n_points}")
 
 
-def _derivative_of(y, t: float):
-    """First derivative of y: symbolic for expressions, else second-order
-    differences with step t*1e-5 (one-sided at the interval ends)."""
-    if isinstance(y, ExprFunction):
-        dy = y.derivative("t")
-        if dy.is_zero:
-            return None
-        return dy
-    h = t * 1e-5
+def prabhakar_integral(params: PrabhakarParams, y, t: float,
+                       quad: QuadPolicy = QuadPolicy(),
+                       series: SeriesPolicy = SeriesPolicy()) -> float:
+    """Prabhakar fractional integral of y over [0, t].
 
-    def fd(xi):
-        xi = np.asarray(xi, dtype=float)
-        a = np.maximum(xi - h, 0.0)
-        b = np.minimum(xi + h, t)
-        return (_call_on(y, b) - _call_on(y, a)) / (b - a)
+    Computes int_0^t (t-xi)^(beta-1) E^gamma_{alpha,beta}[delta (t-xi)^alpha]
+    y(xi) dxi by product integration on a graded mesh, doubling the panel
+    count until the estimated error falls below quad.tol (absolute while the
+    weighted data mass is below one, relative to that mass above).
+    """
+    return _refine("prabhakar_integral", _integral_fixed_n, params, y, t,
+                   quad, series)
 
-    return fd
+
+def _slope_weights(params: PrabhakarParams, lag_edges: np.ndarray,
+                   series: SeriesPolicy) -> np.ndarray:
+    """Weights of the cell slopes in the Caputo-Prabhakar derivative.
+
+    lag_edges ascend from 0 and cut the lag s = t - xi into cells.  The
+    weights are the exact kernel moments of the substituted orders
+    (alpha, 1 - beta, -gamma, delta) on those cells, so the dot product
+    with the data's slope on each cell is the derivative of its
+    piecewise-linear interpolant at t (an L1-type product rule).
+    """
+    if not (0.0 < params.beta < 1.0):
+        raise InvalidParams(
+            f"derivative requires 0 < beta < 1, got beta={params.beta}")
+    sub = PrabhakarParams(alpha=params.alpha, beta=1.0 - params.beta,
+                          gamma=-params.gamma, delta=params.delta)
+    return kernel_cell_moments(sub, lag_edges, series)[0]
+
+
+def _deriv_fixed_n(params: PrabhakarParams, y, t: float, n: int,
+                   grading: float, series: SeriesPolicy) -> tuple:
+    """(derivative value, weighted absolute slope mass) at a fixed panel
+    count, on the lag mesh of ``_integral_fixed_n``."""
+    s = graded_mesh(t, n, r=grading).nodes
+    w = _slope_weights(params, s, series)
+    vals = _call_on(y, t - s)
+    # lag cell j runs from xi = t - s[j+1] to xi = t - s[j]
+    slopes = (vals[:-1] - vals[1:]) / np.diff(s)
+    return float(w @ slopes), float(np.abs(w) @ np.abs(slopes))
 
 
 def caputo_prabhakar_deriv(params: PrabhakarParams, y, t: float,
@@ -203,15 +225,35 @@ def caputo_prabhakar_deriv(params: PrabhakarParams, y, t: float,
     """Caputo-Prabhakar derivative of order 0 < beta < 1 at time t.
 
     Equals the Prabhakar integral with parameters (alpha, 1-beta, -gamma,
-    delta) applied to y'; expression-defined y is differentiated
-    symbolically, and a constant y gives exactly 0.
+    delta) applied to y'.  y is sampled on the graded lag mesh and
+    differentiated exactly as its piecewise-linear interpolant
+    (``_slope_weights``), with the panel doubling of
+    ``prabhakar_integral``; a constant y gives exactly 0.
     """
-    if not (0.0 < params.beta < 1.0):
-        raise InvalidParams(
-            f"derivative requires 0 < beta < 1, got beta={params.beta}")
-    dy = _derivative_of(y, t)
-    if dy is None:
-        return 0.0
-    sub = PrabhakarParams(alpha=params.alpha, beta=1.0 - params.beta,
-                          gamma=-params.gamma, delta=params.delta)
-    return prabhakar_integral(sub, dy, t, quad, series)
+    return _refine("caputo_prabhakar_deriv", _deriv_fixed_n, params, y, t,
+                   quad, series)
+
+
+def _fractional_rows(params: PrabhakarParams, t_grid: np.ndarray,
+                     u: np.ndarray, series: SeriesPolicy) -> np.ndarray:
+    """Caputo-Prabhakar derivative of each column of u[i, :] = u(t_i, .)
+    at every grid time, by the rule of ``_slope_weights`` on the grid's own
+    cells; row 0 is zero.
+    """
+    h = np.diff(t_grid)
+    slopes = (u[1:, :] - u[:-1, :]) / h[:, None]
+    out = np.zeros_like(u)
+    n = t_grid.size - 1
+    if np.allclose(h, h[0], rtol=1e-12, atol=0.0):
+        # uniform grid: the lag cells of every row are the leading grid
+        # cells, so one weight vector serves all rows
+        w_all = _slope_weights(params, t_grid - t_grid[0], series)
+        for k in range(1, n + 1):
+            out[k, :] = w_all[:k][::-1] @ slopes[:k, :]
+    else:
+        for k in range(1, n + 1):
+            edges = (t_grid[k] - t_grid[k::-1])
+            edges[0] = 0.0
+            w = _slope_weights(params, edges, series)
+            out[k, :] = w[::-1] @ slopes[:k, :]
+    return out

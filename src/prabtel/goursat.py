@@ -28,9 +28,12 @@ evaluation context.  Reference scales |a| t_max^beta, |b| x_max,
 power vector bounded by one.
 
 Accuracy envelope: the tensors are exponentiated log-gamma ratios in
-float64 (``math.lgamma`` tables, see ``TeleEngine``), and the alternating
-sums lose roughly one digit per unit of series-argument magnitude;
-arguments beyond ``arg_cap`` are refused rather than silently degraded.
+float64 (``math.lgamma`` tables, see ``TeleEngine``).  For X = a t^beta < 0
+the sums cancel: the largest term grows like exp(|X|^(1/beta)) (for
+beta = 1/2, e^(|X|^2), about 1e43 at |X| = 10) while the sum stays of
+order one, so about |X|^(1/beta) / ln 10 digits are lost (11 at |X| = 5).
+``arg_cap`` (default 50) does not bound this loss: arguments well below
+it can already give finite values with no correct digit.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidData, InvalidParams, RegimeViolation
-from .fracops import PrabhakarParams, QuadPolicy, kernel_cell_moments
+from .fracops import PrabhakarParams, QuadPolicy, _fractional_rows
 from .goursat import (
     Domain2D,
     TeleEngine,
@@ -302,36 +302,6 @@ def _trapezoid_vec(grid: np.ndarray) -> np.ndarray:
     w[:-1] += 0.5 * h
     w[1:] += 0.5 * h
     return w
-
-
-def _fractional_rows(params: PrabhakarParams, t_grid: np.ndarray,
-                     u: np.ndarray, series: SeriesPolicy) -> np.ndarray:
-    """Caputo-Prabhakar derivative of each x-column at every positive
-    grid time, from the piecewise-linear reconstruction in t.
-
-    The derivative is the integral of u_t against the kernel with
-    substituted orders (alpha, 1 - beta, -gamma, delta); u_t is the cell
-    slope, so each row is an exact-kernel-moment weighted slope sum.
-    """
-    sub = PrabhakarParams(alpha=params.alpha, beta=1.0 - params.beta,
-                          gamma=-params.gamma, delta=params.delta)
-    h = np.diff(t_grid)
-    slopes = (u[1:, :] - u[:-1, :]) / h[:, None]
-    out = np.zeros_like(u)
-    n = t_grid.size - 1
-    if np.allclose(h, h[0], rtol=1e-12, atol=0.0):
-        # uniform grid: the lag cells of every row are the leading grid
-        # cells, so one moment vector serves all rows
-        m0_all, _ = kernel_cell_moments(sub, t_grid - t_grid[0], series)
-        for k in range(1, n + 1):
-            out[k, :] = m0_all[:k][::-1] @ slopes[:k, :]
-    else:
-        for k in range(1, n + 1):
-            edges = (t_grid[k] - t_grid[k::-1])
-            edges[0] = 0.0
-            m0, _ = kernel_cell_moments(sub, edges, series)
-            out[k, :] = m0[::-1] @ slopes[:k, :]
-    return out
 
 
 def verify(problem: ProblemN, solution: GridSolution,

@@ -50,7 +50,7 @@ from .goursat import (
     TraceSolution,
     _forcing_term,
 )
-from .quadrature import _call_on, build_rule, graded_mesh
+from .quadrature import WeightedRule, _call_on, build_rule, graded_mesh
 from .specfun import SeriesPolicy
 
 A_TOL = 1e-10
@@ -113,32 +113,42 @@ def _sample_m(M, nodes: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _beta_rule(engine: TeleEngine, domain: Domain2D, quad: QuadPolicy):
-    """Product rule on [0,q] for the weight t^beta, refined 4x.
+@dataclass(frozen=True)
+class _TRules:
+    """The t-rules on [0, q] of one assembly level, with M sampled once.
+
+    ``flat`` has unit weight and ``m_flat`` holds M at its nodes; ``beta``
+    has the weight t^beta and ``mw`` holds its weights times M.
+    """
+
+    flat: WeightedRule
+    m_flat: np.ndarray
+    beta: WeightedRule
+    mw: np.ndarray
+
+
+def _t_rules(engine: TeleEngine, M, domain: Domain2D,
+             quad: QuadPolicy) -> _TRules:
+    """Unit-weight and t^beta-weight product rules, refined 4x.
 
     The 1-D t-integrals are cheap next to the grid evaluation, so they
     run on a finer mesh than quad.n_points to keep their error
     subdominant.
     """
-    grading = max(quad.grading, 1.0 / engine.params.beta)
-    mesh = graded_mesh(domain.q, 4 * quad.n_points, grading)
-    return build_rule(engine.params.beta, mesh)
+    cells = 4 * quad.n_points
+    flat = build_rule(0.0, graded_mesh(domain.q, cells, 1.0))
+    m_flat = _sample_m(M, flat.nodes)
+    beta = engine.params.beta
+    grading = max(quad.grading, 1.0 / beta)
+    rule = build_rule(beta, graded_mesh(domain.q, cells, grading))
+    return _TRules(flat, m_flat, rule, rule.weights * _sample_m(M, rule.nodes))
 
 
-def _flat_rule(domain: Domain2D, quad: QuadPolicy):
-    mesh = graded_mesh(domain.q, 4 * quad.n_points, 1.0)
-    return build_rule(0.0, mesh)
-
-
-def _a_integrals(engine: TeleEngine, M, domain: Domain2D,
-                 quad: QuadPolicy) -> tuple:
+def _a_integrals(engine: TeleEngine, rules: _TRules) -> tuple:
     """(int M dt, a G(gamma) int M t^beta E2 dt) on [0, q]."""
-    flat = _flat_rule(domain, quad)
-    i_m = float(flat.weights @ _sample_m(M, flat.nodes))
-    rule = _beta_rule(engine, domain, quad)
-    ge2 = engine.gamma_e2(rule.nodes)
-    i_e = engine.coeffs.a * float(
-        (rule.weights * _sample_m(M, rule.nodes)) @ ge2)
+    i_m = float(rules.flat.weights @ rules.m_flat)
+    ge2 = engine.gamma_e2(rules.beta.nodes)
+    i_e = engine.coeffs.a * float(rules.mw @ ge2)
     return i_m, i_e
 
 
@@ -151,7 +161,7 @@ def compute_A(params: PrabhakarParams, coeffs: TelegraphCoeffs, M,
     DegenerateNonlocal when the result does not clear A_TOL.
     """
     engine = TeleEngine(params, coeffs, domain.q, domain.p, series=series)
-    i_m, i_e = _a_integrals(engine, M, domain, quad)
+    i_m, i_e = _a_integrals(engine, _t_rules(engine, M, domain, quad))
     value = i_m - i_e
     if not abs(value) > A_TOL:
         raise DegenerateNonlocal(
@@ -159,12 +169,10 @@ def compute_A(params: PrabhakarParams, coeffs: TelegraphCoeffs, M,
     return value
 
 
-def _m1_at(engine: TeleEngine, M, domain: Domain2D, quad: QuadPolicy,
+def _m1_at(engine: TeleEngine, rules: _TRules,
            diffs: np.ndarray) -> np.ndarray:
     """M1 at an array of displacements: int_0^q M t^beta F2(.., b s, ..) dt."""
-    rule = _beta_rule(engine, domain, quad)
-    mw = rule.weights * _sample_m(M, rule.nodes)
-    return engine.fbar("V2", rule.nodes, diffs) @ mw
+    return engine.fbar("V2", rules.beta.nodes, diffs) @ rules.mw
 
 
 def kernel_M1(params: PrabhakarParams, coeffs: TelegraphCoeffs, M,
@@ -177,29 +185,29 @@ def kernel_M1(params: PrabhakarParams, coeffs: TelegraphCoeffs, M,
             f"kernel arguments must satisfy 0 <= xi <= x <= p, "
             f"got ({xi}, {x})")
     engine = TeleEngine(params, coeffs, domain.q, domain.p, series=series)
-    return float(_m1_at(engine, M, domain, quad, np.array([x - xi]))[0])
+    rules = _t_rules(engine, M, domain, quad)
+    return float(_m1_at(engine, rules, np.array([x - xi]))[0])
 
 
-def _g_values(engine: TeleEngine, M, phi, psi, forcing,
+def _g_values(engine: TeleEngine, rules: _TRules, M, phi, psi, forcing,
               domain: Domain2D, quad: QuadPolicy,
               x_arr: np.ndarray) -> np.ndarray:
     """Right-hand side g on an array of x values (display normalization).
 
-    ``forcing`` is a ForcingTerm on x_arr with the eta rules of ``quad``,
-    or None.
+    ``rules`` are the t-rules of ``quad``; ``forcing`` is a ForcingTerm on
+    x_arr with the eta rules of ``quad``, or None.
     """
     co, q = engine.coeffs, domain.q
     phi0 = float(phi(0.0))
     out = _call_on(psi, x_arr).copy()
 
-    flat = _flat_rule(domain, quad)
-    m_flat = _sample_m(M, flat.nodes)
-    c_phi = float((flat.weights * m_flat) @ (_call_on(phi, flat.nodes) - phi0))
+    flat = rules.flat
+    c_phi = float((flat.weights * rules.m_flat)
+                  @ (_call_on(phi, flat.nodes) - phi0))
     out += np.exp(co.b * x_arr) * c_phi
 
-    rule = _beta_rule(engine, domain, quad)
-    mw = rule.weights * _sample_m(M, rule.nodes)
-    out -= co.a * phi0 * (engine.fbar("V1", rule.nodes, x_arr) @ mw)
+    out -= co.a * phi0 * (engine.fbar("V1", rules.beta.nodes, x_arr)
+                          @ rules.mw)
 
     # double integral of phi against V3: with v = q - eta the factor
     # (q-eta)^beta from the inner s = t - eta integral becomes the
@@ -244,7 +252,8 @@ def rhs_g(params: PrabhakarParams, coeffs: TelegraphCoeffs, M, phi, psi, f,
     engine = TeleEngine(params, coeffs, domain.q, domain.p, series=series)
     x_arr = np.array([x])
     forcing = _forcing_term(engine, f, eps1, eps2, x_arr, quad)
-    return float(_g_values(engine, M, phi, psi, forcing, domain, quad,
+    rules = _t_rules(engine, M, domain, quad)
+    return float(_g_values(engine, rules, M, phi, psi, forcing, domain, quad,
                            x_arr)[0])
 
 
@@ -286,7 +295,8 @@ def _assemble(engine: TeleEngine, domain: Domain2D, M, phi, psi, forcing,
     params, coeffs = engine.params, engine.coeffs
     if not _in_strict_regime(params, coeffs):
         warnings.warn(_STRICT_NOTE, RuntimeWarning, stacklevel=3)
-    i_m, i_e = _a_integrals(engine, M, domain, quad)
+    rules = _t_rules(engine, M, domain, quad)
+    i_m, i_e = _a_integrals(engine, rules)
     a_display = i_m - i_e
     a_true = 1.0 - i_m - i_e
     if not abs(a_true) > A_TOL:
@@ -295,17 +305,19 @@ def _assemble(engine: TeleEngine, domain: Domain2D, M, phi, psi, forcing,
             f"does not clear {A_TOL}")
 
     diffs = x_grid - x_grid[0]
-    m1 = _m1_at(engine, M, domain, quad, diffs)
+    m1 = _m1_at(engine, rules, diffs)
     idx = np.arange(x_grid.size)
     m2 = np.tril(m1[np.maximum(idx[:, None] - idx[None, :], 0)]) / a_true
-    g = _g_values(engine, M, phi, psi, forcing, domain, quad, x_grid)
+    g = _g_values(engine, rules, M, phi, psi, forcing, domain, quad, x_grid)
 
     coarse = QuadPolicy(n_points=max(quad.n_points // 2, 8),
                         grading=quad.grading, tol=quad.tol)
-    i_m_c, i_e_c = _a_integrals(engine, M, domain, coarse)
-    m1_c = _m1_at(engine, M, domain, coarse, diffs)
+    rules_c = _t_rules(engine, M, domain, coarse)
+    i_m_c, i_e_c = _a_integrals(engine, rules_c)
+    m1_c = _m1_at(engine, rules_c, diffs)
     forcing_c = None if forcing is None else forcing.with_rules(coarse)
-    g_c = _g_values(engine, M, phi, psi, forcing_c, domain, coarse, x_grid)
+    g_c = _g_values(engine, rules_c, M, phi, psi, forcing_c, domain, coarse,
+                    x_grid)
     diagnostics = {
         "a_display": a_display,
         "a_true": a_true,

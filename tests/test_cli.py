@@ -224,6 +224,23 @@ class TestVerifyCommand:
 
         assert block(solve_out) == block(verify_out)
 
+    def test_compatibility_defect_computed_once(self, workdir, monkeypatch):
+        import prabtel.cli as cli
+        import prabtel.problem as problem
+        cfg = write_config(workdir / "run.json")
+        assert main(["solve", str(cfg)]) == 0
+        calls = []
+        check = problem.compatibility_check
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(problem, "compatibility_check", counted)
+        monkeypatch.setattr(cli, "compatibility_check", counted, raising=False)
+        assert main(["verify", str(cfg), "u.csv"]) == 0
+        assert len(calls) == 1
+
     def test_corrupted_cell_fails_thresholds(self, workdir, capsys):
         cfg = write_config(workdir / "run.json")
         assert main(["solve", str(cfg)]) == 0

@@ -134,7 +134,7 @@ class TestCaputoPrabhakarDeriv:
         p = PrabhakarParams(1.0, 0.5, 0.5, -1.0)
         got = caputo_prabhakar_deriv(
             p, lambda s: 3.5 * np.ones_like(np.asarray(s)), 0.8)
-        assert abs(got) <= 1e-10
+        assert got == 0.0
 
     def test_identity_data_classical_caputo(self):
         p = PrabhakarParams(1.0, 0.5, 0.5, 0.0)
@@ -149,19 +149,23 @@ class TestCaputoPrabhakarDeriv:
         want = t ** (1.0 - 0.5) * ml_prabhakar(1.0, 1.5, -0.5, -1.0 * t)
         assert got == pytest.approx(want, rel=1e-10)
 
-    def test_shares_code_with_integral(self):
-        p = PrabhakarParams(1.0, 0.5, 0.5, -1.0)
-        t = 0.9
-        sub = PrabhakarParams(1.0, 0.5, -0.5, -1.0)
-        got = caputo_prabhakar_deriv(p, ExprFunction("t^2"), t)
-        want = prabhakar_integral(sub, ExprFunction("2*t"), t)
-        assert got == want
+    def test_quadratic_data_closed_form(self):
+        # D(t^2) = 2 t^(2-beta) E^(-gamma)_{alpha,3-beta}(delta t^alpha),
+        # at the beta < 1 parameter sets of test_unit_data_identity
+        for alpha, beta, gamma, delta, t in ((1.0, 0.5, 0.5, -1.0, 0.5),
+                                             (0.7, 0.3, 1.2, -2.0, 1.3),
+                                             (1.5, 0.9, -0.8, 0.6, 0.8)):
+            p = PrabhakarParams(alpha, beta, gamma, delta)
+            got = caputo_prabhakar_deriv(p, lambda s: s ** 2, t)
+            want = 2.0 * t ** (2.0 - beta) * ml_prabhakar(
+                alpha, 3.0 - beta, -gamma, delta * t ** alpha)
+            assert abs(got - want) <= 2e-8
 
-    def test_finite_difference_fallback(self):
+    def test_callable_matches_expression_twin(self):
         p = PrabhakarParams(1.0, 0.5, 0.5, -1.0)
         got = caputo_prabhakar_deriv(p, lambda s: np.sin(np.asarray(s)), 0.9)
         want = caputo_prabhakar_deriv(p, ExprFunction("sin(t)"), 0.9)
-        assert got == pytest.approx(want, abs=5e-8)
+        assert got == want
 
     def test_beta_range_enforced(self):
         with pytest.raises(InvalidParams):

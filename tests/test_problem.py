@@ -11,7 +11,12 @@ import pytest
 import prabtel.goursat as goursat
 from prabtel.acceptance import cli_env
 from prabtel.errors import InvalidData, InvalidParams, RegimeViolation
-from prabtel.fracops import PrabhakarParams, QuadPolicy
+from prabtel.fracops import (
+    PrabhakarParams,
+    QuadPolicy,
+    _fractional_rows,
+    caputo_prabhakar_deriv,
+)
 from prabtel.goursat import Domain2D, TelegraphCoeffs
 from prabtel.oracle import adaptive_quad
 from prabtel.problem import (
@@ -22,6 +27,7 @@ from prabtel.problem import (
     solve,
     verify,
 )
+from prabtel.specfun import SeriesPolicy
 
 PARAMS = PrabhakarParams(alpha=1.0, beta=0.5, gamma=0.5, delta=-1.0)
 COEFFS = TelegraphCoeffs(a=-1.0, b=-1.0)
@@ -254,6 +260,18 @@ class TestVerify:
         sol.u = sol.u + 0.1 * sol.x_grid[None, :]
         r = verify(prob, sol, QUICK)
         assert r.nonlocal_defect >= 0.05
+
+    def test_nonuniform_grid_rows_match_pointwise_derivative(self):
+        # u = t g(x) is linear in t, so the slope rule is exact on any
+        # t-grid and each row is D(t)(t_k) g(x)
+        t = np.array([0.0, 0.05, 0.2, 0.3, 0.55, 0.6, 1.0])
+        g = 1.0 + np.linspace(0.0, 1.0, 5) ** 2
+        rows = _fractional_rows(PARAMS, t, t[:, None] * g[None, :],
+                                SeriesPolicy())
+        assert np.all(rows[0] == 0.0)
+        for k in range(1, t.size):
+            want = caputo_prabhakar_deriv(PARAMS, lambda s: s, t[k]) * g
+            np.testing.assert_allclose(rows[k], want, rtol=0.0, atol=1e-12)
 
     def test_residuals_decrease_under_refinement(self):
         # near-classical orders keep the equation defect grid-dominated
