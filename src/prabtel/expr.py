@@ -273,14 +273,19 @@ def _apply(fn, pos: int, what: str, *args):
 def evaluate(ast: ExprAst, t=0.0, x=0.0):
     """Evaluate an AST at scalar or numpy-array arguments.
 
-    Scalars in, float out; arrays in, array out (broadcasting applies).
-    Domain faults (division by zero, ln of a non-positive number, fractional
-    power of a negative base) raise EvalError naming the offending offset.
+    Scalars in, float out; arrays in, array out (broadcasting applies),
+    also for an expression that reads neither t nor x. Domain faults
+    (division by zero, ln of a non-positive number, fractional power of a
+    negative base) raise EvalError naming the offending offset.
     """
     scalar = np.isscalar(t) and np.isscalar(x)
-    result = _eval_node(ast, np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+    t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+    result = _eval_node(ast, t, x)
     if scalar:
         return float(result)
+    shape = np.broadcast_shapes(t.shape, x.shape)
+    if np.shape(result) != shape:
+        result = np.broadcast_to(result, shape).copy()
     return result
 
 

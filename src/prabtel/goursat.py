@@ -49,7 +49,6 @@ from .errors import (
     DomainError,
     InvalidData,
     InvalidParams,
-    NonConvergence,
 )
 from .fracops import PrabhakarParams, QuadPolicy
 from .quadrature import _call_on, build_rule, graded_mesh
@@ -57,8 +56,11 @@ from .specfun import (
     ML2Params,
     ML3Params,
     SeriesPolicy,
+    SeriesTensors,
     discriminants2,
     discriminants3,
+    fit_tensors,
+    ml3_ratios,
 )
 
 _VARIANTS = ("V1", "V2", "V3", "V4")
@@ -191,14 +193,13 @@ class TeleEngine:
     so that F_v(X; y; Z) = ypow @ jw[v].T @ ((kt @ zpow) * xpow) with the
     normalized power vectors xpow_m = (X/Xs)^m etc., all of modulus <= 1.
 
-    The tensors are exponentiated sums of log-gamma tables (``math.lgamma``;
-    no scipy), built with the series structure rather than one lgamma
-    per entry: every jw gamma has an integer argument (d2, d5, d8 are 1
-    or 2), so jw indexes one table of log n!, which also gives the k! of
-    kt; the numerator ratio G(g m+k+g) / G(g m+g) of kt is a
-    log-Pochhammer, a running sum of log(g m+g+i) along k; and the
-    d3 = beta+1 family is the d3 = beta one divided by its argument z
-    (G(z+1) = z G(z)), so one 2-D lgamma grid per cap step remains.
+    These are the K and J tensors of ``specfun.ml3`` for the
+    ``ml3_tele_variant`` packings at the magnitudes (Xs, Ys, Zs), from
+    the same ``SeriesTensors`` builder: "base" is the d3 = beta family
+    (V3, V4) and "shifted" the d3 = beta+1 family (V1, V2).  The caps
+    come from ``specfun.fit_tensors``: the trailing
+    ``series.consecutive_small`` rows of each index carry at most 1e-15
+    of the majorant (the entrywise maximum over the families).
     """
 
     def __init__(self, params: PrabhakarParams, coeffs: TelegraphCoeffs,
@@ -211,8 +212,6 @@ class TeleEngine:
         if not (params.gamma > 0.0):
             raise InvalidParams(
                 f"representation requires gamma > 0, got {params.gamma}")
-        for v in _VARIANTS:
-            ml3_tele_variant(v, params)
         ml2_tele(params)
         self.params = params
         self.coeffs = coeffs
@@ -230,76 +229,13 @@ class TeleEngine:
         self._sign_b = math.copysign(1.0, coeffs.b) if coeffs.b != 0 else 0.0
         self._sign_d = (math.copysign(1.0, params.delta)
                         if params.delta != 0 else 0.0)
-        self._build_tensors()
-
-    def _log_scale(self, scale: float, count: int) -> np.ndarray:
-        idx = np.arange(count, dtype=float)
-        if scale <= 0.0:
-            out = np.full(count, -1e6)
-            out[0] = 0.0
-            return out
-        return idx * math.log(scale)
-
-    def _tables(self, m_cap: int, j_cap: int, k_cap: int) -> tuple:
-        """(kt, jw) at the given caps (see the class docstring)."""
-        al, be, ga = self.params.alpha, self.params.beta, self.params.gamma
-        m, j, k = np.arange(m_cap), np.arange(j_cap), np.arange(k_cap)
-        log_fact = np.array([math.lgamma(n + 1.0)
-                             for n in range(max(m_cap + j_cap, k_cap))])
-        log_poch = np.zeros((m_cap, k_cap))
-        np.cumsum(np.log(ga * m[:, None] + ga + k[:-1]), axis=1,
-                  out=log_poch[:, 1:])
-        z = be * m[:, None] + al * k + be
-        lgz = np.fromiter(map(math.lgamma, z.ravel().tolist()), float, z.size)
-        lg = (log_poch - lgz.reshape(z.shape) - log_fact[:k_cap]
-              + self._log_scale(self.x_scale, m_cap)[:, None]
-              + self._log_scale(self.z_scale, k_cap))
-        kt0 = np.exp(lg)
-        kt = {"base": kt0, "shifted": kt0 / z}
-        mj = m[:, None] + j
-        lj = self._log_scale(self.y_scale, j_cap) - log_fact[:j_cap]
-        jw = {}
-        for v in _VARIANTS:
-            d2, _, d5, d8 = (int(d) for d in _variant_shifts(v, be))
-            # G(n) = (n-1)! at every integer argument n = m+j+d2, m+d5, j+d8
-            jw[v] = np.exp(log_fact[mj + (d2 - 1)]
-                           - log_fact[m + (d5 - 1)][:, None]
-                           + lj - log_fact[j + (d8 - 1)])
-        return kt, jw
-
-    def _build_tensors(self):
-        cap = self.series.max_terms_per_index
-        tail = 1e-15
-        m_cap, j_cap, k_cap = 24, 16, 16
-        while True:
-            kt, jw = self._tables(m_cap, j_cap, k_cap)
-            ktm = np.maximum(kt["base"], kt["shifted"])
-            jwm = jw["V1"]
-            for v in ("V2", "V3", "V4"):
-                jwm = np.maximum(jwm, jw[v])
-            # positive majorant of every series; truncation is accepted
-            # once the trailing rows of each index carry negligible mass
-            sk = ktm.sum(axis=1)
-            sj = jwm.sum(axis=1)
-            total = float(sk @ sj) + 1e-300
-            bad_m = float(sk[-3:] @ sj[-3:]) / total > tail
-            bad_k = float(ktm[:, -3:].sum(axis=1) @ sj) / total > tail
-            bad_j = float(sk @ jwm[:, -3:].sum(axis=1)) / total > tail
-            if not (bad_m or bad_k or bad_j):
-                break
-            grew = False
-            if bad_m and m_cap < cap:
-                m_cap, grew = min(2 * m_cap, cap), True
-            if bad_k and k_cap < cap:
-                k_cap, grew = min(2 * k_cap, cap), True
-            if bad_j and j_cap < cap:
-                j_cap, grew = min(2 * j_cap, cap), True
-            if not grew:
-                raise NonConvergence(
-                    "series tensors still carry mass at "
-                    f"caps ({m_cap}, {j_cap}, {k_cap})")
-        self.m_cap, self.j_cap, self.k_cap = m_cap, j_cap, k_cap
-        self.kt, self.jw = kt, jw
+        ratios = {v: ml3_ratios(ml3_tele_variant(v, params)) for v in _VARIANTS}
+        tensors = SeriesTensors(
+            {"base": ratios["V3"][0], "shifted": ratios["V1"][0]},
+            {v: r[1] for v, r in ratios.items()},
+            self.x_scale, self.y_scale, self.z_scale)
+        caps, self.kt, self.jw = fit_tensors(tensors, series)
+        self.m_cap, self.j_cap, self.k_cap = caps
 
     def t_powers(self, s) -> tuple:
         """Normalized power matrices ((m_cap, n), (k_cap, n)) for times s."""

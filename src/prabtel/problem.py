@@ -312,8 +312,10 @@ def verify(problem: ProblemN, solution: GridSolution,
     The nonlocal integral uses the trapezoid rule on the solution t-grid;
     the equation defect stacks a product-integration fractional derivative
     in t with central differences in x on interior nodes, so it carries
-    both reconstruction errors.  The report is also attached to
-    solution.residuals.
+    both reconstruction errors.  The compatibility defect is the one that
+    ``solve`` stored on the solution; ``compatibility_check`` runs only
+    when that is NaN (a solution read back from samples).  The report is
+    also attached to solution.residuals.
     """
     t, x, u = solution.t_grid, solution.x_grid, solution.u
     if t.size < 3 or x.size < 3:
@@ -339,8 +341,11 @@ def verify(problem: ProblemN, solution: GridSolution,
         res[i, :] -= problem.forcing_row(float(tk), x[1:-1])
     pde = float(np.abs(res).max())
 
+    compatibility = solution.compatibility
+    if math.isnan(compatibility):
+        compatibility = compatibility_check(problem, quad)
     report = ResidualReport(boundary=boundary,
                             nonlocal_defect=nonlocal_defect, pde=pde,
-                            compatibility=compatibility_check(problem, quad))
+                            compatibility=compatibility)
     solution.residuals = report
     return report

@@ -6,21 +6,38 @@ closed-form solution of the fractional telegraph problem. All three are
 entire functions defined by gamma-ratio power series; the discriminants
 recorded on the parameter types are the standard convergence conditions.
 
-Numerical strategy. Terms are always assembled in signed log space
-(math.lgamma plus sign tracking), so individual terms cannot overflow and
-gamma denominators at poles contribute exactly zero. For alternating series
-the summation itself can be ill-conditioned: the float64 pass tracks the sum
-of absolute terms, and when the cancellation ratio exceeds a threshold the
-sum is repeated once in mpmath at a precision chosen from that ratio. The
-rescue never triggers for the small-argument kernel evaluations on the hot
-path; it exists so that badly cancelled corners (e.g. exp(-20) through the
-series) still come out to full relative accuracy.
+Numerical strategy. The three series, and the tensors of ``TeleEngine``
+in ``goursat``, are one separable form
+
+    S = sum_m x^m [sum_k K(m, k) z^k] [sum_j J(m, j) y^j]
+
+with K and J gamma ratios of arguments linear in the indices
+(``GammaRatio``): ``ml3`` is the full form, ``ml2`` has no j-sum and
+``ml_prabhakar`` neither inner sum.
+
+- ``SeriesTensors`` builds K x^m z^k and J y^j in signed logs from
+  ``math.lgamma`` grids (no scipy), one per distinct argument form,
+  extended when the caps grow. Denominator poles give exact zeros;
+  numerator poles raise InvalidParams.
+- ``_fit_caps``: the caps (m, j, k) start at (24, 16, 16) and double while
+  the trailing ``consecutive_small`` rows of any index carry more
+  positive-majorant mass than a limit: rel_tol * |sum| for a value here,
+  1e-15 * majorant for the engine (``fit_tensors``). A value sums every
+  term within the caps in float64, each scaled by the largest term.
+- Rescue: when majorant / |sum| is more than float64 can hold to rel_tol,
+  or a term is beyond float64 range, ``_mp_sum`` re-sums in mpmath the
+  smallest rectangle that the majorant's suffix sums allow, at a
+  precision taken from that ratio; ``_series_value`` widens the rectangle
+  or raises the precision until the mpmath |sum| asks for no more. mpmath
+  is imported there only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidParams, NonConvergence
 
@@ -37,21 +54,21 @@ __all__ = [
     "discriminants3",
 ]
 
-_TINY = 1e-300
-
-# cancellation ratios (sum of |terms| over |sum|) above which the float64
-# pass is not trusted and the summation is repeated in mpmath
-_RESCUE_KAPPA_ML = 1e3
-_RESCUE_KAPPA_ML23 = 3e3
-
 
 @dataclass(frozen=True)
 class SeriesPolicy:
     """Truncation policy shared by all series evaluators.
 
-    rel_tol is the relative tolerance on the partial sum; a summation index
-    stops once `consecutive_small` successive terms fall below
-    rel_tol * |partial sum|; max_terms_per_index caps each index.
+    - rel_tol: the target relative accuracy of a value of ``ml_prabhakar``,
+      ``ml2`` or ``ml3``. It is the tail limit (the majorant mass left out
+      along each index is at most rel_tol * |sum|) and it sets the
+      precision of the mpmath rescue. ``TeleEngine`` serves many arguments
+      from one set of tensors and uses the fixed limit 1e-15 * majorant.
+    - consecutive_small: how many trailing rows of each index must carry
+      mass below the limit before that index's cap stops doubling, in the
+      values and in the engine alike.
+    - max_terms_per_index: the largest cap of any index; a tail still above
+      the limit at this cap raises NonConvergence.
     """
 
     rel_tol: float = 1e-12
@@ -116,9 +133,7 @@ class ML2Params:
 class ML3Params:
     """Parameters of the trivariate Mittag-Leffler type function.
 
-    Field order follows the definition: the triple series
-
-        F(x, y, z) = sum_{m,j,k} G(a1 m + b3... )
+    Field order follows the definition: the triple series F(x, y, z) sums
 
         term(m, j, k) = G(a1 m + b1 k + d1) G(a2 m + g1 j + d2)
                         * x^m y^j z^k
@@ -182,55 +197,313 @@ def discriminants3(params: ML3Params) -> tuple:
 # Gamma helpers
 # ---------------------------------------------------------------------------
 
-def _is_pole(x: float) -> bool:
-    return x <= 0.0 and x == math.floor(x)
-
-
-def _lgamma_sign(x: float) -> tuple:
-    """(sign, log|Gamma(x)|); sign is 0 at the poles."""
-    if _is_pole(x):
-        return 0, math.inf
-    if x > 0.0:
-        return 1, math.lgamma(x)
-    # Gamma alternates sign between consecutive negative poles
-    sign = 1 if math.floor(x) % 2 == 0 else -1
-    return sign, math.lgamma(x)
-
-
 def rgamma(x: float) -> float:
     """Reciprocal gamma function 1/Gamma(x), exactly 0 at the poles of Gamma.
 
     Total on the reals: never raises, never overflows (1/Gamma is entire).
     """
-    s, la = _lgamma_sign(x)
-    if s == 0:
+    if x <= 0.0 and x == math.floor(x):
         return 0.0
+    # Gamma alternates sign between consecutive negative poles
+    s = 1.0 if x > 0.0 or math.floor(x) % 2 == 0 else -1.0
+    la = math.lgamma(x)
     if la < -700.0:
         # |Gamma| underflows, reciprocal would overflow; only reachable just
         # left of a pole where 1/Gamma genuinely exceeds float range
-        return math.inf if s > 0 else -math.inf
+        return s * math.inf
     return s * math.exp(-la)
 
 
 def pochhammer(g: float, m: int) -> float:
-    """Rising factorial (g)_m = g (g+1) ... (g+m-1) by product recurrence."""
+    """Rising factorial (g)_m = g (g+1) ... (g+m-1) as a running product."""
     if m < 0:
         raise InvalidParams("pochhammer order m must be >= 0")
-    out = 1.0
-    for i in range(m):
-        out *= g + i
-    return out
-
-
-def _log_abs(v: float) -> tuple:
-    """(sign, log|v|) with sign 0 for v == 0."""
-    if v == 0.0:
-        return 0, -math.inf
-    return (1 if v > 0 else -1), math.log(abs(v))
+    return math.prod((g + i for i in range(m)), start=1.0)
 
 
 # ---------------------------------------------------------------------------
-# Three-parameter Mittag-Leffler function
+# Separable series
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class GammaRatio:
+    """prod Gamma(num) / prod Gamma(den). Each argument is a form
+    (c_m, c_i, s) for Gamma(c_m m + c_i i + s), i the inner index."""
+
+    num: tuple = ()
+    den: tuple = ()
+
+
+def _signed_lgamma(args: np.ndarray) -> tuple:
+    """(sign, log|Gamma|) of a 1-D array; sign 0 and log inf at the poles."""
+    pole = (args <= 0.0) & (args == np.floor(args))
+    flat = np.where(pole, 1.0, args).tolist()
+    log = np.fromiter(map(math.lgamma, flat), float, len(flat))
+    log[pole] = math.inf
+    # Gamma is negative on (-1, 0), (-3, -2), ...
+    sign = np.where((args < 0.0) & (np.floor(args) % 2 == 1), -1.0, 1.0)
+    sign[pole] = 0.0
+    return sign, log
+
+
+def _log_powers(v: float, n: int) -> tuple:
+    """(sign, log|v|^i) of v^i for i < n, with v^0 = 1 also at v = 0."""
+    i = np.arange(n)
+    if v == 0.0:
+        return (i == 0) * 1.0, np.where(i == 0, 0.0, -math.inf)
+    return np.where((v < 0.0) & (i % 2 == 1), -1.0, 1.0), i * math.log(abs(v))
+
+
+# stacked (sign, log|Gamma|) grid per form, shared by every series; a new
+# SeriesTensors empties it past _GRID_ENTRIES floats (0.5 MB), so no grid
+# shrinks under a series that is growing it
+_GRIDS: dict = {}
+_GRID_ENTRIES = 1 << 16
+
+
+class SeriesTensors:
+    """K(m, k) x^m z^k and J(m, j) y^j of separable series, in signed logs.
+
+    ``k_ratios`` and ``j_ratios`` map names to GammaRatio. They read one
+    log-gamma grid per argument form (``_GRIDS``); larger caps extend a
+    grid by one ``math.lgamma`` call per distinct new argument.
+    """
+
+    def __init__(self, k_ratios: dict, j_ratios: dict,
+                 x: float, y: float, z: float):
+        self.k_ratios, self.j_ratios = k_ratios, j_ratios
+        self.args = (x, y, z)
+        if sum(g.size for g in _GRIDS.values()) > _GRID_ENTRIES:
+            _GRIDS.clear()
+
+    @staticmethod
+    def _form(form: tuple, m_cap: int, i_cap: int) -> np.ndarray:
+        """Stacked (sign, log) of a form, shape (2, m_cap or 1, i_cap or 1)."""
+        cm, ci, s = form
+        shape = (m_cap if cm else 1, i_cap if ci else 1)
+        old = _GRIDS.get(form, np.zeros((2, 0, 0)))
+        m0, i0 = old.shape[1:]
+        if m0 < shape[0] or i0 < shape[1]:
+            grown = (max(shape[0], m0), max(shape[1], i0))
+            m, i = np.arange(grown[0])[:, None], np.arange(grown[1])
+            grid = np.empty((2,) + grown)
+            grid[:, :m0, :i0] = old
+            # the new rows, then the new columns of the old rows
+            for rows, cols in ((np.s_[m0:], np.s_[:]), (np.s_[:m0], np.s_[i0:])):
+                args = cm * m[rows] + ci * i[cols] + s
+                uniq, where = np.unique(args, return_inverse=True)
+                grid[:, rows, cols] = np.array(_signed_lgamma(uniq))[
+                    :, where.reshape(args.shape)]
+            old = _GRIDS[form] = grid
+        return old[:, :shape[0], :shape[1]]
+
+    def _ratio(self, ratio: GammaRatio, m_cap: int, i_cap: int) -> tuple:
+        sign, log = 1.0, 0.0
+        for form in ratio.num:
+            s, lg = self._form(form, m_cap, i_cap)
+            if not s.all():
+                raise InvalidParams(
+                    f"numerator gamma pole: Gamma({form[0]} m + {form[1]} i "
+                    f"+ {form[2]}) for some m, i >= 0")
+            sign, log = sign * s, log + lg
+        for form in ratio.den:
+            s, lg = self._form(form, m_cap, i_cap)
+            sign, log = sign * s, log - lg
+        shape = (m_cap, i_cap)
+        return np.broadcast_to(sign, shape), np.broadcast_to(log, shape)
+
+    def logs(self, caps: tuple) -> tuple:
+        """({name: (sign, log)} of K, the same of J) at caps (m, j, k)."""
+        (xs, xl), (ys, yl), (zs, zl) = map(_log_powers, self.args, caps)
+        k, j = {}, {}
+        for name, ratio in self.k_ratios.items():
+            s, lg = self._ratio(ratio, caps[0], caps[2])
+            k[name] = (s * xs[:, None] * zs, lg + xl[:, None] + zl)
+        for name, ratio in self.j_ratios.items():
+            s, lg = self._ratio(ratio, caps[0], caps[1])
+            j[name] = (s * ys, lg + yl)
+        return k, j
+
+
+def _fit_caps(build, caps: tuple, growable: tuple, policy: SeriesPolicy) -> tuple:
+    """Double caps (m, j, k) until every tail is below a limit.
+
+    ``build(caps)`` returns (kmaj, jmaj, limit, ...): positive (m, k) and
+    (m, j) majorants and the limit. A growable index is done when its last
+    ``policy.consecutive_small`` rows carry at most ``limit`` of majorant
+    mass. Returns the caps and the last build.
+    """
+    n, top = policy.consecutive_small, policy.max_terms_per_index
+    caps = tuple(min(c, top) for c in caps)
+    while True:
+        out = build(caps)
+        kmaj, jmaj, limit = out[:3]
+        sk, sj = kmaj.sum(axis=1), jmaj.sum(axis=1)
+        tails = (float(sk[-n:] @ sj[-n:]),
+                 float(sk @ jmaj[:, -n:].sum(axis=1)),
+                 float(kmaj[:, -n:].sum(axis=1) @ sj))
+        bad = [g and t > limit for g, t in zip(growable, tails)]
+        if not any(bad):
+            return caps, out
+        if not any(b and c < top for b, c in zip(bad, caps)):
+            raise NonConvergence(
+                f"series still carries mass at caps (m, j, k) = {caps}")
+        caps = tuple(min(2 * c, top) if b else c for b, c in zip(bad, caps))
+
+
+def fit_tensors(tensors: SeriesTensors, policy: SeriesPolicy) -> tuple:
+    """(caps, {name: K}, {name: J}) for an evaluator of many arguments:
+    the majorant is the entrywise maximum over the K and over the J
+    tensors, and the limit 1e-15 times its total mass."""
+    def build(caps):
+        k, j = ({name: s * np.exp(lg) for name, (s, lg) in t.items()}
+                for t in tensors.logs(caps))
+        kmaj = np.maximum.reduce([np.abs(v) for v in k.values()])
+        jmaj = np.maximum.reduce([np.abs(v) for v in j.values()])
+        mass = float(kmaj.sum(axis=1) @ jmaj.sum(axis=1)) + 1e-300
+        return kmaj, jmaj, 1e-15 * mass, k, j
+
+    caps, out = _fit_caps(build, _START_CAPS, (True, True, True), policy)
+    return caps, out[3], out[4]
+
+
+def _rectangle(k: np.ndarray, j: np.ndarray, limit: float) -> tuple:
+    """Smallest extents (m, j, k) whose left-out majorant mass along each
+    index is at most limit (from suffix sums)."""
+    sk, sj = np.abs(k).sum(axis=1), np.abs(j).sum(axis=1)
+
+    def extent(mass):
+        beyond = np.append(np.cumsum(mass[::-1])[::-1][1:], 0.0)
+        return int(np.argmax(beyond <= limit)) + 1
+
+    return extent(sk * sj), extent(sk @ np.abs(j)), extent(sj @ np.abs(k))
+
+
+def _scaled(tensors: SeriesTensors, caps: tuple) -> tuple:
+    """(K, J, log of the scale): the signed tensors of a one-ratio
+    SeriesTensors scaled to a largest term of 1. Each row's largest J
+    entry moves into K first, so that neither overflows on its own."""
+    k, j = tensors.logs(caps)
+    ((ks, kl),), ((js, jl),) = k.values(), j.values()
+    off = jl.max(axis=1, keepdims=True)
+    off[~np.isfinite(off)] = 0.0
+    kl = kl + off
+    top = float(kl.max())
+    top = top if math.isfinite(top) else 0.0  # every term is zero
+    return ks * np.exp(kl - top), js * np.exp(jl - off), top
+
+
+def _masses(k: np.ndarray, j: np.ndarray, rect: tuple) -> tuple:
+    """(signed sum, majorant) of scaled tensors over m < M, j < J, k < K."""
+    k, j = k[:rect[0], :rect[2]], j[:rect[0], :rect[1]]
+    return (float(k.sum(axis=1) @ j.sum(axis=1)),
+            float(np.abs(k).sum(axis=1) @ np.abs(j).sum(axis=1)))
+
+
+# starting caps (m, j, k); each doubles while its tail carries mass
+_START_CAPS = (24, 16, 16)
+# a float64 sum carries up to ~1e-15 of its majorant in rounding (1e-16
+# to 1e-15 on the stored fixtures), so it holds rel_tol to a majorant /
+# |sum| ratio of rel_tol / 1e-15; past that ratio, or past 1e3, or with a
+# term log past _LOG_MAX, mpmath sums the value, at most _MAX_DPS digits
+_FLOAT_NOISE = 1e-15
+_RESCUE_RATIO = 1e3
+_LOG_MAX = 700.0
+_MAX_DPS = 300
+
+
+def _series_value(k_ratio: GammaRatio, j_ratio: GammaRatio, args: tuple,
+                  policy: SeriesPolicy) -> float:
+    """sum_m x^m [sum_k K(m, k) z^k] [sum_j J(m, j) y^j] at args (x, y, z).
+
+    A zero argument fixes its cap at 1. Float64 sums every term within
+    the caps (those past the rectangle are free and carry digits below
+    rel_tol). mpmath sums the rectangle; after each such sum the rectangle
+    and the precision follow from it as |sum|, until both settle.
+    """
+    if not all(math.isfinite(v) for v in args):
+        raise InvalidParams(f"series arguments must be finite, got {args}")
+    tensors = SeriesTensors({"k": k_ratio}, {"j": j_ratio}, *args)
+    growable = tuple(v != 0.0 for v in args)
+    caps = tuple(c if g else 1 for c, g in zip(_START_CAPS, growable))
+    # the last mpmath sum, its rectangle and its digits
+    total, rect, dps = None, (0, 0, 0), 0
+
+    def build(caps):
+        k, j, top = _scaled(tensors, caps)
+        value, mass = _masses(k, j, caps)
+        # |sum| in units of the largest term; rounding leaves at least
+        # ~1e-17 of the majorant in a float64 sum
+        size = (max(abs(value), 1e-17 * mass) if total is None
+                else float(abs(total) * total.context.exp(-top)))
+        return (np.abs(k), np.abs(j), policy.rel_tol * size, k, j, top,
+                value, mass, size)
+
+    while True:
+        caps, (*_, limit, k, j, top, value, mass, size) = _fit_caps(
+            build, caps, growable, policy)
+        if total is None and top <= _LOG_MAX and mass <= max(
+                _RESCUE_RATIO, policy.rel_tol / _FLOAT_NOISE) * size:
+            return value * math.exp(top)
+        wider = _rectangle(k, j, limit)
+        ratio = _masses(k, j, wider)[1] / size if size else math.inf
+        need = 10 + math.log10(max(ratio, 1.0)) - math.log10(policy.rel_tol)
+        if not need <= _MAX_DPS:
+            raise NonConvergence(f"series cancellation ratio {ratio:.3g} "
+                                 f"needs more than {_MAX_DPS} digits")
+        if (total is not None and need <= dps
+                and all(w <= r for w, r in zip(wider, rect))):
+            return float(total)
+        rect = tuple(map(max, wider, rect))
+        dps = max(dps, int(need) + 1)
+        total = _mp_sum(tensors, rect, dps)
+
+
+def _mp_ratio(ratio: GammaRatio, m_n: int, i_n: int) -> tuple:
+    """A GammaRatio on the (m_n, i_n) grid in mpf, as (per_m, per_i, row)
+    with value per_m[m] * per_i[i] * row(m)[i].
+
+    The factors in m or in i alone are evaluated once per index; ``row``
+    evaluates the others one row at a time, so no grid of mpf is held.
+    The arguments are rounded to float64 first, as the oracle forms them:
+    a sum that cancels by 1e15 moves at O(1) under a one-ulp change of
+    its arguments.
+    """
+    import mpmath
+
+    forms = ([(mpmath.gamma, f) for f in ratio.num]
+             + [(mpmath.rgamma, f) for f in ratio.den])
+
+    def product(m, i, keep):
+        return mpmath.fprod(fn(mpmath.mpf(cm * m + ci * i + s))
+                            for fn, (cm, ci, s) in forms if keep(cm, ci))
+
+    per_m = [product(m, 0, lambda cm, ci: not ci) for m in range(m_n)]
+    per_i = [product(0, i, lambda cm, ci: ci and not cm) for i in range(i_n)]
+    return per_m, per_i, lambda m: [product(m, i, lambda cm, ci: cm and ci)
+                                    for i in range(i_n)]
+
+
+def _mp_sum(tensors: SeriesTensors, rect: tuple, dps: int):
+    """The one-ratio series of ``tensors`` over m < M, j < J, k < K, summed
+    in mpmath at dps digits (an mpf). mpmath is imported here only, so a
+    solve that never needs the rescue never loads it."""
+    import mpmath
+
+    m_n, j_n, k_n = rect
+    (k_ratio,), (j_ratio,) = tensors.k_ratios.values(), tensors.j_ratios.values()
+    with mpmath.workdps(dps):
+        x, y, z = (mpmath.mpf(v) for v in tensors.args)
+        k_m, k_i, k_row = _mp_ratio(k_ratio, m_n, k_n)
+        j_m, j_i, j_row = _mp_ratio(j_ratio, m_n, j_n)
+        zp = [f * z ** k for k, f in enumerate(k_i)]
+        yp = [f * y ** j for j, f in enumerate(j_i)]
+        return mpmath.fsum(x ** m * k_m[m] * j_m[m] * mpmath.fdot(k_row(m), zp)
+                           * mpmath.fdot(j_row(m), yp) for m in range(m_n))
+
+
+# ---------------------------------------------------------------------------
+# The three series
 # ---------------------------------------------------------------------------
 
 def ml_prabhakar(alpha: float, beta: float, gamma: float, z: float,
@@ -243,467 +516,46 @@ def ml_prabhakar(alpha: float, beta: float, gamma: float, z: float,
     """
     if not (alpha > 0):
         raise InvalidParams(f"ml_prabhakar requires alpha > 0, got {alpha}")
-    for name, v in (("alpha", alpha), ("beta", beta), ("gamma", gamma), ("z", z)):
-        if not math.isfinite(v):
-            raise InvalidParams(f"ml_prabhakar argument {name} must be finite")
+    if not all(math.isfinite(v) for v in (alpha, beta, gamma)):
+        raise InvalidParams("ml_prabhakar parameters must be finite")
+    den = ((alpha, 0.0, beta), (1.0, 0.0, 1.0))
+    if gamma <= 0.0 and gamma == math.floor(gamma):
+        # (gamma)_m = (-1)^m Gamma(1 - gamma) / Gamma(1 - gamma - m), which
+        # vanishes for m > -gamma
+        ratio = GammaRatio(((0.0, 0.0, 1.0 - gamma),),
+                           ((-1.0, 0.0, 1.0 - gamma),) + den)
+        z = -z
+    else:
+        ratio = GammaRatio(((1.0, 0.0, gamma),), ((0.0, 0.0, gamma),) + den)
+    return _series_value(ratio, GammaRatio(), (z, 0.0, 0.0), policy)
 
-    sz, lz = _log_abs(z)
-    total = 0.0
-    total_abs = 0.0
-    small = 0
-    overflowed = False
-    spoch, lpoch = 1, 0.0  # running sign/log of (gamma)_m
-    converged = False
-    for m in range(policy.max_terms_per_index):
-        if spoch == 0:
-            converged = True  # series terminates exactly
-            break
-        if m > 0 and sz == 0:
-            converged = True  # z = 0: only the m = 0 term
-            break
-        sden, lden = _lgamma_sign(alpha * m + beta)
-        if sden == 0:
-            term = 0.0
-            term_abs = 0.0
-        else:
-            # m * lz is nan for m = 0, z = 0 (0 * -inf); the power is 1 there
-            lt = lpoch + (m * lz if m else 0.0) - lden - math.lgamma(m + 1)
-            if lt > 700.0:
-                overflowed = True
-                break
-            term_abs = math.exp(lt)
-            term = spoch * sz ** m * sden * term_abs
-        total += term
-        total_abs += term_abs
-        if term_abs <= policy.rel_tol * max(abs(total), _TINY):
-            small += 1
-            if small >= policy.consecutive_small:
-                converged = True
-                break
-        else:
-            small = 0
-        f = gamma + m
-        sf, lf = _log_abs(f)
-        spoch *= sf
-        lpoch += lf
-    if not converged and not overflowed:
-        raise NonConvergence(
-            f"ml_prabhakar did not converge within {policy.max_terms_per_index} terms"
-        )
-
-    kappa = total_abs / max(abs(total), _TINY)
-    if overflowed or kappa > _RESCUE_KAPPA_ML:
-        return _mp_ml(alpha, beta, gamma, z, policy, _rescue_dps(kappa, overflowed))
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Bivariate series
-# ---------------------------------------------------------------------------
 
 def ml2(params: ML2Params, x: float, y: float,
         policy: SeriesPolicy = SeriesPolicy()) -> float:
-    """Bivariate Mittag-Leffler type function E2(x, y).
-
-    Double series summed with m outermost and k innermost; each index stops
-    after `consecutive_small` negligible contributions relative to its own
-    partial sum. Denominator gamma poles zero the term; a numerator gamma at
-    a pole raises InvalidParams.
-    """
-    for name, v in (("x", x), ("y", y)):
-        if not math.isfinite(v):
-            raise InvalidParams(f"ml2 argument {name} must be finite")
+    """Bivariate Mittag-Leffler type function E2(x, y): the separable
+    form with y as the k-argument and no j-sum. Denominator gamma poles
+    zero the term; a numerator gamma at a pole raises InvalidParams."""
     p = params
-    sx, lx = _log_abs(x)
-    sy, ly = _log_abs(y)
-    _, lg1 = _require_num(p.g1, "g1")
-    _, lg2 = _require_num(p.g2, "g2")
-    d3_cache = {}  # k -> _lgamma_sign(b3*k + d3), reused across rows
-
-    total = 0.0
-    total_abs = 0.0
-    small_m = 0
-    overflowed = False
-    converged = False
-    for m in range(policy.max_terms_per_index):
-        if m > 0 and sx == 0:
-            converged = True
-            break
-        # factors depending on m only
-        sn2, ln2 = _require_num(p.a2 * m + p.g2, "a2*m + g2")
-        sd2, ld2 = _lgamma_sign(p.a4 * m + p.d2)
-        row = 0.0
-        row_abs = 0.0
-        small_k = 0
-        row_done = False
-        for k in range(policy.max_terms_per_index):
-            if k > 0 and sy == 0:
-                row_done = True
-                break
-            term = 0.0
-            term_abs = 0.0
-            if sd2 != 0:
-                sn1, ln1 = _require_num(p.a1 * m + p.b1 * k + p.g1, "a1*m + b1*k + g1")
-                sd1, ld1 = _lgamma_sign(p.a3 * m + p.b2 * k + p.d1)
-                if k not in d3_cache:
-                    d3_cache[k] = _lgamma_sign(p.b3 * k + p.d3)
-                sd3, ld3 = d3_cache[k]
-                if sd1 != 0 and sd3 != 0:
-                    lt = (ln1 + ln2 - lg1 - lg2 - ld1 - ld2 - ld3
-                          + (m * lx if m else 0.0) + (k * ly if k else 0.0))
-                    if lt > 700.0:
-                        overflowed = True
-                        break
-                    term_abs = math.exp(lt)
-                    sign = (sn1 * sn2 * sd1 * sd2 * sd3
-                            * sx ** m * sy ** k)
-                    term = sign * term_abs
-            row += term
-            row_abs += term_abs
-            if term_abs <= policy.rel_tol * max(abs(row), _TINY):
-                small_k += 1
-                if small_k >= policy.consecutive_small:
-                    row_done = True
-                    break
-            else:
-                small_k = 0
-        if overflowed:
-            break
-        if not row_done:
-            raise NonConvergence(
-                f"ml2 inner index did not converge within {policy.max_terms_per_index} terms"
-            )
-        total += row
-        total_abs += row_abs
-        if row_abs <= policy.rel_tol * max(abs(total), _TINY):
-            small_m += 1
-            if small_m >= policy.consecutive_small:
-                converged = True
-                break
-        else:
-            small_m = 0
-    if not converged and not overflowed:
-        raise NonConvergence(
-            f"ml2 outer index did not converge within {policy.max_terms_per_index} terms"
-        )
-
-    kappa = total_abs / max(abs(total), _TINY)
-    if overflowed or kappa > _RESCUE_KAPPA_ML23:
-        return _mp_ml2(params, x, y, policy, _rescue_dps(kappa, overflowed))
-    return total
+    ratio = GammaRatio(
+        ((p.a1, p.b1, p.g1), (p.a2, 0.0, p.g2)),
+        ((0.0, 0.0, p.g1), (0.0, 0.0, p.g2), (p.a3, p.b2, p.d1),
+         (p.a4, 0.0, p.d2), (0.0, p.b3, p.d3)))
+    return _series_value(ratio, GammaRatio(), (x, 0.0, y), policy)
 
 
-# ---------------------------------------------------------------------------
-# Trivariate series
-# ---------------------------------------------------------------------------
+def ml3_ratios(params: ML3Params) -> tuple:
+    """(K, J) GammaRatio of the trivariate series: 1/Gamma(a4 m + d4)
+    rides with K and 1/Gamma(a5 m + d5) with J, as in ``TeleEngine``."""
+    p = params
+    k = GammaRatio(((p.a1, p.b1, p.d1),),
+                   ((p.a3, p.b2, p.d3), (0.0, p.b3, p.d6), (p.a4, 0.0, p.d4)))
+    j = GammaRatio(((p.a2, p.g1, p.d2),),
+                   ((0.0, p.g2, p.d7), (0.0, p.g3, p.d8), (p.a5, 0.0, p.d5)))
+    return k, j
+
 
 def ml3(params: ML3Params, x: float, y: float, z: float,
         policy: SeriesPolicy = SeriesPolicy()) -> float:
-    """Trivariate Mittag-Leffler type function F(x, y, z).
-
-    Triple series summed with nested loops (m outermost, then j, then k),
-    each index with its own early-termination count. Pole conventions as in
-    ml2.
-    """
-    for name, v in (("x", x), ("y", y), ("z", z)):
-        if not math.isfinite(v):
-            raise InvalidParams(f"ml3 argument {name} must be finite")
-    p = params
-    sx, lx = _log_abs(x)
-    sy, ly = _log_abs(y)
-    sz, lz = _log_abs(z)
-    d6_cache = {}  # k -> _lgamma_sign(b3*k + d6)
-    j_cache = {}  # j -> combined sign/log of the two j-only denominators
-
-    total = 0.0
-    total_abs = 0.0
-    small_m = 0
-    overflowed = False
-    converged = False
-    for m in range(policy.max_terms_per_index):
-        if m > 0 and sx == 0:
-            converged = True
-            break
-        sd4, ld4 = _lgamma_sign(p.a4 * m + p.d4)
-        sd5, ld5 = _lgamma_sign(p.a5 * m + p.d5)
-        m_zero = sd4 == 0 or sd5 == 0
-        k_cache = {}  # k -> combined sign/log of all (m,k) factors, fixed m
-        plane = 0.0
-        plane_abs = 0.0
-        small_j = 0
-        plane_done = False
-        for j in range(policy.max_terms_per_index):
-            if j > 0 and sy == 0:
-                plane_done = True
-                break
-            sn2, ln2 = _require_num(p.a2 * m + p.g1 * j + p.d2, "a2*m + g1*j + d2")
-            if j not in j_cache:
-                s7, l7 = _lgamma_sign(p.g2 * j + p.d7)
-                s8, l8 = _lgamma_sign(p.g3 * j + p.d8)
-                j_cache[j] = (s7 * s8, l7 + l8)
-            sd78, ld78 = j_cache[j]
-            j_zero = m_zero or sd78 == 0
-            row = 0.0
-            row_abs = 0.0
-            small_k = 0
-            row_done = False
-            for k in range(policy.max_terms_per_index):
-                if k > 0 and sz == 0:
-                    row_done = True
-                    break
-                term = 0.0
-                term_abs = 0.0
-                if not j_zero:
-                    if k not in k_cache:
-                        sn1, ln1 = _require_num(p.a1 * m + p.b1 * k + p.d1,
-                                                "a1*m + b1*k + d1")
-                        sd3, ld3 = _lgamma_sign(p.a3 * m + p.b2 * k + p.d3)
-                        if k not in d6_cache:
-                            d6_cache[k] = _lgamma_sign(p.b3 * k + p.d6)
-                        sd6, ld6 = d6_cache[k]
-                        k_cache[k] = (
-                            sn1 * sd3 * sd6 * sz ** k,
-                            ln1 - ld3 - ld6 + (k * lz if k else 0.0),
-                        )
-                    sk, lk = k_cache[k]
-                    if sk != 0:
-                        lt = (lk + ln2 - ld4 - ld5 - ld78
-                              + (m * lx if m else 0.0) + (j * ly if j else 0.0))
-                        if lt > 700.0:
-                            overflowed = True
-                            break
-                        term_abs = math.exp(lt)
-                        sign = (sk * sn2 * sd4 * sd5 * sd78
-                                * sx ** m * sy ** j)
-                        term = sign * term_abs
-                row += term
-                row_abs += term_abs
-                if term_abs <= policy.rel_tol * max(abs(row), _TINY):
-                    small_k += 1
-                    if small_k >= policy.consecutive_small:
-                        row_done = True
-                        break
-                else:
-                    small_k = 0
-            if overflowed:
-                break
-            if not row_done:
-                raise NonConvergence(
-                    f"ml3 k index did not converge within {policy.max_terms_per_index} terms"
-                )
-            plane += row
-            plane_abs += row_abs
-            if row_abs <= policy.rel_tol * max(abs(plane), _TINY):
-                small_j += 1
-                if small_j >= policy.consecutive_small:
-                    plane_done = True
-                    break
-            else:
-                small_j = 0
-        if overflowed:
-            break
-        if not plane_done:
-            raise NonConvergence(
-                f"ml3 j index did not converge within {policy.max_terms_per_index} terms"
-            )
-        total += plane
-        total_abs += plane_abs
-        if plane_abs <= policy.rel_tol * max(abs(total), _TINY):
-            small_m += 1
-            if small_m >= policy.consecutive_small:
-                converged = True
-                break
-        else:
-            small_m = 0
-    if not converged and not overflowed:
-        raise NonConvergence(
-            f"ml3 outer index did not converge within {policy.max_terms_per_index} terms"
-        )
-
-    kappa = total_abs / max(abs(total), _TINY)
-    if overflowed or kappa > _RESCUE_KAPPA_ML23:
-        return _mp_ml3(params, x, y, z, policy, _rescue_dps(kappa, overflowed))
-    return total
-
-
-def _require_num(arg: float, what: str) -> tuple:
-    """_lgamma_sign for a numerator gamma; poles are a parameter error."""
-    s, la = _lgamma_sign(arg)
-    if s == 0:
-        raise InvalidParams(f"numerator gamma pole: {what} = {arg}")
-    return s, la
-
-
-# ---------------------------------------------------------------------------
-# High-precision rescue for cancelled sums; mpmath is imported here only,
-# so a solve that never needs the rescue never loads it
-# ---------------------------------------------------------------------------
-
-def _rescue_dps(kappa: float, overflowed: bool) -> int:
-    if overflowed or not math.isfinite(kappa):
-        return 60
-    return min(120, 25 + int(math.log10(max(kappa, 1.0))))
-
-
-def _mp_pole(arg) -> bool:
-    # int() truncates toward zero, which for arg <= 0 matches floor
-    # exactly at the integers; it takes floats and mpf alike
-    return arg <= 0 and arg == int(arg)
-
-
-def _mp_gamma_div(num_args, den_args):
-    """Product of numerator gammas over denominator gammas in mpf; returns
-    None when a denominator pole zeroes the term."""
-    import mpmath
-    val = mpmath.mpf(1)
-    for a in num_args:
-        if _mp_pole(a):
-            raise InvalidParams(f"numerator gamma pole at {a}")
-        val *= mpmath.gamma(a)
-    for a in den_args:
-        if _mp_pole(a):
-            return None
-        val /= mpmath.gamma(a)
-    return val
-
-
-def _mp_ml(alpha, beta, gamma, z, policy, dps):
-    import mpmath
-    with mpmath.workdps(dps):
-        a, b, g, zz = (mpmath.mpf(v) for v in (alpha, beta, gamma, z))
-        total = mpmath.mpf(0)
-        poch = mpmath.mpf(1)
-        small = 0
-        for m in range(policy.max_terms_per_index):
-            if poch == 0 or (m > 0 and zz == 0):
-                return float(total)
-            darg = a * m + b
-            if _mp_pole(darg):
-                term = mpmath.mpf(0)
-            else:
-                term = poch * zz ** m / (mpmath.gamma(darg) * mpmath.factorial(m))
-            total += term
-            if abs(term) <= policy.rel_tol * max(abs(total), mpmath.mpf(_TINY)):
-                small += 1
-                if small >= policy.consecutive_small:
-                    return float(total)
-            else:
-                small = 0
-            poch *= g + m
-    raise NonConvergence(
-        f"ml_prabhakar did not converge within {policy.max_terms_per_index} terms"
-    )
-
-
-def _mp_ml2(params, x, y, policy, dps):
-    import mpmath
-    p = params
-    with mpmath.workdps(dps):
-        xx, yy = mpmath.mpf(x), mpmath.mpf(y)
-        norm = mpmath.gamma(p.g1) * mpmath.gamma(p.g2)
-        total = mpmath.mpf(0)
-        small_m = 0
-        for m in range(policy.max_terms_per_index):
-            if m > 0 and xx == 0:
-                return float(total)
-            row = mpmath.mpf(0)
-            small_k = 0
-            row_done = False
-            for k in range(policy.max_terms_per_index):
-                if k > 0 and yy == 0:
-                    row_done = True
-                    break
-                val = _mp_gamma_div(
-                    (p.a1 * m + p.b1 * k + p.g1, p.a2 * m + p.g2),
-                    (p.a3 * m + p.b2 * k + p.d1, p.a4 * m + p.d2, p.b3 * k + p.d3),
-                )
-                term = mpmath.mpf(0) if val is None else val / norm * xx ** m * yy ** k
-                row += term
-                if abs(term) <= policy.rel_tol * max(abs(row), mpmath.mpf(_TINY)):
-                    small_k += 1
-                    if small_k >= policy.consecutive_small:
-                        row_done = True
-                        break
-                else:
-                    small_k = 0
-            if not row_done:
-                break
-            total += row
-            if abs(row) <= policy.rel_tol * max(abs(total), mpmath.mpf(_TINY)):
-                small_m += 1
-                if small_m >= policy.consecutive_small:
-                    return float(total)
-            else:
-                small_m = 0
-    raise NonConvergence(
-        f"ml2 did not converge within {policy.max_terms_per_index} terms"
-    )
-
-
-def _mp_inner_sum(coef, arg, policy):
-    """sum_i coef(i) * arg^i with the policy's early termination.
-
-    coef returns an mpf or None (zeroed term). Used by the ml3 rescue, where
-    the j and k sums are independent for fixed m.
-    """
-    import mpmath
-    total = mpmath.mpf(0)
-    small = 0
-    for i in range(policy.max_terms_per_index):
-        if i > 0 and arg == 0:
-            return total
-        c = coef(i)
-        term = mpmath.mpf(0) if c is None else c * arg ** i
-        total += term
-        if abs(term) <= policy.rel_tol * max(abs(total), mpmath.mpf(_TINY)):
-            small += 1
-            if small >= policy.consecutive_small:
-                return total
-        else:
-            small = 0
-    raise NonConvergence(
-        f"ml3 inner index did not converge within {policy.max_terms_per_index} terms"
-    )
-
-
-def _mp_ml3(params, x, y, z, policy, dps):
-    import mpmath
-    # for fixed m the triple series factorizes into a product of a j-sum and
-    # a k-sum, so the rescue costs O(M*(J+K)) gamma evaluations
-    p = params
-    with mpmath.workdps(dps):
-        xx, yy, zz = mpmath.mpf(x), mpmath.mpf(y), mpmath.mpf(z)
-        total = mpmath.mpf(0)
-        small_m = 0
-        for m in range(policy.max_terms_per_index):
-            if m > 0 and xx == 0:
-                return float(total)
-            mcoef = _mp_gamma_div((), (p.a4 * m + p.d4, p.a5 * m + p.d5))
-            if mcoef is None:
-                plane = mpmath.mpf(0)
-            else:
-                jsum = _mp_inner_sum(
-                    lambda j: _mp_gamma_div(
-                        (p.a2 * m + p.g1 * j + p.d2,),
-                        (p.g2 * j + p.d7, p.g3 * j + p.d8),
-                    ),
-                    yy, policy,
-                )
-                ksum = _mp_inner_sum(
-                    lambda k: _mp_gamma_div(
-                        (p.a1 * m + p.b1 * k + p.d1,),
-                        (p.a3 * m + p.b2 * k + p.d3, p.b3 * k + p.d6),
-                    ),
-                    zz, policy,
-                )
-                plane = mcoef * jsum * ksum * xx ** m
-            total += plane
-            if abs(plane) <= policy.rel_tol * max(abs(total), mpmath.mpf(_TINY)):
-                small_m += 1
-                if small_m >= policy.consecutive_small:
-                    return float(total)
-            else:
-                small_m = 0
-    raise NonConvergence(
-        f"ml3 did not converge within {policy.max_terms_per_index} terms"
-    )
+    """Trivariate Mittag-Leffler type function F(x, y, z): the full
+    separable form (``ml3_ratios``); pole conventions as in ml2."""
+    return _series_value(*ml3_ratios(params), (x, y, z), policy)

@@ -18,6 +18,7 @@ from prabtel.expr import (
     parse,
     render,
 )
+from prabtel.quadrature import _call_on
 
 
 class TestParse:
@@ -86,6 +87,22 @@ class TestParse:
 
 
 class TestEval:
+    def test_constant_broadcasts_to_array_argument(self):
+        # one call on the whole array, not one per point after a 0-d answer
+        calls = []
+
+        class Counted(ExprFunction):
+            def __call__(self, *args, **kwargs):
+                calls.append(1)
+                return super().__call__(*args, **kwargs)
+
+        nodes = np.linspace(0.0, 1.0, 101)
+        out = _call_on(Counted("1"), nodes)
+        assert len(calls) == 1
+        assert out.shape == nodes.shape and np.all(out == 1.0)
+        assert ExprFunction("0.25")(np.zeros((2, 3)), np.zeros((2, 3))).shape == (2, 3)
+        assert ExprFunction("0.25")(0.5) == 0.25
+
     def test_division_by_zero(self):
         ast = parse("1/ (t-1)")
         with pytest.raises(EvalError):

@@ -216,6 +216,22 @@ class TestGridSolutionValidation:
 
 
 class TestVerify:
+    def test_reports_the_solved_compatibility(self, monkeypatch):
+        import prabtel.problem as problem
+        calls = []
+        check = problem.compatibility_check
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(problem, "compatibility_check", counted)
+        prob = smooth_problem()
+        sol = solve(prob, n_t=16, n_x=16, quad=QUICK)
+        report = verify(prob, sol, quad=QUICK)
+        assert len(calls) == 1
+        assert report.compatibility == sol.compatibility
+
     def test_needs_interior_nodes(self):
         sol = solve(make_problem(), n_t=4, n_x=4, quad=QuadPolicy(n_points=16))
         small = GridSolution(t_grid=sol.t_grid[:2], x_grid=sol.x_grid,
@@ -332,6 +348,12 @@ class TestSharedSetup:
             "prob = _smooth_problem()",
             "sol = prabtel.solve(prob, 16, 16, prabtel.QuadPolicy(n_points=64))",
             "prabtel.verify(prob, sol)",
+            # the README's CLI example points of ml2 and ml3
+            "p2 = prabtel.ML2Params(0.5, 1, 0.5, 0, 1, 0.5, 1.5, 0.5, 0.5, 0.5, 1, 1)",
+            "prabtel.ml2(p2, 0.25, -0.5)",
+            "p3 = prabtel.ml3_tele_variant(",
+            "    'V1', prabtel.PrabhakarParams(1.0, 0.5, 0.5, -1.0))",
+            "prabtel.ml3(p3, 0.5, -0.25, -0.125)",
             "print(loaded())",
         ))
         result = subprocess.run([sys.executable, "-c", code],

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prabtel.errors import InvalidParams, NonConvergence
+from prabtel.oracle import load_fixtures
 from prabtel.specfun import (
     ML2Params,
     ML3Params,
@@ -266,3 +267,20 @@ class TestSeriesPolicy:
             SeriesPolicy(max_terms_per_index=0)
         with pytest.raises(InvalidParams):
             SeriesPolicy(consecutive_small=0)
+
+
+class TestOracleFixtures:
+    @pytest.mark.parametrize("family, index", [("ml3", 71), ("ml2", 34)])
+    def test_cancelled_points_hold_tight_tolerance(self, family, index):
+        # float64 sums of these points cancel by about 1e9 and 1e15, so
+        # their values come from the mpmath rescue, which must carry its
+        # tail to rel_tol * |sum| at whatever precision the sum needs
+        entry = load_fixtures()[family][index]
+        tight = SeriesPolicy(rel_tol=1e-14)
+        if family == "ml2":
+            got = ml2(ML2Params(**entry["params"]), entry["x"], entry["y"], tight)
+        else:
+            got = ml3(ML3Params(**entry["params"]), entry["x"], entry["y"],
+                      entry["z"], tight)
+        want = float(entry["value"])
+        assert abs(got - want) <= 1e-13 * abs(want)
