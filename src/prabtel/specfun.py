@@ -15,10 +15,11 @@ with K and J gamma ratios of arguments linear in the indices
 (``GammaRatio``): ``ml3`` is the full form, ``ml2`` has no j-sum and
 ``ml_prabhakar`` neither inner sum.
 
-- ``SeriesTensors`` builds K x^m z^k and J y^j in signed logs from
-  ``math.lgamma`` grids (no scipy), one per distinct argument form,
-  extended when the caps grow. Denominator poles give exact zeros;
-  numerator poles raise InvalidParams.
+- ``SeriesTensors`` builds K x^m z^k and J y^j in signed logs from one
+  log-gamma grid per argument form (``math.lgamma`` and G(a + 1) =
+  a G(a); no scipy), of which larger caps compute only the new entries.
+  Denominator poles give exact zeros; numerator poles raise
+  InvalidParams.
 - ``_fit_caps``: the caps (m, j, k) start at (24, 16, 16) and double while
   the trailing ``consecutive_small`` rows of any index carry more
   positive-majorant mass than a limit: rel_tol * |sum| for a value here,
@@ -61,9 +62,11 @@ class SeriesPolicy:
 
     - rel_tol: the target relative accuracy of a value of ``ml_prabhakar``,
       ``ml2`` or ``ml3``. It is the tail limit (the majorant mass left out
-      along each index is at most rel_tol * |sum|) and it sets the
-      precision of the mpmath rescue. ``TeleEngine`` serves many arguments
-      from one set of tensors and uses the fixed limit 1e-15 * majorant.
+      along each index is at most rel_tol * |sum|) and it sets when and at
+      what precision the mpmath rescue runs. Below 1e-12 a value is only
+      as accurate as rounding allows at a cancellation ratio of 1e3: about
+      1e-12 relative at worst. ``TeleEngine`` serves many arguments from
+      one set of tensors and uses the fixed limit 1e-15 * majorant.
     - consecutive_small: how many trailing rows of each index must carry
       mass below the limit before that index's cap stops doubling, in the
       values and in the engine alike.
@@ -133,7 +136,9 @@ class ML2Params:
 class ML3Params:
     """Parameters of the trivariate Mittag-Leffler type function.
 
-    Field order follows the definition: the triple series F(x, y, z) sums
+    Field order follows the definition: the triple series
+
+        F(x, y, z) = sum_{m,j,k} G(a1 m + b3... )
 
         term(m, j, k) = G(a1 m + b1 k + d1) G(a2 m + g1 j + d2)
                         * x^m y^j z^k
@@ -210,15 +215,18 @@ def rgamma(x: float) -> float:
     if la < -700.0:
         # |Gamma| underflows, reciprocal would overflow; only reachable just
         # left of a pole where 1/Gamma genuinely exceeds float range
-        return s * math.inf
+        return math.inf if s > 0 else -math.inf
     return s * math.exp(-la)
 
 
 def pochhammer(g: float, m: int) -> float:
-    """Rising factorial (g)_m = g (g+1) ... (g+m-1) as a running product."""
+    """Rising factorial (g)_m = g (g+1) ... (g+m-1) by product recurrence."""
     if m < 0:
         raise InvalidParams("pochhammer order m must be >= 0")
-    return math.prod((g + i for i in range(m)), start=1.0)
+    out = 1.0
+    for i in range(m):
+        out *= g + i
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +242,22 @@ class GammaRatio:
     den: tuple = ()
 
 
+def _args(form: tuple, m: range, i: range) -> np.ndarray:
+    """Gamma arguments c_m m + c_i i + s of a form on the index ranges."""
+    cm, ci, s = form
+    m, i = np.arange(m.start, m.stop), np.arange(i.start, i.stop)
+    return (cm * m + s)[:, None] + ci * i
+
+
 def _signed_lgamma(args: np.ndarray) -> tuple:
-    """(sign, log|Gamma|) of a 1-D array; sign 0 and log inf at the poles."""
+    """(sign, log|Gamma|) of an array; sign 0 and log inf at the poles."""
+    if args.min() > 0.0:
+        return 1.0, np.fromiter(map(math.lgamma, args.ravel().tolist()), float,
+                                args.size).reshape(args.shape)
     pole = (args <= 0.0) & (args == np.floor(args))
-    flat = np.where(pole, 1.0, args).tolist()
+    flat = np.where(pole, 1.0, args).ravel().tolist()
     log = np.fromiter(map(math.lgamma, flat), float, len(flat))
+    log = log.reshape(args.shape)
     log[pole] = math.inf
     # Gamma is negative on (-1, 0), (-3, -2), ...
     sign = np.where((args < 0.0) & (np.floor(args) % 2 == 1), -1.0, 1.0)
@@ -246,82 +265,101 @@ def _signed_lgamma(args: np.ndarray) -> tuple:
     return sign, log
 
 
-def _log_powers(v: float, n: int) -> tuple:
-    """(sign, log|v|^i) of v^i for i < n, with v^0 = 1 also at v = 0."""
-    i = np.arange(n)
+def _log_powers(v: float, i: range) -> tuple:
+    """(sign, log|v|^i) of v^i at the indices i, with v^0 = 1 also at v = 0."""
+    i = np.arange(i.start, i.stop)
     if v == 0.0:
         return (i == 0) * 1.0, np.where(i == 0, 0.0, -math.inf)
-    return np.where((v < 0.0) & (i % 2 == 1), -1.0, 1.0), i * math.log(abs(v))
-
-
-# stacked (sign, log|Gamma|) grid per form, shared by every series; a new
-# SeriesTensors empties it past _GRID_ENTRIES floats (0.5 MB), so no grid
-# shrinks under a series that is growing it
-_GRIDS: dict = {}
-_GRID_ENTRIES = 1 << 16
+    sign = 1.0 if v > 0.0 else np.where(i % 2 == 1, -1.0, 1.0)
+    return sign, i * math.log(abs(v))
 
 
 class SeriesTensors:
     """K(m, k) x^m z^k and J(m, j) y^j of separable series, in signed logs.
 
-    ``k_ratios`` and ``j_ratios`` map names to GammaRatio. They read one
-    log-gamma grid per argument form (``_GRIDS``); larger caps extend a
-    grid by one ``math.lgamma`` call per distinct new argument.
+    ``k_ratios`` and ``j_ratios`` map names to GammaRatio. Each argument
+    form has one log|Gamma| grid, of which larger caps compute only the
+    new entries; the tensors are summed from the grids at each call of
+    ``logs``. Positive arguments use G(a + 1) = a G(a): a form one above
+    another form is that form's grid plus log(a - 1), and a form with
+    unit step along an index a running sum of log(a) along it. Other
+    entries take one ``math.lgamma`` call each.
     """
 
     def __init__(self, k_ratios: dict, j_ratios: dict,
                  x: float, y: float, z: float):
         self.k_ratios, self.j_ratios = k_ratios, j_ratios
         self.args = (x, y, z)
-        if sum(g.size for g in _GRIDS.values()) > _GRID_ENTRIES:
-            _GRIDS.clear()
+        self._grids = {}
 
-    @staticmethod
-    def _form(form: tuple, m_cap: int, i_cap: int) -> np.ndarray:
-        """Stacked (sign, log) of a form, shape (2, m_cap or 1, i_cap or 1)."""
+    def _log_gamma(self, form: tuple, m: range, i: range) -> np.ndarray:
+        """log|Gamma| of a form on the index ranges."""
         cm, ci, s = form
-        shape = (m_cap if cm else 1, i_cap if ci else 1)
-        old = _GRIDS.get(form, np.zeros((2, 0, 0)))
-        m0, i0 = old.shape[1:]
-        if m0 < shape[0] or i0 < shape[1]:
-            grown = (max(shape[0], m0), max(shape[1], i0))
-            m, i = np.arange(grown[0])[:, None], np.arange(grown[1])
-            grid = np.empty((2,) + grown)
-            grid[:, :m0, :i0] = old
-            # the new rows, then the new columns of the old rows
-            for rows, cols in ((np.s_[m0:], np.s_[:]), (np.s_[:m0], np.s_[i0:])):
-                args = cm * m[rows] + ci * i[cols] + s
-                uniq, where = np.unique(args, return_inverse=True)
-                grid[:, rows, cols] = np.array(_signed_lgamma(uniq))[
-                    :, where.reshape(args.shape)]
-            old = _GRIDS[form] = grid
-        return old[:, :shape[0], :shape[1]]
+        a = _args(form, m, i)
+        if not (cm and ci) or a.min() <= 0.0:
+            return _signed_lgamma(a)[1]
+        below = next((g for (bm, bi, bs), g in self._grids.items()
+                      if (bm, bi) == (cm, ci) and abs(s - bs - 1.0) < 1e-12
+                      and g.shape[0] >= m.stop and g.shape[1] >= i.stop),
+                     None)
+        if below is not None and a.min() > 1.0:
+            return below[m.start:m.stop, i.start:i.stop] + np.log(a - 1.0)
+        if ci == 1.0 or cm == 1.0:
+            axis = 1 if ci == 1.0 else 0
+            log = np.log(a)
+            first = _signed_lgamma(np.take(a, [0], axis=axis))[1]
+            return np.cumsum(log, axis=axis) - log + first
+        return _signed_lgamma(a)[1]
 
-    def _ratio(self, ratio: GammaRatio, m_cap: int, i_cap: int) -> tuple:
-        sign, log = 1.0, 0.0
-        for form in ratio.num:
-            s, lg = self._form(form, m_cap, i_cap)
-            if not s.all():
+    def _gamma(self, form: tuple, m: range, i: range) -> tuple:
+        """(sign, log|Gamma|) of a form on the index ranges, which start at
+        0; one row or column if the form reads one index only.
+
+        The form's grid grows by the new rows, then by the new columns of
+        the old rows.
+        """
+        m, i = (m if form[0] else range(1)), (i if form[1] else range(1))
+        grid = self._grids.get(form, np.empty((0, 0)))
+        m0, i0 = grid.shape
+        if m0 < m.stop or i0 < i.stop:
+            m1, i1 = max(m.stop, m0), max(i.stop, i0)
+            old, grid = grid, np.empty((m1, i1))
+            grid[:m0, :i0] = old
+            for rows, cols in ((range(m0, m1), range(i1)), (range(m0), range(i0, i1))):
+                if rows and cols:
+                    grid[rows.start:rows.stop, cols.start:cols.stop] = (
+                        self._log_gamma(form, rows, cols))
+            self._grids[form] = grid
+        cm, ci, s = form
+        if s + min(0.0, cm * m[-1]) <= 0.0:
+            return _signed_lgamma(_args(form, m, i))[0], grid[:m.stop, :i.stop]
+        return 1.0, grid[:m.stop, :i.stop]
+
+    def _term(self, ratio: GammaRatio, u: float, w: float, shape: tuple) -> tuple:
+        """(sign, log) of ratio * u^m w^i on the shape (m, i)."""
+        m, i = range(shape[0]), range(shape[1])
+        # factors of one index add up along it before the outer sum
+        (us, ul), (ws, wl) = _log_powers(u, m), _log_powers(w, i)
+        row, col, full = [np.reshape(us, (-1, 1)), ul[:, None]], [ws, wl], [1.0, 0.0]
+        for form, up in ([(f, True) for f in ratio.num]
+                         + [(f, False) for f in ratio.den]):
+            s, lg = self._gamma(form, m, i)
+            if up and not np.all(s):
                 raise InvalidParams(
                     f"numerator gamma pole: Gamma({form[0]} m + {form[1]} i "
                     f"+ {form[2]}) for some m, i >= 0")
-            sign, log = sign * s, log + lg
-        for form in ratio.den:
-            s, lg = self._form(form, m_cap, i_cap)
-            sign, log = sign * s, log - lg
-        shape = (m_cap, i_cap)
-        return np.broadcast_to(sign, shape), np.broadcast_to(log, shape)
+            part = col if not form[0] else row if not form[1] else full
+            part[0] = part[0] * s
+            part[1] = part[1] + lg if up else part[1] - lg
+        return row[0] * col[0] * full[0], row[1] + col[1] + full[1]
 
     def logs(self, caps: tuple) -> tuple:
         """({name: (sign, log)} of K, the same of J) at caps (m, j, k)."""
-        (xs, xl), (ys, yl), (zs, zl) = map(_log_powers, self.args, caps)
-        k, j = {}, {}
-        for name, ratio in self.k_ratios.items():
-            s, lg = self._ratio(ratio, caps[0], caps[2])
-            k[name] = (s * xs[:, None] * zs, lg + xl[:, None] + zl)
-        for name, ratio in self.j_ratios.items():
-            s, lg = self._ratio(ratio, caps[0], caps[1])
-            j[name] = (s * ys, lg + yl)
+        x, y, z = self.args
+        k = {name: self._term(ratio, x, z, (caps[0], caps[2]))
+             for name, ratio in self.k_ratios.items()}
+        j = {name: self._term(ratio, 1.0, y, caps[:2])
+             for name, ratio in self.j_ratios.items()}
         return k, j
 
 
@@ -356,15 +394,16 @@ def fit_tensors(tensors: SeriesTensors, policy: SeriesPolicy) -> tuple:
     the majorant is the entrywise maximum over the K and over the J
     tensors, and the limit 1e-15 times its total mass."""
     def build(caps):
-        k, j = ({name: s * np.exp(lg) for name, (s, lg) in t.items()}
-                for t in tensors.logs(caps))
-        kmaj = np.maximum.reduce([np.abs(v) for v in k.values()])
-        jmaj = np.maximum.reduce([np.abs(v) for v in j.values()])
+        k, j = tensors.logs(caps)
+        kmaj, jmaj = (np.exp(np.maximum.reduce([lg for _, lg in t.values()]))
+                      for t in (k, j))
         mass = float(kmaj.sum(axis=1) @ jmaj.sum(axis=1)) + 1e-300
         return kmaj, jmaj, 1e-15 * mass, k, j
 
-    caps, out = _fit_caps(build, _START_CAPS, (True, True, True), policy)
-    return caps, out[3], out[4]
+    caps, (*_, k, j) = _fit_caps(build, _START_CAPS, (True, True, True), policy)
+    k, j = ({name: s * np.exp(lg) for name, (s, lg) in t.items()}
+            for t in (k, j))
+    return caps, k, j
 
 
 def _rectangle(k: np.ndarray, j: np.ndarray, limit: float) -> tuple:
@@ -404,8 +443,11 @@ def _masses(k: np.ndarray, j: np.ndarray, rect: tuple) -> tuple:
 _START_CAPS = (24, 16, 16)
 # a float64 sum carries up to ~1e-15 of its majorant in rounding (1e-16
 # to 1e-15 on the stored fixtures), so it holds rel_tol to a majorant /
-# |sum| ratio of rel_tol / 1e-15; past that ratio, or past 1e3, or with a
-# term log past _LOG_MAX, mpmath sums the value, at most _MAX_DPS digits
+# |sum| ratio of rel_tol / 1e-15. The float64 sum is kept up to the
+# larger of that ratio and 1e3; past it, or with a term log past _LOG_MAX,
+# mpmath sums the value (at most _MAX_DPS digits). The 1e3 floor acts
+# below rel_tol 1e-12 only, and keeps float64 sums accurate to ~1e-12
+# there: rescuing them too costs half again the time on the fixtures.
 _FLOAT_NOISE = 1e-15
 _RESCUE_RATIO = 1e3
 _LOG_MAX = 700.0
@@ -445,8 +487,11 @@ def _series_value(k_ratio: GammaRatio, j_ratio: GammaRatio, args: tuple,
         if total is None and top <= _LOG_MAX and mass <= max(
                 _RESCUE_RATIO, policy.rel_tol / _FLOAT_NOISE) * size:
             return value * math.exp(top)
-        wider = _rectangle(k, j, limit)
-        ratio = _masses(k, j, wider)[1] / size if size else math.inf
+        # a float |sum| past the rescue threshold is known to a digit at
+        # best: the first mpmath sum takes one digit of margin
+        margin = 10.0 if total is None else 1.0
+        wider = _rectangle(k, j, limit / margin)
+        ratio = margin * _masses(k, j, wider)[1] / size if size else math.inf
         need = 10 + math.log10(max(ratio, 1.0)) - math.log10(policy.rel_tol)
         if not need <= _MAX_DPS:
             raise NonConvergence(f"series cancellation ratio {ratio:.3g} "
@@ -473,15 +518,28 @@ def _mp_ratio(ratio: GammaRatio, m_n: int, i_n: int) -> tuple:
 
     forms = ([(mpmath.gamma, f) for f in ratio.num]
              + [(mpmath.rgamma, f) for f in ratio.den])
+    # with dyadic c_m and c_i (1, 0.5, ...) the arguments are exact and
+    # recur across rows; their values are kept, no others
+    dyadic = {f: all((c * 1024).is_integer() for c in f[:2]) for _, f in forms}
+    memo = {}
+
+    def factor(fn, form, m, i):
+        a = form[0] * m + form[1] * i + form[2]
+        if not dyadic[form]:
+            return fn(mpmath.mpf(a))
+        if (fn, a) not in memo:
+            memo[fn, a] = fn(mpmath.mpf(a))
+        return memo[fn, a]
 
     def product(m, i, keep):
-        return mpmath.fprod(fn(mpmath.mpf(cm * m + ci * i + s))
-                            for fn, (cm, ci, s) in forms if keep(cm, ci))
+        return mpmath.fprod(factor(fn, f, m, i)
+                            for fn, f in forms if keep(*f[:2]))
 
     per_m = [product(m, 0, lambda cm, ci: not ci) for m in range(m_n)]
     per_i = [product(0, i, lambda cm, ci: ci and not cm) for i in range(i_n)]
-    return per_m, per_i, lambda m: [product(m, i, lambda cm, ci: cm and ci)
-                                    for i in range(i_n)]
+    both = [(fn, f) for fn, f in forms if f[0] and f[1]]
+    return per_m, per_i, lambda m: [
+        mpmath.fprod(factor(fn, f, m, i) for fn, f in both) for i in range(i_n)]
 
 
 def _mp_sum(tensors: SeriesTensors, rect: tuple, dps: int):
