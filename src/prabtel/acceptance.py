@@ -195,8 +195,7 @@ def check_positivity_and_a_bound():
     for beta in np.arange(0.1, 0.95, 0.1):
         params = PrabhakarParams(1.0, float(beta), float(beta), -1.0)
         eng = TeleEngine(params, coeffs, 1.0, 1.0)
-        vals = np.array([eng.gamma_e2(float(s)) for s in t])
-        min_val = min(min_val, float(vals.min()))
+        min_val = min(min_val, float(eng.gamma_e2(t).min()))
     weights = (
         ("1", lambda s: np.ones_like(np.asarray(s, dtype=float)), 1.0),
         ("t", lambda s: np.asarray(s, dtype=float), 0.5),

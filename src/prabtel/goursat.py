@@ -21,11 +21,16 @@ form
 
     F(X; y; Z) = sum_m X^m W(m) [sum_k K(m,k) Z^k] [sum_j J(m,j) y^j],
 
-so a grid evaluation reduces to a handful of matrix products per time
-row; ``TeleEngine`` precomputes the gamma-ratio tensors once per
-evaluation context.  Reference scales |a| t_max^beta, |b| x_max,
-|delta| t_max^alpha are folded into the tensors, keeping every runtime
-power vector bounded by one.
+so a grid evaluation reduces to matrix products.  ``TeleEngine``
+precomputes the gamma-ratio tensors once per evaluation context.
+Reference scales |a| t_max^beta, |b| x_max, |delta| t_max^alpha are
+folded into the tensors, keeping every runtime power vector bounded by
+one.  The terms without a time integral take one coefficient matrix
+for all time rows at once.  Each time convolution (phi, forcing, and
+the V3 double integral of the trace equation) samples its kernel at
+lags t u for a unit rule u fixed per solve, so the power tables of u are
+built once (``TeleEngine.lag_table``) and a time row only scales them
+by two short power vectors of t.
 
 Accuracy envelope: the tensors are exponentiated log-gamma ratios in
 float64 (``math.lgamma`` tables, see ``TeleEngine``).  For X = a t^beta < 0
@@ -174,12 +179,20 @@ def _variant_shifts(v: str, beta: float) -> tuple:
 def _power_rows(r: np.ndarray, count: int) -> np.ndarray:
     """Rows r^0, r^1, ..., r^(count-1) of a 1-D array, shape (count, n).
 
-    Running products: one multiply per entry instead of a float pow.
+    Built by doubling: row k = row k-1 times r, then rows [k+1, 2k) =
+    rows [1, k) times row k.  That is about 2 log2(count) whole-block
+    multiplies and no float pow, where a running product would make
+    count passes over the nodes.
     """
+    r = np.asarray(r, dtype=float)
     out = np.empty((count, r.size))
     out[0] = 1.0
-    out[1:] = r
-    np.cumprod(out[1:], axis=0, out=out[1:])
+    k = 1
+    while k < count:
+        np.multiply(out[k - 1], r, out=out[k])
+        step = min(k, count - k)
+        np.multiply(out[1:step], out[k], out=out[k + 1:k + step])
+        k += step
     return out
 
 
@@ -192,6 +205,14 @@ class TeleEngine:
         jw[v]  (m_cap, j_cap): G(m+j+d2) Ys^j / [G(m+d5) G(j+1) G(j+d8)]
     so that F_v(X; y; Z) = ypow @ jw[v].T @ ((kt @ zpow) * xpow) with the
     normalized power vectors xpow_m = (X/Xs)^m etc., all of modulus <= 1.
+
+    A time convolution evaluates the kernel at lags s = t u, with a unit
+    rule u that does not depend on t.  ``lag_table(u)`` builds the power
+    tables of u^beta and u^alpha once; ``lag_cvec(table, t, shifted)``
+    then gives c(m; t u) = ((kt * xs zs^T) @ Zu) * Xu, where xs and zs
+    are the m_cap and k_cap powers of the scalars sign(a) (t/t_ref)^beta
+    and sign(delta) (t/t_ref)^alpha.  ``cvec(s)`` is the same path with
+    u = s/t_ref at t = t_ref.
 
     These are the K and J tensors of ``specfun.ml3`` for the
     ``ml3_tele_variant`` packings at the magnitudes (Xs, Ys, Zs), from
@@ -236,22 +257,45 @@ class TeleEngine:
             self.x_scale, self.y_scale, self.z_scale)
         caps, self.kt, self.jw = fit_tensors(tensors, series)
         self.m_cap, self.j_cap, self.k_cap = caps
+        self._m_exps = np.arange(self.m_cap, dtype=float)
+        self._k_exps = np.arange(self.k_cap, dtype=float)
 
-    def t_powers(self, s) -> tuple:
-        """Normalized power matrices ((m_cap, n), (k_cap, n)) for times s."""
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        rx = self._sign_a * (s / self.t_ref) ** self.params.beta
-        rz = self._sign_d * (s / self.t_ref) ** self.params.alpha
-        return _power_rows(rx, self.m_cap), _power_rows(rz, self.k_cap)
+    def lag_table(self, u) -> tuple:
+        """Power tables of a unit lag rule u >= 0: ((m_cap, n), (k_cap, n)).
+
+        Rows m of the first are (u^beta)^m, rows k of the second
+        (u^alpha)^k.  ``lag_cvec`` scales them to the lags t u of any
+        time t, so a rule that every time row reuses is tabulated once.
+        """
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        return (_power_rows(u ** self.params.beta, self.m_cap),
+                _power_rows(u ** self.params.alpha, self.k_cap))
+
+    def lag_cvec(self, table, t: float, shifted: bool) -> np.ndarray:
+        """Coefficient matrix c(m; t u_n) from the ``lag_table`` of u.
+
+        X = a (t u)^beta factors as [sign(a) (t/t_ref)^beta] times the
+        u^beta of the table, and Z likewise, so the time enters only
+        through two short power vectors xs (m_cap) and zs (k_cap):
+        c = ((kt * xs zs^T) @ Zu) * Xu.  No pow runs over the nodes.
+        """
+        xu, zu = table
+        r = t / self.t_ref
+        xs = (self._sign_a * r ** self.params.beta) ** self._m_exps
+        zs = (self._sign_d * r ** self.params.alpha) ** self._k_exps
+        kt = self.kt["shifted" if shifted else "base"]
+        return ((kt * np.multiply.outer(xs, zs)) @ zu) * xu
 
     def cvec(self, s, shifted: bool) -> np.ndarray:
         """Coefficient matrix c(m; s_n), shape (m_cap, n).
 
         ``shifted`` selects the d3 = beta+1 family (E2, V1, V2); the
         other family (d3 = beta) feeds the time-convolution variants.
+        The times are their own lag rule at t = t_ref.
         """
-        xn, zn = self.t_powers(s)
-        return (self.kt["shifted" if shifted else "base"] @ zn) * xn
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        return self.lag_cvec(self.lag_table(s / self.t_ref), self.t_ref,
+                             shifted)
 
     def ypowers(self, dx_values) -> np.ndarray:
         """Normalized power matrix (n, j_cap) for displacements dx >= 0.
@@ -302,36 +346,50 @@ def _as_trace(tau, x_max: float, quad: QuadPolicy) -> TraceSolution:
     return TraceSolution(x_grid=grid, tau=_call_on(tau, grid))
 
 
+# (x node, trace cell) pairs per block of ``_trace_moments``: keeps each
+# temporary near 0.3 MB at j_cap = 32, whatever the grid sizes
+_PAIR_CHUNK = 512
+
+
 def _trace_moments(trace: TraceSolution, x_nodes: np.ndarray,
                    j_cap: int, x_ref: float, sign_b: float) -> np.ndarray:
-    """mom[i, j] = int_0^{x_i} tau(xi) * (sign_b (x_i - xi)/x_ref)^j dxi."""
-    jj = np.arange(j_cap, dtype=float)
-    sgn = sign_b ** jj
-    mom = np.zeros((x_nodes.size, j_cap))
+    """mom[i, j] = int_0^{x_i} tau(xi) * (sign_b (x_i - xi)/x_ref)^j dxi.
+
+    tau is linear on each trace cell, so every (node, cell) pair adds
+    closed-form moments of w = (x_i - xi)/x_ref between the cell ends.
+    The pairs run in blocks of ``_PAIR_CHUNK``, the powers of both ends
+    of a block from one ``_power_rows`` table.
+    """
     gx, gv = trace.x_grid, trace.tau
-    for i, xi in enumerate(x_nodes):
-        if xi <= 0.0:
-            continue
-        xi = min(xi, float(gx[-1]))
-        hi_idx = min(int(np.searchsorted(gx, xi, side="left")), gx.size - 1)
-        lo = gx[:hi_idx]
-        hi = np.minimum(gx[1:hi_idx + 1], xi)
-        keep = hi > lo
-        lo, hi = lo[keep], hi[keep]
-        if lo.size == 0:
-            continue
-        v_lo = gv[:hi_idx][keep]
-        slope = np.zeros_like(lo)
-        widths = gx[1:hi_idx + 1][keep] - lo
-        nz = widths > 0
-        slope[nz] = (gv[1:hi_idx + 1][keep][nz] - v_lo[nz]) / widths[nz]
-        wl = (xi - lo) / x_ref
-        wh = (xi - hi) / x_ref
-        m0 = (wl[:, None] ** (jj + 1.0) - wh[:, None] ** (jj + 1.0)) / (jj + 1.0)
-        m1 = (wl[:, None] ** (jj + 2.0) - wh[:, None] ** (jj + 2.0)) / (jj + 2.0)
-        coef0 = v_lo + slope * x_ref * wl
-        cells = coef0[:, None] * m0 - (slope * x_ref)[:, None] * m1
-        mom[i] = x_ref * (cells.sum(axis=0) * sgn)
+    mom = np.zeros((x_nodes.size, j_cap))
+    ends = np.minimum(x_nodes, gx[-1])
+    # node i meets the cells c < counts[i]; those of one node are
+    # consecutive pairs
+    counts = np.where(x_nodes > 0.0, np.minimum(
+        np.searchsorted(gx, ends, side="left"), gx.size - 1), 0)
+    stops = np.cumsum(counts)
+    total = int(stops[-1])
+    slope = np.diff(gv) / np.diff(gx) * x_ref
+    jj = np.arange(j_cap, dtype=float)
+    for start in range(0, total, _PAIR_CHUNK):
+        pair = np.arange(start, min(start + _PAIR_CHUNK, total))
+        node = np.searchsorted(stops, pair, side="right")
+        cell = pair - (stops - counts)[node]
+        x = ends[node]
+        wl = (x - gx[cell]) / x_ref
+        wh = (x - np.minimum(gx[cell + 1], x)) / x_ref
+        n = pair.size
+        both = _power_rows(np.concatenate((wl, wh)), j_cap + 2)
+        # w^p between the cell ends, in place of the powers at the near end
+        pw = both[:, :n]
+        pw -= both[:, n:]
+        sl = slope[cell]
+        runs = np.flatnonzero(np.diff(node, prepend=-1))
+        m0 = np.add.reduceat(pw[1:-1] * (gv[cell] + sl * wl), runs, axis=1)
+        m1 = np.add.reduceat(pw[2:] * sl, runs, axis=1)
+        mom[node[runs]] += (m0 / (jj + 1.0)[:, None]
+                            - m1 / (jj + 2.0)[:, None]).T
+    mom *= x_ref * sign_b ** jj
     return mom
 
 
@@ -359,27 +417,27 @@ def _gauss_jacobi(n: int, beta: float) -> tuple:
 
 
 def _xi_moments(mesh: np.ndarray, x_nodes: np.ndarray, eps2: float,
-                j_cap: int, x_ref: float, sign_b: float) -> tuple:
-    """Packed blocks Q_i[k, j] = int_0^{x_i} xi^-eps2 hat_k(xi) y_i(xi)^j dxi.
+                j_cap: int, x_ref: float, sign_b: float) -> np.ndarray:
+    """Moments Q[i, k, j] = int_0^{x_i} xi^-eps2 hat_k(xi) y_i(xi)^j dxi.
 
     hat_k is the piecewise-linear hat function of mesh node k and
-    y_i(xi) = sign_b (x_i - xi) / x_ref.  Block i has one row per hat
-    that meets [0, x_i], so it stops at the cell that holds x_i.  Per
-    cell the integrand is xi^-eps2 times a polynomial of degree j_cap:
-    Gauss-Jacobi with weight xi^-eps2 on the cell at 0 and
-    Gauss-Legendre on the others, both with j_cap // 2 + 2 points, are
-    exact for the polynomial factor.
+    y_i(xi) = sign_b (x_i - xi) / x_ref.  Row i is zero past the hat of
+    the cell that holds x_i.  Per cell the integrand is xi^-eps2 times a
+    polynomial of degree j_cap: Gauss-Jacobi with weight xi^-eps2 on the
+    cell at 0 and Gauss-Legendre on the others, both with
+    j_cap // 2 + 2 points, are exact for the polynomial factor.
 
-    Returns (q, rows, starts): block i is q[starts[i]:starts[i+1]] and
-    rows[r] is the hat index k of packed row r.
+    Returns Q flattened to (x_nodes.size, mesh.size * j_cap), so a
+    (mesh, j_cap) matrix A contracts as Q @ A.ravel().  The zeros past
+    each x_i double the memory of a packed layout, but spare every
+    contraction a gather of that same size.
     """
     n_gauss = j_cap // 2 + 2
     u_leg, w_leg = _gauss_jacobi(n_gauss, 0.0)
     u_jac, w_jac = _gauss_jacobi(n_gauss, -eps2)
-    blocks = []
-    for x in x_nodes:
+    q = np.zeros((x_nodes.size, mesh.size, j_cap))
+    for block, x in zip(q, x_nodes):
         hi = min(int(np.searchsorted(mesh, x, side="left")), mesh.size - 1)
-        block = np.zeros((hi + 1, j_cap))
         if hi > 0:
             lo, top = mesh[:hi], mesh[1:hi + 1]
             half = 0.5 * (np.minimum(top, x) - lo)
@@ -395,13 +453,9 @@ def _xi_moments(mesh: np.ndarray, x_nodes: np.ndarray, eps2: float,
             ypow = _power_rows((sign_b * (x - xi) / x_ref).ravel(), j_cap)
             # (hi, 2, gauss) @ (hi, gauss, j) -> left/right hat rows per cell
             m = hats @ ypow.T.reshape(hi, n_gauss, j_cap)
-            block[:-1] = m[:, 0]
-            block[1:] += m[:, 1]
-        blocks.append(block)
-    sizes = np.array([b.shape[0] for b in blocks])
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    rows = np.concatenate([np.arange(n) for n in sizes])
-    return np.concatenate(blocks), rows, starts
+            block[:hi] = m[:, 0]
+            block[1:hi + 1] += m[:, 1]
+    return q.reshape(x_nodes.size, -1)
 
 
 class ForcingTerm:
@@ -425,9 +479,9 @@ class ForcingTerm:
     weight xi^{-eps2} on the first cell integrates the singular weight
     exactly, for every eps2 in [0, 1), and Gauss-Legendre takes the
     cells where xi^{-eps2} is smooth, exactly when eps2 = 0.  A row then
-    costs one coefficient matrix for the eta nodes of both halves, one
-    call of f on the (eta x mesh) array, and one contraction with the
-    moments.
+    costs one coefficient matrix for the eta nodes of both halves (from
+    the lag table of the unit eta rule), one call of f on the
+    (eta x mesh) array, and one matrix-vector product with the moments.
     """
 
     def __init__(self, engine: TeleEngine, f, eps1: float, eps2: float,
@@ -442,19 +496,32 @@ class ForcingTerm:
             self.mesh = x
         else:
             self.mesh = _uniform_mesh(float(x.max()), quad)
-        self.q, self.q_rows, self.q_starts = _xi_moments(
+        self.q = _xi_moments(
             self.mesh, x, self.eps2, engine.j_cap, engine.x_ref,
             engine._sign_b)
         self._broadcasts = True
 
     def _set_rules(self, quad: QuadPolicy) -> None:
-        beta = self.engine.params.beta
+        """The eta rules of ``quad`` on the unit interval, with their lag
+        table.
+
+        At time t the eta nodes are t * unit_etas and the lags t - eta
+        are t * lags: t (1 - ln/2) on the left half, t rn/2 on the right.
+        Both halves carry the weight factor t^(beta - eps1) times
+        ``unit_coef``.
+        """
+        beta, eps1 = self.engine.params.beta, self.eps1
         mesh = graded_mesh(1.0, max(quad.n_points // 2, 8),
                            max(quad.grading, 1.0 / beta))
-        left = build_rule(-self.eps1, mesh)
+        left = build_rule(-eps1, mesh)
         right = build_rule(beta - 1.0, mesh)
-        self.left = (left.nodes, left.weights)
-        self.right = (right.nodes, right.weights)
+        ln, rn = 0.5 * left.nodes, 0.5 * right.nodes
+        self.unit_etas = np.concatenate((ln, 1.0 - rn))
+        lags = np.concatenate((1.0 - ln, rn))
+        self.unit_coef = np.concatenate((
+            0.5 ** (1.0 - eps1) * left.weights * (1.0 - ln) ** (beta - 1.0),
+            0.5 ** beta * right.weights * (1.0 - rn) ** (-eps1)))
+        self.lag_table = self.engine.lag_table(lags)
 
     def with_rules(self, quad: QuadPolicy) -> "ForcingTerm":
         """The same term with the eta rules of ``quad``.
@@ -475,7 +542,9 @@ class ForcingTerm:
         back to scalar calls).
         """
         if self._broadcasts:
-            tt, xx = np.meshgrid(etas, self.mesh, indexing="ij")
+            shape = (etas.size, self.mesh.size)
+            tt = np.broadcast_to(etas[:, None], shape)
+            xx = np.broadcast_to(self.mesh, shape)
             try:
                 out = np.asarray(self.f(tt, xx), dtype=float)
                 if out.shape == tt.shape:
@@ -489,19 +558,11 @@ class ForcingTerm:
     def row(self, t: float) -> np.ndarray:
         if t <= 0.0:
             return np.zeros_like(self.x_nodes)
-        half = 0.5 * t
-        beta, eps1 = self.engine.params.beta, self.eps1
-        (ln, lw), (rn, rw) = self.left, self.right
-        left, right = half * ln, t - half * rn
-        etas = np.concatenate((left, right))
-        coef = np.concatenate((
-            half ** (1.0 - eps1) * lw * (t - left) ** (beta - 1.0),
-            half ** beta * rw * right ** (-eps1)))
-        c = self.engine.cvec(t - etas, shifted=False)
-        bmat = self.engine.jw["V4"].T @ c
-        amat = (self._sample(etas) * coef[:, None]).T @ bmat.T
-        cells = np.einsum("rj,rj->r", self.q, amat[self.q_rows])
-        return np.add.reduceat(cells, self.q_starts)
+        c = self.engine.lag_cvec(self.lag_table, t, shifted=False)
+        bmat = (self.engine.jw["V4"].T @ c).T * self.unit_coef[:, None]
+        amat = self._sample(t * self.unit_etas).T @ bmat
+        return (t ** (self.engine.params.beta - self.eps1)
+                * (self.q @ amat.ravel()))
 
 
 def _forcing_term(engine: TeleEngine, f, eps1: float, eps2: float,
@@ -542,40 +603,44 @@ class _GridEvaluator:
         mesh = graded_mesh(1.0, quad.n_points, max(quad.grading, 1.0 / beta))
         rule = build_rule(beta - 1.0, mesh)
         self.conv_nodes, self.conv_weights = rule.nodes, rule.weights
-
-    def row(self, t: float) -> np.ndarray:
-        if t == 0.0:
-            return self.tau_x.copy()
-        eng, co = self.engine, self.coeffs
-        a, b = co.a, co.b
-        tbeta = t ** self.params.beta
-        phi_t = float(self.phi(t))
-        u = self.tau_x + (phi_t - self.phi0) * self.ebx
-        c1 = eng.cvec(t, shifted=True)[:, 0]
-        gamma_e2 = float(c1.sum())
-        u = u + a * tbeta * gamma_e2 * self.tau_x
-        u = u - a * self.phi0 * tbeta * (self.ypx @ (eng.jw["V1"].T @ c1))
-        u = u + a * b * tbeta * (self.mom @ (eng.jw["V2"].T @ c1))
-        u = u + a * b * self.x_nodes * self._phi_convolution(t)
-        if self.forcing is not None:
-            u = u + self.forcing.row(t)
-        return u
+        self.conv_table = eng.lag_table(self.conv_nodes)
 
     def _phi_convolution(self, t: float) -> np.ndarray:
         """t^beta-weighted integral of phi against the V3 instance.
 
-        The x-dependence factors through the y-power block, so the
-        time rule collapses into one coefficient vector first.
+        The lags t - eta are t times the fixed conv nodes, so the kernel
+        comes from the lag table; the x-dependence factors through the
+        y-power block, so the time rule collapses into one coefficient
+        vector first.
         """
-        s = t * self.conv_nodes
-        g = _call_on(self.phi, t - s) * self.conv_weights
-        c = self.engine.cvec(s, shifted=False) @ g
+        g = _call_on(self.phi, t - t * self.conv_nodes) * self.conv_weights
+        c = self.engine.lag_cvec(self.conv_table, t, shifted=False) @ g
         return t ** self.params.beta * (self.ypx @ (self.engine.jw["V3"].T @ c))
 
     def evaluate(self) -> np.ndarray:
-        u = np.empty((self.t_nodes.size, self.x_nodes.size))
-        for i, t in enumerate(self.t_nodes):
-            u[i] = self.row(float(t))
+        """u on the grid, one row per t node.
+
+        The terms that sample no data under an integral (phi(t), E2, the
+        V1 and V2 instances) come from one coefficient matrix of all t
+        nodes; the phi convolution and the forcing are added per row.
+        """
+        eng, a, b = self.engine, self.coeffs.a, self.coeffs.b
+        t = self.t_nodes
+        c1 = eng.cvec(t, shifted=True)
+        at_beta = a * t ** self.params.beta
+        u = (self.tau_x + np.multiply.outer(_call_on(self.phi, t) - self.phi0,
+                                            self.ebx))
+        u += np.multiply.outer(at_beta * c1.sum(axis=0), self.tau_x)
+        u -= ((self.phi0 * at_beta)[:, None]
+              * (self.ypx @ (eng.jw["V1"].T @ c1)).T)
+        u += (b * at_beta)[:, None] * (self.mom @ (eng.jw["V2"].T @ c1)).T
+        for i, ti in enumerate(t.tolist()):
+            if ti == 0.0:
+                u[i] = self.tau_x
+                continue
+            u[i] += a * b * self.x_nodes * self._phi_convolution(ti)
+            if self.forcing is not None:
+                u[i] += self.forcing.row(ti)
         return u
 
 

@@ -94,15 +94,22 @@ class VolterraSystem:
 
 
 def _trapezoid_weights(x_grid: np.ndarray) -> np.ndarray:
-    """Lower-triangular trapezoid weights: row i integrates over [0, x_i]."""
+    """Lower-triangular trapezoid weights: row i integrates over [0, x_i].
+
+    Row i holds h_0/2 at node 0, (h_{k-1} + h_k)/2 at the inner nodes
+    0 < k < i and h_{i-1}/2 on the diagonal, with h = diff(x_grid).
+    """
     n = x_grid.size
-    w = np.zeros((n, n))
-    for i in range(1, n):
-        cells = np.diff(x_grid[: i + 1])
-        w[i, 0] = 0.5 * cells[0]
-        w[i, i] = 0.5 * cells[-1]
-        if i > 1:
-            w[i, 1:i] = 0.5 * (cells[:-1] + cells[1:])
+    if n < 2:
+        return np.zeros((n, n))
+    h = np.diff(x_grid)
+    col = np.empty(n)
+    col[0] = 0.5 * h[0]
+    col[1:-1] = 0.5 * (h[:-1] + h[1:])
+    col[-1] = 0.0
+    w = np.tril(np.broadcast_to(col, (n, n)), -1)
+    idx = np.arange(1, n)
+    w[idx, idx] = 0.5 * h
     return w
 
 
@@ -213,19 +220,20 @@ def _g_values(engine: TeleEngine, rules: _TRules, M, phi, psi, forcing,
     # (q-eta)^beta from the inner s = t - eta integral becomes the
     # product weight v^beta of the outer rule; the x-dependence of the
     # V3 instance factors through its y-power block, so the whole
-    # double sum collapses into one coefficient vector
+    # double sum collapses into one coefficient vector.  The inner lags
+    # are v times the unit inner nodes: one lag table serves every v.
     beta = engine.params.beta
     grading = max(quad.grading, 1.0 / beta)
     outer = build_rule(beta, graded_mesh(q, quad.n_points, grading))
     inner = build_rule(beta - 1.0, graded_mesh(1.0, quad.n_points, grading))
+    table = engine.lag_table(inner.nodes)
     cacc = np.zeros(engine.m_cap)
     for v, w_v in zip(outer.nodes, outer.weights):
         if v <= 0.0 or w_v == 0.0:
             continue
         eta = q - v
-        s = v * inner.nodes
-        mv = _call_on(M, eta + s)
-        cacc += engine.cvec(s, shifted=False) @ (
+        mv = _call_on(M, eta + v * inner.nodes)
+        cacc += engine.lag_cvec(table, v, shifted=False) @ (
             (w_v * float(phi(eta))) * inner.weights * mv)
     j3 = engine.ypowers(x_arr) @ (engine.jw["V3"].T @ cacc)
     out += co.a * co.b * x_arr * j3

@@ -7,6 +7,9 @@ import pytest
 from scipy.integrate import quad as adaptive
 from scipy.special import gammaln
 
+import prabtel.goursat as goursat
+import prabtel.volterra as volterra
+from prabtel.acceptance import _smooth_problem
 from prabtel.errors import (
     ArgumentOutOfRange,
     DomainError,
@@ -23,6 +26,8 @@ from prabtel.goursat import (
     TelegraphCoeffs,
     TraceSolution,
     _gauss_jacobi,
+    _power_rows,
+    _trace_moments,
     _variant_shifts,
     goursat_eval,
     goursat_grid,
@@ -30,6 +35,7 @@ from prabtel.goursat import (
     ml3_tele_variant,
 )
 from prabtel.oracle import classical_telegraph_fd
+from prabtel.problem import solve
 from prabtel.specfun import SeriesPolicy, discriminants3, ml2, ml3
 
 
@@ -381,3 +387,128 @@ class TestForcingTerm:
         got = goursat_grid(PARAMS, COEFFS, zeros, zeros, scalar, *grids, **kw)
         want = goursat_grid(PARAMS, COEFFS, zeros, zeros, twin, *grids, **kw)
         assert np.abs(got - want).max() <= 1e-13
+
+
+def _cvec_by_pow(eng, s, shifted):
+    """c(m; s) with float pows per node: ((kt @ Z^k) * X^m) for
+    X = sign(a) (s/t_ref)^beta and Z = sign(delta) (s/t_ref)^alpha."""
+    r = np.asarray(s, dtype=float) / eng.t_ref
+    x = np.sign(eng.coeffs.a) * r ** eng.params.beta
+    z = np.sign(eng.params.delta) * r ** eng.params.alpha
+    xn = x[None, :] ** np.arange(eng.m_cap)[:, None]
+    zn = z[None, :] ** np.arange(eng.k_cap)[:, None]
+    return (eng.kt["shifted" if shifted else "base"] @ zn) * xn
+
+
+def _trace_moments_per_node(trace, x_nodes, j_cap, x_ref, sign_b):
+    """One x-node at a time, float pows per cell end."""
+    jj = np.arange(j_cap, dtype=float)
+    sgn = sign_b ** jj
+    mom = np.zeros((x_nodes.size, j_cap))
+    gx, gv = trace.x_grid, trace.tau
+    for i, xi in enumerate(x_nodes):
+        if xi <= 0.0:
+            continue
+        xi = min(xi, float(gx[-1]))
+        hi_idx = min(int(np.searchsorted(gx, xi, side="left")), gx.size - 1)
+        lo = gx[:hi_idx]
+        hi = np.minimum(gx[1:hi_idx + 1], xi)
+        keep = hi > lo
+        lo, hi = lo[keep], hi[keep]
+        if lo.size == 0:
+            continue
+        v_lo = gv[:hi_idx][keep]
+        slope = np.zeros_like(lo)
+        widths = gx[1:hi_idx + 1][keep] - lo
+        nz = widths > 0
+        slope[nz] = (gv[1:hi_idx + 1][keep][nz] - v_lo[nz]) / widths[nz]
+        wl = (xi - lo) / x_ref
+        wh = (xi - hi) / x_ref
+        m0 = (wl[:, None] ** (jj + 1.0) - wh[:, None] ** (jj + 1.0)) / (jj + 1.0)
+        m1 = (wl[:, None] ** (jj + 2.0) - wh[:, None] ** (jj + 2.0)) / (jj + 2.0)
+        coef0 = v_lo + slope * x_ref * wl
+        cells = coef0[:, None] * m0 - (slope * x_ref)[:, None] * m1
+        mom[i] = x_ref * (cells.sum(axis=0) * sgn)
+    return mom
+
+
+class TestLagTables:
+    @pytest.mark.parametrize("count", [1, 2, 3, 32, 33])
+    def test_power_rows_match_float_pow(self, count):
+        r = np.array([-1.0, -0.93, -0.5, 0.0, 0.25, 0.8, 1.0])
+        got = _power_rows(r, count)
+        want = r[None, :] ** np.arange(count)[:, None]
+        assert got.shape == (count, r.size)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-300)
+
+    @pytest.mark.parametrize("a, delta", [(-1.0, -0.5), (0.7, -0.5),
+                                          (-1.0, 0.8)])
+    @pytest.mark.parametrize("shifted", [True, False])
+    def test_lag_table_matches_direct_coefficients(self, a, delta, shifted):
+        eng = TeleEngine(PrabhakarParams(1.0, 0.5, 0.5, delta),
+                         TelegraphCoeffs(a, -0.5), 1.3, 1.0)
+        u = np.concatenate(([0.0], np.linspace(0.0, 1.0, 41) ** 2, [1.0]))
+        table = eng.lag_table(u)
+        for t in (0.0, 0.01, 0.4, 1.3):
+            want = _cvec_by_pow(eng, t * u, shifted)
+            tol = 1e-14 * np.abs(want).max()
+            assert np.abs(eng.lag_cvec(table, t, shifted) - want).max() <= tol
+            assert np.abs(eng.cvec(t * u, shifted) - want).max() <= tol
+
+    def _moment_cases(self):
+        uniform = np.linspace(0.0, 1.0, 65)
+        long = np.linspace(0.0, 1.0, 257)
+        graded = np.linspace(0.0, 1.0, 97) ** 2
+        smooth = lambda x: np.exp(-x) + np.sin(5.0 * x)
+        return (
+            # solve: the trace grid is the x-grid
+            (TraceSolution(uniform, smooth(uniform)), uniform),
+            # goursat_eval: linspace(0, x, n) inside a longer trace grid
+            (TraceSolution(long, smooth(long)), np.linspace(0.0, 0.6, 65)),
+            (TraceSolution(graded, smooth(graded)), np.linspace(0.0, 1.0, 41)),
+            (TraceSolution(uniform, smooth(uniform)), np.array([0.0])),
+        )
+
+    @pytest.mark.parametrize("case", range(4))
+    @pytest.mark.parametrize("sign_b", [-1.0, 1.0])
+    def test_trace_moments_match_per_node_loop(self, case, sign_b):
+        trace, x_nodes = self._moment_cases()[case]
+        want = _trace_moments_per_node(trace, x_nodes, 32, 1.0, sign_b)
+        got = _trace_moments(trace, x_nodes, 32, 1.0, sign_b)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
+
+    @pytest.fixture
+    def power_row_calls(self, monkeypatch):
+        calls = []
+        original = goursat._power_rows
+
+        def counted(r, count):
+            calls.append(count)
+            return original(r, count)
+
+        monkeypatch.setattr(goursat, "_power_rows", counted)
+        return calls
+
+    def test_time_rows_build_no_power_tables(self, power_row_calls):
+        # grid rows, phi convolution and forcing rows all scale lag tables
+        # built once per rule, so the count does not grow with n_t
+        prob = _smooth_problem(forcing=True)
+        counts = []
+        for n_t in (16, 32):
+            power_row_calls.clear()
+            solve(prob, n_t=n_t, n_x=16, quad=QuadPolicy(n_points=64))
+            counts.append(len(power_row_calls))
+        assert counts[0] == counts[1]
+
+    def test_v3_loop_builds_no_power_tables_per_outer_node(
+            self, power_row_calls):
+        prob = _smooth_problem(forcing=False)
+        counts = []
+        for n in (32, 64):
+            power_row_calls.clear()
+            volterra.rhs_g(prob.params, prob.coeffs, prob.M, prob.phi,
+                           prob.psi, None, 0.5, prob.domain,
+                           quad=QuadPolicy(n_points=n))
+            counts.append(len(power_row_calls))
+        assert counts[0] == counts[1]

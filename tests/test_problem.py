@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -335,6 +336,23 @@ class TestSharedSetup:
         monkeypatch.setattr(goursat, "_xi_moments", counted_xi)
         solve(smooth_problem(), n_t=16, n_x=16, quad=QUICK)
         assert counts == {"engine": 1, "xi": 1}
+
+    @pytest.mark.parametrize("forcing, n, points", [(False, 128, 512),
+                                                    (True, 64, 256)])
+    def test_solve_and_verify_peak_memory(self, forcing, n, points):
+        # the top rungs of the benchmark ladders peak near 1.0 and 1.9 MiB;
+        # a batching change that would move their peak RSS by 10% (about
+        # 4 MB) fails here first
+        prob = smooth_problem(forcing=forcing)
+        quad = QuadPolicy(n_points=points)
+        verify(prob, solve(prob, n_t=n, n_x=n, quad=quad))
+        tracemalloc.start()
+        try:
+            verify(prob, solve(prob, n_t=n, n_x=n, quad=quad))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2 ** 20
 
     def test_cold_solve_loads_neither_scipy_nor_mpmath(self, tmp_path):
         # the solver needs numpy only: scipy serves the tests, mpmath the

@@ -18,6 +18,7 @@ from prabtel.oracle import adaptive_quad
 from prabtel.specfun import SeriesPolicy, ml3
 from prabtel.volterra import (
     VolterraSystem,
+    _trapezoid_weights,
     assemble_system,
     compute_A,
     kernel_M1,
@@ -110,6 +111,18 @@ class TestSolvers:
     def test_picard_iteration_cap(self):
         with pytest.raises(MaxIterExceeded):
             picard_solve(manufactured_system(32), max_iter=2, tol=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 129])
+    def test_trapezoid_weights_match_row_loop(self, n):
+        x = np.sort(np.random.default_rng(7).random(n)) ** 2
+        want = np.zeros((n, n))
+        for i in range(1, n):
+            cells = np.diff(x[: i + 1])
+            want[i, 0] = 0.5 * cells[0]
+            want[i, i] = 0.5 * cells[-1]
+            if i > 1:
+                want[i, 1:i] = 0.5 * (cells[:-1] + cells[1:])
+        assert np.array_equal(_trapezoid_weights(x), want)
 
 
 class TestComputeA:
