@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, InvalidParams, NonConvergence, QuadratureFailure
 from .quadrature import _call_on, graded_mesh
@@ -246,10 +247,10 @@ def _fractional_rows(params: PrabhakarParams, t_grid: np.ndarray,
     n = t_grid.size - 1
     if np.allclose(h, h[0], rtol=1e-12, atol=0.0):
         # uniform grid: the lag cells of every row are the leading grid
-        # cells, so one weight vector serves all rows
+        # cells, so rows 1..n are one lower-triangular Toeplitz product
         w_all = _slope_weights(params, t_grid - t_grid[0], series)
-        for k in range(1, n + 1):
-            out[k, :] = w_all[:k][::-1] @ slopes[:k, :]
+        padded = np.concatenate((w_all[::-1], np.zeros(n - 1)))
+        out[1:] = sliding_window_view(padded, n)[::-1] @ slopes
     else:
         for k in range(1, n + 1):
             edges = (t_grid[k] - t_grid[k::-1])

@@ -29,8 +29,9 @@ one.  The terms without a time integral take one coefficient matrix
 for all time rows at once.  Each time convolution (phi, forcing, and
 the V3 double integral of the trace equation) samples its kernel at
 lags t u for a unit rule u fixed per solve, so the power tables of u are
-built once (``TeleEngine.lag_table``) and a time row only scales them
-by two short power vectors of t.
+built once (``TeleEngine.lag_table``); the phi and V3 convolutions
+contract the data of a block of time rows with those tables in one
+matrix product (``TeleEngine.lag_conv``).
 
 Accuracy envelope: the tensors are exponentiated log-gamma ratios in
 float64 (``math.lgamma`` tables, see ``TeleEngine``).  For X = a t^beta < 0
@@ -69,6 +70,10 @@ from .specfun import (
 )
 
 _VARIANTS = ("V1", "V2", "V3", "V4")
+
+# floats (128 KB) per temporary of a batched time convolution: the data
+# block a caller samples and the product block of ``TeleEngine.lag_conv``
+_CONV_CHUNK = 16384
 
 # trace/boundary data must agree at the corner for the representation to
 # interpolate both; checked against this tolerance
@@ -212,7 +217,8 @@ class TeleEngine:
     then gives c(m; t u) = ((kt * xs zs^T) @ Zu) * Xu, where xs and zs
     are the m_cap and k_cap powers of the scalars sign(a) (t/t_ref)^beta
     and sign(delta) (t/t_ref)^alpha.  ``cvec(s)`` is the same path with
-    u = s/t_ref at t = t_ref.
+    u = s/t_ref at t = t_ref.  ``lag_conv`` applies the kernels of many
+    times to their data rows at once, with one matrix product per block.
 
     These are the K and J tensors of ``specfun.ml3`` for the
     ``ml3_tele_variant`` packings at the magnitudes (Xs, Ys, Zs), from
@@ -285,6 +291,25 @@ class TeleEngine:
         zs = (self._sign_d * r ** self.params.alpha) ** self._k_exps
         kt = self.kt["shifted" if shifted else "base"]
         return ((kt * np.multiply.outer(xs, zs)) @ zu) * xu
+
+    def lag_conv(self, table, times, g, shifted: bool) -> np.ndarray:
+        """Rows ``lag_cvec(table, times[i], shifted) @ g[i]``, shape
+        (times.size, m_cap): the moments P[i, m, k] = sum_n g[i, n] Xu[m, n]
+        Zu[k, n] of a block of rows are one matrix product with Zu, then
+        c[i, m] = xs_i[m] sum_k kt[m, k] zs_i[k] P[i, m, k]."""
+        xu, zu_t = table[0], np.ascontiguousarray(table[1].T)
+        r = times / self.t_ref
+        xs = _power_rows(self._sign_a * r ** self.params.beta, self.m_cap)
+        zs = _power_rows(self._sign_d * r ** self.params.alpha, self.k_cap)
+        kt = self.kt["shifted" if shifted else "base"]
+        out = np.empty((times.size, self.m_cap))
+        step = max(1, _CONV_CHUNK // xu.size)
+        for lo in range(0, times.size, step):
+            rows = slice(lo, lo + step)
+            mom = (g[rows, None, :] * xu) @ zu_t
+            out[rows] = np.einsum("imk,mk,ki->im", mom, kt, zs[:, rows])
+        out *= xs.T
+        return out
 
     def cvec(self, s, shifted: bool) -> np.ndarray:
         """Coefficient matrix c(m; s_n), shape (m_cap, n).
@@ -481,7 +506,8 @@ class ForcingTerm:
     cells where xi^{-eps2} is smooth, exactly when eps2 = 0.  A row then
     costs one coefficient matrix for the eta nodes of both halves (from
     the lag table of the unit eta rule), one call of f on the
-    (eta x mesh) array, and one matrix-vector product with the moments.
+    (eta x mesh) array, and one matrix-vector product with the moments;
+    ``integral`` sums many rows' moment weights before that product.
     """
 
     def __init__(self, engine: TeleEngine, f, eps1: float, eps2: float,
@@ -556,13 +582,19 @@ class ForcingTerm:
                          for eta in etas])
 
     def row(self, t: float) -> np.ndarray:
-        if t <= 0.0:
-            return np.zeros_like(self.x_nodes)
-        c = self.engine.lag_cvec(self.lag_table, t, shifted=False)
-        bmat = (self.engine.jw["V4"].T @ c).T * self.unit_coef[:, None]
-        amat = self._sample(t * self.unit_etas).T @ bmat
-        return (t ** (self.engine.params.beta - self.eps1)
-                * (self.q @ amat.ravel()))
+        return self.integral((t,), (1.0,))
+
+    def integral(self, times, weights) -> np.ndarray:
+        """sum_i weights[i] T(times[i], .), reading the xi-moments once."""
+        eng = self.engine
+        acc = np.zeros((self.mesh.size, eng.j_cap))
+        for t, w in zip(times, weights):
+            if t > 0.0 and w != 0.0:
+                c = eng.lag_cvec(self.lag_table, t, shifted=False)
+                bmat = (eng.jw["V4"].T @ c).T * self.unit_coef[:, None]
+                amat = self._sample(t * self.unit_etas).T @ bmat
+                acc += (w * t ** (eng.params.beta - self.eps1)) * amat
+        return self.q @ acc.ravel()
 
 
 def _forcing_term(engine: TeleEngine, f, eps1: float, eps2: float,
@@ -605,28 +637,26 @@ class _GridEvaluator:
         self.conv_nodes, self.conv_weights = rule.nodes, rule.weights
         self.conv_table = eng.lag_table(self.conv_nodes)
 
-    def _phi_convolution(self, t: float) -> np.ndarray:
-        """t^beta-weighted integral of phi against the V3 instance.
-
-        The lags t - eta are t times the fixed conv nodes, so the kernel
-        comes from the lag table; the x-dependence factors through the
-        y-power block, so the time rule collapses into one coefficient
-        vector first.
-        """
-        g = _call_on(self.phi, t - t * self.conv_nodes) * self.conv_weights
-        c = self.engine.lag_cvec(self.conv_table, t, shifted=False) @ g
-        return t ** self.params.beta * (self.ypx @ (self.engine.jw["V3"].T @ c))
-
     def evaluate(self) -> np.ndarray:
         """u on the grid, one row per t node.
 
         The terms that sample no data under an integral (phi(t), E2, the
         V1 and V2 instances) come from one coefficient matrix of all t
-        nodes; the phi convolution and the forcing are added per row.
+        nodes, the phi convolution from one ``lag_conv`` per block of rows
+        (row i convolves phi(t_i - t_i u) with the kernel at lags t_i u of
+        the conv rule); only the forcing is added per row.
         """
         eng, a, b = self.engine, self.coeffs.a, self.coeffs.b
-        t = self.t_nodes
+        t, nodes = self.t_nodes, self.conv_nodes
         c1 = eng.cvec(t, shifted=True)
+        c3 = np.empty((t.size, eng.m_cap))
+        step = max(1, _CONV_CHUNK // nodes.size)
+        for lo in range(0, t.size, step):
+            ts = t[lo:lo + step, None]
+            g = _call_on(self.phi, (ts - ts * nodes).ravel())
+            c3[lo:lo + step] = eng.lag_conv(
+                self.conv_table, ts[:, 0],
+                g.reshape(-1, nodes.size) * self.conv_weights, shifted=False)
         at_beta = a * t ** self.params.beta
         u = (self.tau_x + np.multiply.outer(_call_on(self.phi, t) - self.phi0,
                                             self.ebx))
@@ -634,13 +664,11 @@ class _GridEvaluator:
         u -= ((self.phi0 * at_beta)[:, None]
               * (self.ypx @ (eng.jw["V1"].T @ c1)).T)
         u += (b * at_beta)[:, None] * (self.mom @ (eng.jw["V2"].T @ c1)).T
-        for i, ti in enumerate(t.tolist()):
-            if ti == 0.0:
-                u[i] = self.tau_x
-                continue
-            u[i] += a * b * self.x_nodes * self._phi_convolution(ti)
-            if self.forcing is not None:
-                u[i] += self.forcing.row(ti)
+        u += ((a * b * t ** self.params.beta)[:, None]
+              * ((c3 @ eng.jw["V3"]) @ self.ypx.T) * self.x_nodes)
+        u[t == 0.0] = self.tau_x
+        if self.forcing is not None:
+            u += np.array([self.forcing.row(ti) for ti in t.tolist()])
         return u
 
 

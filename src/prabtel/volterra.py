@@ -44,6 +44,7 @@ from .errors import (
 )
 from .fracops import PrabhakarParams, QuadPolicy
 from .goursat import (
+    _CONV_CHUNK,
     Domain2D,
     TeleEngine,
     TelegraphCoeffs,
@@ -221,32 +222,32 @@ def _g_values(engine: TeleEngine, rules: _TRules, M, phi, psi, forcing,
     # product weight v^beta of the outer rule; the x-dependence of the
     # V3 instance factors through its y-power block, so the whole
     # double sum collapses into one coefficient vector.  The inner lags
-    # are v times the unit inner nodes: one lag table serves every v.
+    # are v times the unit inner nodes: one lag table serves every v,
+    # and M is sampled on a block of (v, inner node) pairs at a time.
     beta = engine.params.beta
     grading = max(quad.grading, 1.0 / beta)
     outer = build_rule(beta, graded_mesh(q, quad.n_points, grading))
     inner = build_rule(beta - 1.0, graded_mesh(1.0, quad.n_points, grading))
     table = engine.lag_table(inner.nodes)
+    keep = (outer.nodes > 0.0) & (outer.weights != 0.0)
+    vs, ws = outer.nodes[keep], outer.weights[keep]
     cacc = np.zeros(engine.m_cap)
-    for v, w_v in zip(outer.nodes, outer.weights):
-        if v <= 0.0 or w_v == 0.0:
-            continue
+    step = max(1, _CONV_CHUNK // inner.nodes.size)
+    for lo in range(0, vs.size, step):
+        v = vs[lo:lo + step, None]
         eta = q - v
-        mv = _call_on(M, eta + v * inner.nodes)
-        cacc += engine.lag_cvec(table, v, shifted=False) @ (
-            (w_v * float(phi(eta))) * inner.weights * mv)
+        mv = _call_on(M, (eta + v * inner.nodes).ravel()).reshape(v.size, -1)
+        wphi = ws[lo:lo + step, None] * _call_on(phi, eta[:, 0])[:, None]
+        cacc += engine.lag_conv(table, v[:, 0], wphi * inner.weights * mv,
+                                shifted=False).sum(axis=0)
     j3 = engine.ypowers(x_arr) @ (engine.jw["V3"].T @ cacc)
     out += co.a * co.b * x_arr * j3
 
     if forcing is not None:
         f_outer = build_rule(0.0, graded_mesh(
             q, max(quad.n_points // 2, 16), grading))
-        m_outer = _call_on(M, f_outer.nodes)
-        acc = np.zeros_like(x_arr)
-        for t, w, mt in zip(f_outer.nodes, f_outer.weights, m_outer):
-            if t > 0.0 and w != 0.0 and mt != 0.0:
-                acc += (w * mt) * forcing.row(float(t))
-        out += acc
+        out += forcing.integral(f_outer.nodes,
+                                f_outer.weights * _call_on(M, f_outer.nodes))
     return out
 
 

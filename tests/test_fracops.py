@@ -10,7 +10,9 @@ from prabtel.expr import ExprFunction
 from prabtel.fracops import (
     PrabhakarParams,
     QuadPolicy,
+    _fractional_rows,
     _integral_fixed_n,
+    _slope_weights,
     caputo_prabhakar_deriv,
     kernel_cell_moments,
     prabhakar_integral,
@@ -171,3 +173,31 @@ class TestCaputoPrabhakarDeriv:
         with pytest.raises(InvalidParams):
             caputo_prabhakar_deriv(PrabhakarParams(1.0, 1.5, 0.5, -1.0),
                                    ExprFunction("t"), 0.5)
+
+
+def _fractional_rows_by_row(params, t_grid, u, series):
+    """Uniform-grid derivative rows one at a time: row k dots the first k
+    slope weights, reversed, with the first k cell slopes."""
+    slopes = (u[1:, :] - u[:-1, :]) / np.diff(t_grid)[:, None]
+    w_all = _slope_weights(params, t_grid - t_grid[0], series)
+    out = np.zeros_like(u)
+    for k in range(1, t_grid.size):
+        out[k, :] = w_all[:k][::-1] @ slopes[:k, :]
+    return out
+
+
+class TestFractionalRows:
+    @pytest.mark.parametrize("n_t", [1, 2, 3, 64])
+    def test_uniform_toeplitz_matches_row_loop(self, n_t):
+        p = PrabhakarParams(1.0, 0.5, 0.5, -0.5)
+        t = np.linspace(0.0, 1.3, n_t + 1)
+        x = np.linspace(0.0, 1.0, 9)
+        rng = np.random.default_rng(7)
+        u = (np.sqrt(t)[:, None] * np.cos(3.0 * x) + np.exp(-t)[:, None]
+             + 1e-3 * rng.standard_normal((t.size, x.size)))
+        series = SeriesPolicy()
+        want = _fractional_rows_by_row(p, t, u, series)
+        got = _fractional_rows(p, t, u, series)
+        assert got.shape == want.shape
+        assert not got[0].any()
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()

@@ -353,6 +353,18 @@ class TestForcingTerm:
         # n_points at these two points (6.52e-5, at t = 0.5, x = 0.4)
         assert max(errs) <= 6.52e-5
 
+    def test_integral_matches_weighted_row_sum(self):
+        eng = TeleEngine(PARAMS, COEFFS, 1.0, 1.0)
+        forcing = ForcingTerm(eng, wavy, 0.25, 0.5, np.linspace(0.0, 1.0, 33),
+                              QuadPolicy(n_points=32))
+        # t = 0 and a zero weight contribute nothing
+        times = np.linspace(0.0, 1.0, 17)
+        weights = (0.5 + 0.5 * times) * np.linspace(1.0, -0.5, times.size)
+        weights[5] = 0.0
+        want = sum(w * forcing.row(t) for t, w in zip(times, weights))
+        got = forcing.integral(times, weights)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_f_sampled_once_per_row(self):
         calls = []
 
@@ -477,6 +489,55 @@ class TestLagTables:
         got = _trace_moments(trace, x_nodes, 32, 1.0, sign_b)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
+
+    @staticmethod
+    def _check_lag_conv(eng, shifted):
+        u = np.concatenate(([0.0], np.linspace(0.0, 1.0, 41) ** 2, [1.0]))
+        table = eng.lag_table(u)
+        times = np.linspace(0.0, eng.t_ref, 40)
+        g = np.cos(np.multiply.outer(times, 7.0 * u)) + u
+        # more rows than one block of (g x Xu) products holds
+        assert times.size * eng.m_cap * u.size > 2 * goursat._CONV_CHUNK
+        got = eng.lag_conv(table, times, g, shifted)
+        assert got.shape == (times.size, eng.m_cap)
+        for t, g_row, c in zip(times, g, got):
+            want = eng.lag_cvec(table, t, shifted) @ g_row
+            assert np.abs(c - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("a, delta", [(-1.0, -0.5), (0.7, -0.5),
+                                          (-1.0, 0.8)])
+    @pytest.mark.parametrize("shifted", [True, False])
+    def test_lag_conv_matches_per_row_lag_cvec(self, a, delta, shifted):
+        eng = TeleEngine(PrabhakarParams(1.0, 0.5, 0.5, delta),
+                         TelegraphCoeffs(a, -0.5), 1.3, 1.0)
+        self._check_lag_conv(eng, shifted)
+
+    @pytest.mark.parametrize("shifted", [True, False])
+    def test_lag_conv_at_large_m_cap(self, shifted):
+        # one row per block: the (g x Xu) products of a row fill the chunk
+        eng = TeleEngine(PARAMS, TelegraphCoeffs(-10.0, -1.0), 1.0, 1.0)
+        assert eng.m_cap == 768
+        self._check_lag_conv(eng, shifted)
+
+    def test_unforced_solve_makes_no_lag_cvec_call_per_row(
+            self, monkeypatch):
+        # the phi convolution and the V3 integral contract whole blocks of
+        # time rows (lag_conv); only whole-grid cvec calls remain
+        calls = []
+        original = TeleEngine.lag_cvec
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(TeleEngine, "lag_cvec", counted)
+        prob = _smooth_problem(forcing=False)
+        counts = []
+        for n, points in ((16, 64), (32, 128)):
+            calls.clear()
+            solve(prob, n_t=n, n_x=n, quad=QuadPolicy(n_points=points))
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     @pytest.fixture
     def power_row_calls(self, monkeypatch):

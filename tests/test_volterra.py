@@ -12,12 +12,21 @@ from prabtel.errors import (
     MaxIterExceeded,
     SingularStep,
 )
+from prabtel.acceptance import _smooth_problem
 from prabtel.fracops import PrabhakarParams, QuadPolicy
-from prabtel.goursat import Domain2D, TeleEngine, TelegraphCoeffs
+from prabtel.goursat import (
+    Domain2D,
+    TeleEngine,
+    TelegraphCoeffs,
+    _forcing_term,
+)
 from prabtel.oracle import adaptive_quad
+from prabtel.quadrature import _call_on, build_rule, graded_mesh
 from prabtel.specfun import SeriesPolicy, ml3
 from prabtel.volterra import (
     VolterraSystem,
+    _g_values,
+    _t_rules,
     _trapezoid_weights,
     assemble_system,
     compute_A,
@@ -210,6 +219,62 @@ class TestRhsG:
         with_psi = rhs_g(PARAMS, COEFFS, ones, phi, psi1, None, 0.6, DOMAIN,
                          quad)
         assert with_psi - base == pytest.approx(math.sin(0.6), abs=1e-14)
+
+
+def _g_values_by_row(engine, rules, M, phi, psi, forcing, domain, quad,
+                     x_arr):
+    """``_g_values`` with one lag_cvec product per outer node v of the V3
+    integral and one ForcingTerm.row per node of the int M T dt rule."""
+    co, q = engine.coeffs, domain.q
+    phi0 = float(phi(0.0))
+    out = _call_on(psi, x_arr).copy()
+    flat = rules.flat
+    c_phi = float((flat.weights * rules.m_flat)
+                  @ (_call_on(phi, flat.nodes) - phi0))
+    out += np.exp(co.b * x_arr) * c_phi
+    out -= co.a * phi0 * (engine.fbar("V1", rules.beta.nodes, x_arr)
+                          @ rules.mw)
+    beta = engine.params.beta
+    grading = max(quad.grading, 1.0 / beta)
+    outer = build_rule(beta, graded_mesh(q, quad.n_points, grading))
+    inner = build_rule(beta - 1.0, graded_mesh(1.0, quad.n_points, grading))
+    table = engine.lag_table(inner.nodes)
+    cacc = np.zeros(engine.m_cap)
+    for v, w_v in zip(outer.nodes, outer.weights):
+        if v <= 0.0 or w_v == 0.0:
+            continue
+        eta = q - v
+        mv = _call_on(M, eta + v * inner.nodes)
+        cacc += engine.lag_cvec(table, v, shifted=False) @ (
+            (w_v * float(phi(eta))) * inner.weights * mv)
+    j3 = engine.ypowers(x_arr) @ (engine.jw["V3"].T @ cacc)
+    out += co.a * co.b * x_arr * j3
+    if forcing is not None:
+        f_outer = build_rule(0.0, graded_mesh(
+            q, max(quad.n_points // 2, 16), grading))
+        m_outer = _call_on(M, f_outer.nodes)
+        for t, w, mt in zip(f_outer.nodes, f_outer.weights, m_outer):
+            if t > 0.0 and w != 0.0 and mt != 0.0:
+                out += (w * mt) * forcing.row(float(t))
+    return out
+
+
+class TestGValues:
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("n_points", [32, 160])
+    def test_batched_integrals_match_row_loops(self, forced, n_points):
+        # at 160 points the V3 integral spans more than one block of rows
+        prob = _smooth_problem(forcing=forced)
+        quad = QuadPolicy(n_points=n_points)
+        engine = TeleEngine(prob.params, prob.coeffs, 1.0, 1.0)
+        x = np.linspace(0.0, 1.0, 33)
+        forcing = _forcing_term(engine, prob.f_smooth, 0.0, 0.0, x, quad)
+        rules = _t_rules(engine, prob.M, prob.domain, quad)
+        args = (engine, rules, prob.M, prob.phi, prob.psi, forcing,
+                prob.domain, quad, x)
+        want = _g_values_by_row(*args)
+        got = _g_values(*args)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestAssemble:
