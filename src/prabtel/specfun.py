@@ -26,11 +26,13 @@ with K and J gamma ratios of arguments linear in the indices
   1e-15 * majorant for the engine (``fit_tensors``). A value sums every
   term within the caps in float64, each scaled by the largest term.
 - Rescue: when majorant / |sum| is more than float64 can hold to rel_tol,
-  or a term is beyond float64 range, ``_mp_sum`` re-sums in mpmath the
-  smallest rectangle that the majorant's suffix sums allow, at a
-  precision taken from that ratio; ``_series_value`` widens the rectangle
-  or raises the precision until the mpmath |sum| asks for no more. mpmath
-  is imported there only.
+  or a term is beyond float64 range, ``_mp_sum`` re-sums the smallest
+  rectangle that the majorant's suffix sums allow, at a precision taken
+  from that ratio: mpmath gammas for the terms of largest majorant share,
+  float64 values for those that ``_split`` finds float64 can carry.
+  ``_series_value`` widens the rectangle, raises the precision or moves
+  terms to mpmath until the mpmath |sum| asks for no more. mpmath is
+  imported there only.
 """
 
 from __future__ import annotations
@@ -63,7 +65,8 @@ class SeriesPolicy:
     - rel_tol: the target relative accuracy of a value of ``ml_prabhakar``,
       ``ml2`` or ``ml3``. It is the tail limit (the majorant mass left out
       along each index is at most rel_tol * |sum|) and it sets when and at
-      what precision the mpmath rescue runs. Below 1e-12 a value is only
+      what precision the mpmath rescue runs, and which of its terms may
+      keep their float64 values. Below 1e-12 a value is only
       as accurate as rounding allows at a cancellation ratio of 1e3: about
       1e-12 relative at worst. ``TeleEngine`` serves many arguments from
       one set of tensors and uses the fixed limit 1e-15 * majorant.
@@ -419,9 +422,10 @@ def _rectangle(k: np.ndarray, j: np.ndarray, limit: float) -> tuple:
 
 
 def _scaled(tensors: SeriesTensors, caps: tuple) -> tuple:
-    """(K, J, log of the scale): the signed tensors of a one-ratio
-    SeriesTensors scaled to a largest term of 1. Each row's largest J
-    entry moves into K first, so that neither overflows on its own."""
+    """(K, J, off, top): the signed tensors of a one-ratio SeriesTensors
+    scaled to a largest term of 1. Each row's largest J entry moves into
+    K first, so that neither overflows on its own: K(m, k) x^m z^k is
+    K[m, k] e^(top - off[m]) and J(m, j) y^j is J[m, j] e^(off[m])."""
     k, j = tensors.logs(caps)
     ((ks, kl),), ((js, jl),) = k.values(), j.values()
     off = jl.max(axis=1, keepdims=True)
@@ -429,7 +433,30 @@ def _scaled(tensors: SeriesTensors, caps: tuple) -> tuple:
     kl = kl + off
     top = float(kl.max())
     top = top if math.isfinite(top) else 0.0  # every term is zero
-    return ks * np.exp(kl - top), js * np.exp(jl - off), top
+    return ks * np.exp(kl - top), js * np.exp(jl - off), off, top
+
+
+def _split(scaled: tuple, rect: tuple, budget: float) -> tuple:
+    """(K mask, J mask, delta, error) in rect: the ``_scaled`` entries that
+    mpmath sums, the relative error of the others and its bound on the sum.
+    delta = 4 eps (M + J + K) max(1, max |log term|), as each log sums
+    log-gammas and running sums of logs. On each side the entries of least
+    share (|K[m, k]| sum_j |J[m, j]|, or its mirror) stay float64 while
+    delta times their share, the error, is at most budget."""
+    k, j, off, top = scaled
+    m_n, j_n, k_n = rect
+    ak, aj = np.abs(k[:m_n, :k_n]), np.abs(j[:m_n, :j_n])
+    with np.errstate(divide="ignore"):
+        logs = (np.log(ak) + (top - off[:m_n]), np.log(aj) + off[:m_n])
+    big = max(float(np.abs(lg[np.isfinite(lg)]).max(initial=0.0)) for lg in logs)
+    delta = 4.0 * np.finfo(float).eps * sum(rect) * max(1.0, big)
+    shares = (ak * aj.sum(axis=1, keepdims=True), aj * ak.sum(axis=1, keepdims=True))
+    masks = [np.empty(s.shape, dtype=bool) for s in shares]
+    for s, mp in zip(shares, masks):
+        order = np.argsort(s, axis=None)
+        mp.flat[order] = np.cumsum(s.flat[order]) > budget / delta
+    return (*masks, delta,
+            delta * sum(float(s[~mp].sum()) for s, mp in zip(shares, masks)))
 
 
 def _masses(k: np.ndarray, j: np.ndarray, rect: tuple) -> tuple:
@@ -460,30 +487,32 @@ def _series_value(k_ratio: GammaRatio, j_ratio: GammaRatio, args: tuple,
 
     A zero argument fixes its cap at 1. Float64 sums every term within
     the caps (those past the rectangle are free and carry digits below
-    rel_tol). mpmath sums the rectangle; after each such sum the rectangle
-    and the precision follow from it as |sum|, until both settle.
+    rel_tol). A rescue sums the rectangle in mpmath but for the float64
+    terms that ``_split`` allows; after each such sum the rectangle, the
+    precision and the split follow from its |sum|, until all settle.
     """
     if not all(math.isfinite(v) for v in args):
         raise InvalidParams(f"series arguments must be finite, got {args}")
     tensors = SeriesTensors({"k": k_ratio}, {"j": j_ratio}, *args)
     growable = tuple(v != 0.0 for v in args)
     caps = tuple(c if g else 1 for c, g in zip(_START_CAPS, growable))
-    # the last mpmath sum, its rectangle and its digits
-    total, rect, dps = None, (0, 0, 0), 0
+    # the last mpmath sum, its rectangle, digits and float64 error bound
+    total, rect, dps, float_error = None, (0, 0, 0), 0, 0.0
 
     def build(caps):
-        k, j, top = _scaled(tensors, caps)
+        k, j, off, top = _scaled(tensors, caps)
         value, mass = _masses(k, j, caps)
         # |sum| in units of the largest term; rounding leaves at least
         # ~1e-17 of the majorant in a float64 sum
         size = (max(abs(value), 1e-17 * mass) if total is None
                 else float(abs(total) * total.context.exp(-top)))
-        return (np.abs(k), np.abs(j), policy.rel_tol * size, k, j, top,
+        return (np.abs(k), np.abs(j), policy.rel_tol * size, (k, j, off, top),
                 value, mass, size)
 
     while True:
-        caps, (*_, limit, k, j, top, value, mass, size) = _fit_caps(
+        caps, (*_, limit, scaled, value, mass, size) = _fit_caps(
             build, caps, growable, policy)
+        k, j, _, top = scaled
         if total is None and top <= _LOG_MAX and mass <= max(
                 _RESCUE_RATIO, policy.rel_tol / _FLOAT_NOISE) * size:
             return value * math.exp(top)
@@ -496,23 +525,24 @@ def _series_value(k_ratio: GammaRatio, j_ratio: GammaRatio, args: tuple,
         if not need <= _MAX_DPS:
             raise NonConvergence(f"series cancellation ratio {ratio:.3g} "
                                  f"needs more than {_MAX_DPS} digits")
-        if (total is not None and need <= dps
+        if (total is not None and need <= dps and float_error <= limit
                 and all(w <= r for w, r in zip(wider, rect))):
             return float(total)
         rect = tuple(map(max, wider, rect))
         dps = max(dps, int(need) + 1)
-        total = _mp_sum(tensors, rect, dps)
+        *keep, _, float_error = _split(scaled, rect, limit / (2.0 * margin))
+        total = _mp_sum(tensors, rect, dps, scaled, keep)
 
 
-def _mp_ratio(ratio: GammaRatio, m_n: int, i_n: int) -> tuple:
-    """A GammaRatio on the (m_n, i_n) grid in mpf, as (per_m, per_i, row)
-    with value per_m[m] * per_i[i] * row(m)[i].
+def _mp_ratio(ratio: GammaRatio, m_n: int, i_n: int, w) -> tuple:
+    """A GammaRatio times w^i on the (m_n, i_n) grid in mpf, as (per_m,
+    row): row m summed over the indices idx is per_m[m] * row(m, idx).
 
     The factors in m or in i alone are evaluated once per index; ``row``
-    evaluates the others one row at a time, so no grid of mpf is held.
-    The arguments are rounded to float64 first, as the oracle forms them:
-    a sum that cancels by 1e15 moves at O(1) under a one-ulp change of
-    its arguments.
+    evaluates the others at the indices idx of row m, so no grid of mpf is
+    held. The arguments are rounded to float64 first, as the oracle forms
+    them: a sum that cancels by 1e15 moves at O(1) under a one-ulp change
+    of its arguments.
     """
     import mpmath
 
@@ -520,7 +550,7 @@ def _mp_ratio(ratio: GammaRatio, m_n: int, i_n: int) -> tuple:
              + [(mpmath.rgamma, f) for f in ratio.den])
     # with dyadic c_m and c_i (1, 0.5, ...) the arguments are exact and
     # recur across rows; their values are kept, no others
-    dyadic = {f: all((c * 1024).is_integer() for c in f[:2]) for _, f in forms}
+    dyadic = {f: all(c * 1024 % 1 == 0 for c in f[:2]) for _, f in forms}
     memo = {}
 
     def factor(fn, form, m, i):
@@ -532,32 +562,42 @@ def _mp_ratio(ratio: GammaRatio, m_n: int, i_n: int) -> tuple:
         return memo[fn, a]
 
     def product(m, i, keep):
-        return mpmath.fprod(factor(fn, f, m, i)
-                            for fn, f in forms if keep(*f[:2]))
+        return math.prod(factor(fn, f, m, i)
+                         for fn, f in forms if keep(*f[:2]))
 
     per_m = [product(m, 0, lambda cm, ci: not ci) for m in range(m_n)]
-    per_i = [product(0, i, lambda cm, ci: ci and not cm) for i in range(i_n)]
+    per_i = [product(0, i, lambda cm, ci: ci and not cm) * w ** i for i in range(i_n)]
     both = [(fn, f) for fn, f in forms if f[0] and f[1]]
-    return per_m, per_i, lambda m: [
-        mpmath.fprod(factor(fn, f, m, i) for fn, f in both) for i in range(i_n)]
+    return per_m, lambda m, idx: mpmath.fdot(
+        [math.prod(factor(fn, f, m, i) for fn, f in both) for i in idx],
+        [per_i[i] for i in idx])
 
 
-def _mp_sum(tensors: SeriesTensors, rect: tuple, dps: int):
-    """The one-ratio series of ``tensors`` over m < M, j < J, k < K, summed
-    in mpmath at dps digits (an mpf). mpmath is imported here only, so a
-    solve that never needs the rescue never loads it."""
+def _mp_sum(tensors: SeriesTensors, rect: tuple, dps: int, scaled: tuple, keep: tuple):
+    """The one-ratio series of ``tensors`` over m < M, j < J, k < K at dps
+    digits (an mpf), with the entries that ``keep`` marks in mpmath and
+    the others from ``scaled``: row m is (mp K + float K e^(top - off[m]))
+    (mp J + float J e^(off[m])). mpmath is imported here only, so a solve
+    that never needs the rescue never loads it."""
     import mpmath
 
     m_n, j_n, k_n = rect
+    k, j, off, top = scaled
     (k_ratio,), (j_ratio,) = tensors.k_ratios.values(), tensors.j_ratios.values()
     with mpmath.workdps(dps):
         x, y, z = (mpmath.mpf(v) for v in tensors.args)
-        k_m, k_i, k_row = _mp_ratio(k_ratio, m_n, k_n)
-        j_m, j_i, j_row = _mp_ratio(j_ratio, m_n, j_n)
-        zp = [f * z ** k for k, f in enumerate(k_i)]
-        yp = [f * y ** j for j, f in enumerate(j_i)]
-        return mpmath.fsum(x ** m * k_m[m] * j_m[m] * mpmath.fdot(k_row(m), zp)
-                           * mpmath.fdot(j_row(m), yp) for m in range(m_n))
+        k_m, k_row = _mp_ratio(k_ratio, m_n, k_n, z)
+        j_m, j_row = _mp_ratio(j_ratio, m_n, j_n, y)
+
+        def side(per_m, row, m, floats, mp, log_scale):
+            return (per_m * row(m, np.flatnonzero(mp).tolist())
+                    + mpmath.mpf(float(floats[~mp].sum())) * mpmath.exp(log_scale))
+
+        top = mpmath.mpf(top)
+        return mpmath.fsum(
+            side(x ** m * k_m[m], k_row, m, k[m, :k_n], keep[0][m], top - off[m, 0])
+            * side(j_m[m], j_row, m, j[m, :j_n], keep[1][m], off[m, 0])
+            for m in range(m_n))
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prabtel import specfun
 from prabtel.errors import InvalidParams, NonConvergence
-from prabtel.oracle import load_fixtures
+from prabtel.oracle import _tele_ml2, load_fixtures
 from prabtel.specfun import (
     ML2Params,
     ML3Params,
@@ -284,3 +287,154 @@ class TestOracleFixtures:
                       entry["z"], tight)
         want = float(entry["value"])
         assert abs(got - want) <= 1e-13 * abs(want)
+
+
+# the fixture points whose float64 sum the mpmath rescue replaces at
+# rel_tol 1e-14 (cancellation past 1e3 or a term past float64 range)
+RESCUED = (
+    [("ml2", i) for i in (2, 29, 30, 34, 57, 70, 71, 88, 95)]
+    + [("ml3", i) for i in (1, 2, 5, 7, 10, 11, 12, 16, 17, 20, 27, 29, 32,
+                            34, 35, 38, 39, 40, 46, 47, 49, 50, 52, 55, 57,
+                            58, 62, 64, 66, 70, 71, 74, 78, 86)])
+# the u = 1 telegraph instance at a = -10, t = 1: E2 cancels by about 1e44
+# and the rescue rectangle grows to (601, 1, 46); U1_HP is
+# oracle.hp_ml2(U1_PARAMS, -10.0, -1.0, dps=80), stored because it takes
+# 83 s. Gamma(1/2) E2 = 0.0904118 is the u = 1 figure of the ROADMAP.
+U1_PARAMS = _tele_ml2(1, 0.5, 0.5)
+U1_HP = "0.0510093948590395903024792361903418788"
+
+
+def fixture_value(family, index, policy):
+    entry = load_fixtures()[family][index]
+    if family == "ml2":
+        got = ml2(ML2Params(**entry["params"]), entry["x"], entry["y"], policy)
+    else:
+        got = ml3(ML3Params(**entry["params"]), entry["x"], entry["y"],
+                  entry["z"], policy)
+    return got, float(entry["value"])
+
+
+def last_rescue(monkeypatch, evaluate):
+    """The arguments of the last ``_mp_sum`` that ``evaluate()`` makes."""
+    calls = []
+    inner = specfun._mp_sum
+
+    def spy(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(specfun, "_mp_sum", spy)
+    evaluate()
+    assert calls, "the value took no rescue"
+    return calls[-1]
+
+
+def worst_float_error(ratio, u, w, floats, log_scale, in_mp):
+    """max |F / exact - 1| over the entries F of ``floats`` that ``in_mp``
+    leaves to float64. F stands for the term ratio u^m w^i scaled by
+    e^(-log_scale[m]); a denominator pole must give F = 0. The exact log
+    takes one 30-digit mpmath log-gamma per argument and is summed in long
+    double."""
+    memo = {}
+
+    def log_gamma(a):
+        if a not in memo:
+            pole = a <= 0.0 and a == math.floor(a)
+            memo[a] = np.nan if pole else np.longdouble(
+                mpmath.nstr(mpmath.re(mpmath.loggamma(mpmath.mpf(a))), 25))
+        return memo[a]
+
+    def log_abs(v):
+        return np.longdouble(mpmath.nstr(mpmath.log(abs(mpmath.mpf(v))), 25))
+
+    m, i = np.nonzero(~in_mp)
+    f = floats[m, i]
+    with mpmath.workdps(30):
+        exact = np.zeros(m.size, dtype=np.longdouble)
+        for forms, sign in ((ratio.num, 1), (ratio.den, -1)):
+            for cm, ci, c in forms:
+                exact += sign * np.array([log_gamma(a) for a in (cm * m + ci * i + c)],
+                                         dtype=np.longdouble)
+        if u:
+            exact += m * log_abs(u)
+        if w:
+            exact += i * log_abs(w)
+    pole = np.isnan(exact)
+    assert np.all(f[pole] == 0.0)
+    got = (np.log(np.abs(f[~pole]).astype(np.longdouble))
+           + np.asarray(log_scale, dtype=np.longdouble)[m[~pole]])
+    return float(np.abs(np.expm1(got - exact[~pole])).max(initial=0.0))
+
+
+class TestRescue:
+    @pytest.mark.parametrize("family, index", RESCUED)
+    def test_rescued_points_at_tight_tolerance(self, family, index):
+        got, want = fixture_value(family, index, SeriesPolicy(rel_tol=1e-14))
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("rel_tol", [1e-12, 1e-14])
+    def test_large_cap_rescue(self, rel_tol):
+        got = ml2(U1_PARAMS, -10.0, -1.0, SeriesPolicy(rel_tol=rel_tol))
+        want = float(U1_HP)
+        assert abs(got - want) <= rel_tol * abs(want)
+        assert abs(math.gamma(0.5) * got - 0.0904118) < 1e-7
+
+    def test_large_cap_out_of_range_raises(self):
+        with pytest.raises(NonConvergence):
+            ml2(U1_PARAMS, -20.0, -1.0, SeriesPolicy(rel_tol=1e-12))
+
+    @pytest.mark.parametrize("case", RESCUED + [("u1", -10.0)], ids=str)
+    def test_float_error_bound_holds(self, monkeypatch, case):
+        # every entry that a rescue leaves to float64 must be within a
+        # tenth of the delta the code derives for its rectangle, so delta
+        # bounds the error of the float64 part with room to spare
+        tight = SeriesPolicy(rel_tol=1e-14)
+        if case[0] == "u1":
+            tensors, rect, _, scaled, keep = last_rescue(
+                monkeypatch, lambda: ml2(U1_PARAMS, case[1], -1.0, tight))
+        else:
+            tensors, rect, _, scaled, keep = last_rescue(
+                monkeypatch, lambda: fixture_value(*case, tight))
+        k, j, off, top = scaled
+        m_n, j_n, k_n = rect
+        delta = specfun._split(scaled, rect, 0.0)[2]
+        x, y, z = tensors.args
+        (k_ratio,), (j_ratio,) = tensors.k_ratios.values(), tensors.j_ratios.values()
+        k_err = worst_float_error(k_ratio, x, z, k[:m_n, :k_n],
+                                  top - off[:m_n, 0], keep[0])
+        j_err = worst_float_error(j_ratio, 1.0, y, j[:m_n, :j_n],
+                                  off[:m_n, 0], keep[1])
+        assert max(k_err, j_err) <= delta / 10
+
+    def test_float_error_past_limit_forces_another_sum(self, monkeypatch):
+        # ml2:2 settles after one rescue; an error bound of its float64
+        # part past the limit of the mpmath |sum| must force one more sum,
+        # though the rectangle and the digits have settled
+        tight = SeriesPolicy(rel_tol=1e-14)
+        want = fixture_value("ml2", 2, tight)[0]
+        inner, errors = specfun._split, []
+
+        def first_too_large(*args):
+            *keep, delta, error = inner(*args)
+            errors.append(error)
+            return (*keep, delta, math.inf if len(errors) == 1 else error)
+
+        monkeypatch.setattr(specfun, "_split", first_too_large)
+        assert fixture_value("ml2", 2, tight)[0] == want
+        assert len(errors) == 2
+
+    def test_rescue_sums_large_terms_only(self, monkeypatch):
+        # a rescue of the whole (172, 1, 67) rectangle of ml2:34 made
+        # 23,290 mpmath gamma calls; the float64 share leaves them the
+        # entries that float64 cannot carry
+        calls = [0]
+        for name in ("gamma", "rgamma"):
+            fn = getattr(mpmath, name)
+
+            def counted(*args, fn=fn):
+                calls[0] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(mpmath, name, counted)
+        fixture_value("ml2", 34, SeriesPolicy(rel_tol=1e-14))
+        assert 0 < calls[0] <= 0.6 * 23290
