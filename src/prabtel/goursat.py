@@ -29,9 +29,9 @@ one.  The terms without a time integral take one coefficient matrix
 for all time rows at once.  Each time convolution (phi, forcing, and
 the V3 double integral of the trace equation) samples its kernel at
 lags t u for a unit rule u fixed per solve, so the power tables of u are
-built once (``TeleEngine.lag_table``); the phi and V3 convolutions
-contract the data of a block of time rows with those tables in one
-matrix product (``TeleEngine.lag_conv``).
+built once (``TeleEngine.lag_table``), and each convolution takes a
+block of time rows at a time (``TeleEngine.lag_conv``,
+``ForcingTerm.rows``).
 
 Accuracy envelope: the tensors are exponentiated log-gamma ratios in
 float64 (``math.lgamma`` tables, see ``TeleEngine``).  For X = a t^beta < 0
@@ -72,7 +72,8 @@ from .specfun import (
 _VARIANTS = ("V1", "V2", "V3", "V4")
 
 # floats (128 KB) per temporary of a batched time convolution: the data
-# block a caller samples and the product block of ``TeleEngine.lag_conv``
+# block a caller samples (phi, or f for ``ForcingTerm`` rows) and the
+# product block of ``TeleEngine.lag_conv``
 _CONV_CHUNK = 16384
 
 # trace/boundary data must agree at the corner for the representation to
@@ -216,9 +217,10 @@ class TeleEngine:
     tables of u^beta and u^alpha once; ``lag_cvec(table, t, shifted)``
     then gives c(m; t u) = ((kt * xs zs^T) @ Zu) * Xu, where xs and zs
     are the m_cap and k_cap powers of the scalars sign(a) (t/t_ref)^beta
-    and sign(delta) (t/t_ref)^alpha.  ``cvec(s)`` is the same path with
-    u = s/t_ref at t = t_ref.  ``lag_conv`` applies the kernels of many
-    times to their data rows at once, with one matrix product per block.
+    and sign(delta) (t/t_ref)^alpha, for one time or a block of times.
+    ``cvec(s)`` is the same path with u = s/t_ref at t = t_ref.
+    ``lag_conv`` applies the kernels of many times to their data rows
+    at once, with one matrix product per block.
 
     These are the K and J tensors of ``specfun.ml3`` for the
     ``ml3_tele_variant`` packings at the magnitudes (Xs, Ys, Zs), from
@@ -277,20 +279,25 @@ class TeleEngine:
         return (_power_rows(u ** self.params.beta, self.m_cap),
                 _power_rows(u ** self.params.alpha, self.k_cap))
 
-    def lag_cvec(self, table, t: float, shifted: bool) -> np.ndarray:
+    def lag_cvec(self, table, t, shifted: bool) -> np.ndarray:
         """Coefficient matrix c(m; t u_n) from the ``lag_table`` of u.
 
         X = a (t u)^beta factors as [sign(a) (t/t_ref)^beta] times the
         u^beta of the table, and Z likewise, so the time enters only
         through two short power vectors xs (m_cap) and zs (k_cap):
         c = ((kt * xs zs^T) @ Zu) * Xu.  No pow runs over the nodes.
+        A 1-D array of times gives one matrix per time, shape
+        (t.size, m_cap, n).
         """
         xu, zu = table
-        r = t / self.t_ref
+        r = np.asarray(t, dtype=float)[..., None] / self.t_ref
         xs = (self._sign_a * r ** self.params.beta) ** self._m_exps
         zs = (self._sign_d * r ** self.params.alpha) ** self._k_exps
-        kt = self.kt["shifted" if shifted else "base"]
-        return ((kt * np.multiply.outer(xs, zs)) @ zu) * xu
+        kz = self.kt["shifted" if shifted else "base"] * (
+            xs[..., :, None] * zs[..., None, :])
+        c = kz @ zu
+        c *= xu
+        return c
 
     def lag_conv(self, table, times, g, shifted: bool) -> np.ndarray:
         """Rows ``lag_cvec(table, times[i], shifted) @ g[i]``, shape
@@ -371,50 +378,81 @@ def _as_trace(tau, x_max: float, quad: QuadPolicy) -> TraceSolution:
     return TraceSolution(x_grid=grid, tau=_call_on(tau, grid))
 
 
-# (x node, trace cell) pairs per block of ``_trace_moments``: keeps each
-# temporary near 0.3 MB at j_cap = 32, whatever the grid sizes
-_PAIR_CHUNK = 512
+def _shift_matrices(count: int, *steps) -> list:
+    """Per array of steps h >= 0, an iterator over the shift matrices
+    B(h)[l, j] = C(j, l) h^(j-l) (zero for l > j), built 32 at a time:
+    moments in w times B(h) are the moments in w + h.
+    """
+    j = np.arange(count)
+    gap = np.maximum(j - j[:, None], 0)
+    binom = np.zeros((count, count))
+    binom[0] = 1.0
+    for row in range(1, count):  # C(j, l) = sum_{i < j} C(i, l - 1)
+        binom[row, 1:] = np.cumsum(binom[row - 1, :-1])
+
+    def each(h):
+        powers = _power_rows(h, count).T
+        for lo in range(0, len(powers), 32):
+            yield from binom * powers[lo:lo + 32, gap]
+
+    return [each(h) for h in steps]
+
+
+def _shift_sweep(mesh: np.ndarray, x: np.ndarray, x_ref: float,
+                 run: np.ndarray, cells):
+    """Yield (i, moments in w = (x_i - xi)/x_ref) for the x[i] in mesh
+    order.  Those at node p+1 are those at node p times B(h_p) plus the
+    new cell, whose moments ``cells(c, x)`` (c.size, rows, count) go to
+    rows c.. of ``run`` (one row per hat) or to its only row; B >= 0, so
+    on a nonnegative weight the sums cancel nothing.  A node inside a
+    cell shifts the moments of the node below and adds the partial cell.
+    """
+    base = np.maximum(np.searchsorted(mesh, x, side="right") - 1, 0)
+    order = np.argsort(base, kind="stable")
+    inside = x[order] > mesh[base[order]]
+    off = order[inside]
+    top, hats = int(base.max()), run.shape[0] > 1
+    steps, shifts = _shift_matrices(run.shape[1], np.diff(
+        mesh[:top + 1]) / x_ref, (x[off] - mesh[base[off]]) / x_ref)
+    full = cells(np.append(np.arange(top), base[off]),
+                 np.append(mesh[1:top + 1], x[off]))
+    partial = iter(full[top:])
+    p = 0
+    for i, stop, between in zip(order.tolist(), base[order].tolist(),
+                                inside.tolist()):
+        while p < stop:
+            run[:p + 1] = run[:p + 1] @ next(steps)
+            run[hats * p:p + 2] += full[p]
+            p += 1
+        rows = run[:p + 1]
+        if between:
+            rows = run[:p + 2] @ next(shifts)
+            rows[hats * p:] += next(partial)
+        yield i, rows
 
 
 def _trace_moments(trace: TraceSolution, x_nodes: np.ndarray,
                    j_cap: int, x_ref: float, sign_b: float) -> np.ndarray:
     """mom[i, j] = int_0^{x_i} tau(xi) * (sign_b (x_i - xi)/x_ref)^j dxi.
 
-    tau is linear on each trace cell, so every (node, cell) pair adds
-    closed-form moments of w = (x_i - xi)/x_ref between the cell ends.
-    The pairs run in blocks of ``_PAIR_CHUNK``, the powers of both ends
-    of a block from one ``_power_rows`` table.
+    ``_shift_sweep`` over the trace grid with one running row; tau is
+    linear on each cell, so a cell adds its moments in closed form.
     """
     gx, gv = trace.x_grid, trace.tau
-    mom = np.zeros((x_nodes.size, j_cap))
-    ends = np.minimum(x_nodes, gx[-1])
-    # node i meets the cells c < counts[i]; those of one node are
-    # consecutive pairs
-    counts = np.where(x_nodes > 0.0, np.minimum(
-        np.searchsorted(gx, ends, side="left"), gx.size - 1), 0)
-    stops = np.cumsum(counts)
-    total = int(stops[-1])
     slope = np.diff(gv) / np.diff(gx) * x_ref
-    jj = np.arange(j_cap, dtype=float)
-    for start in range(0, total, _PAIR_CHUNK):
-        pair = np.arange(start, min(start + _PAIR_CHUNK, total))
-        node = np.searchsorted(stops, pair, side="right")
-        cell = pair - (stops - counts)[node]
-        x = ends[node]
-        wl = (x - gx[cell]) / x_ref
-        wh = (x - np.minimum(gx[cell + 1], x)) / x_ref
-        n = pair.size
-        both = _power_rows(np.concatenate((wl, wh)), j_cap + 2)
-        # w^p between the cell ends, in place of the powers at the near end
-        pw = both[:, :n]
-        pw -= both[:, n:]
-        sl = slope[cell]
-        runs = np.flatnonzero(np.diff(node, prepend=-1))
-        m0 = np.add.reduceat(pw[1:-1] * (gv[cell] + sl * wl), runs, axis=1)
-        m1 = np.add.reduceat(pw[2:] * sl, runs, axis=1)
-        mom[node[runs]] += (m0 / (jj + 1.0)[:, None]
-                            - m1 / (jj + 2.0)[:, None]).T
-    mom *= x_ref * sign_b ** jj
+    jj = np.arange(j_cap, dtype=float)[:, None]
+
+    def cells(c, x):
+        w = (x - gx[c]) / x_ref
+        pw = _power_rows(w, j_cap + 2)
+        return (pw[1:-1] * (gv[c] + slope[c] * w) / (jj + 1.0)
+                - pw[2:] * slope[c] / (jj + 2.0)).T[:, None]
+
+    mom = np.zeros((x_nodes.size, j_cap))
+    for i, rows in _shift_sweep(gx, np.minimum(x_nodes, gx[-1]), x_ref,
+                                np.zeros((1, j_cap)), cells):
+        mom[i] = rows[0]
+    mom *= x_ref * sign_b ** jj.T
     return mom
 
 
@@ -442,44 +480,43 @@ def _gauss_jacobi(n: int, beta: float) -> tuple:
 
 
 def _xi_moments(mesh: np.ndarray, x_nodes: np.ndarray, eps2: float,
-                j_cap: int, x_ref: float, sign_b: float) -> np.ndarray:
-    """Moments Q[i, k, j] = int_0^{x_i} xi^-eps2 hat_k(xi) y_i(xi)^j dxi.
+                jw: np.ndarray, x_ref: float, sign_b: float) -> np.ndarray:
+    """Q[i, k, m] = sum_j jw[m, j] int_0^{x_i} xi^-eps2 hat_k(xi) y_i(xi)^j
+    dxi for the V4 tensor jw, as (x_nodes.size, mesh.size * m_cap).
 
-    hat_k is the piecewise-linear hat function of mesh node k and
-    y_i(xi) = sign_b (x_i - xi) / x_ref.  Row i is zero past the hat of
-    the cell that holds x_i.  Per cell the integrand is xi^-eps2 times a
-    polynomial of degree j_cap: Gauss-Jacobi with weight xi^-eps2 on the
-    cell at 0 and Gauss-Legendre on the others, both with
-    j_cap // 2 + 2 points, are exact for the polynomial factor.
-
-    Returns Q flattened to (x_nodes.size, mesh.size * j_cap), so a
-    (mesh, j_cap) matrix A contracts as Q @ A.ravel().  The zeros past
-    each x_i double the memory of a packed layout, but spare every
-    contraction a gather of that same size.
+    hat_k is the hat of mesh node k and y_i(xi) = sign_b (x_i - xi)/x_ref;
+    a (mesh, m_cap) matrix A contracts as Q @ A.ravel().  Row i is zero
+    past the hat of the cell that holds x_i: twice the memory of a packed
+    layout, but no gather in any contraction.  Per cell, Gauss-Jacobi
+    (weight xi^-eps2, the cell at 0) or Gauss-Legendre with j_cap // 2 + 2
+    points is exact for the polynomial factor.  ``_shift_sweep`` runs
+    with one row per hat; a partial cell keeps the hats of its whole
+    cell.  Rows are folded with sign_b^j jw as they are written.
     """
+    m_cap, j_cap = jw.shape
     n_gauss = j_cap // 2 + 2
     u_leg, w_leg = _gauss_jacobi(n_gauss, 0.0)
     u_jac, w_jac = _gauss_jacobi(n_gauss, -eps2)
-    q = np.zeros((x_nodes.size, mesh.size, j_cap))
-    for block, x in zip(q, x_nodes):
-        hi = min(int(np.searchsorted(mesh, x, side="left")), mesh.size - 1)
-        if hi > 0:
-            lo, top = mesh[:hi], mesh[1:hi + 1]
-            half = 0.5 * (np.minimum(top, x) - lo)
-            u = np.tile(u_leg, (hi, 1))
-            u[0] = u_jac
-            xi = lo[:, None] + half[:, None] * (1.0 + u)
-            w = half[:, None] * w_leg * xi ** (-eps2)
-            # xi^-eps2 on [0, 2 half] is half^-eps2 (1+u)^-eps2, and the
-            # Jacobi weights carry the (1+u)^-eps2 factor
-            w[0] = half[0] ** (1.0 - eps2) * w_jac
-            right = (xi - lo[:, None]) / (top - lo)[:, None]
-            hats = np.stack((w - w * right, w * right), axis=1)
-            ypow = _power_rows((sign_b * (x - xi) / x_ref).ravel(), j_cap)
-            # (hi, 2, gauss) @ (hi, gauss, j) -> left/right hat rows per cell
-            m = hats @ ypow.T.reshape(hi, n_gauss, j_cap)
-            block[:hi] = m[:, 0]
-            block[1:hi + 1] += m[:, 1]
+
+    def cells(c, x):  # (c.size, 2, j_cap): the hats of cell c on [mesh_c, x]
+        lo, hi = mesh[c][:, None], mesh[c + 1][:, None]
+        half = 0.5 * (x[:, None] - lo)
+        first = c == 0
+        xi = lo + half * (1.0 + np.where(first[:, None], u_jac, u_leg))
+        w = half * w_leg * xi ** (-eps2)
+        # xi^-eps2 on [0, 2 half] is half^-eps2 (1+u)^-eps2, and the
+        # Jacobi weights carry the (1+u)^-eps2 factor
+        w[first] = half[first] ** (1.0 - eps2) * w_jac
+        right = w * ((xi - lo) / (hi - lo))
+        ypow = _power_rows(((x[:, None] - xi) / x_ref).ravel(), j_cap)
+        return (np.stack((w - right, right), axis=1)
+                @ ypow.T.reshape(c.size, n_gauss, j_cap))
+
+    fold = (sign_b ** np.arange(j_cap))[:, None] * jw.T
+    q = np.zeros((x_nodes.size, mesh.size, m_cap))
+    for i, rows in _shift_sweep(mesh, x_nodes, x_ref,
+                                np.zeros((mesh.size, j_cap)), cells):
+        np.matmul(rows, fold, out=q[i, :len(rows)])
     return q.reshape(x_nodes.size, -1)
 
 
@@ -491,23 +528,14 @@ class ForcingTerm:
     dxi deta for one fixed x-grid.
 
     The eta-integral is split at t/2 so each half carries a single power
-    weight (eta^{-eps1} on the left, (t-eta)^{beta-1} on the right).
-
-    In xi, f(eta, .) is replaced by its piecewise-linear interpolant on
-    one x-mesh shared by all x_i: the x-nodes themselves when they
-    ascend from 0 (the grids of ``solve`` and ``goursat_eval``, and any
-    such ``goursat_grid`` grid), otherwise the uniform
-    ``quad.n_points``-cell mesh on [0, max x].  The moments of
-    xi^{-eps2} hat_k(xi) (b(x_i - xi))^j against that interpolant are
-    computed once per instance and shared by its ``with_rules`` copies
-    (see ``_xi_moments``): Gauss-Jacobi with
-    weight xi^{-eps2} on the first cell integrates the singular weight
-    exactly, for every eps2 in [0, 1), and Gauss-Legendre takes the
-    cells where xi^{-eps2} is smooth, exactly when eps2 = 0.  A row then
-    costs one coefficient matrix for the eta nodes of both halves (from
-    the lag table of the unit eta rule), one call of f on the
-    (eta x mesh) array, and one matrix-vector product with the moments;
-    ``integral`` sums many rows' moment weights before that product.
+    weight (eta^{-eps1} on the left, (t-eta)^{beta-1} on the right).  In
+    xi, f(eta, .) is replaced by its piecewise-linear interpolant on one
+    x-mesh: the x-nodes when they ascend from 0, otherwise the uniform
+    ``quad.n_points``-cell mesh on [0, max x].  Its moment table
+    (``_xi_moments``) is shared by ``with_rules`` copies.  Times come in
+    blocks of as many rows as fit in ``_CONV_CHUNK`` samples of f (at
+    least one): one call of f, one ``lag_cvec`` and one batched product
+    per block.
     """
 
     def __init__(self, engine: TeleEngine, f, eps1: float, eps2: float,
@@ -523,7 +551,7 @@ class ForcingTerm:
         else:
             self.mesh = _uniform_mesh(float(x.max()), quad)
         self.q = _xi_moments(
-            self.mesh, x, self.eps2, engine.j_cap, engine.x_ref,
+            self.mesh, x, self.eps2, engine.jw["V4"], engine.x_ref,
             engine._sign_b)
         self._broadcasts = True
 
@@ -581,19 +609,39 @@ class ForcingTerm:
         return np.array([_call_txy(self.f, float(eta), self.mesh)
                          for eta in etas])
 
-    def row(self, t: float) -> np.ndarray:
-        return self.integral((t,), (1.0,))
+    def _blocks(self, times: np.ndarray, keep: np.ndarray):
+        """(idx, G) per block of the kept times; T(t_i, .) = Q @ G[i].ravel()
+        with G[i, k, m] = t_i^(beta-eps1) sum_n coef_n f(t_i eta_n, mesh_k)
+        c(m; t_i lag_n) for t_i = times[idx[i]]."""
+        eng, n_eta = self.engine, self.unit_etas.size
+        step = max(1, _CONV_CHUNK // (n_eta * self.mesh.size))
+        kept = np.flatnonzero(keep)
+        for lo in range(0, kept.size, step):
+            t = times[kept[lo:lo + step]]
+            c = eng.lag_cvec(self.lag_table, t, shifted=False)
+            c *= (t[:, None, None] ** (eng.params.beta - self.eps1)
+                  * self.unit_coef)
+            f = self._sample((t[:, None] * self.unit_etas).ravel())
+            yield kept[lo:lo + step], np.matmul(
+                f.reshape(t.size, n_eta, -1).transpose(0, 2, 1),
+                c.transpose(0, 2, 1))
+
+    def rows(self, times) -> np.ndarray:
+        """T(times[i], x_nodes), shape (times.size, x_nodes.size); zero
+        at t = 0."""
+        times = np.asarray(times, dtype=float)
+        out = np.zeros((times.size, self.x_nodes.size))
+        for idx, g in self._blocks(times, times > 0.0):
+            out[idx] = g.reshape(idx.size, -1) @ self.q.T
+        return out
 
     def integral(self, times, weights) -> np.ndarray:
         """sum_i weights[i] T(times[i], .), reading the xi-moments once."""
-        eng = self.engine
-        acc = np.zeros((self.mesh.size, eng.j_cap))
-        for t, w in zip(times, weights):
-            if t > 0.0 and w != 0.0:
-                c = eng.lag_cvec(self.lag_table, t, shifted=False)
-                bmat = (eng.jw["V4"].T @ c).T * self.unit_coef[:, None]
-                amat = self._sample(t * self.unit_etas).T @ bmat
-                acc += (w * t ** (eng.params.beta - self.eps1)) * amat
+        times = np.asarray(times, dtype=float)
+        weights = np.asarray(weights, dtype=float)
+        acc = np.zeros((self.mesh.size, self.engine.m_cap))
+        for idx, g in self._blocks(times, (times > 0.0) & (weights != 0.0)):
+            acc += np.tensordot(weights[idx], g, axes=1)
         return self.q @ acc.ravel()
 
 
@@ -644,7 +692,7 @@ class _GridEvaluator:
         V1 and V2 instances) come from one coefficient matrix of all t
         nodes, the phi convolution from one ``lag_conv`` per block of rows
         (row i convolves phi(t_i - t_i u) with the kernel at lags t_i u of
-        the conv rule); only the forcing is added per row.
+        the conv rule), the forcing from ``ForcingTerm.rows``.
         """
         eng, a, b = self.engine, self.coeffs.a, self.coeffs.b
         t, nodes = self.t_nodes, self.conv_nodes
@@ -668,7 +716,7 @@ class _GridEvaluator:
               * ((c3 @ eng.jw["V3"]) @ self.ypx.T) * self.x_nodes)
         u[t == 0.0] = self.tau_x
         if self.forcing is not None:
-            u += np.array([self.forcing.row(ti) for ti in t.tolist()])
+            u += self.forcing.rows(t)
         return u
 
 

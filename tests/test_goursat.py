@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad as adaptive
 from scipy.special import gammaln
 
@@ -27,8 +28,11 @@ from prabtel.goursat import (
     TraceSolution,
     _gauss_jacobi,
     _power_rows,
+    _shift_matrices,
     _trace_moments,
+    _uniform_mesh,
     _variant_shifts,
+    _xi_moments,
     goursat_eval,
     goursat_grid,
     ml2_tele,
@@ -347,7 +351,7 @@ class TestForcingTerm:
 
         forcing = ForcingTerm(eng, wavy, eps1, eps2, np.array([0.4, 1.0]),
                               QuadPolicy(n_points=64))
-        errs = [abs(forcing.row(t)[i] - reference(t, x))
+        errs = [abs(forcing.rows([t])[0, i] - reference(t, x))
                 for i, (t, x) in enumerate(((0.5, 0.4), (1.0, 1.0)))]
         # bound: the larger error of a graded per-x xi rule with the same
         # n_points at these two points (6.52e-5, at t = 0.5, x = 0.4)
@@ -361,9 +365,31 @@ class TestForcingTerm:
         times = np.linspace(0.0, 1.0, 17)
         weights = (0.5 + 0.5 * times) * np.linspace(1.0, -0.5, times.size)
         weights[5] = 0.0
-        want = sum(w * forcing.row(t) for t, w in zip(times, weights))
+        want = sum(w * row for w, row in zip(weights, forcing.rows(times)))
         got = forcing.integral(times, weights)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("broadcasts", [True, False])
+    def test_rows_match_per_time_loop(self, broadcasts, monkeypatch):
+        eng = TeleEngine(PARAMS, COEFFS, 1.0, 1.0)
+        if broadcasts:
+            f = wavy
+        else:
+            f = lambda t, x: (math.cos(3.0 * x) * (1.0 + t)
+                              + math.sqrt(x + 0.01)) / 5.0
+        forcing = ForcingTerm(eng, f, 0.25, 0.5, np.linspace(0.0, 1.0, 17),
+                              QuadPolicy(n_points=32))
+        # blocks of 3 rows: the 10 positive times span 4 blocks, the last
+        # one short
+        per_row = forcing.unit_etas.size * forcing.mesh.size
+        monkeypatch.setattr(goursat, "_CONV_CHUNK", 3 * per_row + 1)
+        times = np.concatenate(([0.0], np.linspace(0.0, 1.0, 11)[1:][::-1],
+                                [0.0]))
+        got = forcing.rows(times)
+        want = _forcing_rows_per_time(forcing, times)
+        assert got.shape == (times.size, 17)
+        assert not got[times == 0.0].any()
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_f_sampled_once_per_row(self):
         calls = []
@@ -410,6 +436,48 @@ def _cvec_by_pow(eng, s, shifted):
     xn = x[None, :] ** np.arange(eng.m_cap)[:, None]
     zn = z[None, :] ** np.arange(eng.k_cap)[:, None]
     return (eng.kt["shifted" if shifted else "base"] @ zn) * xn
+
+
+def _forcing_rows_per_time(forcing, times):
+    """``ForcingTerm.rows`` one time at a time: the kernel of each time
+    from its own ``lag_cvec`` call and f sampled once per time."""
+    eng = forcing.engine
+    out = np.zeros((len(times), forcing.x_nodes.size))
+    for i, t in enumerate(times):
+        if t > 0.0:
+            c = eng.lag_cvec(forcing.lag_table, t, shifted=False)
+            amat = (forcing._sample(t * forcing.unit_etas).T
+                    @ (c * forcing.unit_coef).T)
+            out[i] = forcing.q @ (
+                t ** (eng.params.beta - forcing.eps1) * amat).ravel()
+    return out
+
+
+def _xi_moments_per_pair(mesh, x_nodes, eps2, j_cap, x_ref, sign_b):
+    """The unfolded xi-moments Q[i, k, j], shape (x_nodes.size, mesh.size,
+    j_cap): one x-node at a time, every (node, cell) pair by its own
+    Gauss rule on [lo, min(top, x)] with powers of sign_b (x - xi)/x_ref."""
+    n_gauss = j_cap // 2 + 2
+    u_leg, w_leg = _gauss_jacobi(n_gauss, 0.0)
+    u_jac, w_jac = _gauss_jacobi(n_gauss, -eps2)
+    q = np.zeros((x_nodes.size, mesh.size, j_cap))
+    for block, x in zip(q, x_nodes):
+        hi = min(int(np.searchsorted(mesh, x, side="left")), mesh.size - 1)
+        if hi > 0:
+            lo, top = mesh[:hi], mesh[1:hi + 1]
+            half = 0.5 * (np.minimum(top, x) - lo)
+            u = np.tile(u_leg, (hi, 1))
+            u[0] = u_jac
+            xi = lo[:, None] + half[:, None] * (1.0 + u)
+            w = half[:, None] * w_leg * xi ** (-eps2)
+            w[0] = half[0] ** (1.0 - eps2) * w_jac
+            right = (xi - lo[:, None]) / (top - lo)[:, None]
+            hats = np.stack((w - w * right, w * right), axis=1)
+            ypow = (sign_b * (x - xi) / x_ref)[..., None] ** np.arange(j_cap)
+            m = hats @ ypow
+            block[:hi] = m[:, 0]
+            block[1:hi + 1] += m[:, 1]
+    return q
 
 
 def _trace_moments_per_node(trace, x_nodes, j_cap, x_ref, sign_b):
@@ -489,6 +557,58 @@ class TestLagTables:
         got = _trace_moments(trace, x_nodes, 32, 1.0, sign_b)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
+
+    def _xi_cases(self):
+        uniform = np.linspace(0.0, 1.0, 65)
+        graded = np.linspace(0.0, 1.0, 41) ** 2
+        long = np.linspace(0.0, 1.0, 129)
+        fallback = np.array([0.4, 1.0])
+        return (
+            # solve: the mesh is the x-grid
+            (uniform, uniform),
+            (graded, graded),
+            # x-nodes on and between the nodes of a longer mesh, unsorted
+            (long, np.linspace(0.0, 0.6, 65)[::-1]),
+            # x-nodes that do not ascend from 0 get the uniform mesh
+            (_uniform_mesh(1.0, QuadPolicy(n_points=64)), fallback),
+        )
+
+    @pytest.mark.parametrize("case", range(4))
+    @pytest.mark.parametrize("eps2", [0.0, 0.5])
+    @pytest.mark.parametrize("sign_b", [-1.0, 1.0])
+    def test_xi_moments_match_per_pair_rule(self, case, eps2, sign_b):
+        mesh, x_nodes = self._xi_cases()[case]
+        jw = TeleEngine(PARAMS, TelegraphCoeffs(-1.0, sign_b), 1.0,
+                        1.0).jw["V4"]
+        j_cap = jw.shape[1]
+        per_pair = _xi_moments_per_pair(mesh, x_nodes, eps2, j_cap, 1.0,
+                                        sign_b)
+        # the identity for jw gives the signed table itself, entry by entry
+        got = _xi_moments(mesh, x_nodes, eps2, np.eye(j_cap), 1.0, sign_b)
+        assert got.shape == (x_nodes.size, mesh.size * j_cap)
+        got = got.reshape(per_pair.shape)
+        assert np.all(np.abs(got - per_pair) <= 1e-13 * np.abs(per_pair))
+        # folded with V4: for sign_b = -1 the fold is an alternating sum
+        # over j that cancels to 1e-11 of max |want| in both tables, so
+        # each entry is held to its sum of |terms|
+        want = np.einsum("ikj,mj->ikm", per_pair, jw)
+        terms = np.einsum("ikj,mj->ikm", np.abs(per_pair), jw)
+        got = _xi_moments(mesh, x_nodes, eps2, jw, 1.0, sign_b)
+        assert got.shape == (x_nodes.size, mesh.size * jw.shape[0])
+        assert np.all(np.abs(got.reshape(want.shape) - want) <= 1e-13 * terms)
+
+    @given(a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0),
+           w=st.floats(0.0, 1.0), count=st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_shift_matrices_compose(self, a, b, w, count):
+        (shifts,) = _shift_matrices(count, np.array([0.0, a, b, a + b]))
+        b0, ba, bb, bab = shifts
+        assert np.array_equal(b0, np.eye(count))
+        assert np.abs(ba @ bb - bab).max() <= 1e-13 * np.abs(bab).max()
+        # powers of w times B(a) are the powers of w + a
+        want = (w + a) ** np.arange(count)
+        got = _power_rows(np.array([w]), count)[:, 0] @ ba
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     @staticmethod
     def _check_lag_conv(eng, shifted):
