@@ -61,7 +61,13 @@ class PrabhakarParams:
 
 @dataclass(frozen=True)
 class QuadPolicy:
-    """Product-integration policy: panel count, mesh grading, target accuracy."""
+    """Product-integration policy: panel count, mesh grading, target accuracy.
+
+    In ``solve`` and ``goursat_grid``, n_points is the number of cells of
+    the grid fill's shared eta-mesh, rounded up to a multiple of the
+    number of positive t-nodes; ``solve`` assembles the trace equation
+    with max(n_x, 16) cells instead.
+    """
 
     n_points: int = 256
     grading: float = 2.0

@@ -26,12 +26,13 @@ precomputes the gamma-ratio tensors once per evaluation context.
 Reference scales |a| t_max^beta, |b| x_max, |delta| t_max^alpha are
 folded into the tensors, keeping every runtime power vector bounded by
 one.  The terms without a time integral take one coefficient matrix
-for all time rows at once.  Each time convolution (phi, forcing, and
-the V3 double integral of the trace equation) samples its kernel at
-lags t u for a unit rule u fixed per solve, so the power tables of u are
-built once (``TeleEngine.lag_table``), and each convolution takes a
-block of time rows at a time (``TeleEngine.lag_conv``,
-``ForcingTerm.rows``).
+for all time rows at once.  The grid fill's phi and forcing
+convolutions share one uniform eta-mesh (``_EtaConv``) of
+``quad.n_points`` cells, rounded up to a multiple of n_t: the data are
+sampled once, and rows on the mesh read Toeplitz lag weights.  The
+trace assembly, which ``solve`` runs on n_x points, samples its kernels
+at lags t u of a unit rule u (``TeleEngine.lag_table``, ``lag_conv``,
+``ForcingTerm.integral``).
 
 Accuracy envelope: the tensors are exponentiated log-gamma ratios in
 float64 (``math.lgamma`` tables, see ``TeleEngine``).  For X = a t^beta < 0
@@ -45,6 +46,7 @@ it can already give finite values with no correct digit.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -72,9 +74,21 @@ from .specfun import (
 _VARIANTS = ("V1", "V2", "V3", "V4")
 
 # floats (128 KB) per temporary of a batched time convolution: the data
-# block a caller samples (phi, or f for ``ForcingTerm`` rows) and the
-# product block of ``TeleEngine.lag_conv``
+# block a caller samples (M or f in the trace assembly), the product
+# block of ``TeleEngine.lag_conv``, and a block of ``_EtaConv`` rows
 _CONV_CHUNK = 16384
+
+# the 4-point Gauss-Legendre rule on [0, 1] of each inner cell of the
+# grid fill's eta-mesh, in closed form: the first call of an eigensolver
+# would add 0.8 MB to the peak RSS of an unforced solve, which needs none
+_LAG_U = 0.5 + 0.5 * np.array([-1.0, -1.0, 1.0, 1.0]) * np.sqrt(
+    (3.0 + np.array([2.0, -2.0, -2.0, 2.0]) * math.sqrt(1.2)) / 7.0)
+# its weights times the left and right hats of the cell, (2, 4)
+_LAG_HATS = np.stack((1.0 - _LAG_U, _LAG_U)) * (
+    18.0 + np.array([-1.0, 1.0, 1.0, -1.0]) * math.sqrt(30.0)) / 72.0
+
+# Gauss nodes per singular end piece of a row off its Toeplitz table
+_END_NODES = 8
 
 # trace/boundary data must agree at the corner for the representation to
 # interpolate both; checked against this tolerance
@@ -362,9 +376,19 @@ def _call_txy(fn, t: float, xs: np.ndarray) -> np.ndarray:
     return flat.reshape(xs.shape)
 
 
-def _uniform_mesh(x_max: float, quad: QuadPolicy) -> np.ndarray:
-    """The uniform mesh of max(quad.n_points, 8) cells on [0, x_max]."""
-    return np.linspace(0.0, max(x_max, 1e-300), max(quad.n_points, 8) + 1)
+def _call_grid(fn, ts: np.ndarray, xs: np.ndarray):
+    """f on the (ts x xs) grid in one call, or None when f does not
+    broadcast (it raises TypeError or ValueError, or returns another
+    shape)."""
+    shape = (ts.size, xs.size)
+    try:
+        out = np.asarray(fn(np.broadcast_to(ts[:, None], shape),
+                            np.broadcast_to(xs, shape)), dtype=float)
+        if out.shape == shape:
+            return out
+    except (TypeError, ValueError):
+        pass
+    return None
 
 
 def _as_trace(tau, x_max: float, quad: QuadPolicy) -> TraceSolution:
@@ -374,8 +398,22 @@ def _as_trace(tau, x_max: float, quad: QuadPolicy) -> TraceSolution:
                 f"trace grid [{tau.x_grid[0]}, {tau.x_grid[-1]}] does not "
                 f"cover [0, {x_max}]")
         return tau
-    grid = _uniform_mesh(x_max, quad)
+    grid = np.linspace(0.0, max(x_max, 1e-300), max(quad.n_points, 8) + 1)
     return TraceSolution(x_grid=grid, tau=_call_on(tau, grid))
+
+
+@functools.lru_cache(maxsize=None)
+def _pascal(count: int) -> tuple:
+    """Read-only (C(j, l) at [l, j], max(j - l, 0) at [l, j]) for l, j
+    below count: Pascal's rule by ``cumsum``, built once per count."""
+    j = np.arange(count)
+    gap = np.maximum(j - j[:, None], 0)
+    binom = np.zeros((count, count))
+    binom[0] = 1.0
+    for row in range(1, count):  # C(j, l) = sum_{i < j} C(i, l - 1)
+        binom[row, 1:] = np.cumsum(binom[row - 1, :-1])
+    binom.flags.writeable = gap.flags.writeable = False
+    return binom, gap
 
 
 def _shift_matrices(count: int, *steps) -> list:
@@ -383,12 +421,7 @@ def _shift_matrices(count: int, *steps) -> list:
     B(h)[l, j] = C(j, l) h^(j-l) (zero for l > j), built 32 at a time:
     moments in w times B(h) are the moments in w + h.
     """
-    j = np.arange(count)
-    gap = np.maximum(j - j[:, None], 0)
-    binom = np.zeros((count, count))
-    binom[0] = 1.0
-    for row in range(1, count):  # C(j, l) = sum_{i < j} C(i, l - 1)
-        binom[row, 1:] = np.cumsum(binom[row - 1, :-1])
+    binom, gap = _pascal(count)
 
     def each(h):
         powers = _power_rows(h, count).T
@@ -460,8 +493,10 @@ def _is_zero_forcing(f) -> bool:
     return f is None or bool(getattr(f, "is_zero", False))
 
 
+@functools.lru_cache(maxsize=None)
 def _gauss_jacobi(n: int, beta: float) -> tuple:
-    """n-point Gauss rule for the weight (1+u)^beta on [-1, 1], beta > -1.
+    """n-point Gauss rule for the weight (1+u)^beta on [-1, 1], beta > -1,
+    as read-only arrays built once per (n, beta).
 
     Golub-Welsch on the Jacobi matrix of the Jacobi weight with
     alpha = 0; beta = 0 gives Gauss-Legendre.  numpy's eigh keeps
@@ -476,7 +511,9 @@ def _gauss_jacobi(n: int, beta: float) -> tuple:
     off = 2.0 * k * (k + beta) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
     nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1)
                                  + np.diag(off, -1))
-    return nodes, 2.0 ** (beta + 1.0) / (beta + 1.0) * vecs[0] ** 2
+    weights = 2.0 ** (beta + 1.0) / (beta + 1.0) * vecs[0] ** 2
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _xi_moments(mesh: np.ndarray, x_nodes: np.ndarray, eps2: float,
@@ -520,6 +557,174 @@ def _xi_moments(mesh: np.ndarray, x_nodes: np.ndarray, eps2: float,
     return q.reshape(x_nodes.size, -1)
 
 
+class _EtaConv:
+    """The time convolutions of one grid fill, on one eta-mesh.
+
+    Row t is int_0^t s^(beta-1) (t-s)^-eps1 c(m; s) y(t-s) ds with c the
+    kernel of ``kt["base"]`` (which the V3 and V4 instances share) and y
+    the piecewise-linear interpolant of samples on the uniform mesh
+    ``etas``, eta_j = j h, h = t_max / cells.  With eps1 = 0 a row
+    t = k h weighs eta_j by its lag k - j alone (Toeplitz), so it reads
+    the weights of the row t_max shifted by cells - k nodes: eta_1 ..
+    eta_k take the contiguous ``inner[cells - k:]``, eta_0 the left hat
+    of cell cells - k.  Other rows (t off the mesh, or eps1 > 0) take
+    their own ``_cells``.  In every row the two cells at the lag end,
+    where s^(beta-1) is nearly singular, and for eps1 > 0 the first
+    cell take rules of their own (``_ends``).
+    """
+
+    def __init__(self, engine: TeleEngine, t_max: float, cells: int):
+        self.engine, self.cells, self.h = engine, cells, t_max / cells
+        self.etas = self.h * np.arange(cells + 1.0)
+        # the Gauss nodes of every cell, and their weights per eps1
+        self._eta = (np.arange(cells)[:, None] + _LAG_U) * self.h
+        self._wts = {}
+        self._step = max(1, _CONV_CHUNK // (4 * max(engine.m_cap,
+                                                    engine.k_cap)))
+        self.left, self.inner = self._cells(t_max, 0.0)
+        self.inner[:-1] += self.left[1:]
+
+    def _kernel(self, s: np.ndarray) -> np.ndarray:
+        """s^(beta-1) c(m; s) at an array of lags, shape (*s.shape, m_cap)."""
+        c = self.engine.cvec(s.ravel(), shifted=False).T.reshape(*s.shape, -1)
+        return c * (s ** (self.engine.params.beta - 1.0))[..., None]
+
+    @functools.cached_property
+    def _lags(self) -> np.ndarray:
+        """``_kernel`` at the lags of the inner cells of the row t_max,
+        shape (cells - 2, 4, m_cap): a row t = k h on the mesh reads the
+        same lags for its cell j at j + cells - k.  Built on first use, in
+        ``_CONV_CHUNK`` blocks."""
+        out = np.empty((self.cells - 2, 4, self.engine.m_cap))
+        for lo in range(0, self.cells - 2, self._step):
+            hi = min(lo + self._step, self.cells - 2)
+            out[lo:hi] = self._kernel(self.cells * self.h - self._eta[lo:hi])
+        return out
+
+    def _moments(self, lags: np.ndarray) -> tuple:
+        """int_0^L s^(beta-1) (1, s) c(m; s) ds for each L of ``lags``, two
+        arrays (lags.size, m_cap): term by term in the powers of s / t_ref
+        that ``lag_cvec`` sums, s^(beta m + alpha k) integrating to
+        L^p / p, p = beta (m + 1) + alpha k."""
+        eng, beta = self.engine, self.engine.params.beta
+        r = lags / eng.t_ref
+        xs = (_power_rows(eng._sign_a * r ** beta, eng.m_cap).T
+              * (lags ** beta)[:, None])
+        zs = _power_rows(eng._sign_d * r ** eng.params.alpha, eng.k_cap).T
+        p = (beta * (1.0 + eng._m_exps[:, None])
+             + eng.params.alpha * eng._k_exps)
+        kt = eng.kt["base"]
+        return (xs * (zs @ (kt / p).T),
+                xs * lags[:, None] * (zs @ (kt / (p + 1.0)).T))
+
+    def _ends(self, t: np.ndarray, eps1: float) -> tuple:
+        """The pieces of rows t (an array) next to the singular ends of
+        their weight: (cells, adds), adds[i, :, p] (2, m_cap) what piece
+        p of row t[i] gives the two nodes of its cell cells[i, p].
+
+        For n cells, the cells n - 1 and n - 2 cover the lags
+        s < t - (n - 2) h, where s^(beta-1) is far from a polynomial
+        (the last cell is partial when t is off the mesh).  For eps1 = 0
+        they take the closed form of ``_moments``.  For eps1 > 0 they take
+        Gauss-Legendre in sigma = s^beta, where the series powers are
+        polynomials when alpha / beta is whole, and the first cell, or
+        its part eta < t / 2, takes Gauss-Jacobi for eta^-eps1.  A piece
+        in cell j gives eta_j D1 / h and eta_(j+1) D0 - D1 / h, with D0
+        and D1 the integrals of the row's weight against 1 and against
+        s - s_(j+1), s_j = t - eta_j.
+        """
+        h, beta = self.h, self.engine.params.beta
+        n = np.maximum(np.ceil(t / h - 1e-9), 1.0)
+        last = t - (n - 1.0) * h
+        cells = np.stack((n - 1.0, np.maximum(n - 2.0, 0.0), 0.0 * n),
+                         axis=1).astype(int)
+        base = np.stack((last - h, last), axis=1)[..., None]  # s_(j+1)
+        if eps1 == 0.0:
+            f = self._moments(np.concatenate((last, np.minimum(last + h, t))))
+            d0, d1 = (np.stack((g[:t.size], g[t.size:] - g[:t.size]), axis=1)
+                      for g in f)
+            d1, cells = d1 - base * d0, cells[:, :2]
+        else:
+            first = np.minimum(h, 0.5 * t)
+            mid = np.minimum(last, t - first)
+            edges = np.stack((0.0 * mid, mid, np.maximum(
+                mid, np.minimum(last + h, t - first))), axis=1) ** beta
+            top = np.diff(edges, axis=1)[..., None]
+            v, wv = _gauss_jacobi(_END_NODES, 0.0)
+            s = (edges[:, :2, None] + 0.5 * top * (1.0 + v)) ** (1.0 / beta)
+            w = 0.5 / beta * top * wv * (t[:, None, None] - s) ** -eps1
+            v, wv = _gauss_jacobi(_END_NODES, -eps1)
+            eta = 0.5 * first[:, None, None] * (1.0 + v)
+            x = np.concatenate((s - base, h - eta), axis=1)
+            s = np.concatenate((s, t[:, None, None] - eta), axis=1)
+            w = np.concatenate((w, (0.5 * first[:, None, None]) ** (1.0 - eps1)
+                                * wv * s[:, 2:] ** (beta - 1.0)), axis=1)
+            c = self.engine.cvec(s.ravel(), shifted=False).T.reshape(
+                *s.shape, -1)
+            d0 = np.einsum("bpv,bpvm->bpm", w, c)
+            d1 = np.einsum("bpv,bpvm->bpm", w * x, c)
+        return cells, np.stack((d1 / h, d0 - d1 / h), axis=1)
+
+    def _cells(self, t: float, eps1: float, ends=None) -> np.ndarray:
+        """What eta-cell j gives its nodes eta_j and eta_(j+1) in the row
+        t, shape (2, n, m_cap) for the n cells that [0, t] touches.  The
+        inner cells take 4 Gauss-Legendre nodes, in ``_CONV_CHUNK``
+        blocks; a row on the mesh with eps1 > 0 reads their kernel from
+        ``_lags``.  The pieces at the ends are ``ends``, the row's
+        entries of a ``_ends`` batch, or the row's own.
+        """
+        h = self.h
+        n = max(1, math.ceil(t / h - 1e-9))
+        hats = np.zeros((2, n, self.engine.m_cap))
+        on_mesh = eps1 > 0.0 and abs(t / h - n) <= 1e-9
+        if eps1 not in self._wts:  # the hats times eta^-eps1 at the nodes
+            self._wts[eps1] = (self._eta ** -eps1)[:, None] * (h * _LAG_HATS)
+        for lo in range(int(eps1 > 0.0), n - 2, self._step):
+            hi = min(lo + self._step, n - 2)
+            k = (self._lags[self.cells - n + lo:self.cells - n + hi]
+                 if on_mesh else self._kernel(t - self._eta[lo:hi]))
+            hats[:, lo:hi] = np.matmul(self._wts[eps1][lo:hi],
+                                       k).transpose(1, 0, 2)
+        cells, adds = ends or [e[0] for e in self._ends(np.array([t]), eps1)]
+        np.add.at(hats, (slice(None), cells), adds)
+        return hats
+
+    def apply(self, samples: np.ndarray, times: np.ndarray,
+              eps1: float = 0.0):
+        """Yield (rows, G) per block of times, G[i] = sum_j samples[j]
+        outer w_i(eta_j), shape (rows.size, ncols, m_cap), for samples
+        (cells + 1, ncols) on ``etas``; a block fills ``_CONV_CHUNK``.
+        The rows off the Toeplitz table get their end pieces from one
+        ``_ends`` batch per block of rows."""
+        cells, m_cap = self.cells, self.engine.m_cap
+        k = np.rint(times / self.h)
+        own = np.flatnonzero((times > 0.0) & (
+            (eps1 > 0.0) | (k == 0.0) | (np.abs(times / self.h - k) > 1e-9)))
+        ends = {}
+        step = max(1, _CONV_CHUNK // (3 * _END_NODES * max(m_cap,
+                                                           self.engine.k_cap)))
+        for lo in range(0, own.size, step):
+            rows = own[lo:lo + step]
+            ends.update(zip(rows.tolist(),
+                            zip(*self._ends(times[rows], eps1))))
+        step = max(1, _CONV_CHUNK // (samples.shape[1] * m_cap))
+        for lo in range(0, times.size, step):
+            rows = np.arange(lo, min(lo + step, times.size))
+            g = np.zeros((rows.size, samples.shape[1], m_cap))
+            for out, i in zip(g, rows.tolist()):
+                if i in ends:
+                    left, right = self._cells(float(times[i]), eps1, ends[i])
+                    w = np.zeros((len(left) + 1, m_cap))
+                    w[:-1] = left
+                    w[1:] += right
+                    out[:] = samples[:len(w)].T @ w
+                elif times[i] > 0.0:
+                    top = cells - int(k[i])
+                    out[:] = (samples[1:cells - top + 1].T @ self.inner[top:]
+                              + np.outer(samples[0], self.left[top]))
+            yield rows, g
+
+
 class ForcingTerm:
     """Double integral of the forcing against the V4 instance.
 
@@ -527,15 +732,17 @@ class ForcingTerm:
     xi^{-eps2} f(eta, xi) F4(a(t-eta)^beta; b(x-xi); delta(t-eta)^alpha)
     dxi deta for one fixed x-grid.
 
-    The eta-integral is split at t/2 so each half carries a single power
-    weight (eta^{-eps1} on the left, (t-eta)^{beta-1} on the right).  In
-    xi, f(eta, .) is replaced by its piecewise-linear interpolant on one
-    x-mesh: the x-nodes when they ascend from 0, otherwise the uniform
-    ``quad.n_points``-cell mesh on [0, max x].  Its moment table
-    (``_xi_moments``) is shared by ``with_rules`` copies.  Times come in
-    blocks of as many rows as fit in ``_CONV_CHUNK`` samples of f (at
-    least one): one call of f, one ``lag_cvec`` and one batched product
-    per block.
+    In xi, f(eta, .) is replaced by its piecewise-linear interpolant on
+    one x-mesh: the x-nodes when they ascend from 0, otherwise the
+    ``quad.n_points``-cell mesh on [0, max x] graded toward 0 by
+    ``quad.grading``.  Its moment table (``_xi_moments``) is shared by
+    ``with_rules`` copies.  The grid fill (``fill``) samples f once on the
+    shared eta-mesh of an ``_EtaConv``.  The trace assembly
+    (``integral``) keeps its own eta rules: split at t/2 so each half
+    carries a single power weight (eta^{-eps1} on the left,
+    (t-eta)^{beta-1} on the right), with times in blocks of as many rows
+    as fit in ``_CONV_CHUNK`` samples of f (at least one): one call of f,
+    one ``lag_cvec`` and one batched product per block.
     """
 
     def __init__(self, engine: TeleEngine, f, eps1: float, eps2: float,
@@ -549,7 +756,8 @@ class ForcingTerm:
         if x.size > 1 and x[0] == 0.0 and np.all(np.diff(x) > 0.0):
             self.mesh = x
         else:
-            self.mesh = _uniform_mesh(float(x.max()), quad)
+            self.mesh = graded_mesh(max(float(x.max()), 1e-300),
+                                    max(quad.n_points, 8), quad.grading).nodes
         self.q = _xi_moments(
             self.mesh, x, self.eps2, engine.jw["V4"], engine.x_ref,
             engine._sign_b)
@@ -595,53 +803,41 @@ class ForcingTerm:
         per eta node with scalar t (``_call_txy``, which itself falls
         back to scalar calls).
         """
-        if self._broadcasts:
-            shape = (etas.size, self.mesh.size)
-            tt = np.broadcast_to(etas[:, None], shape)
-            xx = np.broadcast_to(self.mesh, shape)
-            try:
-                out = np.asarray(self.f(tt, xx), dtype=float)
-                if out.shape == tt.shape:
-                    return out
-            except (TypeError, ValueError):
-                pass
-            self._broadcasts = False
+        out = _call_grid(self.f, etas, self.mesh) if self._broadcasts else None
+        if out is not None:
+            return out
+        self._broadcasts = False
         return np.array([_call_txy(self.f, float(eta), self.mesh)
                          for eta in etas])
 
-    def _blocks(self, times: np.ndarray, keep: np.ndarray):
-        """(idx, G) per block of the kept times; T(t_i, .) = Q @ G[i].ravel()
-        with G[i, k, m] = t_i^(beta-eps1) sum_n coef_n f(t_i eta_n, mesh_k)
-        c(m; t_i lag_n) for t_i = times[idx[i]]."""
+    def fill(self, conv: "_EtaConv", times) -> np.ndarray:
+        """T(times[i], x_nodes), shape (times.size, x_nodes.size), from one
+        call of f on (conv.etas x mesh); zero at t = 0."""
+        times = np.asarray(times, dtype=float)
+        out = np.empty((times.size, self.x_nodes.size))
+        for rows, g in conv.apply(self._sample(conv.etas), times, self.eps1):
+            out[rows] = g.reshape(rows.size, -1) @ self.q.T
+        return out
+
+    def integral(self, times, weights) -> np.ndarray:
+        """sum_i weights[i] T(times[i], .), reading the xi-moments once:
+        T(t_i, .) = Q @ G[i].ravel() with G[i, k, m] = t_i^(beta-eps1)
+        sum_n coef_n f(t_i eta_n, mesh_k) c(m; t_i lag_n)."""
+        times = np.asarray(times, dtype=float)
+        weights = np.asarray(weights, dtype=float)
         eng, n_eta = self.engine, self.unit_etas.size
         step = max(1, _CONV_CHUNK // (n_eta * self.mesh.size))
-        kept = np.flatnonzero(keep)
-        for lo in range(0, kept.size, step):
-            t = times[kept[lo:lo + step]]
+        kept = np.flatnonzero((times > 0.0) & (weights != 0.0))
+        acc = np.zeros((self.mesh.size, eng.m_cap))
+        for idx in np.split(kept, np.arange(step, kept.size, step)):
+            t = times[idx]
             c = eng.lag_cvec(self.lag_table, t, shifted=False)
             c *= (t[:, None, None] ** (eng.params.beta - self.eps1)
                   * self.unit_coef)
             f = self._sample((t[:, None] * self.unit_etas).ravel())
-            yield kept[lo:lo + step], np.matmul(
+            acc += np.tensordot(weights[idx], np.matmul(
                 f.reshape(t.size, n_eta, -1).transpose(0, 2, 1),
-                c.transpose(0, 2, 1))
-
-    def rows(self, times) -> np.ndarray:
-        """T(times[i], x_nodes), shape (times.size, x_nodes.size); zero
-        at t = 0."""
-        times = np.asarray(times, dtype=float)
-        out = np.zeros((times.size, self.x_nodes.size))
-        for idx, g in self._blocks(times, times > 0.0):
-            out[idx] = g.reshape(idx.size, -1) @ self.q.T
-        return out
-
-    def integral(self, times, weights) -> np.ndarray:
-        """sum_i weights[i] T(times[i], .), reading the xi-moments once."""
-        times = np.asarray(times, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        acc = np.zeros((self.mesh.size, self.engine.m_cap))
-        for idx, g in self._blocks(times, (times > 0.0) & (weights != 0.0)):
-            acc += np.tensordot(weights[idx], g, axes=1)
+                c.transpose(0, 2, 1)), axes=1)
         return self.q @ acc.ravel()
 
 
@@ -654,10 +850,12 @@ def _forcing_term(engine: TeleEngine, f, eps1: float, eps2: float,
 
 
 class _GridEvaluator:
-    """One grid evaluation: engine, trace moments, and shared rules.
+    """One grid evaluation: engine, trace moments, and one eta-mesh.
 
-    ``forcing`` is a ForcingTerm on x_nodes with the eta rules of
-    ``quad``, or None.
+    ``forcing`` is a ForcingTerm on x_nodes, or None.  The phi and forcing
+    convolutions share one ``_EtaConv`` of quad.n_points cells, rounded up
+    to a multiple of the number n_t of positive t-nodes, so the rows of a
+    uniform t-grid sit on its nodes.
     """
 
     def __init__(self, engine: TeleEngine, tau, phi, forcing,
@@ -679,32 +877,29 @@ class _GridEvaluator:
         self.ypx = eng.ypowers(self.x_nodes)
         self.mom = _trace_moments(self.trace, self.x_nodes, eng.j_cap,
                                   eng.x_ref, eng._sign_b)
-        beta = self.params.beta
-        mesh = graded_mesh(1.0, quad.n_points, max(quad.grading, 1.0 / beta))
-        rule = build_rule(beta - 1.0, mesh)
-        self.conv_nodes, self.conv_weights = rule.nodes, rule.weights
-        self.conv_table = eng.lag_table(self.conv_nodes)
+        n_t = max(int(np.count_nonzero(t_nodes > 0.0)), 1)
+        self.conv = _EtaConv(eng, eng.t_ref, n_t * -(-quad.n_points // n_t))
+
+    def phi_conv(self) -> np.ndarray:
+        """c[i, m] = int_0^t_i s^(beta-1) phi(t_i - s) c(m; s) ds, from one
+        call of phi on the eta-mesh."""
+        out = np.empty((self.t_nodes.size, self.engine.m_cap))
+        phi = _call_on(self.phi, self.conv.etas)[:, None]
+        for rows, g in self.conv.apply(phi, self.t_nodes):
+            out[rows] = g[:, 0]
+        return out
 
     def evaluate(self) -> np.ndarray:
         """u on the grid, one row per t node.
 
         The terms that sample no data under an integral (phi(t), E2, the
         V1 and V2 instances) come from one coefficient matrix of all t
-        nodes, the phi convolution from one ``lag_conv`` per block of rows
-        (row i convolves phi(t_i - t_i u) with the kernel at lags t_i u of
-        the conv rule), the forcing from ``ForcingTerm.rows``.
+        nodes, the phi and forcing convolutions from the eta-mesh
+        (``phi_conv``, ``ForcingTerm.fill``).
         """
         eng, a, b = self.engine, self.coeffs.a, self.coeffs.b
-        t, nodes = self.t_nodes, self.conv_nodes
+        t = self.t_nodes
         c1 = eng.cvec(t, shifted=True)
-        c3 = np.empty((t.size, eng.m_cap))
-        step = max(1, _CONV_CHUNK // nodes.size)
-        for lo in range(0, t.size, step):
-            ts = t[lo:lo + step, None]
-            g = _call_on(self.phi, (ts - ts * nodes).ravel())
-            c3[lo:lo + step] = eng.lag_conv(
-                self.conv_table, ts[:, 0],
-                g.reshape(-1, nodes.size) * self.conv_weights, shifted=False)
         at_beta = a * t ** self.params.beta
         u = (self.tau_x + np.multiply.outer(_call_on(self.phi, t) - self.phi0,
                                             self.ebx))
@@ -712,11 +907,11 @@ class _GridEvaluator:
         u -= ((self.phi0 * at_beta)[:, None]
               * (self.ypx @ (eng.jw["V1"].T @ c1)).T)
         u += (b * at_beta)[:, None] * (self.mom @ (eng.jw["V2"].T @ c1)).T
-        u += ((a * b * t ** self.params.beta)[:, None]
-              * ((c3 @ eng.jw["V3"]) @ self.ypx.T) * self.x_nodes)
+        u += (a * b) * ((self.phi_conv() @ eng.jw["V3"]) @ self.ypx.T
+                        * self.x_nodes)
         u[t == 0.0] = self.tau_x
         if self.forcing is not None:
-            u += self.forcing.rows(t)
+            u += self.forcing.fill(self.conv, t)
         return u
 
 

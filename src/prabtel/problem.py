@@ -34,6 +34,7 @@ from .goursat import (
     TeleEngine,
     TelegraphCoeffs,
     TraceSolution,
+    _call_grid,
     _call_txy,
     _forcing_term,
     _GridEvaluator,
@@ -117,14 +118,23 @@ class ProblemN:
 
     def forcing_row(self, t: float, x: np.ndarray) -> np.ndarray:
         """Full forcing t^-eps1 x^-eps2 f_smooth at one positive time."""
+        return self.forcing_grid(np.array([float(t)]), x)[0]
+
+    def forcing_grid(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Full forcing on the (t x x) grid of positive times: one call of
+        f_smooth when it broadcasts, else one ``_call_txy`` per time."""
         if _is_zero_forcing(self.f_smooth):
-            return np.zeros_like(x)
-        row = _call_txy(self.f_smooth, t, x)
+            return np.zeros((t.size, x.size))
+        grid = _call_grid(self.f_smooth, t, x)
+        if grid is None:
+            grid = np.array([_call_txy(self.f_smooth, tk, x)
+                             for tk in t.tolist()])
         if self.eps1 > 0.0:
-            row = row * t ** (-self.eps1)
+            grid = grid * np.array([tk ** (-self.eps1)
+                                    for tk in t.tolist()])[:, None]
         if self.eps2 > 0.0:
-            row = row * x ** (-self.eps2)
-        return row
+            grid = grid * x ** (-self.eps2)
+        return grid
 
 
 @dataclass(frozen=True)
@@ -246,7 +256,7 @@ def solve(problem: ProblemN, n_t: int = 64, n_x: int = 64,
     (strict=False) only needs a non-degenerate nonlocal constant and
     downgrades those two gates to RuntimeWarning.  The trace equation is
     discretized on the solution x-grid itself, so tau lands on the grid
-    nodes with no interpolation.
+    nodes with no interpolation; its t-rules take max(n_x, 16) cells.
     """
     if n_t < 2 or n_x < 2:
         raise InvalidParams(f"grid needs n_t, n_x >= 2, got ({n_t}, {n_x})")
@@ -282,8 +292,7 @@ def solve(problem: ProblemN, n_t: int = 64, n_x: int = 64,
         warnings.warn(msg, RuntimeWarning, stacklevel=2)
     trace = solve_tau(system)
     t_grid = np.linspace(0.0, domain.q, n_t + 1)
-    grid_forcing = None if forcing is None else forcing.with_rules(quad)
-    u = _GridEvaluator(engine, trace, problem.phi, grid_forcing, t_grid,
+    u = _GridEvaluator(engine, trace, problem.phi, forcing, t_grid,
                        x_grid, quad,
                        corner_tol=max(1e-8, 2.0 * g0_defect)).evaluate()
     diagnostics = dict(system.diagnostics)
@@ -337,8 +346,7 @@ def verify(problem: ProblemN, solution: GridSolution,
     du_dx = (u[1:-1, 2:] - u[1:-1, :-2]) / span
     a, b = problem.coeffs.a, problem.coeffs.b
     res = ddu_dx - a * du_dx - b * du[1:-1, 1:-1]
-    for i, tk in enumerate(t[1:-1]):
-        res[i, :] -= problem.forcing_row(float(tk), x[1:-1])
+    res -= problem.forcing_grid(t[1:-1], x[1:-1])
     pde = float(np.abs(res).max())
 
     compatibility = solution.compatibility

@@ -284,9 +284,10 @@ def assemble_system(params: PrabhakarParams, coeffs: TelegraphCoeffs,
                     series: SeriesPolicy = SeriesPolicy()) -> VolterraSystem:
     """Build the discrete trace equation on a uniform x-grid.
 
-    The grid has quad.n_points cells on [0, p].  Diagnostics carry the
-    display constant, the divisor, the M mass, and coarse-vs-fine
-    refinement deltas for the kernel and right-hand side assembly.
+    The grid has quad.n_points cells on [0, p], the t-rules at least 16.
+    Diagnostics carry the display constant, the divisor, the M mass,
+    and coarse-vs-fine refinement deltas for the kernel and right-hand
+    side assembly.
     """
     engine = TeleEngine(params, coeffs, domain.q, domain.p, series=series)
     x_grid = np.linspace(0.0, domain.p, quad.n_points + 1)
@@ -304,6 +305,11 @@ def _assemble(engine: TeleEngine, domain: Domain2D, M, phi, psi, forcing,
     params, coeffs = engine.params, engine.coeffs
     if not _in_strict_regime(params, coeffs):
         warnings.warn(_STRICT_NOTE, RuntimeWarning, stacklevel=3)
+    # at least 16 cells, so that the coarse level, max(n // 2, 8) cells,
+    # is another one; the eta rules of ``forcing`` (max(n // 2, 8)
+    # cells) are the same below 16
+    quad = QuadPolicy(n_points=max(quad.n_points, 16), grading=quad.grading,
+                      tol=quad.tol)
     rules = _t_rules(engine, M, domain, quad)
     i_m, i_e = _a_integrals(engine, rules)
     a_display = i_m - i_e

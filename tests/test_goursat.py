@@ -26,11 +26,13 @@ from prabtel.goursat import (
     TeleEngine,
     TelegraphCoeffs,
     TraceSolution,
+    _EtaConv,
     _gauss_jacobi,
+    _GridEvaluator,
+    _pascal,
     _power_rows,
     _shift_matrices,
     _trace_moments,
-    _uniform_mesh,
     _variant_shifts,
     _xi_moments,
     goursat_eval,
@@ -40,6 +42,7 @@ from prabtel.goursat import (
 )
 from prabtel.oracle import classical_telegraph_fd
 from prabtel.problem import solve
+from prabtel.quadrature import build_rule, graded_mesh
 from prabtel.specfun import SeriesPolicy, discriminants3, ml2, ml3
 
 
@@ -351,7 +354,8 @@ class TestForcingTerm:
 
         forcing = ForcingTerm(eng, wavy, eps1, eps2, np.array([0.4, 1.0]),
                               QuadPolicy(n_points=64))
-        errs = [abs(forcing.rows([t])[0, i] - reference(t, x))
+        errs = [abs(forcing.fill(_EtaConv(eng, t, 64), [t])[0, i]
+                    - reference(t, x))
                 for i, (t, x) in enumerate(((0.5, 0.4), (1.0, 1.0)))]
         # bound: the larger error of a graded per-x xi rule with the same
         # n_points at these two points (6.52e-5, at t = 0.5, x = 0.4)
@@ -365,7 +369,8 @@ class TestForcingTerm:
         times = np.linspace(0.0, 1.0, 17)
         weights = (0.5 + 0.5 * times) * np.linspace(1.0, -0.5, times.size)
         weights[5] = 0.0
-        want = sum(w * row for w, row in zip(weights, forcing.rows(times)))
+        want = sum(w * row for w, row in
+                   zip(weights, _forcing_rows_per_time(forcing, times)))
         got = forcing.integral(times, weights)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -377,19 +382,22 @@ class TestForcingTerm:
         else:
             f = lambda t, x: (math.cos(3.0 * x) * (1.0 + t)
                               + math.sqrt(x + 0.01)) / 5.0
-        forcing = ForcingTerm(eng, f, 0.25, 0.5, np.linspace(0.0, 1.0, 17),
-                              QuadPolicy(n_points=32))
-        # blocks of 3 rows: the 10 positive times span 4 blocks, the last
-        # one short
-        per_row = forcing.unit_etas.size * forcing.mesh.size
-        monkeypatch.setattr(goursat, "_CONV_CHUNK", 3 * per_row + 1)
+        # 10 positive times on the nodes of a 40-cell eta-mesh; with
+        # eps1 = 0 they read its Toeplitz table.  Blocks of 3 rows: the
+        # 12 rows span 4 blocks
+        conv = _EtaConv(eng, 1.0, 40)
+        monkeypatch.setattr(goursat, "_CONV_CHUNK", 3 * 17 * eng.m_cap + 1)
         times = np.concatenate(([0.0], np.linspace(0.0, 1.0, 11)[1:][::-1],
                                 [0.0]))
-        got = forcing.rows(times)
-        want = _forcing_rows_per_time(forcing, times)
-        assert got.shape == (times.size, 17)
-        assert not got[times == 0.0].any()
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        for eps1 in (0.0, 0.25):
+            forcing = ForcingTerm(eng, f, eps1, 0.5,
+                                  np.linspace(0.0, 1.0, 17),
+                                  QuadPolicy(n_points=32))
+            got = forcing.fill(conv, times)
+            want = _fill_per_time(forcing, conv, times)
+            assert got.shape == (times.size, 17)
+            assert not got[times == 0.0].any()
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_f_sampled_once_per_row(self):
         calls = []
@@ -401,7 +409,21 @@ class TestForcingTerm:
         t_nodes, x_nodes = np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 17)
         goursat_grid(PARAMS, COEFFS, zeros, zeros, f, t_nodes, x_nodes,
                      quad=QuadPolicy(n_points=64))
-        assert 0 < len(calls) <= t_nodes.size - 1
+        # one call on the shared eta-mesh of the grid fill
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("t_nodes", [np.linspace(0.0, 1.0, 9) ** 2,
+                                          np.array([0.7])])
+    def test_broadcasting_f_called_once_per_grid_fill(self, t_nodes):
+        calls = []
+
+        def f(t, x):
+            calls.append(1)
+            return wavy(t, x)
+
+        goursat_grid(PARAMS, COEFFS, zeros, zeros, f, t_nodes,
+                     np.linspace(0.0, 1.0, 17), quad=QuadPolicy(n_points=64))
+        assert len(calls) == 1
 
     def test_non_broadcasting_forcing_matches_numpy_twin(self):
         grids = (np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 9))
@@ -416,15 +438,93 @@ class TestForcingTerm:
                             lambda t, x: np.exp(t) * x, *grids, **kw)
         got = goursat_grid(PARAMS, COEFFS, zeros, zeros, per_eta, *grids, **kw)
         assert np.abs(got - want).max() <= 1e-13
-        # one failed broadcast call, then one call per eta node and row
-        n_eta = 2 * (32 // 2 + 1)
-        assert len(calls) == 1 + (grids[0].size - 1) * n_eta
+        # one failed broadcast call, then one call per node of the shared
+        # eta-mesh: 4 rows times ceil(32 / 4) cells, plus eta = 0
+        cells = 4 * 8
+        assert len(calls) == 1 + cells + 1
 
         scalar = lambda t, x: math.cos(3.0 * x) * (1.0 + t)
         twin = lambda t, x: np.cos(3.0 * x) * (1.0 + t)
         got = goursat_grid(PARAMS, COEFFS, zeros, zeros, scalar, *grids, **kw)
         want = goursat_grid(PARAMS, COEFFS, zeros, zeros, twin, *grids, **kw)
         assert np.abs(got - want).max() <= 1e-13
+
+
+class TestEtaMesh:
+    @staticmethod
+    def _grid_convolutions(prob, forcing, points, t, x):
+        """(phi convolution folded with V3, forcing rows) of the grid fill."""
+        phi0 = float(prob.phi(0.0))
+        ev = _GridEvaluator(forcing.engine, lambda v: phi0 + 0.0 * v,
+                            prob.phi, forcing, t, x,
+                            QuadPolicy(n_points=points))
+        return (ev.phi_conv() @ forcing.engine.jw["V3"],
+                forcing.fill(ev.conv, t))
+
+    def test_converges_faster_than_per_row_rule(self):
+        # the acceptance problem at 64/256: both the eta-mesh and the
+        # per-row rule it replaced, against the eta-mesh at 8x n_points
+        prob = _smooth_problem(forcing=True)
+        eng = TeleEngine(prob.params, prob.coeffs, 1.0, 1.0)
+        t, x = np.linspace(0.0, 1.0, 65), np.linspace(0.0, 1.0, 65)
+        forcing = ForcingTerm(eng, prob.f_smooth, 0.0, 0.0, x,
+                              QuadPolicy(n_points=64))
+        phi_ref, rows_ref = self._grid_convolutions(prob, forcing, 2048, t, x)
+        phi_new, rows_new = self._grid_convolutions(prob, forcing, 256, t, x)
+        beta = prob.params.beta
+        rule = build_rule(beta - 1.0, graded_mesh(1.0, 256, 1.0 / beta))
+        table = eng.lag_table(rule.nodes)
+        phi_old = np.array([
+            tk ** beta * eng.lag_cvec(table, tk, shifted=False)
+            @ (prob.phi(tk - tk * rule.nodes) * rule.weights) for tk in t])
+        phi_old = phi_old @ eng.jw["V3"]
+        rows_old = _forcing_rows_per_time(
+            forcing.with_rules(QuadPolicy(n_points=256)), t)
+        for new, old, ref in ((phi_new, phi_old, phi_ref),
+                              (rows_new, rows_old, rows_ref)):
+            assert 5.0 * np.abs(new - ref).max() <= np.abs(old - ref).max()
+
+    @pytest.mark.parametrize("eps1", [0.0, 0.25])
+    @pytest.mark.parametrize("t_nodes", [
+        np.linspace(0.0, 1.0, 9) ** 2,  # on and off the 32-cell mesh
+        np.array([0.9, 0.0, 0.33, 0.61, 0.9 - 1e-7, 1.0]),
+        np.array([0.7])])  # a single time: 32 cells on [0, 0.7]
+    def test_rows_match_one_row_at_a_time(self, t_nodes, eps1, monkeypatch):
+        eng = TeleEngine(PARAMS, COEFFS, t_nodes.max(), 1.0)
+        n_t = np.count_nonzero(t_nodes)
+        conv = _EtaConv(eng, t_nodes.max(), n_t * -(-32 // n_t))
+        samples = np.cos(np.multiply.outer(conv.etas, [1.0, 4.0, 9.0]))
+        # blocks of 2 rows
+        monkeypatch.setattr(goursat, "_CONV_CHUNK", 2 * 3 * eng.m_cap)
+        got = np.zeros((t_nodes.size, 3, eng.m_cap))
+        for rows, g in conv.apply(samples, t_nodes, eps1):
+            got[rows] = g
+        for tk, g in zip(t_nodes, got):
+            want = (samples.T @ _row_weights(conv, tk, eps1)
+                    if tk > 0.0 else np.zeros_like(g))
+            assert np.abs(g - want).max() <= 1e-13 * max(np.abs(want).max(),
+                                                         1e-300)
+
+    @pytest.mark.parametrize("eps1", [0.0, 0.25])
+    def test_rows_just_above_a_node_match_a_refined_mesh(self, eps1):
+        # t a ten-thousandth of a cell above a node of the 256-cell mesh,
+        # where s^(beta-1) is nearly singular on the full cell next to
+        # the lag end; 4 Gauss-Legendre nodes there erred about 1e-2.
+        # The reference ends its own 4096-cell mesh at t, and samples
+        # linear in eta are interpolated exactly on both meshes
+        prob = _smooth_problem(forcing=True)
+        eng = TeleEngine(prob.params, prob.coeffs, 1.0, 1.0)
+
+        def rows(conv, times):
+            samples = 1.0 + 2.0 * conv.etas[:, None]
+            return np.concatenate([g[:, 0] for _, g in
+                                   conv.apply(samples, times, eps1)])
+
+        times = (np.array([1.0, 2.0, 100.0, 255.0]) + 1e-4) / 256.0
+        got = rows(_EtaConv(eng, 1.0, 256), times)
+        for t, g in zip(times, got):
+            want = rows(_EtaConv(eng, t, 4096), np.array([t]))[0]
+            assert np.abs(g - want).max() <= 1e-6 * np.abs(want).max()
 
 
 def _cvec_by_pow(eng, s, shifted):
@@ -439,8 +539,9 @@ def _cvec_by_pow(eng, s, shifted):
 
 
 def _forcing_rows_per_time(forcing, times):
-    """``ForcingTerm.rows`` one time at a time: the kernel of each time
-    from its own ``lag_cvec`` call and f sampled once per time."""
+    """The rows T(t, x_nodes) that ``ForcingTerm.integral`` weighs, one time
+    at a time: the kernel of each time from its own ``lag_cvec`` call and
+    f sampled once per time."""
     eng = forcing.engine
     out = np.zeros((len(times), forcing.x_nodes.size))
     for i, t in enumerate(times):
@@ -450,6 +551,28 @@ def _forcing_rows_per_time(forcing, times):
                     @ (c * forcing.unit_coef).T)
             out[i] = forcing.q @ (
                 t ** (eng.params.beta - forcing.eps1) * amat).ravel()
+    return out
+
+
+def _row_weights(conv, t, eps1):
+    """The weights (cells + 1, m_cap) of the eta-mesh nodes in the row at
+    t: ``_EtaConv._cells`` of that row alone."""
+    left, right = conv._cells(t, eps1)
+    w = np.zeros((conv.cells + 1, left.shape[1]))
+    w[:len(left)] += left
+    w[1:len(left) + 1] += right
+    return w
+
+
+def _fill_per_time(forcing, conv, times):
+    """``ForcingTerm.fill`` one time at a time: each row from its own
+    ``_EtaConv._cells`` weights and its own call of f on the eta-mesh."""
+    out = np.zeros((len(times), forcing.x_nodes.size))
+    for i, t in enumerate(times):
+        if t > 0.0:
+            f = forcing._sample(conv.etas)
+            g = f.T @ _row_weights(conv, t, forcing.eps1)
+            out[i] = forcing.q @ g.ravel()
     return out
 
 
@@ -569,8 +692,8 @@ class TestLagTables:
             (graded, graded),
             # x-nodes on and between the nodes of a longer mesh, unsorted
             (long, np.linspace(0.0, 0.6, 65)[::-1]),
-            # x-nodes that do not ascend from 0 get the uniform mesh
-            (_uniform_mesh(1.0, QuadPolicy(n_points=64)), fallback),
+            # x-nodes that do not ascend from 0 get the graded mesh
+            (graded_mesh(1.0, 64, 2.0).nodes, fallback),
         )
 
     @pytest.mark.parametrize("case", range(4))
@@ -609,6 +732,12 @@ class TestLagTables:
         want = (w + a) ** np.arange(count)
         got = _power_rows(np.array([w]), count)[:, 0] @ ba
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_pascal_table_built_once_read_only(self):
+        binom, gap = _pascal(6)
+        assert _pascal(6)[0] is binom
+        assert not (binom.flags.writeable or gap.flags.writeable)
+        assert binom[2, 4] == 6.0 and gap[1, 4] == 3 and gap[4, 1] == 0
 
     @staticmethod
     def _check_lag_conv(eng, shifted):

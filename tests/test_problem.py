@@ -319,7 +319,36 @@ class TestResidualReport:
                      "compatibility": 4.0}
 
 
+class TestVerifyForcing:
+    def test_one_call_of_f_and_the_per_row_report(self):
+        # the grid call and the per-row fallback give the same report,
+        # bit for bit
+        calls = []
+
+        def f(t, x):
+            calls.append(1)
+            return t * x / 10.0 + x * x - 0.5 * t
+
+        def per_row(t, x):
+            if np.ndim(t):
+                raise TypeError("scalar t only")
+            return f(t, x)
+
+        prob = replace(smooth_problem(), f_smooth=f, eps1=0.25, eps2=0.5)
+        sol = solve(prob, n_t=16, n_x=16, quad=QUICK)
+        calls.clear()
+        report = verify(prob, sol, QUICK)
+        assert len(calls) == 1
+        twin = verify(replace(prob, f_smooth=per_row), sol, QUICK)
+        assert twin.as_dict() == report.as_dict()
+
+
 class TestSharedSetup:
+    def test_coarse_assembly_estimates_its_refinement(self):
+        # at n_x = 8 the assembly's two levels used to be one and the same
+        sol = solve(make_problem(), n_t=8, n_x=8, quad=QuadPolicy(n_points=32))
+        assert sol.diagnostics["g_refinement_delta"] > 0.0
+
     def test_one_engine_and_one_xi_table_per_solve(self, monkeypatch):
         counts = {"engine": 0, "xi": 0}
         init, xi_moments = goursat.TeleEngine.__init__, goursat._xi_moments

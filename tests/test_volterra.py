@@ -224,8 +224,7 @@ class TestRhsG:
 def _g_values_by_row(engine, rules, M, phi, psi, forcing, domain, quad,
                      x_arr):
     """``_g_values`` with one lag_cvec product per outer node v of the V3
-    integral and the ForcingTerm rows of the int M T dt rule summed one
-    at a time."""
+    integral and the int M T dt rule one time at a time."""
     co, q = engine.coeffs, domain.q
     phi0 = float(phi(0.0))
     out = _call_on(psi, x_arr).copy()
@@ -254,11 +253,9 @@ def _g_values_by_row(engine, rules, M, phi, psi, forcing, domain, quad,
         f_outer = build_rule(0.0, graded_mesh(
             q, max(quad.n_points // 2, 16), grading))
         m_outer = _call_on(M, f_outer.nodes)
-        rows = forcing.rows(f_outer.nodes)
-        for t, w, mt, row in zip(f_outer.nodes, f_outer.weights, m_outer,
-                                 rows):
+        for t, w, mt in zip(f_outer.nodes, f_outer.weights, m_outer):
             if t > 0.0 and w != 0.0 and mt != 0.0:
-                out += (w * mt) * row
+                out += forcing.integral(np.array([t]), np.array([w * mt]))
     return out
 
 
