@@ -31,8 +31,9 @@ convolutions share one uniform eta-mesh (``_EtaConv``) of
 ``quad.n_points`` cells, rounded up to a multiple of n_t: the data are
 sampled once, and rows on the mesh read Toeplitz lag weights.  The
 trace assembly, which ``solve`` runs on n_x points, samples its kernels
-at lags t u of a unit rule u (``TeleEngine.lag_table``, ``lag_conv``,
-``ForcingTerm.integral``).
+at lags t u of a unit rule u (``TeleEngine.lag_table``, ``lag_conv``)
+and folds the forcing's double integral onto the kernel of its phi
+term, with one sample of f per level (``volterra._g_values``).
 
 Accuracy envelope: the tensors are exponentiated log-gamma ratios in
 float64 (``math.lgamma`` tables, see ``TeleEngine``).  For X = a t^beta < 0
@@ -45,7 +46,6 @@ it can already give finite values with no correct digit.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from dataclasses import dataclass, field
@@ -59,7 +59,7 @@ from .errors import (
     InvalidParams,
 )
 from .fracops import PrabhakarParams, QuadPolicy
-from .quadrature import _call_on, build_rule, graded_mesh
+from .quadrature import _call_on, graded_mesh
 from .specfun import (
     ML2Params,
     ML3Params,
@@ -74,8 +74,8 @@ from .specfun import (
 _VARIANTS = ("V1", "V2", "V3", "V4")
 
 # floats (128 KB) per temporary of a batched time convolution: the data
-# block a caller samples (M or f in the trace assembly), the product
-# block of ``TeleEngine.lag_conv``, and a block of ``_EtaConv`` rows
+# block a caller samples (M in the trace assembly), the product block of
+# ``TeleEngine.lag_conv``, and a block of ``_EtaConv`` rows
 _CONV_CHUNK = 16384
 
 # the 4-point Gauss-Legendre rule on [0, 1] of each inner cell of the
@@ -735,14 +735,12 @@ class ForcingTerm:
     In xi, f(eta, .) is replaced by its piecewise-linear interpolant on
     one x-mesh: the x-nodes when they ascend from 0, otherwise the
     ``quad.n_points``-cell mesh on [0, max x] graded toward 0 by
-    ``quad.grading``.  Its moment table (``_xi_moments``) is shared by
-    ``with_rules`` copies.  The grid fill (``fill``) samples f once on the
-    shared eta-mesh of an ``_EtaConv``.  The trace assembly
-    (``integral``) keeps its own eta rules: split at t/2 so each half
-    carries a single power weight (eta^{-eps1} on the left,
-    (t-eta)^{beta-1} on the right), with times in blocks of as many rows
-    as fit in ``_CONV_CHUNK`` samples of f (at least one): one call of f,
-    one ``lag_cvec`` and one batched product per block.
+    ``quad.grading``.  Its moment table ``q`` (``_xi_moments``) turns a
+    (mesh, m_cap) matrix of eta-integrals into values on the x-nodes, for
+    every time integral of a solve.  The grid fill (``fill``) samples f
+    once on the shared eta-mesh of an ``_EtaConv``; each trace-assembly
+    level samples it once on its outer nodes (``_sample``) and folds
+    int M T dt onto the kernel of its V3 term (``volterra._g_values``).
     """
 
     def __init__(self, engine: TeleEngine, f, eps1: float, eps2: float,
@@ -751,7 +749,6 @@ class ForcingTerm:
         self.f = f
         self.eps1, self.eps2 = float(eps1), float(eps2)
         self.x_nodes = np.asarray(x_nodes, dtype=float)
-        self._set_rules(quad)
         x = self.x_nodes
         if x.size > 1 and x[0] == 0.0 and np.all(np.diff(x) > 0.0):
             self.mesh = x
@@ -762,39 +759,6 @@ class ForcingTerm:
             self.mesh, x, self.eps2, engine.jw["V4"], engine.x_ref,
             engine._sign_b)
         self._broadcasts = True
-
-    def _set_rules(self, quad: QuadPolicy) -> None:
-        """The eta rules of ``quad`` on the unit interval, with their lag
-        table.
-
-        At time t the eta nodes are t * unit_etas and the lags t - eta
-        are t * lags: t (1 - ln/2) on the left half, t rn/2 on the right.
-        Both halves carry the weight factor t^(beta - eps1) times
-        ``unit_coef``.
-        """
-        beta, eps1 = self.engine.params.beta, self.eps1
-        mesh = graded_mesh(1.0, max(quad.n_points // 2, 8),
-                           max(quad.grading, 1.0 / beta))
-        left = build_rule(-eps1, mesh)
-        right = build_rule(beta - 1.0, mesh)
-        ln, rn = 0.5 * left.nodes, 0.5 * right.nodes
-        self.unit_etas = np.concatenate((ln, 1.0 - rn))
-        lags = np.concatenate((1.0 - ln, rn))
-        self.unit_coef = np.concatenate((
-            0.5 ** (1.0 - eps1) * left.weights * (1.0 - ln) ** (beta - 1.0),
-            0.5 ** beta * right.weights * (1.0 - rn) ** (-eps1)))
-        self.lag_table = self.engine.lag_table(lags)
-
-    def with_rules(self, quad: QuadPolicy) -> "ForcingTerm":
-        """The same term with the eta rules of ``quad``.
-
-        The xi-moments depend only on the x-nodes, eps2 and the engine,
-        so the copy shares them; a solve builds them once for its
-        assembly levels and its grid fill.
-        """
-        twin = copy.copy(self)
-        twin._set_rules(quad)
-        return twin
 
     def _sample(self, etas: np.ndarray) -> np.ndarray:
         """f on the (eta x mesh) array.
@@ -818,27 +782,6 @@ class ForcingTerm:
         for rows, g in conv.apply(self._sample(conv.etas), times, self.eps1):
             out[rows] = g.reshape(rows.size, -1) @ self.q.T
         return out
-
-    def integral(self, times, weights) -> np.ndarray:
-        """sum_i weights[i] T(times[i], .), reading the xi-moments once:
-        T(t_i, .) = Q @ G[i].ravel() with G[i, k, m] = t_i^(beta-eps1)
-        sum_n coef_n f(t_i eta_n, mesh_k) c(m; t_i lag_n)."""
-        times = np.asarray(times, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        eng, n_eta = self.engine, self.unit_etas.size
-        step = max(1, _CONV_CHUNK // (n_eta * self.mesh.size))
-        kept = np.flatnonzero((times > 0.0) & (weights != 0.0))
-        acc = np.zeros((self.mesh.size, eng.m_cap))
-        for idx in np.split(kept, np.arange(step, kept.size, step)):
-            t = times[idx]
-            c = eng.lag_cvec(self.lag_table, t, shifted=False)
-            c *= (t[:, None, None] ** (eng.params.beta - self.eps1)
-                  * self.unit_coef)
-            f = self._sample((t[:, None] * self.unit_etas).ravel())
-            acc += np.tensordot(weights[idx], np.matmul(
-                f.reshape(t.size, n_eta, -1).transpose(0, 2, 1),
-                c.transpose(0, 2, 1)), axes=1)
-        return self.q @ acc.ravel()
 
 
 def _forcing_term(engine: TeleEngine, f, eps1: float, eps2: float,

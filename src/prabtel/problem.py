@@ -40,7 +40,7 @@ from .goursat import (
     _GridEvaluator,
     _is_zero_forcing,
 )
-from .quadrature import _call_on, build_rule, graded_mesh
+from .quadrature import _call_on, _trapezoid_vec, graded_mesh
 from .specfun import SeriesPolicy
 from .volterra import _M_ZERO_TOL, _assemble, _in_strict_regime, solve_tau
 
@@ -220,10 +220,10 @@ def compatibility_check(problem: ProblemN,
     acceptable.
     """
     def level(cells):
-        rule = build_rule(0.0, graded_mesh(problem.domain.q, cells, 1.0))
-        m_vals = _call_on(problem.M, rule.nodes)
-        phi_vals = _call_on(problem.phi, rule.nodes)
-        return float(rule.weights @ (m_vals * phi_vals))
+        nodes = graded_mesh(problem.domain.q, cells, 1.0).nodes
+        m_vals = _call_on(problem.M, nodes)
+        phi_vals = _call_on(problem.phi, nodes)
+        return float(_trapezoid_vec(nodes) @ (m_vals * phi_vals))
 
     coarse = level(2 * quad.n_points)
     fine = level(4 * quad.n_points)
@@ -303,14 +303,6 @@ def solve(problem: ProblemN, n_t: int = 64, n_x: int = 64,
                         tau=trace, A=float(diagnostics["a_display"]),
                         compatibility=compatibility_check(problem, quad),
                         diagnostics=diagnostics)
-
-
-def _trapezoid_vec(grid: np.ndarray) -> np.ndarray:
-    h = np.diff(grid)
-    w = np.zeros(grid.size)
-    w[:-1] += 0.5 * h
-    w[1:] += 0.5 * h
-    return w
 
 
 def verify(problem: ProblemN, solution: GridSolution,

@@ -117,6 +117,16 @@ def build_rule(weight_exponent: float, mesh: GradedMesh) -> WeightedRule:
     return WeightedRule(nodes=s, weights=w)
 
 
+def _trapezoid_vec(grid: np.ndarray) -> np.ndarray:
+    """Trapezoid weights on an ascending grid: ``build_rule(0.0, ...)``
+    without its float pows."""
+    h = np.diff(grid)
+    w = np.zeros(grid.size)
+    w[:-1] += 0.5 * h
+    w[1:] += 0.5 * h
+    return w
+
+
 def _call_on(fn, values) -> np.ndarray:
     """Evaluate a scalar-or-vectorized callable on a 1-D array.
 

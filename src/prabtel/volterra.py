@@ -15,6 +15,11 @@ the forcing.  ``assemble_system`` produces the discrete system on a
 uniform x-grid, ``solve_tau`` runs the lower-triangular Nystrom sweep,
 and ``picard_solve`` cross-checks it by successive approximations.
 
+Each assembly level evaluates each kernel family once: the shifted
+family (E2, V1, V2) through one coefficient vector (``_TRules.cm``), the
+base family (V3, V4) through one inner kernel K(v) that the phi and
+forcing double integrals share after a Fubini swap (``_g_values``).
+
 A note on the constant.  Two closely related constants appear:
 
     A_display = int_0^q M(t) (1 - a G(gamma) t^beta E2(...)) dt
@@ -50,14 +55,24 @@ from .goursat import (
     TelegraphCoeffs,
     TraceSolution,
     _forcing_term,
+    _gauss_jacobi,
 )
-from .quadrature import WeightedRule, _call_on, build_rule, graded_mesh
+from .quadrature import (
+    WeightedRule,
+    _call_on,
+    _trapezoid_vec,
+    build_rule,
+    graded_mesh,
+)
 from .specfun import SeriesPolicy
 
 A_TOL = 1e-10
 
 # M is declared degenerate when it never exceeds this at the sample nodes
 _M_ZERO_TOL = 1e-14
+
+# Gauss nodes per cell of the forcing's outer weights
+_OUTER_GAUSS = 24
 
 
 @dataclass(frozen=True)
@@ -126,37 +141,43 @@ class _TRules:
     """The t-rules on [0, q] of one assembly level, with M sampled once.
 
     ``flat`` has unit weight and ``m_flat`` holds M at its nodes; ``beta``
-    has the weight t^beta and ``mw`` holds its weights times M.
+    has the weight t^beta and ``mw`` holds its weights times M.  ``cm``
+    is the shifted family's coefficient vector int_0^q M t^beta c(m; t) dt
+    (m_cap): E2, V1 and V2 all read it.
     """
 
     flat: WeightedRule
     m_flat: np.ndarray
     beta: WeightedRule
     mw: np.ndarray
+    cm: np.ndarray
 
 
 def _t_rules(engine: TeleEngine, M, domain: Domain2D,
              quad: QuadPolicy) -> _TRules:
-    """Unit-weight and t^beta-weight product rules, refined 4x.
+    """Unit-weight (trapezoid) and t^beta-weight product rules, refined 4x.
 
     The 1-D t-integrals are cheap next to the grid evaluation, so they
     run on a finer mesh than quad.n_points to keep their error
-    subdominant.
+    subdominant.  The level's one shifted ``cvec`` call runs here.
     """
     cells = 4 * quad.n_points
-    flat = build_rule(0.0, graded_mesh(domain.q, cells, 1.0))
+    nodes = graded_mesh(domain.q, cells, 1.0).nodes
+    flat = WeightedRule(nodes=nodes, weights=_trapezoid_vec(nodes))
     m_flat = _sample_m(M, flat.nodes)
     beta = engine.params.beta
     grading = max(quad.grading, 1.0 / beta)
     rule = build_rule(beta, graded_mesh(domain.q, cells, grading))
-    return _TRules(flat, m_flat, rule, rule.weights * _sample_m(M, rule.nodes))
+    mw = rule.weights * _sample_m(M, rule.nodes)
+    return _TRules(flat, m_flat, rule, mw,
+                   engine.cvec(rule.nodes, shifted=True) @ mw)
 
 
 def _a_integrals(engine: TeleEngine, rules: _TRules) -> tuple:
-    """(int M dt, a G(gamma) int M t^beta E2 dt) on [0, q]."""
+    """(int M dt, a G(gamma) int M t^beta E2 dt) on [0, q]; G(gamma) E2
+    sums the shifted coefficients over m, so the second is a sum(cm)."""
     i_m = float(rules.flat.weights @ rules.m_flat)
-    ge2 = engine.gamma_e2(rules.beta.nodes)
-    i_e = engine.coeffs.a * float(rules.mw @ ge2)
+    i_e = engine.coeffs.a * float(rules.cm.sum())
     return i_m, i_e
 
 
@@ -177,10 +198,12 @@ def compute_A(params: PrabhakarParams, coeffs: TelegraphCoeffs, M,
     return value
 
 
-def _m1_at(engine: TeleEngine, rules: _TRules,
-           diffs: np.ndarray) -> np.ndarray:
-    """M1 at an array of displacements: int_0^q M t^beta F2(.., b s, ..) dt."""
-    return engine.fbar("V2", rules.beta.nodes, diffs) @ rules.mw
+def _m1_at(engine: TeleEngine, rules: _TRules, diffs: np.ndarray,
+           variant: str = "V2") -> np.ndarray:
+    """M1 at an array of displacements: int_0^q M t^beta F2(.., b s, ..) dt,
+    the level's ``cm`` folded with jw["V2"]; ``variant="V1"`` gives the
+    same integral of F1, which the phi(0) term of g weighs."""
+    return engine.ypowers(diffs) @ (engine.jw[variant].T @ rules.cm)
 
 
 def kernel_M1(params: PrabhakarParams, coeffs: TelegraphCoeffs, M,
@@ -197,13 +220,44 @@ def kernel_M1(params: PrabhakarParams, coeffs: TelegraphCoeffs, M,
     return float(_m1_at(engine, rules, np.array([x - xi]))[0])
 
 
+def _forcing_weights(nodes: np.ndarray, beta: float,
+                     eps1: float) -> np.ndarray:
+    """Product weights of v^beta (q - v)^-eps1 on the ascending nodes of
+    [0, q], q = nodes[-1], exact for functions quadratic on each pair of
+    cells 2k, 2k + 1 (an odd last cell takes the quadratic of the last
+    two); at least two cells.  Per cell a Gauss rule: Gauss-Jacobi for
+    the power singular on the first or last cell, else Gauss-Legendre.
+    """
+    q, lo, h = nodes[-1], nodes[:-1, None], np.diff(nodes)[:, None]
+    (u, w), (u0, w0), (u1, w1) = (_gauss_jacobi(_OUTER_GAUSS, e)
+                                  for e in (0.0, beta, -eps1))
+    x = np.tile(0.5 + 0.5 * u, (h.size, 1))  # the nodes on the unit cell
+    wt = np.tile(0.5 * w, (h.size, 1))
+    x[0], wt[0] = 0.5 + 0.5 * u0, 0.5 ** (1.0 + beta) * w0
+    x[-1], wt[-1] = 0.5 - 0.5 * u1, 0.5 ** (1.0 - eps1) * w1
+    v = lo + h * x
+    vb, ve = v ** beta, (q - v) ** -eps1
+    vb[0], ve[-1] = h[0] ** beta, h[-1] ** -eps1  # the rest is in the rules
+    wt *= h * vb * ve
+    # the three nodes of each cell's quadratic and its Lagrange basis
+    idx = (np.minimum(np.arange(h.size) // 2 * 2, h.size - 2)[:, None]
+           + np.arange(3))
+    p = nodes[idx]
+    basis = [(v - p[:, i, None]) * (v - p[:, j, None])
+             / ((p[:, k] - p[:, i]) * (p[:, k] - p[:, j]))[:, None]
+             for k, i, j in ((0, 1, 2), (1, 0, 2), (2, 0, 1))]
+    sums = np.stack([(wt * b).sum(axis=1) for b in basis], axis=1)
+    return np.bincount(idx.ravel(), sums.ravel(), nodes.size)
+
+
 def _g_values(engine: TeleEngine, rules: _TRules, M, phi, psi, forcing,
               domain: Domain2D, quad: QuadPolicy,
               x_arr: np.ndarray) -> np.ndarray:
     """Right-hand side g on an array of x values (display normalization).
 
     ``rules`` are the t-rules of ``quad``; ``forcing`` is a ForcingTerm on
-    x_arr with the eta rules of ``quad``, or None.
+    x_arr, or None.  The phi and forcing double integrals share one
+    kernel matrix K over the outer nodes of ``quad.n_points`` cells.
     """
     co, q = engine.coeffs, domain.q
     phi0 = float(phi(0.0))
@@ -214,40 +268,41 @@ def _g_values(engine: TeleEngine, rules: _TRules, M, phi, psi, forcing,
                   @ (_call_on(phi, flat.nodes) - phi0))
     out += np.exp(co.b * x_arr) * c_phi
 
-    out -= co.a * phi0 * (engine.fbar("V1", rules.beta.nodes, x_arr)
-                          @ rules.mw)
+    out -= co.a * phi0 * _m1_at(engine, rules, x_arr, "V1")
 
-    # double integral of phi against V3: with v = q - eta the factor
-    # (q-eta)^beta from the inner s = t - eta integral becomes the
-    # product weight v^beta of the outer rule; the x-dependence of the
-    # V3 instance factors through its y-power block, so the whole
-    # double sum collapses into one coefficient vector.  The inner lags
-    # are v times the unit inner nodes: one lag table serves every v,
-    # and M is sampled on a block of (v, inner node) pairs at a time.
+    # double integrals over 0 < eta < t < q of phi (V3) and the forcing
+    # (V4), swapped (Fubini) onto v = q - eta: with s = t - eta = v u the
+    # inner integral is v^beta K(v), K[v, m] = int_0^1 u^(beta-1)
+    # M(q - v + v u) c(m; v u) du, and v^beta goes into the outer weights.
+    # The x-dependence factors through the y-powers, so both double sums
+    # collapse onto the same K.  One lag table of the unit inner nodes
+    # serves every v; M is sampled on blocks of (v, inner node) pairs.
     beta = engine.params.beta
     grading = max(quad.grading, 1.0 / beta)
     outer = build_rule(beta, graded_mesh(q, quad.n_points, grading))
     inner = build_rule(beta - 1.0, graded_mesh(1.0, quad.n_points, grading))
     table = engine.lag_table(inner.nodes)
-    keep = (outer.nodes > 0.0) & (outer.weights != 0.0)
-    vs, ws = outer.nodes[keep], outer.weights[keep]
-    cacc = np.zeros(engine.m_cap)
+    vs = outer.nodes
+    kern = np.empty((vs.size, engine.m_cap))
     step = max(1, _CONV_CHUNK // inner.nodes.size)
     for lo in range(0, vs.size, step):
         v = vs[lo:lo + step, None]
         eta = q - v
         mv = _call_on(M, (eta + v * inner.nodes).ravel()).reshape(v.size, -1)
-        wphi = ws[lo:lo + step, None] * _call_on(phi, eta[:, 0])[:, None]
-        cacc += engine.lag_conv(table, v[:, 0], wphi * inner.weights * mv,
-                                shifted=False).sum(axis=0)
+        kern[lo:lo + step] = engine.lag_conv(table, v[:, 0],
+                                             inner.weights * mv, shifted=False)
+    # the phi sum skips v = 0, as it always has: taking it in would move
+    # every unforced trace by O(h^(1+beta))
+    ws = np.where(vs > 0.0, outer.weights, 0.0)
+    cacc = (ws * _call_on(phi, q - vs)) @ kern
     j3 = engine.ypowers(x_arr) @ (engine.jw["V3"].T @ cacc)
     out += co.a * co.b * x_arr * j3
 
+    # piecewise-quadratic weights keep the forcing's eta^-eps1 exact
+    # (eta = 0 is a node) and their error far below that of K
     if forcing is not None:
-        f_outer = build_rule(0.0, graded_mesh(
-            q, max(quad.n_points // 2, 16), grading))
-        out += forcing.integral(f_outer.nodes,
-                                f_outer.weights * _call_on(M, f_outer.nodes))
+        wf = _forcing_weights(vs, beta, forcing.eps1)
+        out += forcing.q @ ((forcing._sample(q - vs).T * wf) @ kern).ravel()
     return out
 
 
@@ -299,15 +354,14 @@ def _assemble(engine: TeleEngine, domain: Domain2D, M, phi, psi, forcing,
               quad: QuadPolicy, x_grid: np.ndarray) -> VolterraSystem:
     """``assemble_system`` on a given engine and x-grid.
 
-    ``forcing`` is a ForcingTerm on x_grid with the eta rules of
-    ``quad``, or None; the coarse level reuses its xi-moments.
+    ``forcing`` is a ForcingTerm on x_grid, or None; both levels read
+    its xi-moments.
     """
     params, coeffs = engine.params, engine.coeffs
     if not _in_strict_regime(params, coeffs):
         warnings.warn(_STRICT_NOTE, RuntimeWarning, stacklevel=3)
     # at least 16 cells, so that the coarse level, max(n // 2, 8) cells,
-    # is another one; the eta rules of ``forcing`` (max(n // 2, 8)
-    # cells) are the same below 16
+    # is another one
     quad = QuadPolicy(n_points=max(quad.n_points, 16), grading=quad.grading,
                       tol=quad.tol)
     rules = _t_rules(engine, M, domain, quad)
@@ -330,8 +384,7 @@ def _assemble(engine: TeleEngine, domain: Domain2D, M, phi, psi, forcing,
     rules_c = _t_rules(engine, M, domain, coarse)
     i_m_c, i_e_c = _a_integrals(engine, rules_c)
     m1_c = _m1_at(engine, rules_c, diffs)
-    forcing_c = None if forcing is None else forcing.with_rules(coarse)
-    g_c = _g_values(engine, rules_c, M, phi, psi, forcing_c, domain, coarse,
+    g_c = _g_values(engine, rules_c, M, phi, psi, forcing, domain, coarse,
                     x_grid)
     diagnostics = {
         "a_display": a_display,

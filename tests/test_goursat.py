@@ -361,18 +361,27 @@ class TestForcingTerm:
         # n_points at these two points (6.52e-5, at t = 0.5, x = 0.4)
         assert max(errs) <= 6.52e-5
 
-    def test_integral_matches_weighted_row_sum(self):
-        eng = TeleEngine(PARAMS, COEFFS, 1.0, 1.0)
-        forcing = ForcingTerm(eng, wavy, 0.25, 0.5, np.linspace(0.0, 1.0, 33),
-                              QuadPolicy(n_points=32))
-        # t = 0 and a zero weight contribute nothing
-        times = np.linspace(0.0, 1.0, 17)
-        weights = (0.5 + 0.5 * times) * np.linspace(1.0, -0.5, times.size)
-        weights[5] = 0.0
-        want = sum(w * row for w, row in
-                   zip(weights, _forcing_rows_per_time(forcing, times)))
-        got = forcing.integral(times, weights)
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    @pytest.mark.parametrize("eps1, eps2, bound", [
+        (0.0, 0.0, 4.72e-5), (0.0, 0.5, 1.57e-4),
+        (0.25, 0.0, 4.71e-5), (0.25, 0.5, 4.26e-5)])
+    def test_assembly_integral_against_retired_rule(self, eps1, eps2, bound):
+        # int_0^q M T dt of one assembly level (``_g_values`` with
+        # psi = phi = 0) at 32 points, against the per-time eta rule it
+        # replaced at 32 x 32 points.  bound: that rule's own error at 32
+        # points, measured with it once
+        prob = _smooth_problem(forcing=True)
+        eng = TeleEngine(prob.params, prob.coeffs, 1.0, 1.0)
+        x = np.linspace(0.0, 1.0, 33)
+        quad, fine = QuadPolicy(n_points=32), QuadPolicy(n_points=32 * 32)
+        forcing = ForcingTerm(eng, wavy, eps1, eps2, x, quad)
+        rules = volterra._t_rules(eng, prob.M, prob.domain, quad)
+        got = volterra._g_values(eng, rules, prob.M, zeros, zeros, forcing,
+                                 prob.domain, quad, x)
+        grading = max(fine.grading, 1.0 / eng.params.beta)
+        outer = build_rule(0.0, graded_mesh(1.0, fine.n_points // 2, grading))
+        want = ((outer.weights * prob.M(outer.nodes))
+                @ _forcing_rows_per_time(forcing, outer.nodes, fine))
+        assert np.abs(got - want).max() <= bound
 
     @pytest.mark.parametrize("broadcasts", [True, False])
     def test_rows_match_per_time_loop(self, broadcasts, monkeypatch):
@@ -478,8 +487,8 @@ class TestEtaMesh:
             tk ** beta * eng.lag_cvec(table, tk, shifted=False)
             @ (prob.phi(tk - tk * rule.nodes) * rule.weights) for tk in t])
         phi_old = phi_old @ eng.jw["V3"]
-        rows_old = _forcing_rows_per_time(
-            forcing.with_rules(QuadPolicy(n_points=256)), t)
+        rows_old = _forcing_rows_per_time(forcing, t,
+                                          QuadPolicy(n_points=256))
         for new, old, ref in ((phi_new, phi_old, phi_ref),
                               (rows_new, rows_old, rows_ref)):
             assert 5.0 * np.abs(new - ref).max() <= np.abs(old - ref).max()
@@ -538,19 +547,33 @@ def _cvec_by_pow(eng, s, shifted):
     return (eng.kt["shifted" if shifted else "base"] @ zn) * xn
 
 
-def _forcing_rows_per_time(forcing, times):
-    """The rows T(t, x_nodes) that ``ForcingTerm.integral`` weighs, one time
-    at a time: the kernel of each time from its own ``lag_cvec`` call and
-    f sampled once per time."""
-    eng = forcing.engine
+def _forcing_rows_per_time(forcing, times, quad):
+    """Rows T(t, x_nodes) by the per-time eta rule of ``quad`` that the
+    trace assembly used before it swapped int M T dt onto its V3 weights,
+    one time at a time, each with its own ``lag_cvec`` and call of f.
+
+    [0, t] splits at t/2 so each half carries one power weight:
+    eta^-eps1 on the left, (t - eta)^(beta-1) on the right, each by
+    ``build_rule`` on max(n_points // 2, 8) cells graded by
+    max(grading, 1/beta), scaled from [0, 1] to the half.
+    """
+    eng, eps1 = forcing.engine, forcing.eps1
+    beta = eng.params.beta
+    mesh = graded_mesh(1.0, max(quad.n_points // 2, 8),
+                       max(quad.grading, 1.0 / beta))
+    left, right = build_rule(-eps1, mesh), build_rule(beta - 1.0, mesh)
+    ln, rn = 0.5 * left.nodes, 0.5 * right.nodes
+    etas = np.concatenate((ln, 1.0 - rn))
+    table = eng.lag_table(np.concatenate((1.0 - ln, rn)))
+    coef = np.concatenate((
+        0.5 ** (1.0 - eps1) * left.weights * (1.0 - ln) ** (beta - 1.0),
+        0.5 ** beta * right.weights * (1.0 - rn) ** (-eps1)))
     out = np.zeros((len(times), forcing.x_nodes.size))
     for i, t in enumerate(times):
         if t > 0.0:
-            c = eng.lag_cvec(forcing.lag_table, t, shifted=False)
-            amat = (forcing._sample(t * forcing.unit_etas).T
-                    @ (c * forcing.unit_coef).T)
-            out[i] = forcing.q @ (
-                t ** (eng.params.beta - forcing.eps1) * amat).ravel()
+            c = eng.lag_cvec(table, t, shifted=False)
+            amat = forcing._sample(t * etas).T @ (c * coef).T
+            out[i] = forcing.q @ (t ** (beta - eps1) * amat).ravel()
     return out
 
 

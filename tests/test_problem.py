@@ -366,6 +366,26 @@ class TestSharedSetup:
         solve(smooth_problem(), n_t=16, n_x=16, quad=QUICK)
         assert counts == {"engine": 1, "xi": 1}
 
+    def test_f_called_once_per_assembly_level_and_grid_fill(self):
+        # a broadcasting f: the fine and the coarse assembly level sample
+        # it once each, on (their outer nodes x the x-grid), and the grid
+        # fill once on its eta-mesh, whatever the grid size
+        counts = []
+        for n in (16, 32):
+            calls = []
+
+            def f(t, x):
+                calls.append(np.size(t))
+                return np.asarray(t) * np.asarray(x) / 10.0
+
+            prob = replace(smooth_problem(), f_smooth=f)
+            calls.clear()  # the probe of ProblemN
+            solve(prob, n_t=n, n_x=n, quad=QuadPolicy(n_points=4 * n))
+            counts.append(len(calls))
+            points = max(n, 16)
+            assert max(calls[:2]) <= (points + 1) * (n + 1)
+        assert counts == [3, 3]
+
     @pytest.mark.parametrize("forcing, n, points", [(False, 128, 512),
                                                     (True, 64, 256)])
     def test_solve_and_verify_peak_memory(self, forcing, n, points):

@@ -8,7 +8,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from prabtel.errors import DomainError, InvalidParams
-from prabtel.quadrature import GradedMesh, build_rule, graded_mesh, power_moment
+from prabtel.quadrature import (
+    GradedMesh,
+    _trapezoid_vec,
+    build_rule,
+    graded_mesh,
+    power_moment,
+)
 
 
 class TestPowerMoment:
@@ -134,3 +140,9 @@ class TestBuildRule:
     def test_exponent_domain(self):
         with pytest.raises(DomainError):
             build_rule(-1.0, graded_mesh(1.0, 4))
+
+    @pytest.mark.parametrize("cells", [1024, 2048])
+    def test_trapezoid_matches_unit_weight_rule_on_ladder_meshes(self, cells):
+        mesh = graded_mesh(1.0, cells, r=1.0)
+        assert np.array_equal(_trapezoid_vec(mesh.nodes),
+                              build_rule(0.0, mesh).weights)

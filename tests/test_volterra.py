@@ -23,9 +23,13 @@ from prabtel.goursat import (
 from prabtel.oracle import adaptive_quad
 from prabtel.quadrature import _call_on, build_rule, graded_mesh
 from prabtel.specfun import SeriesPolicy, ml3
+from scipy.special import beta as beta_fn
 from prabtel.volterra import (
     VolterraSystem,
+    _a_integrals,
+    _forcing_weights,
     _g_values,
+    _m1_at,
     _t_rules,
     _trapezoid_weights,
     assemble_system,
@@ -223,8 +227,9 @@ class TestRhsG:
 
 def _g_values_by_row(engine, rules, M, phi, psi, forcing, domain, quad,
                      x_arr):
-    """``_g_values`` with one lag_cvec product per outer node v of the V3
-    integral and the int M T dt rule one time at a time."""
+    """``_g_values`` one outer node v at a time: the inner kernel K(v) of
+    the V3 and forcing integrals from its own lag_cvec product, f sampled
+    once per node, and the phi(0) term by ``fbar``."""
     co, q = engine.coeffs, domain.q
     phi0 = float(phi(0.0))
     out = _call_on(psi, x_arr).copy()
@@ -240,22 +245,22 @@ def _g_values_by_row(engine, rules, M, phi, psi, forcing, domain, quad,
     inner = build_rule(beta - 1.0, graded_mesh(1.0, quad.n_points, grading))
     table = engine.lag_table(inner.nodes)
     cacc = np.zeros(engine.m_cap)
-    for v, w_v in zip(outer.nodes, outer.weights):
-        if v <= 0.0 or w_v == 0.0:
-            continue
+    if forcing is not None:
+        wf = _forcing_weights(outer.nodes, beta, forcing.eps1)
+        facc = np.zeros((forcing.mesh.size, engine.m_cap))
+    for i, (v, w_v) in enumerate(zip(outer.nodes, outer.weights)):
         eta = q - v
         mv = _call_on(M, eta + v * inner.nodes)
-        cacc += engine.lag_cvec(table, v, shifted=False) @ (
-            (w_v * float(phi(eta))) * inner.weights * mv)
+        kern = engine.lag_cvec(table, v, shifted=False) @ (inner.weights * mv)
+        if v > 0.0:
+            cacc += w_v * float(phi(eta)) * kern
+        if forcing is not None:
+            f = forcing._sample(np.array([eta]))[0]
+            facc += wf[i] * np.outer(f, kern)
     j3 = engine.ypowers(x_arr) @ (engine.jw["V3"].T @ cacc)
     out += co.a * co.b * x_arr * j3
     if forcing is not None:
-        f_outer = build_rule(0.0, graded_mesh(
-            q, max(quad.n_points // 2, 16), grading))
-        m_outer = _call_on(M, f_outer.nodes)
-        for t, w, mt in zip(f_outer.nodes, f_outer.weights, m_outer):
-            if t > 0.0 and w != 0.0 and mt != 0.0:
-                out += forcing.integral(np.array([t]), np.array([w * mt]))
+        out += forcing.q @ facc.ravel()
     return out
 
 
@@ -275,6 +280,49 @@ class TestGValues:
         want = _g_values_by_row(*args)
         got = _g_values(*args)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("eps1", [0.0, 0.25])
+    @pytest.mark.parametrize("cells", [8, 9, 64])
+    def test_forcing_weights_exact_for_quadratics(self, eps1, cells):
+        # int_0^1 v^beta (1 - v)^-eps1 v^k dv = B(beta + 1 + k, 1 - eps1)
+        nodes = graded_mesh(1.0, cells, 2.0).nodes
+        w = _forcing_weights(nodes, 0.5, eps1)
+        for k in range(3):
+            want = beta_fn(1.5 + k, 1.0 - eps1)
+            assert w @ nodes ** k == pytest.approx(want, rel=1e-14)
+
+
+class TestShiftedPass:
+    def test_fused_forms_match_per_node_forms(self):
+        # E2, V1 and V2 read one coefficient vector per level; the forms
+        # of ``gamma_e2`` and ``fbar`` sum the same terms per t-node
+        prob = _smooth_problem(forcing=False)
+        engine = TeleEngine(prob.params, prob.coeffs, 1.0, 1.0)
+        rules = _t_rules(engine, prob.M, prob.domain, QuadPolicy(n_points=64))
+        nodes, x = rules.beta.nodes, np.linspace(0.0, 1.0, 65)
+        want = engine.coeffs.a * float(rules.mw @ engine.gamma_e2(nodes))
+        assert _a_integrals(engine, rules)[1] == pytest.approx(want,
+                                                               rel=1e-14)
+        for variant in ("V1", "V2"):
+            want = engine.fbar(variant, nodes, x) @ rules.mw
+            got = _m1_at(engine, rules, x, variant)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_one_shifted_cvec_per_level(self, monkeypatch):
+        calls = []
+        cvec = TeleEngine.cvec
+
+        def counted(self, s, shifted):
+            calls.append(shifted)
+            return cvec(self, s, shifted)
+
+        monkeypatch.setattr(TeleEngine, "cvec", counted)
+        prob = _smooth_problem(forcing=True)
+        assemble_system(prob.params, prob.coeffs, prob.domain, prob.M,
+                        prob.phi, prob.psi, prob.f_smooth,
+                        quad=QuadPolicy(n_points=32))
+        # the fine and the coarse level; the base family runs on lag tables
+        assert calls == [True, True]
 
 
 class TestAssemble:
