@@ -29,7 +29,8 @@ one.  The terms without a time integral take one coefficient matrix
 for all time rows at once.  The grid fill's phi and forcing
 convolutions share one uniform eta-mesh (``_EtaConv``) of
 ``quad.n_points`` cells, rounded up to a multiple of n_t: the data are
-sampled once, and rows on the mesh read Toeplitz lag weights.  The
+sampled once, and rows on the mesh read Toeplitz lag weights (the phi
+rows a block at a time, ``_EtaConv.hankel``).  The
 trace assembly, which ``solve`` runs on n_x points, samples its kernels
 at lags t u of a unit rule u (``TeleEngine.lag_table``, ``lag_conv``)
 and folds the forcing's double integral onto the kernel of its phi
@@ -51,6 +52,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ArgumentOutOfRange,
@@ -567,10 +569,11 @@ class _EtaConv:
     t = k h weighs eta_j by its lag k - j alone (Toeplitz), so it reads
     the weights of the row t_max shifted by cells - k nodes: eta_1 ..
     eta_k take the contiguous ``inner[cells - k:]``, eta_0 the left hat
-    of cell cells - k.  Other rows (t off the mesh, or eps1 > 0) take
-    their own ``_cells``.  In every row the two cells at the lag end,
-    where s^(beta-1) is nearly singular, and for eps1 > 0 the first
-    cell take rules of their own (``_ends``).
+    of cell cells - k (``hankel`` takes a block of such rows of one
+    column of samples at once).  Other rows (t off the mesh, or
+    eps1 > 0) take their own ``_cells``.  In every row the two cells at
+    the lag end, where s^(beta-1) is nearly singular, and for eps1 > 0
+    the first cell take rules of their own (``_ends``).
     """
 
     def __init__(self, engine: TeleEngine, t_max: float, cells: int):
@@ -689,6 +692,33 @@ class _EtaConv:
         np.add.at(hats, (slice(None), cells), adds)
         return hats
 
+    def on_table(self, times: np.ndarray) -> tuple:
+        """(k, mask): the rows t = k h with whole k >= 1, which read the
+        Toeplitz table when eps1 = 0."""
+        k = np.rint(times / self.h)
+        return k, (k > 0.0) & (np.abs(times / self.h - k) <= 1e-9)
+
+    def hankel(self, samples: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Rows t = k h of the Toeplitz table (k whole, 1 <= k <= cells)
+        for one column of samples on ``etas``, shape (k.size, m_cap).
+
+        Row k weighs samples[j] by inner[cells - k + j - 1] for j >= 1,
+        and samples[0] by left[cells - k].  After cells zeros the samples
+        1..cells read as a Hankel matrix, whose row k meets ``inner`` at
+        those indices, so a ``_CONV_CHUNK`` block of rows is one gather and
+        one matrix product.
+        """
+        n = self.cells
+        windows = sliding_window_view(
+            np.concatenate((np.zeros(n), samples[1:])), n)
+        out = np.empty((k.size, self.engine.m_cap))
+        step = max(1, _CONV_CHUNK // n)
+        for lo in range(0, k.size, step):
+            rows = k[lo:lo + step]
+            out[lo:lo + step] = (windows[rows] @ self.inner
+                                 + samples[0] * self.left[n - rows])
+        return out
+
     def apply(self, samples: np.ndarray, times: np.ndarray,
               eps1: float = 0.0):
         """Yield (rows, G) per block of times, G[i] = sum_j samples[j]
@@ -697,9 +727,8 @@ class _EtaConv:
         The rows off the Toeplitz table get their end pieces from one
         ``_ends`` batch per block of rows."""
         cells, m_cap = self.cells, self.engine.m_cap
-        k = np.rint(times / self.h)
-        own = np.flatnonzero((times > 0.0) & (
-            (eps1 > 0.0) | (k == 0.0) | (np.abs(times / self.h - k) > 1e-9)))
+        k, table = self.on_table(times)
+        own = np.flatnonzero((times > 0.0) & ((eps1 > 0.0) | ~table))
         ends = {}
         step = max(1, _CONV_CHUNK // (3 * _END_NODES * max(m_cap,
                                                            self.engine.k_cap)))
@@ -825,11 +854,15 @@ class _GridEvaluator:
 
     def phi_conv(self) -> np.ndarray:
         """c[i, m] = int_0^t_i s^(beta-1) phi(t_i - s) c(m; s) ds, from one
-        call of phi on the eta-mesh."""
+        call of phi on the eta-mesh: the rows on the Toeplitz table by
+        ``_EtaConv.hankel``, the others by ``_EtaConv.apply``."""
         out = np.empty((self.t_nodes.size, self.engine.m_cap))
-        phi = _call_on(self.phi, self.conv.etas)[:, None]
-        for rows, g in self.conv.apply(phi, self.t_nodes):
-            out[rows] = g[:, 0]
+        phi = _call_on(self.phi, self.conv.etas)
+        k, table = self.conv.on_table(self.t_nodes)
+        out[table] = self.conv.hankel(phi, k[table].astype(int))
+        rest = np.flatnonzero(~table)
+        for rows, g in self.conv.apply(phi[:, None], self.t_nodes[rest]):
+            out[rest[rows]] = g[:, 0]
         return out
 
     def evaluate(self) -> np.ndarray:

@@ -17,14 +17,17 @@ with K and J gamma ratios of arguments linear in the indices
 
 - ``SeriesTensors`` builds K x^m z^k and J y^j in signed logs from one
   log-gamma grid per argument form (``math.lgamma`` and G(a + 1) =
-  a G(a); no scipy), of which larger caps compute only the new entries.
-  Denominator poles give exact zeros; numerator poles raise
-  InvalidParams.
+  a G(a); no scipy). Each ratio keeps its log tensor, and the grids and
+  tensors grow in place: larger caps compute only the new rows and
+  columns, each entry by the same additions as a whole sum. Denominator
+  poles give exact zeros; numerator poles raise InvalidParams.
 - ``_fit_caps``: the caps (m, j, k) start at (24, 16, 16) and double while
   the trailing ``consecutive_small`` rows of any index carry more
   positive-majorant mass than a limit: rel_tol * |sum| for a value here,
-  1e-15 * majorant for the engine (``fit_tensors``). A value sums every
-  term within the caps in float64, each scaled by the largest term.
+  1e-15 * majorant for the engine (``fit_tensors``). Each doubling reads
+  slices of the kept tensors, so a build costs the new entries and its
+  scaling. A value sums every term within the caps in float64, each
+  scaled by the largest term.
 - Rescue: when majorant / |sum| is more than float64 can hold to rel_tol,
   or a term is beyond float64 range, ``_mp_sum`` re-sums the smallest
   rectangle that the majorant's suffix sums allow, at a precision taken
@@ -252,41 +255,96 @@ def _args(form: tuple, m: range, i: range) -> np.ndarray:
     return (cm * m + s)[:, None] + ci * i
 
 
-def _signed_lgamma(args: np.ndarray) -> tuple:
-    """(sign, log|Gamma|) of an array; sign 0 and log inf at the poles."""
-    if args.min() > 0.0:
-        return 1.0, np.fromiter(map(math.lgamma, args.ravel().tolist()), float,
-                                args.size).reshape(args.shape)
-    pole = (args <= 0.0) & (args == np.floor(args))
-    flat = np.where(pole, 1.0, args).ravel().tolist()
-    log = np.fromiter(map(math.lgamma, flat), float, len(flat))
-    log = log.reshape(args.shape)
-    log[pole] = math.inf
+def _low(form: tuple, m: range, i: range) -> float:
+    """The least of ``_args`` on non-empty ranges, rounded as it rounds
+    (a corner: rounding keeps the order)."""
+    cm, ci, s = form
+    return ((min(cm * m.start, cm * (m.stop - 1)) + s)
+            + min(ci * i.start, ci * (i.stop - 1)))
+
+
+def _gamma_sign(args: np.ndarray) -> np.ndarray:
+    """Sign of Gamma on an array, 0 at the poles."""
     # Gamma is negative on (-1, 0), (-3, -2), ...
     sign = np.where((args < 0.0) & (np.floor(args) % 2 == 1), -1.0, 1.0)
-    sign[pole] = 0.0
-    return sign, log
+    sign[(args <= 0.0) & (args == np.floor(args))] = 0.0
+    return sign
 
 
-def _log_powers(v: float, i: range) -> tuple:
-    """(sign, log|v|^i) of v^i at the indices i, with v^0 = 1 also at v = 0."""
+def _lgamma(args: list, low: float) -> np.ndarray:
+    """log|Gamma| of a list of arguments whose least is low, as a 1-D
+    array; inf at the poles."""
+    if low <= 0.0:
+        a = np.array(args)
+        pole = (a <= 0.0) & (a == np.floor(a))
+        args = np.where(pole, 1.0, a).tolist()
+    log = np.fromiter(map(math.lgamma, args), float, len(args))
+    if low <= 0.0:
+        log[pole] = math.inf
+    return log
+
+
+def _log_powers(v: float, i: range, signs: bool) -> tuple:
+    """(sign, log|v|^i) of v^i at the indices i, with v^0 = 1 also at v = 0;
+    sign None unless ``signs``."""
     i = np.arange(i.start, i.stop)
     if v == 0.0:
-        return (i == 0) * 1.0, np.where(i == 0, 0.0, -math.inf)
-    sign = 1.0 if v > 0.0 else np.where(i % 2 == 1, -1.0, 1.0)
+        return ((i == 0) * 1.0 if signs else None), np.where(i == 0, 0.0, -math.inf)
+    sign = (None if not signs else np.ones(i.size) if v > 0.0
+            else np.where(i & 1, -1.0, 1.0))
     return sign, i * math.log(abs(v))
+
+
+_EMPTY = np.empty((0, 0))
+
+
+class _Term:
+    """ratio * u^m w^i of one GammaRatio in signed logs, kept on the
+    largest (m, i) asked for so far.
+
+    Its factors are sorted once into those of m alone (``row``), of i
+    alone or of neither (``col``) and of both (``full``), each with a
+    flag for an argument that may be nonpositive. Each part sums its
+    factors in the order of the ratio's forms, numerators first; an entry
+    is (row + col) + full, its sign the product of theirs.
+    """
+
+    def __init__(self, ratio: GammaRatio, u: float, w: float):
+        self.u, self.w = u, w
+        self.forms = ([(f, True) for f in ratio.num]
+                      + [(f, False) for f in ratio.den])
+        parts = {"row": [], "col": [], "full": []}
+        for f, up in self.forms:
+            key = "col" if not f[0] else "row" if not f[1] else "full"
+            parts[key].append((f, up, min(f) < 0.0 or f[2] <= 0.0))
+        self.row, self.col, self.full = parts["row"], parts["col"], parts["full"]
+        # numerators that may meet a pole
+        self.poles = [f for f, up, signed in self.row + self.col + self.full
+                      if up and signed]
+        # every sign +1 where the log is finite (v^i at v = 0 has sign 0
+        # only where its log is -inf): no signs are kept
+        self.positive = u >= 0.0 and w >= 0.0 and not any(
+            signed for *_, signed in self.row + self.col + self.full)
+        # (sign, log) of the row part (m, 1) and of the col part (1, i);
+        # the logs of the entries, and the sign of their full part if a
+        # factor of both indices may be negative
+        self.rows = (_EMPTY.reshape(0, 1), _EMPTY.reshape(0, 1))
+        self.cols = (_EMPTY.reshape(1, 0), _EMPTY.reshape(1, 0))
+        self.log = _EMPTY
+        self.fsign = _EMPTY if any(signed for *_, signed in self.full) else None
 
 
 class SeriesTensors:
     """K(m, k) x^m z^k and J(m, j) y^j of separable series, in signed logs.
 
-    ``k_ratios`` and ``j_ratios`` map names to GammaRatio. Each argument
-    form has one log|Gamma| grid, of which larger caps compute only the
-    new entries; the tensors are summed from the grids at each call of
-    ``logs``. Positive arguments use G(a + 1) = a G(a): a form one above
-    another form is that form's grid plus log(a - 1), and a form with
-    unit step along an index a running sum of log(a) along it. Other
-    entries take one ``math.lgamma`` call each.
+    ``k_ratios`` and ``j_ratios`` map names to GammaRatio. Each ratio
+    keeps its log tensor, and larger caps add only its new rows and
+    columns (``_extend``); ``logs`` returns slices of the kept tensors.
+    Each argument form has one log|Gamma| grid that grows the same way.
+    Positive arguments use G(a + 1) = a G(a): a form one above another
+    form is that form's grid plus log(a - 1), and a form with unit step
+    along an index a running sum of log(a) along it. Other entries take
+    one ``math.lgamma`` call each.
     """
 
     def __init__(self, k_ratios: dict, j_ratios: dict,
@@ -294,96 +352,158 @@ class SeriesTensors:
         self.k_ratios, self.j_ratios = k_ratios, j_ratios
         self.args = (x, y, z)
         self._grids = {}
+        self._k = {name: _Term(r, x, z) for name, r in k_ratios.items()}
+        self._j = {name: _Term(r, 1.0, y) for name, r in j_ratios.items()}
 
     def _log_gamma(self, form: tuple, m: range, i: range) -> np.ndarray:
         """log|Gamma| of a form on the index ranges."""
         cm, ci, s = form
+        low = _low(form, m, i)
+        if not (cm and ci):
+            # one index: the arguments in floats, rounded as _args rounds them
+            args = [cm * a + s for a in m] if cm else [ci * b + s for b in i]
+            return _lgamma(args, low).reshape(len(m), len(i))
         a = _args(form, m, i)
-        if not (cm and ci) or a.min() <= 0.0:
-            return _signed_lgamma(a)[1]
-        below = next((g for (bm, bi, bs), g in self._grids.items()
-                      if (bm, bi) == (cm, ci) and abs(s - bs - 1.0) < 1e-12
-                      and g.shape[0] >= m.stop and g.shape[1] >= i.stop),
-                     None)
-        if below is not None and a.min() > 1.0:
-            return below[m.start:m.stop, i.start:i.stop] + np.log(a - 1.0)
-        if ci == 1.0 or cm == 1.0:
-            axis = 1 if ci == 1.0 else 0
-            log = np.log(a)
-            first = _signed_lgamma(np.take(a, [0], axis=axis))[1]
-            return np.cumsum(log, axis=axis) - log + first
-        return _signed_lgamma(a)[1]
+        if low > 0.0:
+            below = next((g for (bm, bi, bs), g in self._grids.items()
+                          if (bm, bi) == (cm, ci) and abs(s - bs - 1.0) < 1e-12
+                          and g.shape[0] >= m.stop and g.shape[1] >= i.stop),
+                         None)
+            if below is not None and low > 1.0:
+                return below[m.start:m.stop, i.start:i.stop] + np.log(a - 1.0)
+            if ci == 1.0 or cm == 1.0:
+                first = a[:, :1] if ci == 1.0 else a[:1]
+                log = np.log(a)
+                return (np.cumsum(log, axis=int(ci == 1.0)) - log
+                        + _lgamma(first.ravel().tolist(), low).reshape(first.shape))
+        return _lgamma(a.ravel().tolist(), low).reshape(a.shape)
 
-    def _gamma(self, form: tuple, m: range, i: range) -> tuple:
-        """(sign, log|Gamma|) of a form on the index ranges, which start at
-        0; one row or column if the form reads one index only.
-
-        The form's grid grows by the new rows, then by the new columns of
-        the old rows.
-        """
-        m, i = (m if form[0] else range(1)), (i if form[1] else range(1))
-        grid = self._grids.get(form, np.empty((0, 0)))
+    def _grow(self, form: tuple, m_n: int, i_n: int) -> None:
+        """Grow the form's grid to (m_n, i_n), 1 along an index it does not
+        read: the new rows, then the new columns of the old rows."""
+        m_n, i_n = (m_n if form[0] else 1), (i_n if form[1] else 1)
+        grid = self._grids.get(form, _EMPTY)
         m0, i0 = grid.shape
-        if m0 < m.stop or i0 < i.stop:
-            m1, i1 = max(m.stop, m0), max(i.stop, i0)
-            old, grid = grid, np.empty((m1, i1))
-            grid[:m0, :i0] = old
-            for rows, cols in ((range(m0, m1), range(i1)), (range(m0), range(i0, i1))):
-                if rows and cols:
-                    grid[rows.start:rows.stop, cols.start:cols.stop] = (
-                        self._log_gamma(form, rows, cols))
-            self._grids[form] = grid
-        cm, ci, s = form
-        if s + min(0.0, cm * m[-1]) <= 0.0:
-            return _signed_lgamma(_args(form, m, i))[0], grid[:m.stop, :i.stop]
-        return 1.0, grid[:m.stop, :i.stop]
+        if m0 >= m_n and i0 >= i_n:
+            return
+        m1, i1 = max(m_n, m0), max(i_n, i0)
+        if not grid.size:
+            self._grids[form] = self._log_gamma(form, range(m1), range(i1))
+            return
+        old, grid = grid, np.empty((m1, i1))
+        grid[:m0, :i0] = old
+        for rows, cols in ((range(m0, m1), range(i1)), (range(m0), range(i0, i1))):
+            if rows and cols:
+                grid[rows.start:rows.stop, cols.start:cols.stop] = (
+                    self._log_gamma(form, rows, cols))
+        self._grids[form] = grid
 
-    def _term(self, ratio: GammaRatio, u: float, w: float, shape: tuple) -> tuple:
-        """(sign, log) of ratio * u^m w^i on the shape (m, i)."""
-        m, i = range(shape[0]), range(shape[1])
-        # factors of one index add up along it before the outer sum
-        (us, ul), (ws, wl) = _log_powers(u, m), _log_powers(w, i)
-        row, col, full = [np.reshape(us, (-1, 1)), ul[:, None]], [ws, wl], [1.0, 0.0]
-        for form, up in ([(f, True) for f in ratio.num]
-                         + [(f, False) for f in ratio.den]):
-            s, lg = self._gamma(form, m, i)
-            if up and not np.all(s):
+    def _fold(self, forms: list, sign, log, m: range, i: range) -> tuple:
+        """(sign, log) times the gammas of the forms (numerators) or over
+        them (denominators) on the block m x i of their grids; a sign of
+        None is not kept."""
+        for form, up, signed in forms:
+            rows, cols = (m if form[0] else range(1)), (i if form[1] else range(1))
+            lg = self._grids[form][rows.start:rows.stop, cols.start:cols.stop]
+            if signed and sign is not None and _low(form, rows, cols) <= 0.0:
+                sign = sign * _gamma_sign(_args(form, rows, cols))
+            log = log + lg if up else log - lg
+        return sign, log
+
+    def _part(self, forms: list, v: float, signs: bool, old: tuple,
+              new: range, axis: int) -> tuple:
+        """The (sign, log) part ``old`` of one index (axis 0: m, shape
+        (n, 1); axis 1: i, shape (1, n)) of a term, extended by its new
+        indices: v^idx times the gammas of its forms; signs kept if
+        ``signs``."""
+        sign, log = _log_powers(v, new, signs)
+        shape, block = (((-1, 1), (new, range(1))) if axis == 0
+                        else ((1, -1), (range(1), new)))
+        sign, log = self._fold(forms, None if sign is None else sign.reshape(shape),
+                               log.reshape(shape), *block)
+        return (old[0] if sign is None else np.concatenate((old[0], sign), axis),
+                np.concatenate((old[1], log), axis))
+
+    def _extend(self, term: _Term, shape: tuple) -> None:
+        """Grow a term's tensor to cover shape (m, i): the grids of its
+        forms in their order, then the row part of the new m, the col part
+        of the new i, and the entries of the new rows and of the new
+        columns of the old rows."""
+        m0, i0 = term.log.shape
+        m1, i1 = max(shape[0], m0), max(shape[1], i0)
+        for form, _ in term.forms:
+            self._grow(form, m1, i1)
+        for form in term.poles:
+            rows, cols = range(m1 if form[0] else 1), range(i1 if form[1] else 1)
+            if _low(form, rows, cols) <= 0.0 and not np.all(
+                    _gamma_sign(_args(form, rows, cols))):
                 raise InvalidParams(
                     f"numerator gamma pole: Gamma({form[0]} m + {form[1]} i "
                     f"+ {form[2]}) for some m, i >= 0")
-            part = col if not form[0] else row if not form[1] else full
-            part[0] = part[0] * s
-            part[1] = part[1] + lg if up else part[1] - lg
-        return row[0] * col[0] * full[0], row[1] + col[1] + full[1]
+        new_m, new_i, signs = range(m0, m1), range(i0, i1), not term.positive
+        if new_m:
+            term.rows = self._part(term.row, term.u, signs, term.rows, new_m, 0)
+        if new_i:
+            term.cols = self._part(term.col, term.w, signs, term.cols, new_i, 1)
+        rl, cl = term.rows[1], term.cols[1]
+        log, fsign = np.empty((m1, i1)), term.fsign
+        log[:m0, :i0] = term.log
+        if fsign is not None:
+            fsign = np.empty((m1, i1))
+            fsign[:m0, :i0] = term.fsign
+        for m, i in ((new_m, range(i1)), (range(m0), new_i)):
+            if m and i:
+                fs, fl = self._fold(term.full, 1.0, 0.0, m, i)
+                block = slice(m.start, m.stop), slice(i.start, i.stop)
+                log[block] = rl[block[0]] + cl[:, block[1]] + fl
+                if fsign is not None:
+                    fsign[block] = fs
+        term.log, term.fsign = log, fsign
 
     def logs(self, caps: tuple) -> tuple:
-        """({name: (sign, log)} of K, the same of J) at caps (m, j, k)."""
-        x, y, z = self.args
-        k = {name: self._term(ratio, x, z, (caps[0], caps[2]))
-             for name, ratio in self.k_ratios.items()}
-        j = {name: self._term(ratio, 1.0, y, caps[:2])
-             for name, ratio in self.j_ratios.items()}
-        return k, j
+        """({name: (sign, log)} of K, the same of J) at caps (m, j, k):
+        slices of the kept tensors, extended first where caps are new.
+        The sign is None for a term of no negative factor."""
+        out = []
+        for terms, (m, i) in ((self._k, (caps[0], caps[2])), (self._j, caps[:2])):
+            part = {}
+            for name, term in terms.items():
+                if term.log.shape[0] < m or term.log.shape[1] < i:
+                    self._extend(term, (m, i))
+                sign = None
+                if not term.positive:
+                    sign = term.rows[0][:m] * term.cols[0][:, :i]
+                    if term.fsign is not None:
+                        sign = sign * term.fsign[:m, :i]
+                part[name] = sign, term.log[:m, :i]
+            out.append(part)
+        return tuple(out)
+
+
+def _signed(sign, values: np.ndarray) -> np.ndarray:
+    """values times a ``logs`` sign (None: all +1), in place."""
+    if sign is not None:
+        values *= sign
+    return values
 
 
 def _fit_caps(build, caps: tuple, growable: tuple, policy: SeriesPolicy) -> tuple:
     """Double caps (m, j, k) until every tail is below a limit.
 
-    ``build(caps)`` returns (kmaj, jmaj, limit, ...): positive (m, k) and
-    (m, j) majorants and the limit. A growable index is done when its last
-    ``policy.consecutive_small`` rows carry at most ``limit`` of majorant
-    mass. Returns the caps and the last build.
+    ``build(caps)`` returns (kmaj, jmaj, sk, sj, limit, ...): positive
+    (m, k) and (m, j) majorants, their row sums and the limit. A growable
+    index is done when its last ``policy.consecutive_small`` rows carry at
+    most ``limit`` of majorant mass. Returns the caps and the last build.
     """
     n, top = policy.consecutive_small, policy.max_terms_per_index
     caps = tuple(min(c, top) for c in caps)
     while True:
         out = build(caps)
-        kmaj, jmaj, limit = out[:3]
-        sk, sj = kmaj.sum(axis=1), jmaj.sum(axis=1)
-        tails = (float(sk[-n:] @ sj[-n:]),
-                 float(sk @ jmaj[:, -n:].sum(axis=1)),
-                 float(kmaj[:, -n:].sum(axis=1) @ sj))
-        bad = [g and t > limit for g, t in zip(growable, tails)]
+        kmaj, jmaj, sk, sj, limit = out[:5]
+        # the tails of the growable indices only
+        bad = (growable[0] and float(sk[-n:] @ sj[-n:]) > limit,
+               growable[1] and float(sk @ jmaj[:, -n:].sum(axis=1)) > limit,
+               growable[2] and float(kmaj[:, -n:].sum(axis=1) @ sj) > limit)
         if not any(bad):
             return caps, out
         if not any(b and c < top for b, c in zip(bad, caps)):
@@ -395,16 +515,18 @@ def _fit_caps(build, caps: tuple, growable: tuple, policy: SeriesPolicy) -> tupl
 def fit_tensors(tensors: SeriesTensors, policy: SeriesPolicy) -> tuple:
     """(caps, {name: K}, {name: J}) for an evaluator of many arguments:
     the majorant is the entrywise maximum over the K and over the J
-    tensors, and the limit 1e-15 times its total mass."""
+    tensors, and the limit 1e-15 times its total mass. Each cap doubling
+    extends the kept tensors of ``tensors`` by their new rows and columns
+    and reads them whole."""
     def build(caps):
         k, j = tensors.logs(caps)
         kmaj, jmaj = (np.exp(np.maximum.reduce([lg for _, lg in t.values()]))
                       for t in (k, j))
-        mass = float(kmaj.sum(axis=1) @ jmaj.sum(axis=1)) + 1e-300
-        return kmaj, jmaj, 1e-15 * mass, k, j
+        sk, sj = kmaj.sum(axis=1), jmaj.sum(axis=1)
+        return kmaj, jmaj, sk, sj, 1e-15 * (float(sk @ sj) + 1e-300), k, j
 
     caps, (*_, k, j) = _fit_caps(build, _START_CAPS, (True, True, True), policy)
-    k, j = ({name: s * np.exp(lg) for name, (s, lg) in t.items()}
+    k, j = ({name: _signed(s, np.exp(lg)) for name, (s, lg) in t.items()}
             for t in (k, j))
     return caps, k, j
 
@@ -422,10 +544,11 @@ def _rectangle(k: np.ndarray, j: np.ndarray, limit: float) -> tuple:
 
 
 def _scaled(tensors: SeriesTensors, caps: tuple) -> tuple:
-    """(K, J, off, top): the signed tensors of a one-ratio SeriesTensors
-    scaled to a largest term of 1. Each row's largest J entry moves into
-    K first, so that neither overflows on its own: K(m, k) x^m z^k is
-    K[m, k] e^(top - off[m]) and J(m, j) y^j is J[m, j] e^(off[m])."""
+    """((K, J, off, top), (|K|, |J|)): the signed tensors of a one-ratio
+    SeriesTensors scaled to a largest term of 1, and their magnitudes.
+    Each row's largest J entry moves into K first, so that neither
+    overflows on its own: K(m, k) x^m z^k is K[m, k] e^(top - off[m]) and
+    J(m, j) y^j is J[m, j] e^(off[m])."""
     k, j = tensors.logs(caps)
     ((ks, kl),), ((js, jl),) = k.values(), j.values()
     off = jl.max(axis=1, keepdims=True)
@@ -433,7 +556,9 @@ def _scaled(tensors: SeriesTensors, caps: tuple) -> tuple:
     kl = kl + off
     top = float(kl.max())
     top = top if math.isfinite(top) else 0.0  # every term is zero
-    return ks * np.exp(kl - top), js * np.exp(jl - off), off, top
+    k, j = _signed(ks, np.exp(kl - top)), _signed(js, np.exp(jl - off))
+    return (k, j, off, top), tuple(t if s is None else np.abs(t)
+                                   for s, t in ((ks, k), (js, j)))
 
 
 def _split(scaled: tuple, rect: tuple, budget: float) -> tuple:
@@ -500,14 +625,18 @@ def _series_value(k_ratio: GammaRatio, j_ratio: GammaRatio, args: tuple,
     total, rect, dps, float_error = None, (0, 0, 0), 0, 0.0
 
     def build(caps):
-        k, j, off, top = _scaled(tensors, caps)
-        value, mass = _masses(k, j, caps)
+        scaled, (kmaj, jmaj) = _scaled(tensors, caps)
+        k, j, off, top = scaled
+        sk, sj = kmaj.sum(axis=1), jmaj.sum(axis=1)
+        # a term of no negative factor is its own majorant
+        value = float((sk if kmaj is k else k.sum(axis=1))
+                      @ (sj if jmaj is j else j.sum(axis=1)))
+        mass = float(sk @ sj)
         # |sum| in units of the largest term; rounding leaves at least
         # ~1e-17 of the majorant in a float64 sum
         size = (max(abs(value), 1e-17 * mass) if total is None
                 else float(abs(total) * total.context.exp(-top)))
-        return (np.abs(k), np.abs(j), policy.rel_tol * size, (k, j, off, top),
-                value, mass, size)
+        return kmaj, jmaj, sk, sj, policy.rel_tol * size, scaled, value, mass, size
 
     while True:
         caps, (*_, limit, scaled, value, mass, size) = _fit_caps(
@@ -628,17 +757,22 @@ def ml_prabhakar(alpha: float, beta: float, gamma: float, z: float,
     return _series_value(ratio, GammaRatio(), (z, 0.0, 0.0), policy)
 
 
-def ml2(params: ML2Params, x: float, y: float,
-        policy: SeriesPolicy = SeriesPolicy()) -> float:
-    """Bivariate Mittag-Leffler type function E2(x, y): the separable
-    form with y as the k-argument and no j-sum. Denominator gamma poles
-    zero the term; a numerator gamma at a pole raises InvalidParams."""
+def ml2_ratio(params: ML2Params) -> GammaRatio:
+    """K GammaRatio of the bivariate series, y the k-argument."""
     p = params
-    ratio = GammaRatio(
+    return GammaRatio(
         ((p.a1, p.b1, p.g1), (p.a2, 0.0, p.g2)),
         ((0.0, 0.0, p.g1), (0.0, 0.0, p.g2), (p.a3, p.b2, p.d1),
          (p.a4, 0.0, p.d2), (0.0, p.b3, p.d3)))
-    return _series_value(ratio, GammaRatio(), (x, 0.0, y), policy)
+
+
+def ml2(params: ML2Params, x: float, y: float,
+        policy: SeriesPolicy = SeriesPolicy()) -> float:
+    """Bivariate Mittag-Leffler type function E2(x, y): the separable
+    form (``ml2_ratio``) with y as the k-argument and no j-sum.
+    Denominator gamma poles zero the term; a numerator gamma at a pole
+    raises InvalidParams."""
+    return _series_value(ml2_ratio(params), GammaRatio(), (x, 0.0, y), policy)
 
 
 def ml3_ratios(params: ML3Params) -> tuple:

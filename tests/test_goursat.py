@@ -172,16 +172,15 @@ def _reference_tensors(eng):
 
 class TestTensorTables:
     @pytest.mark.parametrize("params, coeffs, caps", [
-        ((1.0, 0.5, 0.5, -0.5), (-0.25, -0.5), None),
-        ((0.7, 0.3, 1.3, -2.0), (-3.0, 2.0), None),
+        ((1.0, 0.5, 0.5, -0.5), (-0.25, -0.5), (24, 32, 32)),
+        ((0.7, 0.3, 1.3, -2.0), (-3.0, 2.0), (768, 64, 128)),
         ((1.0, 0.5, 0.5, -1.0), (-10.0, -1.0), (768, 64, 32)),
-        ((1.0, 0.5, 0.5, 0.0), (0.0, -1.0), None),
+        ((1.0, 0.5, 0.5, 0.0), (0.0, -1.0), (24, 32, 16)),
     ])
     def test_match_gammaln_reference(self, params, coeffs, caps):
         eng = TeleEngine(PrabhakarParams(*params), TelegraphCoeffs(*coeffs),
                          1.0, 1.0)
-        if caps is not None:
-            assert (eng.m_cap, eng.j_cap, eng.k_cap) == caps
+        assert (eng.m_cap, eng.j_cap, eng.k_cap) == caps
         kt, jw = _reference_tensors(eng)
         pairs = [(eng.kt[n], kt[n]) for n in kt]
         pairs += [(eng.jw[v], jw[v]) for v in jw]
@@ -510,6 +509,26 @@ class TestEtaMesh:
             got[rows] = g
         for tk, g in zip(t_nodes, got):
             want = (samples.T @ _row_weights(conv, tk, eps1)
+                    if tk > 0.0 else np.zeros_like(g))
+            assert np.abs(g - want).max() <= 1e-13 * max(np.abs(want).max(),
+                                                         1e-300)
+
+    @pytest.mark.parametrize("t_nodes", [
+        np.linspace(0.0, 1.0, 9),  # every row on the 32-cell mesh
+        np.linspace(0.0, 1.0, 9) ** 2])  # on and off it
+    def test_phi_rows_match_one_row_at_a_time(self, t_nodes, monkeypatch):
+        # the rows on the Toeplitz table come from ``_EtaConv.hankel``,
+        # the others from ``apply``; both against each row's own weights
+        eng = TeleEngine(PARAMS, COEFFS, 1.0, 1.0)
+        phi = lambda t: np.cos(3.0 * np.asarray(t, dtype=float))
+        ev = _GridEvaluator(eng, ones, phi, None, t_nodes,
+                            np.linspace(0.0, 1.0, 5), QuadPolicy(n_points=32))
+        # blocks of 3 Hankel rows
+        monkeypatch.setattr(goursat, "_CONV_CHUNK", 3 * ev.conv.cells)
+        got = ev.phi_conv()
+        samples = phi(ev.conv.etas)
+        for tk, g in zip(t_nodes, got):
+            want = (samples @ _row_weights(ev.conv, tk, 0.0)
                     if tk > 0.0 else np.zeros_like(g))
             assert np.abs(g - want).max() <= 1e-13 * max(np.abs(want).max(),
                                                          1e-300)

@@ -9,15 +9,21 @@ from hypothesis import given, settings, strategies as st
 
 from prabtel import specfun
 from prabtel.errors import InvalidParams, NonConvergence
+from prabtel.fracops import PrabhakarParams
+from prabtel.goursat import _VARIANTS, ml3_tele_variant
 from prabtel.oracle import _tele_ml2, load_fixtures
 from prabtel.specfun import (
+    GammaRatio,
     ML2Params,
     ML3Params,
     SeriesPolicy,
+    SeriesTensors,
     discriminants2,
     discriminants3,
     ml2,
+    ml2_ratio,
     ml3,
+    ml3_ratios,
     ml_prabhakar,
     pochhammer,
     rgamma,
@@ -254,6 +260,120 @@ class TestML3:
         lo = SeriesPolicy(rel_tol=1e-12, max_terms_per_index=600)
         hi = SeriesPolicy(rel_tol=1e-12, max_terms_per_index=2000)
         assert ml3(p, -0.9, -0.5, -0.7, lo) == ml3(p, -0.9, -0.5, -0.7, hi)
+
+
+def _whole_sum(tensors, ratio, u, w, shape):
+    """ratio * u^m w^i on shape (m, i) as one sum over the kept grids of
+    ``tensors``: the factors of m alone, of i alone (or neither) and of
+    both each add up in the order of the ratio's forms, numerators first,
+    then (m part + i part) + both part; the sign is their product."""
+    m, i = np.arange(shape[0]), np.arange(shape[1])
+
+    def powers(v, idx):
+        if v == 0.0:
+            return (idx == 0) * 1.0, np.where(idx == 0, 0.0, -math.inf)
+        return (np.where((v < 0.0) & (idx % 2 == 1), -1.0, 1.0),
+                idx * math.log(abs(v)))
+
+    (us, ul), (ws, wl) = powers(u, m), powers(w, i)
+    row, col, full = [us[:, None], ul[:, None]], [ws, wl], [1.0, 0.0]
+    for form, up in [(f, True) for f in ratio.num] + [(f, False) for f in ratio.den]:
+        cm, ci, c = form
+        rows, cols = (m if cm else m[:1]), (i if ci else i[:1])
+        args = (cm * rows + c)[:, None] + ci * cols
+        sign = np.where((args < 0.0) & (np.floor(args) % 2 == 1), -1.0, 1.0)
+        sign[(args <= 0.0) & (args == np.floor(args))] = 0.0
+        grid = tensors._grids[form][:rows.size, :cols.size]
+        part = col if not cm else row if not ci else full
+        part[0] = part[0] * sign
+        part[1] = part[1] + grid if up else part[1] - grid
+    return row[0] * col[0] * full[0], row[1] + col[1] + full[1]
+
+
+def _assert_same_terms(got, want):
+    """Two ``logs`` results agree bit for bit: the logs everywhere, the
+    signs where the log is finite (a sign of None is +1)."""
+    for g_side, w_side in zip(got, want):
+        assert g_side.keys() == w_side.keys()
+        for name in g_side:
+            (gs, gl), (ws, wl) = g_side[name], w_side[name]
+            assert gl.shape == wl.shape and np.array_equal(gl, wl)
+            finite = np.isfinite(wl)
+            assert np.array_equal(
+                np.where(finite, 1.0 if gs is None else gs, 0.0),
+                np.where(finite, 1.0 if ws is None else ws, 0.0))
+
+
+class TestSeriesTensors:
+    # the doubling schedule of _fit_caps from _START_CAPS
+    SCHEDULE = ((24, 16, 16), (48, 32, 32), (96, 32, 64))
+
+    @staticmethod
+    def _case(name):
+        """(k_ratios, j_ratios, (x, y, z)) of one series."""
+        fx = load_fixtures()
+        if name == "ml2":
+            e = fx["ml2"][1]
+            return ({"k": ml2_ratio(ML2Params(**e["params"]))},
+                    {"j": GammaRatio()}, (e["x"], 0.0, e["y"]))
+        if name == "ml3":
+            e = fx["ml3"][2]
+            k, j = ml3_ratios(ML3Params(**e["params"]))
+            return {"k": k}, {"j": j}, (e["x"], e["y"], e["z"])
+        if name == "prabhakar_poles":
+            # ml_prabhakar's ratio at gamma = -3: Gamma(4 - m) in the
+            # denominator has poles from m = 4 on
+            ratio = GammaRatio(((0.0, 0.0, 4.0),),
+                               ((-1.0, 0.0, 4.0), (0.7, 0.0, 0.4), (1.0, 0.0, 1.0)))
+            return {"k": ratio}, {"j": GammaRatio()}, (2.5, 0.0, 0.0)
+        # a denominator of both indices through negative arguments and
+        # poles; no unit steps, whose running sums restart at each block
+        ratio = GammaRatio(((0.5, 0.7, 0.75),), ((0.5, 0.7, -1.5), (1.0, 0.0, 1.0)))
+        return {"k": ratio}, {"j": GammaRatio()}, (-0.8, 0.0, 0.6)
+
+    def _whole_sums(self, tensors, k_ratios, j_ratios, args):
+        m, j, k = self.SCHEDULE[-1]
+        return ({n: _whole_sum(tensors, r, args[0], args[2], (m, k))
+                 for n, r in k_ratios.items()},
+                {n: _whole_sum(tensors, r, 1.0, args[1], (m, j))
+                 for n, r in j_ratios.items()})
+
+    @pytest.mark.parametrize("case", ["ml2", "ml3", "prabhakar_poles", "full_poles"])
+    def test_grown_tensors_match_fresh_ones(self, case):
+        k_ratios, j_ratios, args = self._case(case)
+        grown = SeriesTensors(k_ratios, j_ratios, *args)
+        for caps in self.SCHEDULE:
+            got = grown.logs(caps)
+        fresh = SeriesTensors(k_ratios, j_ratios, *args)
+        _assert_same_terms(got, fresh.logs(self.SCHEDULE[-1]))
+        _assert_same_terms(got, self._whole_sums(grown, k_ratios, j_ratios, args))
+        # and a second call at the same caps reads the same tensors
+        _assert_same_terms(grown.logs(self.SCHEDULE[-1]), got)
+
+    def test_prabhakar_poles_are_exact_zeros(self):
+        k_ratios, j_ratios, args = self._case("prabhakar_poles")
+        tensors = SeriesTensors(k_ratios, j_ratios, *args)
+        (sign, log), = tensors.logs((24, 1, 1))[0].values()
+        assert np.all(sign[4:] == 0.0) and np.all(log[4:] == -math.inf)
+        assert np.all(sign[:4] != 0.0) and np.all(np.isfinite(log[:4]))
+
+    def test_grown_engine_tensors_match_a_whole_sum_of_their_grids(self):
+        # the engine's unit-step forms take running sums of log(a), which
+        # restart at each block their grid grows by, so a grown tensor is
+        # compared with one sum over the same grids, not with a fresh build
+        p = PrabhakarParams(1.0, 0.5, 0.5, -0.5)
+        ratios = {v: ml3_ratios(ml3_tele_variant(v, p)) for v in _VARIANTS}
+        k_ratios = {"base": ratios["V3"][0], "shifted": ratios["V1"][0]}
+        j_ratios = {v: r[1] for v, r in ratios.items()}
+        args = (0.25, 0.5, 0.5)
+        grown = SeriesTensors(k_ratios, j_ratios, *args)
+        for caps in self.SCHEDULE:
+            got = grown.logs(caps)
+        _assert_same_terms(got, self._whole_sums(grown, k_ratios, j_ratios, args))
+        fresh = SeriesTensors(k_ratios, j_ratios, *args).logs(self.SCHEDULE[-1])
+        for g_side, f_side in zip(got, fresh):
+            for name in g_side:
+                assert np.abs(g_side[name][1] - f_side[name][1]).max() <= 1e-12
 
 
 class TestSeriesPolicy:
