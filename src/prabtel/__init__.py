@@ -4,8 +4,11 @@ generalized telegraph equation with the Caputo-Prabhakar operator.
 The public surface re-exported here covers the typical workflow: evaluate
 the Mittag-Leffler type functions (specfun), apply the fractional
 operators (fracops), describe the problem data and solve it end to end
-(problem, goursat, volterra), and check everything via the acceptance
-registry that also backs ``prabtel selftest``.
+(problem), and check everything via the acceptance registry that also
+backs ``prabtel selftest``.  ``solve`` runs three public stages, which
+can also be called one by one: a ``TeleEngine`` (and a ``ForcingTerm``,
+or None) built once, then ``assemble_system`` and ``solve_tau`` for the
+trace (volterra), then ``goursat_grid`` for the grid (goursat).
 """
 
 from .errors import (
@@ -33,9 +36,10 @@ from .fracops import (
 )
 from .goursat import (
     Domain2D,
+    ForcingTerm,
+    TeleEngine,
     TelegraphCoeffs,
     TraceSolution,
-    goursat_eval,
     goursat_grid,
     ml2_tele,
     ml3_tele_variant,
@@ -69,6 +73,7 @@ __all__ = [
     "DomainError",
     "EvalError",
     "ExprFunction",
+    "ForcingTerm",
     "GridSolution",
     "InvalidData",
     "InvalidParams",
@@ -86,6 +91,7 @@ __all__ = [
     "ResidualReport",
     "SeriesPolicy",
     "SingularStep",
+    "TeleEngine",
     "TelegraphCoeffs",
     "TraceSolution",
     "VolterraSystem",
@@ -94,7 +100,6 @@ __all__ = [
     "compatibility_check",
     "discriminants2",
     "discriminants3",
-    "goursat_eval",
     "goursat_grid",
     "kernel_cell_moments",
     "ml2",

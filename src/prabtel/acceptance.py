@@ -22,10 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from .fracops import PrabhakarParams, QuadPolicy, caputo_prabhakar_deriv, prabhakar_integral
-from .goursat import Domain2D, TelegraphCoeffs, TeleEngine
+from .goursat import Domain2D, ForcingTerm, TelegraphCoeffs, TeleEngine
 from .problem import ProblemN, solve, verify
 from .specfun import ML2Params, ML3Params, SeriesPolicy, ml2, ml3, ml_prabhakar
-from .volterra import VolterraSystem, compute_A, picard_solve, solve_tau
+from .volterra import VolterraSystem, assemble_system, picard_solve, solve_tau
 
 __all__ = ["CHECKS", "cli_env", "run_checks", "format_results"]
 
@@ -195,17 +195,20 @@ def check_positivity_and_a_bound():
     for beta in np.arange(0.1, 0.95, 0.1):
         params = PrabhakarParams(1.0, float(beta), float(beta), -1.0)
         eng = TeleEngine(params, coeffs, 1.0, 1.0)
-        min_val = min(min_val, float(eng.gamma_e2(t).min()))
+        # G(gamma) E2(a t^beta, delta t^alpha) sums the shifted coefficients
+        min_val = min(min_val, float(eng.cvec(t, True).sum(axis=0).min()))
     weights = (
         ("1", lambda s: np.ones_like(np.asarray(s, dtype=float)), 1.0),
         ("t", lambda s: np.asarray(s, dtype=float), 0.5),
         ("0.5+0.5t", lambda s: 0.5 + 0.5 * np.asarray(s, dtype=float), 0.75),
     )
-    params = PrabhakarParams(1.0, 0.5, 0.5, -1.0)
+    params, domain = PrabhakarParams(1.0, 0.5, 0.5, -1.0), Domain2D(1.0, 1.0)
+    eng, one = TeleEngine(params, coeffs, 1.0, 1.0), weights[0][1]
     worst_gap = math.inf
     for _, M, mass in weights:
-        a_val = compute_A(params, coeffs, M, Domain2D(1.0, 1.0))
-        worst_gap = min(worst_gap, a_val - mass)
+        system = assemble_system(eng, domain, M, one, one, None, QuadPolicy(),
+                                 np.linspace(0.0, 1.0, 3))
+        worst_gap = min(worst_gap, system.diagnostics["a_display"] - mass)
     ok = min_val > 0.0 and worst_gap > -1e-8
     return ok, (f"kernel instance min {min_val:.3e} (> 0), smallest "
                 f"A - int M gap {worst_gap:.3e} (> -1e-8)")
@@ -230,16 +233,16 @@ def check_classical_limit():
 def check_solver_cross_check():
     """Direct substitution against Picard iteration on every assembled
     trace system."""
-    from .volterra import assemble_system
-    worst = 0.0
+    worst, quad, x = 0.0, QuadPolicy(n_points=128), np.linspace(0.0, 1.0, 129)
     for prob in (_constant_problem(), _smooth_problem()):
-        system = assemble_system(prob.params, prob.coeffs, prob.domain,
-                                 prob.M, prob.phi, prob.psi, prob.f_smooth,
-                                 quad=QuadPolicy(n_points=128))
+        eng = TeleEngine(prob.params, prob.coeffs, 1.0, 1.0)
+        forcing = (None if prob.f_smooth is None else
+                   ForcingTerm(eng, prob.f_smooth, 0.0, 0.0, x, quad))
+        system = assemble_system(eng, prob.domain, prob.M, prob.phi, prob.psi,
+                                 forcing, quad, x)
         direct = solve_tau(system)
         picard = picard_solve(system)
         worst = max(worst, float(np.abs(direct.tau - picard.tau).max()))
-    x = np.linspace(0.0, 1.0, 129)
     system = VolterraSystem(A=1.0, x_grid=x,
                             m2=np.tril(np.exp(x[None, :] - x[:, None])),
                             rhs=2.0 * x - 2.0 + 3.0 * np.exp(-x),

@@ -168,10 +168,9 @@ def load_config(path: str) -> dict:
         consecutive_small=_integer(ser, "policies.series",
                                    "consecutive_small", 3))
     qd = _section(pol.get("quad", {}), "policies.quad", (),
-                  ("n_points", "grading", "tol"))
+                  ("n_points", "grading"))
     quad = QuadPolicy(n_points=_integer(qd, "policies.quad", "n_points", 256),
-                      grading=_number(qd, "policies.quad", "grading", 2.0),
-                      tol=_number(qd, "policies.quad", "tol", 1e-8))
+                      grading=_number(qd, "policies.quad", "grading", 2.0))
 
     mode = top.get("mode", "strict")
     if mode not in ("strict", "relaxed"):

@@ -63,10 +63,12 @@ class PrabhakarParams:
 class QuadPolicy:
     """Product-integration policy: panel count, mesh grading, target accuracy.
 
-    In ``solve`` and ``goursat_grid``, n_points is the number of cells of
-    the grid fill's shared eta-mesh, rounded up to a multiple of the
-    number of positive t-nodes; ``solve`` assembles the trace equation
-    with max(n_x, 16) cells instead.
+    In ``goursat_grid`` (the grid fill of ``solve``), n_points is the
+    number of cells of the shared eta-mesh, rounded up to a multiple of
+    the number of positive t-nodes; in ``assemble_system`` it is the
+    cells of the t-rules, at least 16, and ``solve`` passes n_x there.
+    ``tol`` is read only by the adaptive refinement of
+    ``prabhakar_integral`` and ``caputo_prabhakar_deriv``.
     """
 
     n_points: int = 256

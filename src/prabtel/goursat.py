@@ -41,8 +41,9 @@ float64 (``math.lgamma`` tables, see ``TeleEngine``).  For X = a t^beta < 0
 the sums cancel: the largest term grows like exp(|X|^(1/beta)) (for
 beta = 1/2, e^(|X|^2), about 1e43 at |X| = 10) while the sum stays of
 order one, so about |X|^(1/beta) / ln 10 digits are lost (11 at |X| = 5).
-``arg_cap`` (default 50) does not bound this loss: arguments well below
-it can already give finite values with no correct digit.
+The engine's cap on the argument scales (``_ARG_CAP``) does not bound
+this loss: arguments well below it can already give finite values with
+no correct digit.
 """
 
 from __future__ import annotations
@@ -91,6 +92,10 @@ _LAG_HATS = np.stack((1.0 - _LAG_U, _LAG_U)) * (
 
 # Gauss nodes per singular end piece of a row off its Toeplitz table
 _END_NODES = 8
+
+# an engine rejects argument scales |a| t_max^beta, |b| x_max or
+# |delta| t_max^alpha above this
+_ARG_CAP = 50.0
 
 # trace/boundary data must agree at the corner for the representation to
 # interpolate both; checked against this tolerance
@@ -249,8 +254,7 @@ class TeleEngine:
 
     def __init__(self, params: PrabhakarParams, coeffs: TelegraphCoeffs,
                  t_max: float, x_max: float,
-                 series: SeriesPolicy = SeriesPolicy(),
-                 arg_cap: float = 50.0):
+                 series: SeriesPolicy = SeriesPolicy()):
         if not (0.0 < params.beta <= 1.0):
             raise InvalidParams(
                 f"representation requires 0 < beta <= 1, got {params.beta}")
@@ -267,9 +271,9 @@ class TeleEngine:
         self.y_scale = abs(coeffs.b) * self.x_ref
         self.z_scale = abs(params.delta) * self.t_ref ** params.alpha
         worst = max(self.x_scale, self.y_scale, self.z_scale)
-        if worst > arg_cap:
+        if worst > _ARG_CAP:
             raise ArgumentOutOfRange(
-                f"series argument magnitude {worst:.3g} exceeds cap {arg_cap}")
+                f"series argument magnitude {worst:.3g} exceeds cap {_ARG_CAP}")
         self._sign_a = math.copysign(1.0, coeffs.a) if coeffs.a != 0 else 0.0
         self._sign_b = math.copysign(1.0, coeffs.b) if coeffs.b != 0 else 0.0
         self._sign_d = (math.copysign(1.0, params.delta)
@@ -354,16 +358,6 @@ class TeleEngine:
         """
         dx = np.atleast_1d(np.asarray(dx_values, dtype=float))
         return _power_rows(self._sign_b * dx / self.x_ref, self.j_cap).T
-
-    def gamma_e2(self, s) -> np.ndarray:
-        """G(gamma) * E2(a s^beta, delta s^alpha) for an array of times."""
-        return self.cvec(s, shifted=True).sum(axis=0)
-
-    def fbar(self, v: str, s, dx) -> np.ndarray:
-        """F_v(a s^beta; b dx; delta s^alpha), shape (n_dx, n_s)."""
-        shifted = v in ("V1", "V2")
-        c = self.cvec(s, shifted)
-        return self.ypowers(dx) @ (self.jw[v].T @ c)
 
 
 def _call_txy(fn, t: float, xs: np.ndarray) -> np.ndarray:
@@ -770,10 +764,14 @@ class ForcingTerm:
     once on the shared eta-mesh of an ``_EtaConv``; each trace-assembly
     level samples it once on its outer nodes (``_sample``) and folds
     int M T dt onto the kernel of its V3 term (``volterra._g_values``).
+    The exponents must satisfy 0 <= eps1 < beta and 0 <= eps2 < 1.
     """
 
     def __init__(self, engine: TeleEngine, f, eps1: float, eps2: float,
                  x_nodes: np.ndarray, quad: QuadPolicy):
+        if not (0.0 <= eps1 < engine.params.beta and 0.0 <= eps2 < 1.0):
+            raise InvalidParams("exponents must satisfy 0 <= eps1 < beta, "
+                                f"0 <= eps2 < 1, got ({eps1}, {eps2})")
         self.engine = engine
         self.f = f
         self.eps1, self.eps2 = float(eps1), float(eps2)
@@ -813,12 +811,11 @@ class ForcingTerm:
         return out
 
 
-def _forcing_term(engine: TeleEngine, f, eps1: float, eps2: float,
-                  x_nodes: np.ndarray, quad: QuadPolicy):
-    """The ForcingTerm of f on these x-nodes, or None for zero forcing."""
-    if _is_zero_forcing(f):
-        return None
-    return ForcingTerm(engine, f, eps1, eps2, x_nodes, quad)
+def _check_forcing(forcing, engine: TeleEngine, x_nodes: np.ndarray):
+    """InvalidData unless ``forcing`` is None or of this engine and grid."""
+    if forcing is not None and (forcing.engine is not engine or not
+                                np.array_equal(forcing.x_nodes, x_nodes)):
+        raise InvalidData("forcing term belongs to another engine or x-grid")
 
 
 class _GridEvaluator:
@@ -891,62 +888,25 @@ class _GridEvaluator:
         return u
 
 
-def goursat_grid(params: PrabhakarParams, coeffs: TelegraphCoeffs,
-                 tau, phi, f, t_nodes, x_nodes, *,
-                 eps1: float = 0.0, eps2: float = 0.0,
+def goursat_grid(engine: TeleEngine, tau, phi, forcing, t_nodes, x_nodes,
                  quad: QuadPolicy = QuadPolicy(),
-                 series: SeriesPolicy = SeriesPolicy(),
-                 arg_cap: float = 50.0,
                  corner_tol: float = _CORNER_TOL) -> np.ndarray:
-    """Evaluate the representation on the grid t_nodes x x_nodes.
+    """Evaluate the representation on the grid t_nodes x x_nodes, all in
+    the engine's [0, t_ref] x [0, x_ref].
 
     ``tau`` is a callable or a TraceSolution covering [0, max(x_nodes)];
-    ``phi`` a callable on [0, max(t_nodes)]; ``f`` the smooth forcing
-    factor (full forcing t^-eps1 x^-eps2 f(t,x)), or None.  The trace and
-    boundary data must agree at the corner within corner_tol (a solved
-    discrete trace carries its assembly noise there).  Returns the matrix
-    u[i, j] = u(t_i, x_j).
+    ``phi`` a callable on [0, max(t_nodes)]; ``forcing`` a ForcingTerm of
+    this engine on x_nodes, or None.  The trace and boundary data must
+    agree at the corner within corner_tol (a solved discrete trace
+    carries its assembly noise there).  Returns u[i, j] = u(t_i, x_j).
     """
     t_nodes = np.asarray(t_nodes, dtype=float)
     x_nodes = np.asarray(x_nodes, dtype=float)
-    if t_nodes.ndim != 1 or t_nodes.size == 0:
-        raise DomainError("t_nodes must be a non-empty 1-D array")
-    if x_nodes.ndim != 1 or x_nodes.size == 0:
-        raise DomainError("x_nodes must be a non-empty 1-D array")
-    if np.any(t_nodes < 0.0) or np.any(x_nodes < 0.0):
-        raise DomainError("grid nodes must be nonnegative")
-    if not (0.0 <= eps1 < params.beta):
-        raise InvalidParams(f"eps1 must satisfy 0 <= eps1 < beta, got {eps1}")
-    if not (0.0 <= eps2 < 1.0):
-        raise InvalidParams(f"eps2 must satisfy 0 <= eps2 < 1, got {eps2}")
-    engine = TeleEngine(params, coeffs, float(t_nodes.max()),
-                        float(x_nodes.max()), series=series, arg_cap=arg_cap)
-    forcing = _forcing_term(engine, f, eps1, eps2, x_nodes, quad)
+    for name, nodes, top in (("t_nodes", t_nodes, engine.t_ref),
+                             ("x_nodes", x_nodes, engine.x_ref)):
+        if not (nodes.ndim == 1 and nodes.size
+                and np.all((nodes >= 0.0) & (nodes <= top))):
+            raise DomainError(f"{name} must be non-empty, 1-D, in [0, {top}]")
+    _check_forcing(forcing, engine, x_nodes)
     return _GridEvaluator(engine, tau, phi, forcing, t_nodes, x_nodes, quad,
                           corner_tol).evaluate()
-
-
-def goursat_eval(params: PrabhakarParams, coeffs: TelegraphCoeffs,
-                 tau, phi, f, t: float, x: float, *,
-                 eps1: float = 0.0, eps2: float = 0.0,
-                 quad: QuadPolicy = QuadPolicy(),
-                 series: SeriesPolicy = SeriesPolicy(),
-                 arg_cap: float = 50.0,
-                 corner_tol: float = _CORNER_TOL) -> float:
-    """Evaluate u(t, x) at one point.
-
-    Equivalent to the last entry of a one-row ``goursat_grid`` call on a
-    uniform x-mesh over [0, x] with ``quad.n_points`` cells (the tau
-    convolution needs the whole segment, so a pointwise call still
-    carries that mesh).
-    """
-    if x < 0.0 or t < 0.0:
-        raise DomainError(f"evaluation point ({t}, {x}) outside quadrant")
-    if x == 0.0:
-        x_mesh = np.array([0.0])
-    else:
-        x_mesh = np.linspace(0.0, x, quad.n_points + 1)
-    u = goursat_grid(params, coeffs, tau, phi, f, np.array([t]), x_mesh,
-                     eps1=eps1, eps2=eps2, quad=quad, series=series,
-                     arg_cap=arg_cap, corner_tol=corner_tol)
-    return float(u[0, -1])

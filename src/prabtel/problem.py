@@ -31,18 +31,19 @@ from .errors import InvalidData, InvalidParams, RegimeViolation
 from .fracops import PrabhakarParams, QuadPolicy, _fractional_rows
 from .goursat import (
     Domain2D,
+    ForcingTerm,
     TeleEngine,
     TelegraphCoeffs,
     TraceSolution,
     _call_grid,
     _call_txy,
-    _forcing_term,
-    _GridEvaluator,
     _is_zero_forcing,
+    goursat_grid,
 )
 from .quadrature import _call_on, _trapezoid_vec, graded_mesh
 from .specfun import SeriesPolicy
-from .volterra import _M_ZERO_TOL, _assemble, _in_strict_regime, solve_tau
+from .volterra import (_M_ZERO_TOL, _in_strict_regime, _regime_failures,
+                       assemble_system, solve_tau)
 
 __all__ = [
     "ProblemN",
@@ -115,10 +116,6 @@ class ProblemN:
         """Whether the coefficients sit in the proven-uniqueness regime
         (a < 0, b < 0, delta < 0, alpha = 1, gamma = beta)."""
         return _in_strict_regime(self.params, self.coeffs)
-
-    def forcing_row(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Full forcing t^-eps1 x^-eps2 f_smooth at one positive time."""
-        return self.forcing_grid(np.array([float(t)]), x)[0]
 
     def forcing_grid(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Full forcing on the (t x x) grid of positive times: one call of
@@ -233,18 +230,6 @@ def compatibility_check(problem: ProblemN,
     return abs(phi0 - integral - psi0)
 
 
-def _regime_failures(params: PrabhakarParams, coeffs: TelegraphCoeffs) -> list:
-    checks = (
-        (coeffs.a < 0.0, f"a = {coeffs.a} (needs a < 0)"),
-        (coeffs.b < 0.0, f"b = {coeffs.b} (needs b < 0)"),
-        (params.delta < 0.0, f"delta = {params.delta} (needs delta < 0)"),
-        (params.alpha == 1.0, f"alpha = {params.alpha} (needs alpha = 1)"),
-        (params.gamma == params.beta,
-         f"gamma = {params.gamma} (needs gamma = beta = {params.beta})"),
-    )
-    return [msg for ok, msg in checks if not ok]
-
-
 def solve(problem: ProblemN, n_t: int = 64, n_x: int = 64,
           quad: QuadPolicy = QuadPolicy(),
           series: SeriesPolicy = SeriesPolicy(),
@@ -257,6 +242,8 @@ def solve(problem: ProblemN, n_t: int = 64, n_x: int = 64,
     downgrades those two gates to RuntimeWarning.  The trace equation is
     discretized on the solution x-grid itself, so tau lands on the grid
     nodes with no interpolation; its t-rules take max(n_x, 16) cells.
+    The stages are the public ``assemble_system``, ``solve_tau`` and
+    ``goursat_grid``, on one ``TeleEngine`` and one forcing term.
     """
     if n_t < 2 or n_x < 2:
         raise InvalidParams(f"grid needs n_t, n_x >= 2, got ({n_t}, {n_x})")
@@ -273,10 +260,10 @@ def solve(problem: ProblemN, n_t: int = 64, n_x: int = 64,
                         series=series)
     x_grid = np.linspace(0.0, domain.p, n_x + 1)
     quad_x = replace(quad, n_points=n_x)
-    forcing = _forcing_term(engine, problem.f_smooth, problem.eps1,
-                            problem.eps2, x_grid, quad_x)
-    system = _assemble(engine, domain, problem.M, problem.phi, problem.psi,
-                       forcing, quad_x, x_grid)
+    forcing = None if _is_zero_forcing(problem.f_smooth) else ForcingTerm(
+        engine, problem.f_smooth, problem.eps1, problem.eps2, x_grid, quad_x)
+    system = assemble_system(engine, domain, problem.M, problem.phi,
+                             problem.psi, forcing, quad_x, x_grid)
     phi0 = float(np.asarray(problem.phi(0.0), dtype=float))
     g0_defect = abs(float(system.rhs[0]) - phi0)
     # widen the corner gate by the assembly's own refinement estimate so
@@ -292,9 +279,8 @@ def solve(problem: ProblemN, n_t: int = 64, n_x: int = 64,
         warnings.warn(msg, RuntimeWarning, stacklevel=2)
     trace = solve_tau(system)
     t_grid = np.linspace(0.0, domain.q, n_t + 1)
-    u = _GridEvaluator(engine, trace, problem.phi, forcing, t_grid,
-                       x_grid, quad,
-                       corner_tol=max(1e-8, 2.0 * g0_defect)).evaluate()
+    u = goursat_grid(engine, trace, problem.phi, forcing, t_grid, x_grid,
+                     quad, corner_tol=max(1e-8, 2.0 * g0_defect))
     diagnostics = dict(system.diagnostics)
     diagnostics["tau_residual"] = trace.diagnostics.get("residual")
     diagnostics["g0_defect"] = g0_defect

@@ -12,8 +12,9 @@ tau(x) = u(0,x):
 with the weighted-moment constant A, the kernel M1 built from the V2
 series instance, and a right-hand side g assembled from psi, phi, M and
 the forcing.  ``assemble_system`` produces the discrete system on a
-uniform x-grid, ``solve_tau`` runs the lower-triangular Nystrom sweep,
-and ``picard_solve`` cross-checks it by successive approximations.
+uniform x-grid from a caller's ``TeleEngine`` and ``ForcingTerm``,
+``solve_tau`` runs the lower-triangular Nystrom sweep, and
+``picard_solve`` cross-checks it by successive approximations.
 
 Each assembly level evaluates each kernel family once: the shifted
 family (E2, V1, V2) through one coefficient vector (``_TRules.cm``), the
@@ -25,19 +26,19 @@ A note on the constant.  Two closely related constants appear:
     A_display = int_0^q M(t) (1 - a G(gamma) t^beta E2(...)) dt
     A_reduce  = 1 - int_0^q M dt - a G(gamma) int_0^q M t^beta E2 dt
 
-``compute_A`` returns the first (the quantity whose positivity bound
-A > int M dt holds for a < 0, M >= 0).  The divisor of the reduced
-equation is the second: it is what makes G(0) = phi(0) under the
-compatibility condition, and constant data then solve the system with
-tau identically constant.  ``VolterraSystem.A`` stores the divisor;
+The first, ``diagnostics["a_display"]``, is the quantity whose
+positivity bound A > int M dt holds for a < 0, M >= 0.  The divisor of
+the reduced equation is the second: it is what makes G(0) = phi(0) under
+the compatibility condition, and constant data then solve the system
+with tau identically constant.  ``VolterraSystem.A`` stores the divisor;
 ``diagnostics`` records both.
 """
 
 from __future__ import annotations
 
-import math
+import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,7 +55,7 @@ from .goursat import (
     TeleEngine,
     TelegraphCoeffs,
     TraceSolution,
-    _forcing_term,
+    _check_forcing,
     _gauss_jacobi,
 )
 from .quadrature import (
@@ -64,7 +65,6 @@ from .quadrature import (
     build_rule,
     graded_mesh,
 )
-from .specfun import SeriesPolicy
 
 A_TOL = 1e-10
 
@@ -181,43 +181,12 @@ def _a_integrals(engine: TeleEngine, rules: _TRules) -> tuple:
     return i_m, i_e
 
 
-def compute_A(params: PrabhakarParams, coeffs: TelegraphCoeffs, M,
-              domain: Domain2D, quad: QuadPolicy = QuadPolicy(),
-              series: SeriesPolicy = SeriesPolicy()) -> float:
-    """Weighted-moment constant int_0^q M(t)(1 - a G(g) t^b E2(...)) dt.
-
-    Raises InvalidData when M vanishes at every sample node and
-    DegenerateNonlocal when the result does not clear A_TOL.
-    """
-    engine = TeleEngine(params, coeffs, domain.q, domain.p, series=series)
-    i_m, i_e = _a_integrals(engine, _t_rules(engine, M, domain, quad))
-    value = i_m - i_e
-    if not abs(value) > A_TOL:
-        raise DegenerateNonlocal(
-            f"|A| = {abs(value):.3g} does not clear {A_TOL}")
-    return value
-
-
 def _m1_at(engine: TeleEngine, rules: _TRules, diffs: np.ndarray,
            variant: str = "V2") -> np.ndarray:
     """M1 at an array of displacements: int_0^q M t^beta F2(.., b s, ..) dt,
     the level's ``cm`` folded with jw["V2"]; ``variant="V1"`` gives the
     same integral of F1, which the phi(0) term of g weighs."""
     return engine.ypowers(diffs) @ (engine.jw[variant].T @ rules.cm)
-
-
-def kernel_M1(params: PrabhakarParams, coeffs: TelegraphCoeffs, M,
-              xi: float, x: float, domain: Domain2D,
-              quad: QuadPolicy = QuadPolicy(),
-              series: SeriesPolicy = SeriesPolicy()) -> float:
-    """Convolution kernel M1(xi, x); depends on the pair through x - xi."""
-    if not (0.0 <= xi <= x <= domain.p):
-        raise InvalidData(
-            f"kernel arguments must satisfy 0 <= xi <= x <= p, "
-            f"got ({xi}, {x})")
-    engine = TeleEngine(params, coeffs, domain.q, domain.p, series=series)
-    rules = _t_rules(engine, M, domain, quad)
-    return float(_m1_at(engine, rules, np.array([x - xi]))[0])
 
 
 def _forcing_weights(nodes: np.ndarray, beta: float,
@@ -306,64 +275,63 @@ def _g_values(engine: TeleEngine, rules: _TRules, M, phi, psi, forcing,
     return out
 
 
-def rhs_g(params: PrabhakarParams, coeffs: TelegraphCoeffs, M, phi, psi, f,
-          x: float, domain: Domain2D, quad: QuadPolicy = QuadPolicy(),
-          series: SeriesPolicy = SeriesPolicy(),
-          eps1: float = 0.0, eps2: float = 0.0) -> float:
-    """Right-hand side g(x) of the reduced trace equation."""
-    if not (0.0 <= x <= domain.p):
-        raise InvalidData(f"x must lie in [0, p], got {x}")
-    engine = TeleEngine(params, coeffs, domain.q, domain.p, series=series)
-    x_arr = np.array([x])
-    forcing = _forcing_term(engine, f, eps1, eps2, x_arr, quad)
-    rules = _t_rules(engine, M, domain, quad)
-    return float(_g_values(engine, rules, M, phi, psi, forcing, domain, quad,
-                           x_arr)[0])
-
-
 _STRICT_NOTE = ("uniqueness is only proven for a < 0, b < 0, delta < 0, "
                 "alpha = 1, gamma = beta; proceeding on |A| > A_TOL alone")
 
 
+def _regime_failures(params: PrabhakarParams, coeffs: TelegraphCoeffs) -> list:
+    checks = (
+        (coeffs.a < 0.0, f"a = {coeffs.a} (needs a < 0)"),
+        (coeffs.b < 0.0, f"b = {coeffs.b} (needs b < 0)"),
+        (params.delta < 0.0, f"delta = {params.delta} (needs delta < 0)"),
+        (params.alpha == 1.0, f"alpha = {params.alpha} (needs alpha = 1)"),
+        (params.gamma == params.beta,
+         f"gamma = {params.gamma} (needs gamma = beta = {params.beta})"),
+    )
+    return [msg for ok, msg in checks if not ok]
+
+
 def _in_strict_regime(params: PrabhakarParams,
                       coeffs: TelegraphCoeffs) -> bool:
-    return (coeffs.a < 0.0 and coeffs.b < 0.0 and params.delta < 0.0
-            and params.alpha == 1.0 and params.gamma == params.beta
-            and 0.0 < params.beta < 1.0)
+    return 0.0 < params.beta < 1.0 and not _regime_failures(params, coeffs)
 
 
-def assemble_system(params: PrabhakarParams, coeffs: TelegraphCoeffs,
-                    domain: Domain2D, M, phi, psi, f=None,
-                    eps1: float = 0.0, eps2: float = 0.0,
-                    quad: QuadPolicy = QuadPolicy(),
-                    series: SeriesPolicy = SeriesPolicy()) -> VolterraSystem:
-    """Build the discrete trace equation on a uniform x-grid.
-
-    The grid has quad.n_points cells on [0, p], the t-rules at least 16.
-    Diagnostics carry the display constant, the divisor, the M mass,
-    and coarse-vs-fine refinement deltas for the kernel and right-hand
-    side assembly.
-    """
-    engine = TeleEngine(params, coeffs, domain.q, domain.p, series=series)
-    x_grid = np.linspace(0.0, domain.p, quad.n_points + 1)
-    forcing = _forcing_term(engine, f, eps1, eps2, x_grid, quad)
-    return _assemble(engine, domain, M, phi, psi, forcing, quad, x_grid)
+def _outside_stacklevel() -> int:
+    """The caller's ``warnings.warn`` stacklevel of the first frame
+    outside this package: the user's call of a public stage."""
+    frame, level = sys._getframe(2), 2
+    while frame is not None and frame.f_globals.get(
+            "__name__", "").partition(".")[0] == __package__:
+        frame, level = frame.f_back, level + 1
+    return level
 
 
-def _assemble(engine: TeleEngine, domain: Domain2D, M, phi, psi, forcing,
-              quad: QuadPolicy, x_grid: np.ndarray) -> VolterraSystem:
-    """``assemble_system`` on a given engine and x-grid.
+def assemble_system(engine: TeleEngine, domain: Domain2D, M, phi, psi,
+                    forcing, quad: QuadPolicy,
+                    x_grid: np.ndarray) -> VolterraSystem:
+    """Build the discrete trace equation on a uniform x-grid from 0.
 
-    ``forcing`` is a ForcingTerm on x_grid, or None; both levels read
-    its xi-moments.
+    ``forcing`` is a ForcingTerm of this engine on x_grid, or None; both
+    levels read its xi-moments.  The t-rules take max(quad.n_points, 16)
+    cells.  Diagnostics carry the display constant (``a_display``, the
+    quantity whose bound A > int M dt holds for a < 0, M >= 0), the
+    divisor, the M mass, and coarse-vs-fine refinement deltas for the
+    kernel and right-hand side assembly.  Outside the strict regime it
+    warns (RuntimeWarning) and goes on.
     """
     params, coeffs = engine.params, engine.coeffs
     if not _in_strict_regime(params, coeffs):
-        warnings.warn(_STRICT_NOTE, RuntimeWarning, stacklevel=3)
+        warnings.warn(_STRICT_NOTE, RuntimeWarning,
+                      stacklevel=_outside_stacklevel())
+    x_grid = np.asarray(x_grid, dtype=float)
+    h = np.diff(x_grid)
+    if (x_grid.ndim != 1 or x_grid.size < 2 or x_grid[0] != 0.0
+            or np.ptp(h) > 1e-9 * h[0]):
+        raise InvalidData("x_grid must be uniform and ascend from 0")
+    _check_forcing(forcing, engine, x_grid)
     # at least 16 cells, so that the coarse level, max(n // 2, 8) cells,
     # is another one
-    quad = QuadPolicy(n_points=max(quad.n_points, 16), grading=quad.grading,
-                      tol=quad.tol)
+    quad = replace(quad, n_points=max(quad.n_points, 16))
     rules = _t_rules(engine, M, domain, quad)
     i_m, i_e = _a_integrals(engine, rules)
     a_display = i_m - i_e
@@ -373,17 +341,15 @@ def _assemble(engine: TeleEngine, domain: Domain2D, M, phi, psi, forcing,
             f"reduction divisor |1 - int M - E2 moment| = {abs(a_true):.3g} "
             f"does not clear {A_TOL}")
 
-    diffs = x_grid - x_grid[0]
-    m1 = _m1_at(engine, rules, diffs)
+    m1 = _m1_at(engine, rules, x_grid)
     idx = np.arange(x_grid.size)
     m2 = np.tril(m1[np.maximum(idx[:, None] - idx[None, :], 0)]) / a_true
     g = _g_values(engine, rules, M, phi, psi, forcing, domain, quad, x_grid)
 
-    coarse = QuadPolicy(n_points=max(quad.n_points // 2, 8),
-                        grading=quad.grading, tol=quad.tol)
+    coarse = replace(quad, n_points=max(quad.n_points // 2, 8))
     rules_c = _t_rules(engine, M, domain, coarse)
     i_m_c, i_e_c = _a_integrals(engine, rules_c)
-    m1_c = _m1_at(engine, rules_c, diffs)
+    m1_c = _m1_at(engine, rules_c, x_grid)
     g_c = _g_values(engine, rules_c, M, phi, psi, forcing, domain, coarse,
                     x_grid)
     diagnostics = {

@@ -187,6 +187,8 @@ class TestConfigValidation:
         {"data": {"phi": "1", "psi": "0.25", "M": "1", "rho": "0"}},
         {"policies": {"quad": {"n_points": 32, "order": 4}}},
         {"outputs": {"u_csv": "u.csv", "report": "r.txt"}},
+        # QuadPolicy.tol reaches no stage of solve or verify
+        {"policies": {"quad": {"n_points": 32, "tol": 1e-8}}},
     ])
     def test_unknown_keys_rejected(self, workdir, override):
         cfg = write_config(workdir / "run.json", **override)

@@ -35,7 +35,6 @@ from prabtel.goursat import (
     _trace_moments,
     _variant_shifts,
     _xi_moments,
-    goursat_eval,
     goursat_grid,
     ml2_tele,
     ml3_tele_variant,
@@ -56,6 +55,30 @@ def ones(v):
 
 def zeros(v):
     return np.zeros_like(np.asarray(v, dtype=float))
+
+
+def fill(params, coeffs, tau, phi, f, t_nodes, x_nodes, *, eps1=0.0,
+         eps2=0.0, quad=QuadPolicy()):
+    """``goursat_grid`` on a fresh engine and forcing term fitted to the
+    grid: t_ref and x_ref are the largest nodes."""
+    t_nodes, x_nodes = np.asarray(t_nodes), np.asarray(x_nodes)
+    engine = TeleEngine(params, coeffs, float(t_nodes.max()),
+                        float(x_nodes.max()))
+    forcing = (None if f is None else
+               ForcingTerm(engine, f, eps1, eps2, x_nodes, quad))
+    return goursat_grid(engine, tau, phi, forcing, t_nodes, x_nodes, quad)
+
+
+def gamma_e2(eng, s):
+    """G(gamma) E2(a s^beta, delta s^alpha): the shifted coefficients
+    summed over m."""
+    return eng.cvec(s, shifted=True).sum(axis=0)
+
+
+def fbar(eng, v, s, dx):
+    """F_v(a s^beta; b dx; delta s^alpha), shape (n_dx, n_s)."""
+    c = eng.cvec(s, shifted=v in ("V1", "V2"))
+    return eng.ypowers(dx) @ (eng.jw[v].T @ c)
 
 
 class TestPackings:
@@ -98,7 +121,7 @@ class TestEngine:
             s = rng.uniform(0.05, 1.0)
             dx = rng.uniform(0.0, 1.0)
             for v in ("V1", "V2", "V3", "V4"):
-                got = float(eng.fbar(v, s, dx)[0, 0])
+                got = float(fbar(eng, v, s, dx)[0, 0])
                 want = ml3(ml3_tele_variant(v, PARAMS),
                            COEFFS.a * s ** PARAMS.beta,
                            COEFFS.b * dx,
@@ -108,7 +131,7 @@ class TestEngine:
     def test_gamma_e2_matches_series(self):
         eng = TeleEngine(PARAMS, COEFFS, 1.0, 1.0)
         for s in (0.1, 0.37, 0.88, 1.0):
-            got = float(eng.gamma_e2(s)[0])
+            got = float(gamma_e2(eng, s)[0])
             want = math.gamma(PARAMS.gamma) * ml2(
                 ml2_tele(PARAMS),
                 COEFFS.a * s ** PARAMS.beta,
@@ -118,14 +141,14 @@ class TestEngine:
     def test_gamma_e2_equals_fbar_v1_at_zero_displacement(self):
         eng = TeleEngine(PARAMS, COEFFS, 1.0, 1.0)
         s = np.array([0.2, 0.6, 1.0])
-        assert np.allclose(eng.gamma_e2(s), eng.fbar("V1", s, 0.0)[0],
+        assert np.allclose(gamma_e2(eng, s), fbar(eng, "V1", s, 0.0)[0],
                            rtol=1e-13, atol=0.0)
 
     def test_degenerate_directions_collapse(self):
         eng = TeleEngine(PrabhakarParams(1.0, 0.5, 0.5, 0.0),
                          TelegraphCoeffs(a=0.0, b=-1.0), 1.0, 1.0)
         # with a = delta = 0 only the (m, k) = (0, 0) term survives
-        assert float(eng.gamma_e2(0.7)[0]) == pytest.approx(
+        assert float(gamma_e2(eng, 0.7)[0]) == pytest.approx(
             1.0 / math.gamma(1.5), rel=1e-13)
 
     def test_argument_cap(self):
@@ -211,22 +234,22 @@ class TestRepresentation:
     def test_initial_trace_exact(self):
         tau = lambda x: 1.0 + 0.3 * np.sin(np.asarray(x, dtype=float))
         phi = lambda t: 1.0 + 0.2 * np.asarray(t, dtype=float)
-        u = goursat_grid(PARAMS, COEFFS, tau, phi, None,
-                         np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 9))
+        u = fill(PARAMS, COEFFS, tau, phi, None,
+                 np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 9))
         assert np.array_equal(u[0], tau(np.linspace(0.0, 1.0, 9)))
 
     def test_boundary_trace(self):
         tau = lambda x: 1.0 + np.asarray(x, dtype=float) ** 2
         phi = lambda t: 1.0 + np.sin(np.asarray(t, dtype=float))
         t_nodes = np.linspace(0.0, 1.0, 9)
-        u = goursat_grid(PARAMS, COEFFS, tau, phi, None,
-                         t_nodes, np.linspace(0.0, 1.0, 9))
+        u = fill(PARAMS, COEFFS, tau, phi, None,
+                 t_nodes, np.linspace(0.0, 1.0, 9))
         assert np.abs(u[:, 0] - phi(t_nodes)).max() <= 1e-12
 
     def test_constant_solution_identity(self):
-        u = goursat_grid(PARAMS, COEFFS, ones, ones, None,
-                         np.linspace(0.0, 1.0, 9),
-                         np.linspace(0.0, 1.0, 257))
+        u = fill(PARAMS, COEFFS, ones, ones, None,
+                 np.linspace(0.0, 1.0, 9),
+                 np.linspace(0.0, 1.0, 257))
         assert np.abs(u - 1.0).max() <= 1e-3
 
     def test_classical_limit_matches_box_scheme(self):
@@ -236,10 +259,10 @@ class TestRepresentation:
         phi = lambda t: 1.0 + 0.2 * np.asarray(t, dtype=float) ** 2
         f = lambda t, x: 0.5 * t * x
         n = 32
-        u = goursat_grid(params, COEFFS, tau, phi, f,
-                         np.linspace(0.0, 1.0, n + 1),
-                         np.linspace(0.0, 1.0, n + 1),
-                         quad=QuadPolicy(n_points=96))
+        u = fill(params, COEFFS, tau, phi, f,
+                 np.linspace(0.0, 1.0, n + 1),
+                 np.linspace(0.0, 1.0, n + 1),
+                 quad=QuadPolicy(n_points=96))
         ref = classical_telegraph_fd(COEFFS, Domain2D(1.0, 1.0),
                                      phi, tau, f, 256)
         rel = np.abs(u - ref[::8, ::8]).max() / np.abs(ref).max()
@@ -251,74 +274,79 @@ class TestRepresentation:
         fsum = lambda t, x: f1(t, x) + f2(t, x)
         grids = (np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 7))
         kw = dict(quad=QuadPolicy(n_points=64))
-        ua = goursat_grid(PARAMS, COEFFS, zeros, zeros, f1, *grids, **kw)
-        ub = goursat_grid(PARAMS, COEFFS, zeros, zeros, f2, *grids, **kw)
-        uc = goursat_grid(PARAMS, COEFFS, zeros, zeros, fsum, *grids, **kw)
+        ua = fill(PARAMS, COEFFS, zeros, zeros, f1, *grids, **kw)
+        ub = fill(PARAMS, COEFFS, zeros, zeros, f2, *grids, **kw)
+        uc = fill(PARAMS, COEFFS, zeros, zeros, fsum, *grids, **kw)
         assert np.abs(ua + ub - uc).max() <= 1e-11
-
-    def test_eval_matches_grid_code_path(self):
-        tau = lambda x: 1.0 + 0.1 * np.asarray(x, dtype=float)
-        phi = lambda t: 1.0 - 0.2 * np.asarray(t, dtype=float)
-        got = goursat_eval(PARAMS, COEFFS, tau, phi, None, 0.7, 0.5)
-        grid = goursat_grid(PARAMS, COEFFS, tau, phi, None,
-                            np.array([0.7]), np.linspace(0.0, 0.5, 257))
-        assert got == grid[0, -1]
 
     def test_expression_functions_accepted(self):
         tau = ExprFunction("1 + x^2")
         phi = ExprFunction("1 + sin(t)")
         f = ExprFunction("t * x / 10")
-        u = goursat_grid(PARAMS, COEFFS, lambda x: tau(t=0.0, x=x),
-                         lambda t: phi(t=t, x=0.0), f,
-                         np.linspace(0.0, 1.0, 5),
-                         np.linspace(0.0, 1.0, 5),
-                         quad=QuadPolicy(n_points=32))
+        u = fill(PARAMS, COEFFS, lambda x: tau(t=0.0, x=x),
+                 lambda t: phi(t=t, x=0.0), f,
+                 np.linspace(0.0, 1.0, 5),
+                 np.linspace(0.0, 1.0, 5),
+                 quad=QuadPolicy(n_points=32))
         assert np.all(np.isfinite(u))
 
     def test_trace_solution_input(self):
         grid = np.linspace(0.0, 1.0, 129)
         tr = TraceSolution(x_grid=grid, tau=1.0 + grid ** 2)
         phi = lambda t: 1.0 + 0.0 * np.asarray(t, dtype=float)
-        u = goursat_grid(PARAMS, COEFFS, tr, phi, None,
-                         np.array([0.0, 0.5]), grid)
+        u = fill(PARAMS, COEFFS, tr, phi, None,
+                 np.array([0.0, 0.5]), grid)
         assert np.array_equal(u[0], tr.tau)
 
     def test_trace_coverage_required(self):
         tr = TraceSolution(x_grid=np.linspace(0.0, 0.5, 9),
                            tau=np.ones(9))
         with pytest.raises(DomainError):
-            goursat_grid(PARAMS, COEFFS, tr, ones, None,
-                         np.array([0.1]), np.linspace(0.0, 1.0, 5))
+            fill(PARAMS, COEFFS, tr, ones, None,
+                 np.array([0.1]), np.linspace(0.0, 1.0, 5))
 
     def test_corner_mismatch_rejected(self):
         tau = lambda x: np.ones_like(np.asarray(x, dtype=float))
         phi = lambda t: 2.0 + 0.0 * np.asarray(t, dtype=float)
         with pytest.raises(InvalidData):
-            goursat_grid(PARAMS, COEFFS, tau, phi, None,
-                         np.array([0.5]), np.array([0.0, 1.0]))
+            fill(PARAMS, COEFFS, tau, phi, None,
+                 np.array([0.5]), np.array([0.0, 1.0]))
 
     def test_negative_nodes_rejected(self):
-        with pytest.raises(DomainError):
-            goursat_grid(PARAMS, COEFFS, ones, ones, None,
-                         np.array([-0.1, 0.5]), np.array([0.0, 1.0]))
-        with pytest.raises(DomainError):
-            goursat_eval(PARAMS, COEFFS, ones, ones, None, -1.0, 0.5)
+        # negative, non-finite, and beyond the engine's t_ref = x_ref = 1
+        eng = TeleEngine(PARAMS, COEFFS, 1.0, 1.0)
+        good = np.array([0.0, 1.0])
+        for bad in ([-0.1, 0.5], [np.nan, 0.5], [0.5, np.inf], [0.5, 1.5],
+                    [], [[0.5]]):
+            for t, x in ((np.array(bad), good), (good, np.array(bad))):
+                with pytest.raises(DomainError):
+                    goursat_grid(eng, ones, ones, None, t, x)
 
     def test_eps_ranges_validated(self):
         f = lambda t, x: 1.0 + 0.0 * t + 0.0 * x
-        with pytest.raises(InvalidParams):
-            goursat_grid(PARAMS, COEFFS, ones, ones, f,
-                         np.array([0.5]), np.array([0.0, 1.0]), eps1=0.7)
-        with pytest.raises(InvalidParams):
-            goursat_grid(PARAMS, COEFFS, ones, ones, f,
-                         np.array([0.5]), np.array([0.0, 1.0]), eps2=1.0)
+        eng = TeleEngine(PARAMS, COEFFS, 1.0, 1.0)
+        x, quad = np.array([0.0, 1.0]), QuadPolicy()
+        for eps1, eps2 in ((0.7, 0.0), (-0.1, 0.0), (0.0, 1.0), (0.0, -0.1)):
+            with pytest.raises(InvalidParams):
+                ForcingTerm(eng, f, eps1, eps2, x, quad)
+
+    def test_forcing_must_fit_the_grid(self):
+        eng = TeleEngine(PARAMS, COEFFS, 1.0, 1.0)
+        f = lambda t, x: t * x
+        x, quad = np.linspace(0.0, 1.0, 5), QuadPolicy(n_points=16)
+        for forcing in (ForcingTerm(eng, f, 0.0, 0.0, x[:3], quad),
+                        ForcingTerm(TeleEngine(PARAMS, COEFFS, 1.0, 1.0), f,
+                                    0.0, 0.0, x, quad)):
+            with pytest.raises(InvalidData):
+                goursat_grid(eng, ones, ones, forcing, np.array([0.5]), x,
+                             quad)
 
     def test_singular_forcing_exponents(self):
         # f = t^{-eps1} x^{-eps2} * smooth stays integrable and finite
         f = lambda t, x: 1.0 + 0.0 * t + 0.0 * x
-        u = goursat_grid(PARAMS, COEFFS, zeros, zeros, f,
-                         np.array([0.5, 1.0]), np.linspace(0.0, 1.0, 5),
-                         eps1=0.25, eps2=0.5, quad=QuadPolicy(n_points=64))
+        u = fill(PARAMS, COEFFS, zeros, zeros, f,
+                 np.array([0.5, 1.0]), np.linspace(0.0, 1.0, 5),
+                 eps1=0.25, eps2=0.5, quad=QuadPolicy(n_points=64))
         assert np.all(np.isfinite(u)) and np.any(u != 0.0)
 
 
@@ -415,8 +443,8 @@ class TestForcingTerm:
             return wavy(t, x)
 
         t_nodes, x_nodes = np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 17)
-        goursat_grid(PARAMS, COEFFS, zeros, zeros, f, t_nodes, x_nodes,
-                     quad=QuadPolicy(n_points=64))
+        fill(PARAMS, COEFFS, zeros, zeros, f, t_nodes, x_nodes,
+             quad=QuadPolicy(n_points=64))
         # one call on the shared eta-mesh of the grid fill
         assert len(calls) == 1
 
@@ -429,8 +457,8 @@ class TestForcingTerm:
             calls.append(1)
             return wavy(t, x)
 
-        goursat_grid(PARAMS, COEFFS, zeros, zeros, f, t_nodes,
-                     np.linspace(0.0, 1.0, 17), quad=QuadPolicy(n_points=64))
+        fill(PARAMS, COEFFS, zeros, zeros, f, t_nodes,
+             np.linspace(0.0, 1.0, 17), quad=QuadPolicy(n_points=64))
         assert len(calls) == 1
 
     def test_non_broadcasting_forcing_matches_numpy_twin(self):
@@ -442,9 +470,9 @@ class TestForcingTerm:
             calls.append(1)
             return math.exp(t) * x
 
-        want = goursat_grid(PARAMS, COEFFS, zeros, zeros,
-                            lambda t, x: np.exp(t) * x, *grids, **kw)
-        got = goursat_grid(PARAMS, COEFFS, zeros, zeros, per_eta, *grids, **kw)
+        want = fill(PARAMS, COEFFS, zeros, zeros,
+                    lambda t, x: np.exp(t) * x, *grids, **kw)
+        got = fill(PARAMS, COEFFS, zeros, zeros, per_eta, *grids, **kw)
         assert np.abs(got - want).max() <= 1e-13
         # one failed broadcast call, then one call per node of the shared
         # eta-mesh: 4 rows times ceil(32 / 4) cells, plus eta = 0
@@ -453,8 +481,8 @@ class TestForcingTerm:
 
         scalar = lambda t, x: math.cos(3.0 * x) * (1.0 + t)
         twin = lambda t, x: np.cos(3.0 * x) * (1.0 + t)
-        got = goursat_grid(PARAMS, COEFFS, zeros, zeros, scalar, *grids, **kw)
-        want = goursat_grid(PARAMS, COEFFS, zeros, zeros, twin, *grids, **kw)
+        got = fill(PARAMS, COEFFS, zeros, zeros, scalar, *grids, **kw)
+        want = fill(PARAMS, COEFFS, zeros, zeros, twin, *grids, **kw)
         assert np.abs(got - want).max() <= 1e-13
 
 
@@ -708,7 +736,7 @@ class TestLagTables:
         return (
             # solve: the trace grid is the x-grid
             (TraceSolution(uniform, smooth(uniform)), uniform),
-            # goursat_eval: linspace(0, x, n) inside a longer trace grid
+            # a grid fill on [0, x] inside a longer trace grid
             (TraceSolution(long, smooth(long)), np.linspace(0.0, 0.6, 65)),
             (TraceSolution(graded, smooth(graded)), np.linspace(0.0, 1.0, 41)),
             (TraceSolution(uniform, smooth(uniform)), np.array([0.0])),
@@ -856,11 +884,12 @@ class TestLagTables:
     def test_v3_loop_builds_no_power_tables_per_outer_node(
             self, power_row_calls):
         prob = _smooth_problem(forcing=False)
+        eng = TeleEngine(prob.params, prob.coeffs, 1.0, 1.0)
         counts = []
         for n in (32, 64):
             power_row_calls.clear()
-            volterra.rhs_g(prob.params, prob.coeffs, prob.M, prob.phi,
-                           prob.psi, None, 0.5, prob.domain,
-                           quad=QuadPolicy(n_points=n))
+            volterra.assemble_system(eng, prob.domain, prob.M, prob.phi,
+                                     prob.psi, None, QuadPolicy(n_points=n),
+                                     np.linspace(0.0, 1.0, 3))
             counts.append(len(power_row_calls))
         assert counts[0] == counts[1]

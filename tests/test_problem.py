@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import prabtel.goursat as goursat
+import prabtel.problem as problem_mod
 from prabtel.acceptance import cli_env
 from prabtel.errors import InvalidData, InvalidParams, RegimeViolation
 from prabtel.fracops import (
@@ -97,7 +98,7 @@ class TestProblemValidation:
         prob = make_problem(f_smooth=lambda t, x: np.ones_like(np.asarray(x)),
                             eps1=0.25, eps2=0.5)
         x = np.array([0.25, 1.0])
-        got = prob.forcing_row(0.5, x)
+        got = prob.forcing_grid(np.array([0.5]), x)[0]
         assert got == pytest.approx(0.5 ** -0.25 * x ** -0.5)
 
 
@@ -365,6 +366,20 @@ class TestSharedSetup:
         monkeypatch.setattr(goursat, "_xi_moments", counted_xi)
         solve(smooth_problem(), n_t=16, n_x=16, quad=QUICK)
         assert counts == {"engine": 1, "xi": 1}
+
+    def test_solve_runs_each_public_stage_once(self, monkeypatch):
+        # the stages by the names that ``solve`` looks up; a benchmark
+        # tracer that wraps them sees every solve
+        counts = dict.fromkeys(("TeleEngine", "assemble_system", "solve_tau",
+                                "goursat_grid"), 0)
+        for name in counts:
+            def counted(*args, _name=name, _fn=getattr(problem_mod, name),
+                        **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(problem_mod, name, counted)
+        solve(smooth_problem(), n_t=16, n_x=16, quad=QUICK)
+        assert counts == dict.fromkeys(counts, 1)
 
     def test_f_called_once_per_assembly_level_and_grid_fill(self):
         # a broadcasting f: the fine and the coarse assembly level sample

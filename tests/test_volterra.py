@@ -16,11 +16,12 @@ from prabtel.acceptance import _smooth_problem
 from prabtel.fracops import PrabhakarParams, QuadPolicy
 from prabtel.goursat import (
     Domain2D,
+    ForcingTerm,
     TeleEngine,
     TelegraphCoeffs,
-    _forcing_term,
 )
 from prabtel.oracle import adaptive_quad
+from prabtel.problem import solve
 from prabtel.quadrature import _call_on, build_rule, graded_mesh
 from prabtel.specfun import SeriesPolicy, ml3
 from scipy.special import beta as beta_fn
@@ -33,10 +34,7 @@ from prabtel.volterra import (
     _t_rules,
     _trapezoid_weights,
     assemble_system,
-    compute_A,
-    kernel_M1,
     picard_solve,
-    rhs_g,
     solve_tau,
 )
 from prabtel.goursat import ml3_tele_variant
@@ -53,6 +51,28 @@ def ones(v):
 
 def zeros(v):
     return np.zeros_like(np.asarray(v, dtype=float))
+
+
+def gamma_e2(eng, s):
+    """G(gamma) E2(a s^beta, delta s^alpha): the shifted coefficients
+    summed over m."""
+    return eng.cvec(s, shifted=True).sum(axis=0)
+
+
+def fbar(eng, v, s, dx):
+    """F_v(a s^beta; b dx; delta s^alpha), shape (n_dx, n_s)."""
+    c = eng.cvec(s, shifted=v in ("V1", "V2"))
+    return eng.ypowers(dx) @ (eng.jw[v].T @ c)
+
+
+def assemble(params, coeffs, domain, M, phi, psi, f=None,
+             quad=QuadPolicy()):
+    """``assemble_system`` on a fresh engine of the domain, with
+    quad.n_points cells on [0, p]."""
+    engine = TeleEngine(params, coeffs, domain.q, domain.p)
+    x = np.linspace(0.0, domain.p, quad.n_points + 1)
+    forcing = None if f is None else ForcingTerm(engine, f, 0.0, 0.0, x, quad)
+    return assemble_system(engine, domain, M, phi, psi, forcing, quad, x)
 
 
 def manufactured_system(n: int) -> VolterraSystem:
@@ -139,14 +159,19 @@ class TestSolvers:
 
 
 class TestComputeA:
+    """The display constant of the assembly, ``diagnostics["a_display"]``."""
+
     def test_a_zero_reduces_to_weight_mass(self):
         co = TelegraphCoeffs(a=0.0, b=-1.0)
-        got = compute_A(PARAMS, co, lambda t: 2.0 * np.asarray(t), DOMAIN)
-        assert got == pytest.approx(1.0, rel=1e-9)
+        with pytest.warns(RuntimeWarning):
+            sys_ = assemble(PARAMS, co, DOMAIN, lambda t: np.asarray(t),
+                            ones, zeros)
+        assert sys_.diagnostics["a_display"] == pytest.approx(0.5, rel=1e-9)
 
     def test_strict_regime_bound_exceeds_weight_mass(self):
         M = lambda t: 0.5 + 0.5 * np.asarray(t, dtype=float)
-        value = compute_A(PARAMS, COEFFS, M, DOMAIN)
+        value = assemble(PARAMS, COEFFS, DOMAIN, M, ones,
+                         zeros).diagnostics["a_display"]
         mass = 0.75
         assert value > mass - 1e-8
 
@@ -161,35 +186,35 @@ class TestComputeA:
             lambda u: 2.0 * float(u) ** 2 * math.gamma(0.5)
             * ml2(packed, -float(u), -float(u) ** 2, tight),
             0.0, 1.0, weight_exponent=0.0, tol=1e-12, dps=30)
-        got = compute_A(PARAMS, COEFFS, ones, DOMAIN)
+        got = assemble(PARAMS, COEFFS, DOMAIN, ones, ones,
+                       zeros).diagnostics["a_display"]
         assert got == pytest.approx(1.0 + float(ref), abs=5e-7)
 
     def test_vanishing_weight_rejected(self):
         with pytest.raises(InvalidData):
-            compute_A(PARAMS, COEFFS, zeros, DOMAIN)
+            assemble(PARAMS, COEFFS, DOMAIN, zeros, ones, zeros)
 
     def test_cancelling_weight_is_degenerate(self):
+        # at a = 0 the divisor is 1 - int M dt, which a weight of unit
+        # mass cancels
         co = TelegraphCoeffs(a=0.0, b=-1.0)
-        M = lambda t: np.sin(2.0 * np.pi * np.asarray(t, dtype=float))
-        with pytest.raises(DegenerateNonlocal):
-            compute_A(PARAMS, co, M, DOMAIN)
+        M = lambda t: 1.0 + np.sin(2.0 * np.pi * np.asarray(t, dtype=float))
+        with pytest.warns(RuntimeWarning), pytest.raises(DegenerateNonlocal):
+            assemble(PARAMS, co, DOMAIN, M, ones, zeros)
 
 
 class TestKernelM1:
+    """M1 from the assembled kernel samples, ``system.m2 * system.A``."""
+
     def test_translation_invariance(self):
         quad = QuadPolicy(n_points=64)
         M = lambda t: 1.0 + 0.5 * np.asarray(t, dtype=float)
-        pairs = [(0.0, 0.3), (0.2, 0.5), (0.45, 0.75)]
-        vals = [kernel_M1(PARAMS, COEFFS, M, xi, x, DOMAIN, quad)
-                for xi, x in pairs]
+        sys_ = assemble(PARAMS, COEFFS, DOMAIN, M, ones, zeros, quad=quad)
+        m1 = sys_.m2 * sys_.A
+        # (xi, x) = (0, 0.3125), (0.1875, 0.5) and (0.4375, 0.75)
+        vals = [m1[i, j] for j, i in ((0, 20), (12, 32), (28, 48))]
         assert vals[0] == pytest.approx(vals[1], rel=1e-12)
         assert vals[0] == pytest.approx(vals[2], rel=1e-12)
-
-    def test_argument_ordering_enforced(self):
-        with pytest.raises(InvalidData):
-            kernel_M1(PARAMS, COEFFS, ones, 0.5, 0.3, DOMAIN)
-        with pytest.raises(InvalidData):
-            kernel_M1(PARAMS, COEFFS, ones, 0.0, 1.5, DOMAIN)
 
     def test_value_against_oracle_quadrature(self):
         packed = ml3_tele_variant("V2", PARAMS)
@@ -198,31 +223,35 @@ class TestKernelM1:
             lambda u: 2.0 * float(u) ** 2
             * ml3(packed, -float(u), -0.5, -float(u) ** 2, tight),
             0.0, 1.0, weight_exponent=0.0, tol=1e-12, dps=30)
-        got = kernel_M1(PARAMS, COEFFS, ones, 0.0, 0.5, DOMAIN)
+        sys_ = assemble(PARAMS, COEFFS, DOMAIN, ones, ones, zeros)
+        assert sys_.x_grid[128] == 0.5
+        got = sys_.m2[128, 0] * sys_.A
         assert got == pytest.approx(float(ref), abs=5e-7)
 
 
 class TestRhsG:
+    """g from the assembled right-hand side, ``system.rhs * system.A``."""
+
     def test_value_at_origin_under_compatible_data(self):
         M = lambda t: 0.5 + 0.5 * np.asarray(t, dtype=float)
         phi0 = 0.8
         phi = lambda t: phi0 + 0.0 * np.asarray(t, dtype=float)
         mass = 0.75
         psi = lambda x: phi0 * (1.0 - mass) + 0.0 * np.asarray(x)
-        g0 = rhs_g(PARAMS, COEFFS, M, phi, psi, None, 0.0, DOMAIN)
-        a_disp = compute_A(PARAMS, COEFFS, M, DOMAIN)
-        a_true = 1.0 - 2.0 * mass + a_disp
+        sys_ = assemble(PARAMS, COEFFS, DOMAIN, M, phi, psi)
+        g0 = sys_.rhs[0] * sys_.A
+        a_true = 1.0 - 2.0 * mass + sys_.diagnostics["a_display"]
         assert g0 == pytest.approx(phi0 * a_true, rel=1e-9)
 
     def test_psi_enters_additively(self):
         quad = QuadPolicy(n_points=32)
         psi1 = lambda x: np.sin(np.asarray(x, dtype=float))
         phi = lambda t: 0.0 * np.asarray(t, dtype=float)
-        base = rhs_g(PARAMS, COEFFS, ones, phi, zeros, None, 0.6, DOMAIN,
-                     quad)
-        with_psi = rhs_g(PARAMS, COEFFS, ones, phi, psi1, None, 0.6, DOMAIN,
-                         quad)
-        assert with_psi - base == pytest.approx(math.sin(0.6), abs=1e-14)
+        base = assemble(PARAMS, COEFFS, DOMAIN, ones, phi, zeros, quad=quad)
+        with_psi = assemble(PARAMS, COEFFS, DOMAIN, ones, phi, psi1,
+                            quad=quad)
+        got = (with_psi.rhs - base.rhs) * base.A
+        assert np.abs(got - np.sin(base.x_grid)).max() <= 1e-14
 
 
 def _g_values_by_row(engine, rules, M, phi, psi, forcing, domain, quad,
@@ -237,7 +266,7 @@ def _g_values_by_row(engine, rules, M, phi, psi, forcing, domain, quad,
     c_phi = float((flat.weights * rules.m_flat)
                   @ (_call_on(phi, flat.nodes) - phi0))
     out += np.exp(co.b * x_arr) * c_phi
-    out -= co.a * phi0 * (engine.fbar("V1", rules.beta.nodes, x_arr)
+    out -= co.a * phi0 * (fbar(engine, "V1", rules.beta.nodes, x_arr)
                           @ rules.mw)
     beta = engine.params.beta
     grading = max(quad.grading, 1.0 / beta)
@@ -273,7 +302,8 @@ class TestGValues:
         quad = QuadPolicy(n_points=n_points)
         engine = TeleEngine(prob.params, prob.coeffs, 1.0, 1.0)
         x = np.linspace(0.0, 1.0, 33)
-        forcing = _forcing_term(engine, prob.f_smooth, 0.0, 0.0, x, quad)
+        forcing = (ForcingTerm(engine, prob.f_smooth, 0.0, 0.0, x, quad)
+                   if forced else None)
         rules = _t_rules(engine, prob.M, prob.domain, quad)
         args = (engine, rules, prob.M, prob.phi, prob.psi, forcing,
                 prob.domain, quad, x)
@@ -300,11 +330,11 @@ class TestShiftedPass:
         engine = TeleEngine(prob.params, prob.coeffs, 1.0, 1.0)
         rules = _t_rules(engine, prob.M, prob.domain, QuadPolicy(n_points=64))
         nodes, x = rules.beta.nodes, np.linspace(0.0, 1.0, 65)
-        want = engine.coeffs.a * float(rules.mw @ engine.gamma_e2(nodes))
+        want = engine.coeffs.a * float(rules.mw @ gamma_e2(engine, nodes))
         assert _a_integrals(engine, rules)[1] == pytest.approx(want,
                                                                rel=1e-14)
         for variant in ("V1", "V2"):
-            want = engine.fbar(variant, nodes, x) @ rules.mw
+            want = fbar(engine, variant, nodes, x) @ rules.mw
             got = _m1_at(engine, rules, x, variant)
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -318,9 +348,8 @@ class TestShiftedPass:
 
         monkeypatch.setattr(TeleEngine, "cvec", counted)
         prob = _smooth_problem(forcing=True)
-        assemble_system(prob.params, prob.coeffs, prob.domain, prob.M,
-                        prob.phi, prob.psi, prob.f_smooth,
-                        quad=QuadPolicy(n_points=32))
+        assemble(prob.params, prob.coeffs, prob.domain, prob.M, prob.phi,
+                 prob.psi, prob.f_smooth, quad=QuadPolicy(n_points=32))
         # the fine and the coarse level; the base family runs on lag tables
         assert calls == [True, True]
 
@@ -329,8 +358,8 @@ class TestAssemble:
     def test_constant_data_trace(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sys_ = assemble_system(PARAMS, COEFFS, DOMAIN, ones, ones,
-                                   zeros, quad=QuadPolicy(n_points=1024))
+            sys_ = assemble(PARAMS, COEFFS, DOMAIN, ones, ones, zeros,
+                            quad=QuadPolicy(n_points=1024))
         sol = solve_tau(sys_)
         assert np.abs(sol.tau - 1.0).max() <= 1e-6
 
@@ -344,13 +373,12 @@ class TestAssemble:
             0.0, 1.0, weight_exponent=0.0, tol=1e-13, dps=30)
         psi0 = 0.6 - float(flatrule_mass)
         psi = lambda x: psi0 + 0.1 * np.asarray(x, dtype=float)
-        sys_ = assemble_system(PARAMS, COEFFS, DOMAIN, M, phi, psi,
-                               quad=quad)
+        sys_ = assemble(PARAMS, COEFFS, DOMAIN, M, phi, psi, quad=quad)
         assert sys_.rhs[0] == pytest.approx(0.6, abs=1e-6)
 
     def test_diagnostics_report_refinement(self):
-        sys_ = assemble_system(PARAMS, COEFFS, DOMAIN, ones, ones, zeros,
-                               quad=QuadPolicy(n_points=64))
+        sys_ = assemble(PARAMS, COEFFS, DOMAIN, ones, ones, zeros,
+                        quad=QuadPolicy(n_points=64))
         d = sys_.diagnostics
         assert d["a_refinement_delta"] < 1e-4
         assert d["m1_refinement_delta"] < 1e-4
@@ -361,11 +389,41 @@ class TestAssemble:
     def test_out_of_regime_warns(self):
         relaxed = PrabhakarParams(alpha=1.0, beta=0.5, gamma=0.5, delta=0.5)
         with pytest.warns(RuntimeWarning):
-            assemble_system(relaxed, COEFFS, DOMAIN, ones, ones, zeros,
-                            quad=QuadPolicy(n_points=32))
+            assemble(relaxed, COEFFS, DOMAIN, ones, ones, zeros,
+                     quad=QuadPolicy(n_points=32))
+
+    def test_strict_note_points_at_the_caller(self):
+        # called directly and through solve, the warning names this file
+        relaxed = PrabhakarParams(alpha=1.0, beta=0.5, gamma=0.5, delta=0.5)
+        engine = TeleEngine(relaxed, COEFFS, 1.0, 1.0)
+        with pytest.warns(RuntimeWarning) as direct:
+            assemble_system(engine, DOMAIN, ones, ones, zeros, None,
+                            QuadPolicy(n_points=16), np.linspace(0.0, 1.0, 9))
+        with pytest.warns(RuntimeWarning) as via_solve:
+            solve(_smooth_problem(params=relaxed), n_t=8, n_x=8,
+                  quad=QuadPolicy(n_points=32), strict=False)
+        for record in (direct, via_solve):
+            notes = [w for w in record if "uniqueness" in str(w.message)]
+            assert len(notes) == 1 and notes[0].filename == __file__
+
+    def test_grid_and_forcing_must_fit(self):
+        engine = TeleEngine(PARAMS, COEFFS, 1.0, 1.0)
+        quad = QuadPolicy(n_points=16)
+        x = np.linspace(0.0, 1.0, 17)
+        for bad in (x ** 2, x[1:], x[:1]):
+            with pytest.raises(InvalidData):
+                assemble_system(engine, DOMAIN, ones, ones, zeros, None, quad,
+                                bad)
+        f = lambda t, x: t * x
+        for other in (ForcingTerm(engine, f, 0.0, 0.0, x[::2], quad),
+                      ForcingTerm(TeleEngine(PARAMS, COEFFS, 1.0, 1.0), f,
+                                  0.0, 0.0, x, quad)):
+            with pytest.raises(InvalidData):
+                assemble_system(engine, DOMAIN, ones, ones, zeros, other,
+                                quad, x)
 
     def test_strict_regime_is_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assemble_system(PARAMS, COEFFS, DOMAIN, ones, ones, zeros,
-                            quad=QuadPolicy(n_points=32))
+            assemble(PARAMS, COEFFS, DOMAIN, ones, ones, zeros,
+                     quad=QuadPolicy(n_points=32))
