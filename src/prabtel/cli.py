@@ -58,6 +58,15 @@ _EXIT_NONCONVERGENCE = 3
 _EXIT_REGIME = 4
 _EXIT_DEGENERATE = 5
 
+# the errors main() reports, with their exit codes
+_EXIT_CODES = (
+    ((InvalidParams, InvalidData, DomainError, ArgumentOutOfRange, ParseError,
+      EvalError, OSError), _EXIT_INPUT),
+    ((NonConvergence, QuadratureFailure, MaxIterExceeded), _EXIT_NONCONVERGENCE),
+    ((RegimeViolation,), _EXIT_REGIME),
+    ((DegenerateNonlocal, SingularStep), _EXIT_DEGENERATE),
+)
+
 _ML2_FIELDS = ("a1", "b1", "g1", "a2", "g2", "a3", "b2", "d1", "a4", "d2",
                "b3", "d3")
 
@@ -160,17 +169,13 @@ def load_config(path: str) -> dict:
 
     pol = _section(top.get("policies", {}), "policies", (), ("series", "quad"))
     ser = _section(pol.get("series", {}), "policies.series", (),
-                   ("rel_tol", "max_terms_per_index", "consecutive_small"))
+                   ("rel_tol", "max_terms_per_index"))
     series = SeriesPolicy(
         rel_tol=_number(ser, "policies.series", "rel_tol", 1e-12),
         max_terms_per_index=_integer(ser, "policies.series",
-                                     "max_terms_per_index", 2000),
-        consecutive_small=_integer(ser, "policies.series",
-                                   "consecutive_small", 3))
-    qd = _section(pol.get("quad", {}), "policies.quad", (),
-                  ("n_points", "grading"))
-    quad = QuadPolicy(n_points=_integer(qd, "policies.quad", "n_points", 256),
-                      grading=_number(qd, "policies.quad", "grading", 2.0))
+                                     "max_terms_per_index", 2000))
+    qd = _section(pol.get("quad", {}), "policies.quad", (), ("n_points",))
+    quad = QuadPolicy(n_points=_integer(qd, "policies.quad", "n_points", 256))
 
     mode = top.get("mode", "strict")
     if mode not in ("strict", "relaxed"):
@@ -456,22 +461,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidParams, InvalidData, DomainError, ArgumentOutOfRange,
-            ParseError, EvalError) as exc:
+    except tuple(t for types, _ in _EXIT_CODES for t in types) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_INPUT
-    except (NonConvergence, QuadratureFailure, MaxIterExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_NONCONVERGENCE
-    except RegimeViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_REGIME
-    except (DegenerateNonlocal, SingularStep) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_DEGENERATE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_INPUT
+        return next(code for types, code in _EXIT_CODES
+                    if isinstance(exc, types))
 
 
 if __name__ == "__main__":

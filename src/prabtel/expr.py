@@ -40,14 +40,31 @@ __all__ = [
     "render",
 ]
 
-_FUNCTION_ARITY = {
-    "exp": 1,
-    "ln": 1,
-    "sin": 1,
-    "cos": 1,
-    "sqrt": 1,
-    "abs": 1,
-    "pow": 2,
+# name: (numpy function, arity)
+_FUNCTIONS = {
+    "exp": (np.exp, 1),
+    "ln": (np.log, 1),
+    "sin": (np.sin, 1),
+    "cos": (np.cos, 1),
+    "sqrt": (np.sqrt, 1),
+    "abs": (np.abs, 1),
+    "pow": (np.power, 2),
+}
+
+# precedence levels for parenthesization
+_PREC_ADD = 1
+_PREC_MUL = 2
+_PREC_NEG = 3
+_PREC_POW = 4
+_PREC_ATOM = 5
+
+# operator: (numpy function, name in error messages, precedence)
+_OPERATORS = {
+    "+": (np.add, "addition", _PREC_ADD),
+    "-": (np.subtract, "subtraction", _PREC_ADD),
+    "*": (np.multiply, "multiplication", _PREC_MUL),
+    "/": (np.divide, "division", _PREC_MUL),
+    "^": (np.power, "power", _PREC_POW),
 }
 
 _CONSTANTS = {"pi": np.pi, "e": np.e}
@@ -172,27 +189,22 @@ class _Parser:
             raise ParseError(tok.pos, "end of input")
         return node
 
-    def expr(self) -> ExprAst:
-        node = self.term()
+    def _left_group(self, ops: str, operand) -> ExprAst:
+        """operand (op operand)* for op in ops, grouped from the left."""
+        node = operand()
         while True:
             tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
+            if tok.kind == "op" and tok.text in ops:
                 self.advance()
-                rhs = self.term()
-                node = Bin(tok.text, node, rhs, tok.pos)
+                node = Bin(tok.text, node, operand(), tok.pos)
             else:
                 return node
 
+    def expr(self) -> ExprAst:
+        return self._left_group("+-", self.term)
+
     def term(self) -> ExprAst:
-        node = self.factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "*/":
-                self.advance()
-                rhs = self.factor()
-                node = Bin(tok.text, node, rhs, tok.pos)
-            else:
-                return node
+        return self._left_group("*/", self.factor)
 
     def factor(self) -> ExprAst:
         tok = self.peek()
@@ -217,7 +229,7 @@ class _Parser:
             name = tok.text
             nxt = self.peek()
             if nxt.kind == "op" and nxt.text == "(":
-                if name not in _FUNCTION_ARITY:
+                if name not in _FUNCTIONS:
                     raise ParseError(tok.pos, f"a known function, found {name!r}")
                 self.advance()
                 args = [self.expr()]
@@ -225,7 +237,7 @@ class _Parser:
                     self.advance()
                     args.append(self.expr())
                 self.expect_op(")")
-                arity = _FUNCTION_ARITY[name]
+                arity = _FUNCTIONS[name][1]
                 if len(args) != arity:
                     raise ParseError(
                         tok.pos, f"{arity} argument(s) for {name}, found {len(args)}"
@@ -263,9 +275,8 @@ def _apply(fn, pos: int, what: str, *args):
     try:
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             out = fn(*args)
-    except FloatingPointError as exc:
-        raise EvalError(f"{what} at offset {pos}: {exc}") from None
-    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+    except (FloatingPointError, ZeroDivisionError, OverflowError,
+            ValueError) as exc:
         raise EvalError(f"{what} at offset {pos}: {exc}") from None
     return out
 
@@ -297,50 +308,24 @@ def _eval_node(ast: ExprAst, t, x):
     if isinstance(ast, Neg):
         return -_eval_node(ast.child, t, x)
     if isinstance(ast, Bin):
-        lhs = _eval_node(ast.left, t, x)
-        rhs = _eval_node(ast.right, t, x)
-        if ast.op == "+":
-            return _apply(np.add, ast.pos, "addition", lhs, rhs)
-        if ast.op == "-":
-            return _apply(np.subtract, ast.pos, "subtraction", lhs, rhs)
-        if ast.op == "*":
-            return _apply(np.multiply, ast.pos, "multiplication", lhs, rhs)
-        if ast.op == "/":
-            return _apply(np.divide, ast.pos, "division", lhs, rhs)
-        if ast.op == "^":
-            return _apply(np.power, ast.pos, "power", lhs, rhs)
-        raise EvalError(f"unknown operator {ast.op!r}")
+        if ast.op not in _OPERATORS:
+            raise EvalError(f"unknown operator {ast.op!r}")
+        fn, what, _ = _OPERATORS[ast.op]
+        return _apply(fn, ast.pos, what, _eval_node(ast.left, t, x),
+                      _eval_node(ast.right, t, x))
     if isinstance(ast, Call):
+        fn, arity = _FUNCTIONS.get(ast.fn, (None, None))
+        if len(ast.args) != arity:
+            raise EvalError(f"unknown function {ast.fn!r} of "
+                            f"{len(ast.args)} argument(s)")
         vals = [_eval_node(a, t, x) for a in ast.args]
-        if ast.fn == "exp":
-            return _apply(np.exp, ast.pos, "exp", vals[0])
-        if ast.fn == "ln":
-            return _apply(np.log, ast.pos, "ln", vals[0])
-        if ast.fn == "sin":
-            return _apply(np.sin, ast.pos, "sin", vals[0])
-        if ast.fn == "cos":
-            return _apply(np.cos, ast.pos, "cos", vals[0])
-        if ast.fn == "sqrt":
-            return _apply(np.sqrt, ast.pos, "sqrt", vals[0])
-        if ast.fn == "abs":
-            return _apply(np.abs, ast.pos, "abs", vals[0])
-        if ast.fn == "pow":
-            return _apply(np.power, ast.pos, "pow", vals[0], vals[1])
-        raise EvalError(f"unknown function {ast.fn!r}")
+        return _apply(fn, ast.pos, ast.fn, *vals)
     raise EvalError(f"unknown node {ast!r}")
 
 
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
-
-# precedence levels for parenthesization
-_PREC_ADD = 1
-_PREC_MUL = 2
-_PREC_NEG = 3
-_PREC_POW = 4
-_PREC_ATOM = 5
-
 
 def _prec(ast: ExprAst) -> int:
     if isinstance(ast, (Num, Var, Call)):
@@ -350,7 +335,7 @@ def _prec(ast: ExprAst) -> int:
     if isinstance(ast, Neg):
         return _PREC_NEG
     if isinstance(ast, Bin):
-        return {"+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL, "/": _PREC_MUL, "^": _PREC_POW}[ast.op]
+        return _OPERATORS[ast.op][2]
     raise ValueError(f"unknown node {ast!r}")
 
 
@@ -376,19 +361,14 @@ def render(ast: ExprAst) -> str:
     if isinstance(ast, Neg):
         return "-" + _wrap(ast.child, _PREC_NEG)
     if isinstance(ast, Bin):
-        if ast.op in ("+", "-"):
-            # left-associative: the right side needs strictly higher precedence
-            left = _wrap(ast.left, _PREC_ADD)
-            right = _wrap(ast.right, _PREC_ADD + 1)
-            return f"{left} {ast.op} {right}"
-        if ast.op in ("*", "/"):
-            left = _wrap(ast.left, _PREC_MUL)
-            right = _wrap(ast.right, _PREC_MUL + 1)
-            return f"{left}{ast.op}{right}"
-        # '^' is right-associative and binds tighter than unary minus
-        left = _wrap(ast.left, _PREC_POW + 1)
-        right = _wrap(ast.right, _PREC_POW)
-        return f"{left}^{right}"
+        # the side an operator does not group toward needs strictly
+        # higher precedence: the right one, except for the
+        # right-associative '^'
+        prec, right_assoc = _prec(ast), ast.op == "^"
+        left = _wrap(ast.left, prec + right_assoc)
+        right = _wrap(ast.right, prec + (not right_assoc))
+        sep = f" {ast.op} " if prec == _PREC_ADD else ast.op
+        return f"{left}{sep}{right}"
     if isinstance(ast, Call):
         args = ", ".join(render(a) for a in ast.args)
         return f"{ast.fn}({args})"

@@ -23,7 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, InvalidParams, NonConvergence, QuadratureFailure
 from .quadrature import _call_on, graded_mesh
-from .specfun import SeriesPolicy, rgamma
+from .specfun import _CONSECUTIVE_SMALL, SeriesPolicy, rgamma
 
 __all__ = [
     "PrabhakarParams",
@@ -61,25 +61,24 @@ class PrabhakarParams:
 
 @dataclass(frozen=True)
 class QuadPolicy:
-    """Product-integration policy: panel count, mesh grading, target accuracy.
+    """Product-integration policy: panel count and target accuracy.
 
     In ``goursat_grid`` (the grid fill of ``solve``), n_points is the
     number of cells of the shared eta-mesh, rounded up to a multiple of
     the number of positive t-nodes; in ``assemble_system`` it is the
     cells of the t-rules, at least 16, and ``solve`` passes n_x there.
     ``tol`` is read only by the adaptive refinement of
-    ``prabhakar_integral`` and ``caputo_prabhakar_deriv``.
+    ``prabhakar_integral`` and ``caputo_prabhakar_deriv``.  Every graded
+    mesh takes the grading ``quadrature._GRADING``, raised to 1/beta in
+    the trace assembly.
     """
 
     n_points: int = 256
-    grading: float = 2.0
     tol: float = 1e-8
 
     def __post_init__(self):
         if self.n_points < 4:
             raise InvalidParams("n_points must be >= 4")
-        if self.grading < 1.0:
-            raise InvalidParams("grading must be >= 1")
         if not (self.tol > 0):
             raise InvalidParams("tol must be > 0")
 
@@ -122,7 +121,7 @@ def kernel_cell_moments(params: PrabhakarParams, cell_edges: np.ndarray,
         ok1 = np.all(np.abs(d1) <= series.rel_tol * np.maximum(np.abs(m1), tiny))
         if ok0 and ok1:
             small += 1
-            if small >= series.consecutive_small:
+            if small >= _CONSECUTIVE_SMALL:
                 return m0, m1
         else:
             small = 0
@@ -132,14 +131,13 @@ def kernel_cell_moments(params: PrabhakarParams, cell_edges: np.ndarray,
 
 
 def _integral_fixed_n(params: PrabhakarParams, y, t: float, n: int,
-                      grading: float, series: SeriesPolicy) -> tuple:
+                      series: SeriesPolicy) -> tuple:
     """(integral value, weighted absolute mass) at a fixed panel count.
 
     The mass sum |w| |y| is the natural scale of the integral and calibrates
     the adaptive stopping tolerance.
     """
-    mesh = graded_mesh(t, n, r=grading)
-    s = mesh.nodes
+    s = graded_mesh(t, n).nodes
     m0, m1 = kernel_cell_moments(params, s, series)
     vals = _call_on(y, t - s)
     lo, hi = s[:-1], s[1:]
@@ -155,7 +153,7 @@ def _integral_fixed_n(params: PrabhakarParams, y, t: float, n: int,
 
 def _refine(name: str, fixed_n, params: PrabhakarParams, y, t: float,
             quad: QuadPolicy, series: SeriesPolicy) -> float:
-    """Value of the product rule fixed_n(params, y, t, n, grading, series)
+    """Value of the product rule fixed_n(params, y, t, n, series)
     -> (value, mass), doubling the panel count n from quad.n_points until
     the estimated error falls below quad.tol."""
     if not (t > 0.0):
@@ -163,8 +161,7 @@ def _refine(name: str, fixed_n, params: PrabhakarParams, y, t: float,
     prev = None
     prev_ext = None
     for k in range(_MAX_DOUBLINGS + 1):
-        cur, mass = fixed_n(params, y, t, quad.n_points * 2 ** k,
-                            quad.grading, series)
+        cur, mass = fixed_n(params, y, t, quad.n_points * 2 ** k, series)
         if prev is not None:
             # tol is absolute while the weighted data mass is below one,
             # relative to the mass above; for the second-order rule the
@@ -217,10 +214,10 @@ def _slope_weights(params: PrabhakarParams, lag_edges: np.ndarray,
 
 
 def _deriv_fixed_n(params: PrabhakarParams, y, t: float, n: int,
-                   grading: float, series: SeriesPolicy) -> tuple:
+                   series: SeriesPolicy) -> tuple:
     """(derivative value, weighted absolute slope mass) at a fixed panel
     count, on the lag mesh of ``_integral_fixed_n``."""
-    s = graded_mesh(t, n, r=grading).nodes
+    s = graded_mesh(t, n).nodes
     w = _slope_weights(params, s, series)
     vals = _call_on(y, t - s)
     # lag cell j runs from xi = t - s[j+1] to xi = t - s[j]

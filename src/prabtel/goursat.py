@@ -62,14 +62,12 @@ from .errors import (
     InvalidParams,
 )
 from .fracops import PrabhakarParams, QuadPolicy
-from .quadrature import _call_on, graded_mesh
+from .quadrature import _call_grid, _call_on, graded_mesh
 from .specfun import (
     ML2Params,
     ML3Params,
     SeriesPolicy,
     SeriesTensors,
-    discriminants2,
-    discriminants3,
     fit_tensors,
     ml3_ratios,
 )
@@ -163,17 +161,10 @@ class TraceSolution:
 
 
 def ml2_tele(params: PrabhakarParams) -> ML2Params:
-    """Parameter packing of the bivariate instance E2(a t^beta, delta t^alpha).
-
-    Raises InvalidParams unless both convergence discriminants are
-    positive (they equal (beta, alpha) here).
-    """
+    """Parameter packing of the bivariate instance E2(a t^beta, delta t^alpha),
+    with convergence discriminants (beta, alpha)."""
     a, b, g = params.alpha, params.beta, params.gamma
-    packed = ML2Params(g, 1.0, g, 0.0, 1.0, b, a, b + 1.0, g, g, 1.0, 1.0)
-    if min(discriminants2(packed)) <= 0.0:
-        raise InvalidParams(
-            f"bivariate discriminants {discriminants2(packed)} must be positive")
-    return packed
+    return ML2Params(g, 1.0, g, 0.0, 1.0, b, a, b + 1.0, g, g, 1.0, 1.0)
 
 
 def ml3_tele_variant(v: str, params: PrabhakarParams) -> ML3Params:
@@ -181,17 +172,14 @@ def ml3_tele_variant(v: str, params: PrabhakarParams) -> ML3Params:
 
     V1 multiplies phi(0), V2 the tau convolution, V3 the phi convolution
     and V4 the forcing term; they differ only in four shift entries.
+    ``ML3Params`` rejects a packing whose discriminants are not positive.
     """
     if v not in _VARIANTS:
         raise InvalidParams(f"variant must be one of {_VARIANTS}, got {v!r}")
     al, be, ga = params.alpha, params.beta, params.gamma
     d2, d3, d5, d8 = _variant_shifts(v, be)
-    packed = ML3Params(ga, 1.0, ga, 1.0, 1.0, d2, be, al, d3,
-                       ga, ga, 1.0, d5, 1.0, 1.0, 1.0, 1.0, 1.0, d8)
-    if min(discriminants3(packed)) <= 0.0:
-        raise InvalidParams(
-            f"trivariate discriminants {discriminants3(packed)} must be positive")
-    return packed
+    return ML3Params(ga, 1.0, ga, 1.0, 1.0, d2, be, al, d3,
+                     ga, ga, 1.0, d5, 1.0, 1.0, 1.0, 1.0, 1.0, d8)
 
 
 def _variant_shifts(v: str, beta: float) -> tuple:
@@ -248,8 +236,9 @@ class TeleEngine:
     the same ``SeriesTensors`` builder: "base" is the d3 = beta family
     (V3, V4) and "shifted" the d3 = beta+1 family (V1, V2).  The caps
     come from ``specfun.fit_tensors``: the trailing
-    ``series.consecutive_small`` rows of each index carry at most 1e-15
-    of the majorant (the entrywise maximum over the families).
+    ``specfun._CONSECUTIVE_SMALL`` rows of each index carry at most 1e-15
+    of the majorant (the entrywise maximum over the families).  With
+    alpha > 0, the beta and gamma checks make every packing convergent.
     """
 
     def __init__(self, params: PrabhakarParams, coeffs: TelegraphCoeffs,
@@ -261,10 +250,8 @@ class TeleEngine:
         if not (params.gamma > 0.0):
             raise InvalidParams(
                 f"representation requires gamma > 0, got {params.gamma}")
-        ml2_tele(params)
         self.params = params
         self.coeffs = coeffs
-        self.series = series
         self.t_ref = max(float(t_max), 1e-300)
         self.x_ref = max(float(x_max), 1e-300)
         self.x_scale = abs(coeffs.a) * self.t_ref ** params.beta
@@ -358,33 +345,6 @@ class TeleEngine:
         """
         dx = np.atleast_1d(np.asarray(dx_values, dtype=float))
         return _power_rows(self._sign_b * dx / self.x_ref, self.j_cap).T
-
-
-def _call_txy(fn, t: float, xs: np.ndarray) -> np.ndarray:
-    """Evaluate f(t, x) for scalar t against an array of x (any shape)."""
-    try:
-        out = np.asarray(fn(t, xs), dtype=float)
-        if out.shape == xs.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    flat = np.array([float(fn(t, float(v))) for v in xs.ravel()])
-    return flat.reshape(xs.shape)
-
-
-def _call_grid(fn, ts: np.ndarray, xs: np.ndarray):
-    """f on the (ts x xs) grid in one call, or None when f does not
-    broadcast (it raises TypeError or ValueError, or returns another
-    shape)."""
-    shape = (ts.size, xs.size)
-    try:
-        out = np.asarray(fn(np.broadcast_to(ts[:, None], shape),
-                            np.broadcast_to(xs, shape)), dtype=float)
-        if out.shape == shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return None
 
 
 def _as_trace(tau, x_max: float, quad: QuadPolicy) -> TraceSolution:
@@ -487,6 +447,15 @@ def _trace_moments(trace: TraceSolution, x_nodes: np.ndarray,
 
 def _is_zero_forcing(f) -> bool:
     return f is None or bool(getattr(f, "is_zero", False))
+
+
+def _check_exponents(beta: float, eps1: float, eps2: float) -> None:
+    """InvalidParams unless the forcing exponents satisfy 0 <= eps1 < beta
+    and 0 <= eps2 < 1, which keep t^-eps1 x^-eps2 integrable against the
+    kernel (t - eta)^(beta-1)."""
+    if not (0.0 <= eps1 < beta and 0.0 <= eps2 < 1.0):
+        raise InvalidParams("exponents must satisfy 0 <= eps1 < beta, "
+                            f"0 <= eps2 < 1, got ({eps1}, {eps2})")
 
 
 @functools.lru_cache(maxsize=None)
@@ -757,21 +726,19 @@ class ForcingTerm:
 
     In xi, f(eta, .) is replaced by its piecewise-linear interpolant on
     one x-mesh: the x-nodes when they ascend from 0, otherwise the
-    ``quad.n_points``-cell mesh on [0, max x] graded toward 0 by
-    ``quad.grading``.  Its moment table ``q`` (``_xi_moments``) turns a
-    (mesh, m_cap) matrix of eta-integrals into values on the x-nodes, for
-    every time integral of a solve.  The grid fill (``fill``) samples f
-    once on the shared eta-mesh of an ``_EtaConv``; each trace-assembly
-    level samples it once on its outer nodes (``_sample``) and folds
-    int M T dt onto the kernel of its V3 term (``volterra._g_values``).
-    The exponents must satisfy 0 <= eps1 < beta and 0 <= eps2 < 1.
+    ``quad.n_points``-cell mesh on [0, max x] of the default grading.  Its
+    moment table ``q`` (``_xi_moments``) turns a (mesh, m_cap) matrix of
+    eta-integrals into values on the x-nodes, for every time integral of
+    a solve.  The grid fill (``fill``) samples f once on the shared
+    eta-mesh of an ``_EtaConv``; each trace-assembly level samples it
+    once on its outer nodes (``_sample``) and folds int M T dt onto the
+    kernel of its V3 term (``volterra._g_values``).  Each sampling is one
+    ``quadrature._call_grid``.  The exponents must pass ``_check_exponents``.
     """
 
     def __init__(self, engine: TeleEngine, f, eps1: float, eps2: float,
                  x_nodes: np.ndarray, quad: QuadPolicy):
-        if not (0.0 <= eps1 < engine.params.beta and 0.0 <= eps2 < 1.0):
-            raise InvalidParams("exponents must satisfy 0 <= eps1 < beta, "
-                                f"0 <= eps2 < 1, got ({eps1}, {eps2})")
+        _check_exponents(engine.params.beta, eps1, eps2)
         self.engine = engine
         self.f = f
         self.eps1, self.eps2 = float(eps1), float(eps2)
@@ -781,25 +748,14 @@ class ForcingTerm:
             self.mesh = x
         else:
             self.mesh = graded_mesh(max(float(x.max()), 1e-300),
-                                    max(quad.n_points, 8), quad.grading).nodes
+                                    max(quad.n_points, 8)).nodes
         self.q = _xi_moments(
             self.mesh, x, self.eps2, engine.jw["V4"], engine.x_ref,
             engine._sign_b)
-        self._broadcasts = True
 
     def _sample(self, etas: np.ndarray) -> np.ndarray:
-        """f on the (eta x mesh) array.
-
-        One call on the 2-D array when f broadcasts; otherwise one call
-        per eta node with scalar t (``_call_txy``, which itself falls
-        back to scalar calls).
-        """
-        out = _call_grid(self.f, etas, self.mesh) if self._broadcasts else None
-        if out is not None:
-            return out
-        self._broadcasts = False
-        return np.array([_call_txy(self.f, float(eta), self.mesh)
-                         for eta in etas])
+        """f on the (eta x mesh) array."""
+        return _call_grid(self.f, etas, self.mesh)
 
     def fill(self, conv: "_EtaConv", times) -> np.ndarray:
         """T(times[i], x_nodes), shape (times.size, x_nodes.size), from one

@@ -35,15 +35,15 @@ from .goursat import (
     TeleEngine,
     TelegraphCoeffs,
     TraceSolution,
-    _call_grid,
-    _call_txy,
+    _CORNER_TOL,
+    _check_exponents,
     _is_zero_forcing,
     goursat_grid,
 )
-from .quadrature import _call_on, _trapezoid_vec, graded_mesh
+from .quadrature import _call_grid, _call_on, _trapezoid_vec, graded_mesh
 from .specfun import SeriesPolicy
-from .volterra import (_M_ZERO_TOL, _in_strict_regime, _regime_failures,
-                       assemble_system, solve_tau)
+from .volterra import (_M_ZERO_TOL, _in_strict_regime, _outside_stacklevel,
+                       _regime_failures, assemble_system, solve_tau)
 
 __all__ = [
     "ProblemN",
@@ -87,12 +87,7 @@ class ProblemN:
         if not (0.0 < self.params.beta < 1.0):
             raise InvalidParams(
                 f"derivative order beta must lie in (0, 1), got {self.params.beta}")
-        if not (0.0 <= self.eps1 < self.params.beta):
-            raise InvalidParams(
-                f"eps1 must satisfy 0 <= eps1 < beta, got {self.eps1}")
-        if not (0.0 <= self.eps2 < 1.0):
-            raise InvalidParams(
-                f"eps2 must satisfy 0 <= eps2 < 1, got {self.eps2}")
+        _check_exponents(self.params.beta, self.eps1, self.eps2)
         t_probe = np.linspace(0.0, self.domain.q, _M_PROBE)
         m_vals = _call_on(self.M, t_probe)
         if not np.all(np.isfinite(m_vals)):
@@ -106,8 +101,8 @@ class ProblemN:
             if not np.all(np.isfinite(vals)):
                 raise InvalidData(f"data function {name} is not finite on its interval")
         if not _is_zero_forcing(self.f_smooth):
-            probe = _call_txy(self.f_smooth, self.domain.q,
-                              np.array([self.domain.p]))
+            probe = _call_grid(self.f_smooth, np.array([self.domain.q]),
+                               np.array([self.domain.p]))
             if not np.all(np.isfinite(probe)):
                 raise InvalidData("forcing factor f_smooth is not finite")
 
@@ -118,14 +113,11 @@ class ProblemN:
         return _in_strict_regime(self.params, self.coeffs)
 
     def forcing_grid(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Full forcing on the (t x x) grid of positive times: one call of
-        f_smooth when it broadcasts, else one ``_call_txy`` per time."""
+        """Full forcing on the (t x x) grid of positive times, f_smooth
+        sampled by ``quadrature._call_grid``."""
         if _is_zero_forcing(self.f_smooth):
             return np.zeros((t.size, x.size))
         grid = _call_grid(self.f_smooth, t, x)
-        if grid is None:
-            grid = np.array([_call_txy(self.f_smooth, tk, x)
-                             for tk in t.tolist()])
         if self.eps1 > 0.0:
             grid = grid * np.array([tk ** (-self.eps1)
                                     for tk in t.tolist()])[:, None]
@@ -276,11 +268,11 @@ def solve(problem: ProblemN, n_t: int = 64, n_x: int = 64,
                f"nonlocal data incompatible)")
         if strict:
             raise RegimeViolation(msg)
-        warnings.warn(msg, RuntimeWarning, stacklevel=2)
+        warnings.warn(msg, RuntimeWarning, stacklevel=_outside_stacklevel())
     trace = solve_tau(system)
     t_grid = np.linspace(0.0, domain.q, n_t + 1)
     u = goursat_grid(engine, trace, problem.phi, forcing, t_grid, x_grid,
-                     quad, corner_tol=max(1e-8, 2.0 * g0_defect))
+                     quad, corner_tol=max(_CORNER_TOL, 2.0 * g0_defect))
     diagnostics = dict(system.diagnostics)
     diagnostics["tau_residual"] = trace.diagnostics.get("residual")
     diagnostics["g0_defect"] = g0_defect

@@ -18,6 +18,10 @@ from .errors import DomainError, InvalidParams
 
 __all__ = ["GradedMesh", "WeightedRule", "graded_mesh", "power_moment", "build_rule"]
 
+# the power r of every graded mesh of the solver (``volterra`` raises it
+# to 1/beta where beta is below 1/2)
+_GRADING = 2.0
+
 
 @dataclass(frozen=True)
 class GradedMesh:
@@ -47,7 +51,7 @@ class GradedMesh:
         return self.nodes.size - 1
 
 
-def graded_mesh(L: float, n: int, r: float = 2.0) -> GradedMesh:
+def graded_mesh(L: float, n: int, r: float = _GRADING) -> GradedMesh:
     """Build the n-cell graded mesh node_i = L * (i/n)^r on [0, L]."""
     if not (L > 0.0):
         raise InvalidParams(f"mesh length must be positive, got {L}")
@@ -142,3 +146,22 @@ def _call_on(fn, values) -> np.ndarray:
     except (TypeError, ValueError):
         pass
     return np.array([float(fn(float(v))) for v in values])
+
+
+def _call_grid(fn, ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Evaluate a callable f(t, x) on the (ts x xs) grid of 1-D arrays.
+
+    One call on the broadcast 2-D pair when fn broadcasts; if that call
+    raises TypeError or ValueError or returns another shape, one
+    ``_call_on`` per t (which itself falls back to one call per point).
+    """
+    shape = (ts.size, xs.size)
+    try:
+        out = np.asarray(fn(np.broadcast_to(ts[:, None], shape),
+                            np.broadcast_to(xs, shape)), dtype=float)
+        if out.shape == shape:
+            return out
+    except (TypeError, ValueError):
+        pass
+    return np.array([_call_on(lambda x, t=t: fn(t, x), xs)
+                     for t in ts.tolist()]).reshape(shape)

@@ -22,7 +22,7 @@ with K and J gamma ratios of arguments linear in the indices
   columns, each entry by the same additions as a whole sum. Denominator
   poles give exact zeros; numerator poles raise InvalidParams.
 - ``_fit_caps``: the caps (m, j, k) start at (24, 16, 16) and double while
-  the trailing ``consecutive_small`` rows of any index carry more
+  the last ``_CONSECUTIVE_SMALL`` (3) rows of any index carry more
   positive-majorant mass than a limit: rel_tol * |sum| for a value here,
   1e-15 * majorant for the engine (``fit_tensors``). Each doubling reads
   slices of the kept tensors, so a build costs the new entries and its
@@ -60,6 +60,10 @@ __all__ = [
     "discriminants3",
 ]
 
+# a cap stops doubling once this many trailing rows of its index carry
+# mass below the tail limit
+_CONSECUTIVE_SMALL = 3
+
 
 @dataclass(frozen=True)
 class SeriesPolicy:
@@ -73,24 +77,22 @@ class SeriesPolicy:
       as accurate as rounding allows at a cancellation ratio of 1e3: about
       1e-12 relative at worst. ``TeleEngine`` serves many arguments from
       one set of tensors and uses the fixed limit 1e-15 * majorant.
-    - consecutive_small: how many trailing rows of each index must carry
-      mass below the limit before that index's cap stops doubling, in the
-      values and in the engine alike.
     - max_terms_per_index: the largest cap of any index; a tail still above
       the limit at this cap raises NonConvergence.
+
+    A cap stops doubling once the last ``_CONSECUTIVE_SMALL`` rows of its
+    index carry mass below the limit, in the values and in the engine
+    alike.
     """
 
     rel_tol: float = 1e-12
     max_terms_per_index: int = 2000
-    consecutive_small: int = 3
 
     def __post_init__(self):
         if not (self.rel_tol > 0):
             raise InvalidParams("rel_tol must be > 0")
         if self.max_terms_per_index < 1:
             raise InvalidParams("max_terms_per_index must be >= 1")
-        if self.consecutive_small < 1:
-            raise InvalidParams("consecutive_small must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -492,10 +494,10 @@ def _fit_caps(build, caps: tuple, growable: tuple, policy: SeriesPolicy) -> tupl
 
     ``build(caps)`` returns (kmaj, jmaj, sk, sj, limit, ...): positive
     (m, k) and (m, j) majorants, their row sums and the limit. A growable
-    index is done when its last ``policy.consecutive_small`` rows carry at
-    most ``limit`` of majorant mass. Returns the caps and the last build.
+    index is done when its last ``_CONSECUTIVE_SMALL`` rows carry at most
+    ``limit`` of majorant mass. Returns the caps and the last build.
     """
-    n, top = policy.consecutive_small, policy.max_terms_per_index
+    n, top = _CONSECUTIVE_SMALL, policy.max_terms_per_index
     caps = tuple(min(c, top) for c in caps)
     while True:
         out = build(caps)

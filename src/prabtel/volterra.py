@@ -59,6 +59,7 @@ from .goursat import (
     _gauss_jacobi,
 )
 from .quadrature import (
+    _GRADING,
     WeightedRule,
     _call_on,
     _trapezoid_vec,
@@ -166,8 +167,8 @@ def _t_rules(engine: TeleEngine, M, domain: Domain2D,
     flat = WeightedRule(nodes=nodes, weights=_trapezoid_vec(nodes))
     m_flat = _sample_m(M, flat.nodes)
     beta = engine.params.beta
-    grading = max(quad.grading, 1.0 / beta)
-    rule = build_rule(beta, graded_mesh(domain.q, cells, grading))
+    r = max(_GRADING, 1.0 / beta)
+    rule = build_rule(beta, graded_mesh(domain.q, cells, r))
     mw = rule.weights * _sample_m(M, rule.nodes)
     return _TRules(flat, m_flat, rule, mw,
                    engine.cvec(rule.nodes, shifted=True) @ mw)
@@ -247,9 +248,9 @@ def _g_values(engine: TeleEngine, rules: _TRules, M, phi, psi, forcing,
     # collapse onto the same K.  One lag table of the unit inner nodes
     # serves every v; M is sampled on blocks of (v, inner node) pairs.
     beta = engine.params.beta
-    grading = max(quad.grading, 1.0 / beta)
-    outer = build_rule(beta, graded_mesh(q, quad.n_points, grading))
-    inner = build_rule(beta - 1.0, graded_mesh(1.0, quad.n_points, grading))
+    r = max(_GRADING, 1.0 / beta)
+    outer = build_rule(beta, graded_mesh(q, quad.n_points, r))
+    inner = build_rule(beta - 1.0, graded_mesh(1.0, quad.n_points, r))
     table = engine.lag_table(inner.nodes)
     vs = outer.nodes
     kern = np.empty((vs.size, engine.m_cap))

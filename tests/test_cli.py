@@ -10,6 +10,8 @@ import json
 import math
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +161,20 @@ class TestSolveCommand:
         with pytest.warns(RuntimeWarning):
             assert main(["solve", str(cfg), "--mode", "relaxed"]) == 0
 
+    def test_corner_warning_names_the_caller(self, workdir):
+        # psi = 0.5 misses the compatibility identity; relaxed mode warns
+        cfg = write_config(workdir / "run.json",
+                           params={"delta": 0.5},
+                           data={"phi": "1", "psi": "0.5", "M": "0.5 + 0.5*t"},
+                           mode="relaxed")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["solve", str(cfg)]) == 0
+        corner = [w for w in caught if "misses the corner" in str(w.message)]
+        assert corner
+        for w in corner:
+            assert Path(w.filename).parent.name != "prabtel", w.filename
+
     def test_degenerate_divisor_exits_5(self, workdir):
         cfg = write_config(workdir / "run.json", coeffs={"a": 0.0, "b": -1.0},
                            data={"phi": "1", "psi": "0", "M": "1"},
@@ -189,6 +205,9 @@ class TestConfigValidation:
         {"outputs": {"u_csv": "u.csv", "report": "r.txt"}},
         # QuadPolicy.tol reaches no stage of solve or verify
         {"policies": {"quad": {"n_points": 32, "tol": 1e-8}}},
+        # fixed in the solver, no longer policy fields
+        {"policies": {"series": {"consecutive_small": 3}}},
+        {"policies": {"quad": {"grading": 2.0}}},
     ])
     def test_unknown_keys_rejected(self, workdir, override):
         cfg = write_config(workdir / "run.json", **override)

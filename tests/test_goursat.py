@@ -41,7 +41,7 @@ from prabtel.goursat import (
 )
 from prabtel.oracle import classical_telegraph_fd
 from prabtel.problem import solve
-from prabtel.quadrature import build_rule, graded_mesh
+from prabtel.quadrature import _GRADING, build_rule, graded_mesh
 from prabtel.specfun import SeriesPolicy, discriminants3, ml2, ml3
 
 
@@ -404,8 +404,8 @@ class TestForcingTerm:
         rules = volterra._t_rules(eng, prob.M, prob.domain, quad)
         got = volterra._g_values(eng, rules, prob.M, zeros, zeros, forcing,
                                  prob.domain, quad, x)
-        grading = max(fine.grading, 1.0 / eng.params.beta)
-        outer = build_rule(0.0, graded_mesh(1.0, fine.n_points // 2, grading))
+        r = max(_GRADING, 1.0 / eng.params.beta)
+        outer = build_rule(0.0, graded_mesh(1.0, fine.n_points // 2, r))
         want = ((outer.weights * prob.M(outer.nodes))
                 @ _forcing_rows_per_time(forcing, outer.nodes, fine))
         assert np.abs(got - want).max() <= bound
@@ -602,12 +602,12 @@ def _forcing_rows_per_time(forcing, times, quad):
     [0, t] splits at t/2 so each half carries one power weight:
     eta^-eps1 on the left, (t - eta)^(beta-1) on the right, each by
     ``build_rule`` on max(n_points // 2, 8) cells graded by
-    max(grading, 1/beta), scaled from [0, 1] to the half.
+    max(_GRADING, 1/beta), scaled from [0, 1] to the half.
     """
     eng, eps1 = forcing.engine, forcing.eps1
     beta = eng.params.beta
     mesh = graded_mesh(1.0, max(quad.n_points // 2, 8),
-                       max(quad.grading, 1.0 / beta))
+                       max(_GRADING, 1.0 / beta))
     left, right = build_rule(-eps1, mesh), build_rule(beta - 1.0, mesh)
     ln, rn = 0.5 * left.nodes, 0.5 * right.nodes
     etas = np.concatenate((ln, 1.0 - rn))

@@ -381,15 +381,12 @@ class TestSeriesPolicy:
         pol = SeriesPolicy()
         assert pol.rel_tol == 1e-12
         assert pol.max_terms_per_index == 2000
-        assert pol.consecutive_small == 3
 
     def test_validation(self):
         with pytest.raises(InvalidParams):
             SeriesPolicy(rel_tol=0.0)
         with pytest.raises(InvalidParams):
             SeriesPolicy(max_terms_per_index=0)
-        with pytest.raises(InvalidParams):
-            SeriesPolicy(consecutive_small=0)
 
 
 class TestOracleFixtures:

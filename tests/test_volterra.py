@@ -22,7 +22,7 @@ from prabtel.goursat import (
 )
 from prabtel.oracle import adaptive_quad
 from prabtel.problem import solve
-from prabtel.quadrature import _call_on, build_rule, graded_mesh
+from prabtel.quadrature import _GRADING, _call_on, build_rule, graded_mesh
 from prabtel.specfun import SeriesPolicy, ml3
 from scipy.special import beta as beta_fn
 from prabtel.volterra import (
@@ -269,9 +269,9 @@ def _g_values_by_row(engine, rules, M, phi, psi, forcing, domain, quad,
     out -= co.a * phi0 * (fbar(engine, "V1", rules.beta.nodes, x_arr)
                           @ rules.mw)
     beta = engine.params.beta
-    grading = max(quad.grading, 1.0 / beta)
-    outer = build_rule(beta, graded_mesh(q, quad.n_points, grading))
-    inner = build_rule(beta - 1.0, graded_mesh(1.0, quad.n_points, grading))
+    r = max(_GRADING, 1.0 / beta)
+    outer = build_rule(beta, graded_mesh(q, quad.n_points, r))
+    inner = build_rule(beta - 1.0, graded_mesh(1.0, quad.n_points, r))
     table = engine.lag_table(inner.nodes)
     cacc = np.zeros(engine.m_cap)
     if forcing is not None:
