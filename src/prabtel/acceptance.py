@@ -237,7 +237,7 @@ def check_solver_cross_check():
     for prob in (_constant_problem(), _smooth_problem()):
         eng = TeleEngine(prob.params, prob.coeffs, 1.0, 1.0)
         forcing = (None if prob.f_smooth is None else
-                   ForcingTerm(eng, prob.f_smooth, 0.0, 0.0, x, quad))
+                   ForcingTerm(eng, prob.f_smooth, 0.0, 0.0, x))
         system = assemble_system(eng, prob.domain, prob.M, prob.phi, prob.psi,
                                  forcing, quad, x)
         direct = solve_tau(system)

@@ -65,7 +65,7 @@ class QuadPolicy:
 
     In ``goursat_grid`` (the grid fill of ``solve``), n_points is the
     number of cells of the shared eta-mesh, rounded up to a multiple of
-    the number of positive t-nodes; in ``assemble_system`` it is the
+    the number of t-cells; in ``assemble_system`` it is the
     cells of the t-rules, at least 16, and ``solve`` passes n_x there.
     ``tol`` is read only by the adaptive refinement of
     ``prabhakar_integral`` and ``caputo_prabhakar_deriv``.  Every graded
@@ -243,23 +243,15 @@ def caputo_prabhakar_deriv(params: PrabhakarParams, y, t: float,
 def _fractional_rows(params: PrabhakarParams, t_grid: np.ndarray,
                      u: np.ndarray, series: SeriesPolicy) -> np.ndarray:
     """Caputo-Prabhakar derivative of each column of u[i, :] = u(t_i, .)
-    at every grid time, by the rule of ``_slope_weights`` on the grid's own
-    cells; row 0 is zero.
+    at every time of a uniform grid from 0 (as ``GridSolution`` holds),
+    by the rule of ``_slope_weights`` on the grid's own cells; row 0 is
+    zero.  The lag cells of every row are the leading grid cells, so
+    rows 1..n are one lower-triangular Toeplitz product.
     """
-    h = np.diff(t_grid)
-    slopes = (u[1:, :] - u[:-1, :]) / h[:, None]
+    slopes = (u[1:, :] - u[:-1, :]) / np.diff(t_grid)[:, None]
     out = np.zeros_like(u)
     n = t_grid.size - 1
-    if np.allclose(h, h[0], rtol=1e-12, atol=0.0):
-        # uniform grid: the lag cells of every row are the leading grid
-        # cells, so rows 1..n are one lower-triangular Toeplitz product
-        w_all = _slope_weights(params, t_grid - t_grid[0], series)
-        padded = np.concatenate((w_all[::-1], np.zeros(n - 1)))
-        out[1:] = sliding_window_view(padded, n)[::-1] @ slopes
-    else:
-        for k in range(1, n + 1):
-            edges = (t_grid[k] - t_grid[k::-1])
-            edges[0] = 0.0
-            w = _slope_weights(params, edges, series)
-            out[k, :] = w[::-1] @ slopes[:k, :]
+    w_all = _slope_weights(params, t_grid, series)
+    padded = np.concatenate((w_all[::-1], np.zeros(n - 1)))
+    out[1:] = sliding_window_view(padded, n)[::-1] @ slopes
     return out

@@ -26,11 +26,12 @@ precomputes the gamma-ratio tensors once per evaluation context.
 Reference scales |a| t_max^beta, |b| x_max, |delta| t_max^alpha are
 folded into the tensors, keeping every runtime power vector bounded by
 one.  The terms without a time integral take one coefficient matrix
-for all time rows at once.  The grid fill's phi and forcing
-convolutions share one uniform eta-mesh (``_EtaConv``) of
-``quad.n_points`` cells, rounded up to a multiple of n_t: the data are
-sampled once, and rows on the mesh read Toeplitz lag weights (the phi
-rows a block at a time, ``_EtaConv.hankel``).  The
+for all time rows at once.  The grid fill takes only the uniform
+lattice from 0 that ``solve`` builds (``quadrature._is_lattice``).  Its
+phi and forcing convolutions share one eta-mesh (``_EtaConv``) of
+``quad.n_points`` cells, rounded up to a multiple of n_t, so every time
+row is a mesh node: the data are sampled once, and the rows read the
+lags of the row t_max (the phi rows a block at a time, ``hankel``).  The
 trace assembly, which ``solve`` runs on n_x points, samples its kernels
 at lags t u of a unit rule u (``TeleEngine.lag_table``, ``lag_conv``)
 and folds the forcing's double integral onto the kernel of its phi
@@ -62,7 +63,7 @@ from .errors import (
     InvalidParams,
 )
 from .fracops import PrabhakarParams, QuadPolicy
-from .quadrature import _call_grid, _call_on, graded_mesh
+from .quadrature import _call_grid, _call_on, _is_lattice
 from .specfun import (
     ML2Params,
     ML3Params,
@@ -88,7 +89,7 @@ _LAG_U = 0.5 + 0.5 * np.array([-1.0, -1.0, 1.0, 1.0]) * np.sqrt(
 _LAG_HATS = np.stack((1.0 - _LAG_U, _LAG_U)) * (
     18.0 + np.array([-1.0, 1.0, 1.0, -1.0]) * math.sqrt(30.0)) / 72.0
 
-# Gauss nodes per singular end piece of a row off its Toeplitz table
+# Gauss nodes per singular end piece of a row with eps1 > 0
 _END_NODES = 8
 
 # an engine rejects argument scales |a| t_max^beta, |b| x_max or
@@ -347,17 +348,6 @@ class TeleEngine:
         return _power_rows(self._sign_b * dx / self.x_ref, self.j_cap).T
 
 
-def _as_trace(tau, x_max: float, quad: QuadPolicy) -> TraceSolution:
-    if isinstance(tau, TraceSolution):
-        if tau.x_grid[0] > 1e-12 or tau.x_grid[-1] < x_max - 1e-12:
-            raise DomainError(
-                f"trace grid [{tau.x_grid[0]}, {tau.x_grid[-1]}] does not "
-                f"cover [0, {x_max}]")
-        return tau
-    grid = np.linspace(0.0, max(x_max, 1e-300), max(quad.n_points, 8) + 1)
-    return TraceSolution(x_grid=grid, tau=_call_on(tau, grid))
-
-
 @functools.lru_cache(maxsize=None)
 def _pascal(count: int) -> tuple:
     """Read-only (C(j, l) at [l, j], max(j - l, 0) at [l, j]) for l, j
@@ -372,61 +362,37 @@ def _pascal(count: int) -> tuple:
     return binom, gap
 
 
-def _shift_matrices(count: int, *steps) -> list:
-    """Per array of steps h >= 0, an iterator over the shift matrices
-    B(h)[l, j] = C(j, l) h^(j-l) (zero for l > j), built 32 at a time:
-    moments in w times B(h) are the moments in w + h.
-    """
+def _shift_matrix(count: int, h: float) -> np.ndarray:
+    """The shift matrix B(h)[l, j] = C(j, l) h^(j-l) (zero for l > j) of
+    a step h >= 0: moments in w times B(h) are the moments in w + h."""
     binom, gap = _pascal(count)
-
-    def each(h):
-        powers = _power_rows(h, count).T
-        for lo in range(0, len(powers), 32):
-            yield from binom * powers[lo:lo + 32, gap]
-
-    return [each(h) for h in steps]
+    return binom * _power_rows(np.array([h]), count)[gap, 0]
 
 
-def _shift_sweep(mesh: np.ndarray, x: np.ndarray, x_ref: float,
-                 run: np.ndarray, cells):
-    """Yield (i, moments in w = (x_i - xi)/x_ref) for the x[i] in mesh
-    order.  Those at node p+1 are those at node p times B(h_p) plus the
-    new cell, whose moments ``cells(c, x)`` (c.size, rows, count) go to
-    rows c.. of ``run`` (one row per hat) or to its only row; B >= 0, so
-    on a nonnegative weight the sums cancel nothing.  A node inside a
-    cell shifts the moments of the node below and adds the partial cell.
-    """
-    base = np.maximum(np.searchsorted(mesh, x, side="right") - 1, 0)
-    order = np.argsort(base, kind="stable")
-    inside = x[order] > mesh[base[order]]
-    off = order[inside]
-    top, hats = int(base.max()), run.shape[0] > 1
-    steps, shifts = _shift_matrices(run.shape[1], np.diff(
-        mesh[:top + 1]) / x_ref, (x[off] - mesh[base[off]]) / x_ref)
-    full = cells(np.append(np.arange(top), base[off]),
-                 np.append(mesh[1:top + 1], x[off]))
-    partial = iter(full[top:])
-    p = 0
-    for i, stop, between in zip(order.tolist(), base[order].tolist(),
-                                inside.tolist()):
-        while p < stop:
-            run[:p + 1] = run[:p + 1] @ next(steps)
-            run[hats * p:p + 2] += full[p]
-            p += 1
-        rows = run[:p + 1]
-        if between:
-            rows = run[:p + 2] @ next(shifts)
-            rows[hats * p:] += next(partial)
-        yield i, rows
+def _shift_sweep(mesh: np.ndarray, x_ref: float, run: np.ndarray, cells):
+    """Yield the moments in w = (x_p - xi)/x_ref at each node x_p of a
+    uniform mesh from 0: those at node p times B(h_p), h_p = (x_(p+1) -
+    x_p)/x_ref, plus the new cell, whose moments ``cells(c, x)`` (c.size,
+    rows, count) go to rows p.. of ``run`` (one row per hat) or to its
+    only row.  B >= 0, so on a nonnegative weight the sums cancel nothing.
+    One B per distinct float step (a few; one if dyadic): one B(h) for
+    all would shift old cells off their nodes by up to p ulps."""
+    steps, which = np.unique(np.diff(mesh) / x_ref, return_inverse=True)
+    shifts = [_shift_matrix(run.shape[1], h) for h in steps.tolist()]
+    full = cells(np.arange(mesh.size - 1), mesh[1:])
+    hats = run.shape[0] > 1
+    yield run[:1]
+    for p in range(mesh.size - 1):
+        run[:p + 1] = run[:p + 1] @ shifts[which[p]]
+        run[hats * p:p + 2] += full[p]
+        yield run[:p + 2]
 
 
-def _trace_moments(trace: TraceSolution, x_nodes: np.ndarray,
-                   j_cap: int, x_ref: float, sign_b: float) -> np.ndarray:
-    """mom[i, j] = int_0^{x_i} tau(xi) * (sign_b (x_i - xi)/x_ref)^j dxi.
-
-    ``_shift_sweep`` over the trace grid with one running row; tau is
-    linear on each cell, so a cell adds its moments in closed form.
-    """
+def _trace_moments(trace: TraceSolution, j_cap: int, x_ref: float,
+                   sign_b: float) -> np.ndarray:
+    """mom[i, j] = int_0^{x_i} tau(xi) (sign_b (x_i - xi)/x_ref)^j dxi at
+    the nodes of the trace's grid: ``_shift_sweep`` with one running row,
+    a cell adding its moments in closed form, as tau is linear on it."""
     gx, gv = trace.x_grid, trace.tau
     slope = np.diff(gv) / np.diff(gx) * x_ref
     jj = np.arange(j_cap, dtype=float)[:, None]
@@ -437,10 +403,8 @@ def _trace_moments(trace: TraceSolution, x_nodes: np.ndarray,
         return (pw[1:-1] * (gv[c] + slope[c] * w) / (jj + 1.0)
                 - pw[2:] * slope[c] / (jj + 2.0)).T[:, None]
 
-    mom = np.zeros((x_nodes.size, j_cap))
-    for i, rows in _shift_sweep(gx, np.minimum(x_nodes, gx[-1]), x_ref,
-                                np.zeros((1, j_cap)), cells):
-        mom[i] = rows[0]
+    mom = np.array([rows[0].copy() for rows in _shift_sweep(
+        gx, x_ref, np.zeros((1, j_cap)), cells)])
     mom *= x_ref * sign_b ** jj.T
     return mom
 
@@ -481,19 +445,19 @@ def _gauss_jacobi(n: int, beta: float) -> tuple:
     return nodes, weights
 
 
-def _xi_moments(mesh: np.ndarray, x_nodes: np.ndarray, eps2: float,
-                jw: np.ndarray, x_ref: float, sign_b: float) -> np.ndarray:
+def _xi_moments(mesh: np.ndarray, eps2: float, jw: np.ndarray,
+                x_ref: float, sign_b: float) -> np.ndarray:
     """Q[i, k, m] = sum_j jw[m, j] int_0^{x_i} xi^-eps2 hat_k(xi) y_i(xi)^j
-    dxi for the V4 tensor jw, as (x_nodes.size, mesh.size * m_cap).
+    dxi for the V4 tensor jw and the nodes x_i of a uniform mesh from 0,
+    as (mesh.size, mesh.size * m_cap).
 
     hat_k is the hat of mesh node k and y_i(xi) = sign_b (x_i - xi)/x_ref;
     a (mesh, m_cap) matrix A contracts as Q @ A.ravel().  Row i is zero
-    past the hat of the cell that holds x_i: twice the memory of a packed
-    layout, but no gather in any contraction.  Per cell, Gauss-Jacobi
-    (weight xi^-eps2, the cell at 0) or Gauss-Legendre with j_cap // 2 + 2
-    points is exact for the polynomial factor.  ``_shift_sweep`` runs
-    with one row per hat; a partial cell keeps the hats of its whole
-    cell.  Rows are folded with sign_b^j jw as they are written.
+    past node i: twice the memory of a packed layout, but no gather in
+    any contraction.  Per cell, Gauss-Jacobi (weight xi^-eps2, the cell
+    at 0) or Gauss-Legendre with j_cap // 2 + 2 points is exact for the
+    polynomial factor.  ``_shift_sweep`` runs with one row per hat.  Rows
+    are folded with sign_b^j jw as they are written.
     """
     m_cap, j_cap = jw.shape
     n_gauss = j_cap // 2 + 2
@@ -515,11 +479,11 @@ def _xi_moments(mesh: np.ndarray, x_nodes: np.ndarray, eps2: float,
                 @ ypow.T.reshape(c.size, n_gauss, j_cap))
 
     fold = (sign_b ** np.arange(j_cap))[:, None] * jw.T
-    q = np.zeros((x_nodes.size, mesh.size, m_cap))
-    for i, rows in _shift_sweep(mesh, x_nodes, x_ref,
-                                np.zeros((mesh.size, j_cap)), cells):
+    q = np.zeros((mesh.size, mesh.size, m_cap))
+    run = np.zeros((mesh.size, j_cap))
+    for i, rows in enumerate(_shift_sweep(mesh, x_ref, run, cells)):
         np.matmul(rows, fold, out=q[i, :len(rows)])
-    return q.reshape(x_nodes.size, -1)
+    return q.reshape(mesh.size, -1)
 
 
 class _EtaConv:
@@ -528,19 +492,21 @@ class _EtaConv:
     Row t is int_0^t s^(beta-1) (t-s)^-eps1 c(m; s) y(t-s) ds with c the
     kernel of ``kt["base"]`` (which the V3 and V4 instances share) and y
     the piecewise-linear interpolant of samples on the uniform mesh
-    ``etas``, eta_j = j h, h = t_max / cells.  With eps1 = 0 a row
-    t = k h weighs eta_j by its lag k - j alone (Toeplitz), so it reads
-    the weights of the row t_max shifted by cells - k nodes: eta_1 ..
-    eta_k take the contiguous ``inner[cells - k:]``, eta_0 the left hat
-    of cell cells - k (``hankel`` takes a block of such rows of one
-    column of samples at once).  Other rows (t off the mesh, or
-    eps1 > 0) take their own ``_cells``.  In every row the two cells at
-    the lag end, where s^(beta-1) is nearly singular, and for eps1 > 0
-    the first cell take rules of their own (``_ends``).
+    ``etas``, eta_j = j h, h = t_max / cells.  Every row is a node t = k h.
+    With eps1 = 0 a row weighs eta_j by its lag k - j alone (Toeplitz),
+    so it reads the weights of the row t_max shifted by cells - k nodes:
+    eta_1 .. eta_k take the contiguous ``inner[cells - k:]``, eta_0 the
+    left hat of cell cells - k (``hankel`` takes a block of such rows of
+    one column of samples at once).  With eps1 > 0 each row takes its own
+    ``_cells``, whose inner cells read the kernel of the row t_max
+    (``_lags``).  In every row the two cells at the lag end, where
+    s^(beta-1) is nearly singular, and for eps1 > 0 the first cell take
+    rules of their own (``_ends``).
     """
 
     def __init__(self, engine: TeleEngine, t_max: float, cells: int):
-        self.engine, self.cells, self.h = engine, cells, t_max / cells
+        self.engine, self.cells, self.t_max = engine, cells, t_max
+        self.h = t_max / cells
         self.etas = self.h * np.arange(cells + 1.0)
         # the Gauss nodes of every cell, and their weights per eps1
         self._eta = (np.arange(cells)[:, None] + _LAG_U) * self.h
@@ -558,13 +524,13 @@ class _EtaConv:
     @functools.cached_property
     def _lags(self) -> np.ndarray:
         """``_kernel`` at the lags of the inner cells of the row t_max,
-        shape (cells - 2, 4, m_cap): a row t = k h on the mesh reads the
-        same lags for its cell j at j + cells - k.  Built on first use, in
-        ``_CONV_CHUNK`` blocks."""
+        shape (cells - 2, 4, m_cap): a row t = k h reads the same lags for
+        its cell j at j + cells - k.  Built on the first row with
+        eps1 > 0, in ``_CONV_CHUNK`` blocks."""
         out = np.empty((self.cells - 2, 4, self.engine.m_cap))
         for lo in range(0, self.cells - 2, self._step):
             hi = min(lo + self._step, self.cells - 2)
-            out[lo:hi] = self._kernel(self.cells * self.h - self._eta[lo:hi])
+            out[lo:hi] = self._kernel(self.t_max - self._eta[lo:hi])
         return out
 
     def _moments(self, lags: np.ndarray) -> tuple:
@@ -589,15 +555,14 @@ class _EtaConv:
         p of row t[i] gives the two nodes of its cell cells[i, p].
 
         For n cells, the cells n - 1 and n - 2 cover the lags
-        s < t - (n - 2) h, where s^(beta-1) is far from a polynomial
-        (the last cell is partial when t is off the mesh).  For eps1 = 0
-        they take the closed form of ``_moments``.  For eps1 > 0 they take
-        Gauss-Legendre in sigma = s^beta, where the series powers are
-        polynomials when alpha / beta is whole, and the first cell, or
-        its part eta < t / 2, takes Gauss-Jacobi for eta^-eps1.  A piece
-        in cell j gives eta_j D1 / h and eta_(j+1) D0 - D1 / h, with D0
-        and D1 the integrals of the row's weight against 1 and against
-        s - s_(j+1), s_j = t - eta_j.
+        s < t - (n - 2) h, where s^(beta-1) is far from a polynomial.
+        For eps1 = 0 they take the closed form of ``_moments``.  For
+        eps1 > 0 they take Gauss-Legendre in sigma = s^beta, where the
+        series powers are polynomials when alpha / beta is whole, and the
+        first cell, or its part eta < t / 2 in the row t = h, takes
+        Gauss-Jacobi for eta^-eps1.  A piece in cell j gives eta_j D1 / h
+        and eta_(j+1) D0 - D1 / h, with D0 and D1 the integrals of the
+        row's weight against 1 and against s - s_(j+1), s_j = t - eta_j.
         """
         h, beta = self.h, self.engine.params.beta
         n = np.maximum(np.ceil(t / h - 1e-9), 1.0)
@@ -633,33 +598,31 @@ class _EtaConv:
 
     def _cells(self, t: float, eps1: float, ends=None) -> np.ndarray:
         """What eta-cell j gives its nodes eta_j and eta_(j+1) in the row
-        t, shape (2, n, m_cap) for the n cells that [0, t] touches.  The
-        inner cells take 4 Gauss-Legendre nodes, in ``_CONV_CHUNK``
-        blocks; a row on the mesh with eps1 > 0 reads their kernel from
-        ``_lags``.  The pieces at the ends are ``ends``, the row's
-        entries of a ``_ends`` batch, or the row's own.
+        t = n h, shape (2, n, m_cap).  The inner cells take 4
+        Gauss-Legendre nodes, in ``_CONV_CHUNK`` blocks, with the kernel
+        at the lags of the row t_max (the table ``_lags`` when eps1 > 0,
+        which every row then reads).  The pieces at the ends are ``ends``,
+        the row's entries of a ``_ends`` batch, or the row's own.
         """
-        h = self.h
-        n = max(1, math.ceil(t / h - 1e-9))
+        n = max(1, round(t / self.h))
         hats = np.zeros((2, n, self.engine.m_cap))
-        on_mesh = eps1 > 0.0 and abs(t / h - n) <= 1e-9
         if eps1 not in self._wts:  # the hats times eta^-eps1 at the nodes
-            self._wts[eps1] = (self._eta ** -eps1)[:, None] * (h * _LAG_HATS)
+            self._wts[eps1] = (self._eta ** -eps1)[:, None] * (
+                self.h * _LAG_HATS)
         for lo in range(int(eps1 > 0.0), n - 2, self._step):
             hi = min(lo + self._step, n - 2)
-            k = (self._lags[self.cells - n + lo:self.cells - n + hi]
-                 if on_mesh else self._kernel(t - self._eta[lo:hi]))
+            lags = slice(self.cells - n + lo, self.cells - n + hi)
+            k = (self._lags[lags] if eps1 > 0.0
+                 else self._kernel(self.t_max - self._eta[lags]))
             hats[:, lo:hi] = np.matmul(self._wts[eps1][lo:hi],
                                        k).transpose(1, 0, 2)
         cells, adds = ends or [e[0] for e in self._ends(np.array([t]), eps1)]
         np.add.at(hats, (slice(None), cells), adds)
         return hats
 
-    def on_table(self, times: np.ndarray) -> tuple:
-        """(k, mask): the rows t = k h with whole k >= 1, which read the
-        Toeplitz table when eps1 = 0."""
-        k = np.rint(times / self.h)
-        return k, (k > 0.0) & (np.abs(times / self.h - k) <= 1e-9)
+    def index(self, times: np.ndarray) -> np.ndarray:
+        """The node k of each row t = k h, as integers."""
+        return np.rint(times / self.h).astype(int)
 
     def hankel(self, samples: np.ndarray, k: np.ndarray) -> np.ndarray:
         """Rows t = k h of the Toeplitz table (k whole, 1 <= k <= cells)
@@ -684,14 +647,14 @@ class _EtaConv:
 
     def apply(self, samples: np.ndarray, times: np.ndarray,
               eps1: float = 0.0):
-        """Yield (rows, G) per block of times, G[i] = sum_j samples[j]
-        outer w_i(eta_j), shape (rows.size, ncols, m_cap), for samples
-        (cells + 1, ncols) on ``etas``; a block fills ``_CONV_CHUNK``.
-        The rows off the Toeplitz table get their end pieces from one
-        ``_ends`` batch per block of rows."""
+        """Yield (rows, G) per block of times on the mesh, G[i] = sum_j
+        samples[j] outer w_i(eta_j), shape (rows.size, ncols, m_cap), for
+        samples (cells + 1, ncols) on ``etas``; a block fills
+        ``_CONV_CHUNK``.  With eps1 > 0 the rows get their end pieces
+        from one ``_ends`` batch per block of rows."""
         cells, m_cap = self.cells, self.engine.m_cap
-        k, table = self.on_table(times)
-        own = np.flatnonzero((times > 0.0) & ((eps1 > 0.0) | ~table))
+        k = self.index(times)
+        own = np.flatnonzero((k > 0) & (eps1 > 0.0))
         ends = {}
         step = max(1, _CONV_CHUNK // (3 * _END_NODES * max(m_cap,
                                                            self.engine.k_cap)))
@@ -710,8 +673,8 @@ class _EtaConv:
                     w[:-1] = left
                     w[1:] += right
                     out[:] = samples[:len(w)].T @ w
-                elif times[i] > 0.0:
-                    top = cells - int(k[i])
+                elif k[i] > 0:
+                    top = cells - k[i]
                     out[:] = (samples[1:cells - top + 1].T @ self.inner[top:]
                               + np.outer(samples[0], self.left[top]))
             yield rows, g
@@ -722,49 +685,48 @@ class ForcingTerm:
 
     Evaluates T(t, x) = int_0^t int_0^x (t-eta)^{beta-1} eta^{-eps1}
     xi^{-eps2} f(eta, xi) F4(a(t-eta)^beta; b(x-xi); delta(t-eta)^alpha)
-    dxi deta for one fixed x-grid.
-
-    In xi, f(eta, .) is replaced by its piecewise-linear interpolant on
-    one x-mesh: the x-nodes when they ascend from 0, otherwise the
-    ``quad.n_points``-cell mesh on [0, max x] of the default grading.  Its
-    moment table ``q`` (``_xi_moments``) turns a (mesh, m_cap) matrix of
-    eta-integrals into values on the x-nodes, for every time integral of
-    a solve.  The grid fill (``fill``) samples f once on the shared
-    eta-mesh of an ``_EtaConv``; each trace-assembly level samples it
-    once on its outer nodes (``_sample``) and folds int M T dt onto the
-    kernel of its V3 term (``volterra._g_values``).  Each sampling is one
-    ``quadrature._call_grid``.  The exponents must pass ``_check_exponents``.
+    dxi deta on one x-grid, uniform from 0 and within the engine's x_ref
+    (``DomainError`` otherwise).  In xi, f(eta, .) is replaced by its
+    piecewise-linear interpolant on the x-nodes, whose moment table ``q``
+    (``_xi_moments``) turns an (x_nodes, m_cap) matrix of eta-integrals
+    into values on the x-nodes.  The grid fill (``fill``) samples f once
+    on the eta-mesh of an ``_EtaConv``; each trace-assembly level samples
+    it once on its outer nodes (``_sample``) and folds int M T dt onto
+    the kernel of its V3 term (``volterra._g_values``).  Each sampling is
+    one ``quadrature._call_grid``.  The exponents must pass
+    ``_check_exponents``.
     """
 
     def __init__(self, engine: TeleEngine, f, eps1: float, eps2: float,
-                 x_nodes: np.ndarray, quad: QuadPolicy):
+                 x_nodes: np.ndarray):
         _check_exponents(engine.params.beta, eps1, eps2)
-        self.engine = engine
-        self.f = f
+        self.engine, self.f = engine, f
         self.eps1, self.eps2 = float(eps1), float(eps2)
-        self.x_nodes = np.asarray(x_nodes, dtype=float)
-        x = self.x_nodes
-        if x.size > 1 and x[0] == 0.0 and np.all(np.diff(x) > 0.0):
-            self.mesh = x
-        else:
-            self.mesh = graded_mesh(max(float(x.max()), 1e-300),
-                                    max(quad.n_points, 8)).nodes
-        self.q = _xi_moments(
-            self.mesh, x, self.eps2, engine.jw["V4"], engine.x_ref,
-            engine._sign_b)
+        self.x_nodes = _lattice("x_nodes", x_nodes, engine.x_ref)
+        self.q = _xi_moments(self.x_nodes, self.eps2, engine.jw["V4"],
+                             engine.x_ref, engine._sign_b)
 
     def _sample(self, etas: np.ndarray) -> np.ndarray:
-        """f on the (eta x mesh) array."""
-        return _call_grid(self.f, etas, self.mesh)
+        """f on the (eta x x_nodes) array."""
+        return _call_grid(self.f, etas, self.x_nodes)
 
     def fill(self, conv: "_EtaConv", times) -> np.ndarray:
-        """T(times[i], x_nodes), shape (times.size, x_nodes.size), from one
-        call of f on (conv.etas x mesh); zero at t = 0."""
+        """T(times[i], x_nodes) at nodes of the eta-mesh, shape
+        (times.size, x_nodes.size), from one call of f on
+        (conv.etas x x_nodes); zero at t = 0."""
         times = np.asarray(times, dtype=float)
         out = np.empty((times.size, self.x_nodes.size))
         for rows, g in conv.apply(self._sample(conv.etas), times, self.eps1):
             out[rows] = g.reshape(rows.size, -1) @ self.q.T
         return out
+
+
+def _lattice(name: str, nodes, top: float) -> np.ndarray:
+    """The nodes as floats: a uniform grid from 0 to at most top."""
+    nodes = np.asarray(nodes, dtype=float)
+    if not (_is_lattice(nodes) and nodes[-1] <= top):
+        raise DomainError(f"{name} must be uniform from 0 to at most {top}")
+    return nodes
 
 
 def _check_forcing(forcing, engine: TeleEngine, x_nodes: np.ndarray):
@@ -777,45 +739,36 @@ def _check_forcing(forcing, engine: TeleEngine, x_nodes: np.ndarray):
 class _GridEvaluator:
     """One grid evaluation: engine, trace moments, and one eta-mesh.
 
-    ``forcing`` is a ForcingTerm on x_nodes, or None.  The phi and forcing
-    convolutions share one ``_EtaConv`` of quad.n_points cells, rounded up
-    to a multiple of the number n_t of positive t-nodes, so the rows of a
-    uniform t-grid sit on its nodes.
+    The arguments are those ``goursat_grid`` checked.  The phi and forcing
+    convolutions share one ``_EtaConv`` on [0, t_nodes[-1]] of
+    quad.n_points cells, rounded up to a multiple of the n_t t-cells.
     """
 
-    def __init__(self, engine: TeleEngine, tau, phi, forcing,
+    def __init__(self, engine: TeleEngine, tau: TraceSolution, phi, forcing,
                  t_nodes: np.ndarray, x_nodes: np.ndarray,
                  quad: QuadPolicy, corner_tol: float = _CORNER_TOL):
         self.t_nodes, self.x_nodes = t_nodes, x_nodes
         self.engine, self.phi, self.forcing = engine, phi, forcing
         self.params, self.coeffs = engine.params, engine.coeffs
-        self.trace = _as_trace(tau, float(x_nodes.max()), quad)
-        self.phi0 = float(phi(0.0))
-        tau0 = float(self.trace(0.0))
-        if abs(self.phi0 - tau0) > corner_tol:
+        self.phi0, self.tau_x = float(phi(0.0)), tau.tau
+        if abs(self.phi0 - self.tau_x[0]) > corner_tol:
             raise InvalidData(
-                f"corner mismatch |phi(0) - tau(0)| = {abs(self.phi0 - tau0):.3g} "
-                f"exceeds {corner_tol}")
-        eng = self.engine
-        self.tau_x = self.trace(self.x_nodes)
+                f"corner mismatch |phi(0) - tau(0)| = "
+                f"{abs(self.phi0 - self.tau_x[0]):.3g} exceeds {corner_tol}")
         self.ebx = np.exp(self.coeffs.b * self.x_nodes)
-        self.ypx = eng.ypowers(self.x_nodes)
-        self.mom = _trace_moments(self.trace, self.x_nodes, eng.j_cap,
-                                  eng.x_ref, eng._sign_b)
-        n_t = max(int(np.count_nonzero(t_nodes > 0.0)), 1)
-        self.conv = _EtaConv(eng, eng.t_ref, n_t * -(-quad.n_points // n_t))
+        self.ypx = engine.ypowers(self.x_nodes)
+        self.mom = _trace_moments(tau, engine.j_cap, engine.x_ref,
+                                  engine._sign_b)
+        n_t = t_nodes.size - 1
+        self.conv = _EtaConv(engine, float(t_nodes[-1]),
+                             n_t * -(-quad.n_points // n_t))
 
     def phi_conv(self) -> np.ndarray:
         """c[i, m] = int_0^t_i s^(beta-1) phi(t_i - s) c(m; s) ds, from one
-        call of phi on the eta-mesh: the rows on the Toeplitz table by
-        ``_EtaConv.hankel``, the others by ``_EtaConv.apply``."""
-        out = np.empty((self.t_nodes.size, self.engine.m_cap))
+        call of phi on the eta-mesh and one ``_EtaConv.hankel``."""
+        out = np.zeros((self.t_nodes.size, self.engine.m_cap))
         phi = _call_on(self.phi, self.conv.etas)
-        k, table = self.conv.on_table(self.t_nodes)
-        out[table] = self.conv.hankel(phi, k[table].astype(int))
-        rest = np.flatnonzero(~table)
-        for rows, g in self.conv.apply(phi[:, None], self.t_nodes[rest]):
-            out[rest[rows]] = g[:, 0]
+        out[1:] = self.conv.hankel(phi, self.conv.index(self.t_nodes[1:]))
         return out
 
     def evaluate(self) -> np.ndarray:
@@ -838,7 +791,7 @@ class _GridEvaluator:
         u += (b * at_beta)[:, None] * (self.mom @ (eng.jw["V2"].T @ c1)).T
         u += (a * b) * ((self.phi_conv() @ eng.jw["V3"]) @ self.ypx.T
                         * self.x_nodes)
-        u[t == 0.0] = self.tau_x
+        u[0] = self.tau_x
         if self.forcing is not None:
             u += self.forcing.fill(self.conv, t)
         return u
@@ -847,22 +800,20 @@ class _GridEvaluator:
 def goursat_grid(engine: TeleEngine, tau, phi, forcing, t_nodes, x_nodes,
                  quad: QuadPolicy = QuadPolicy(),
                  corner_tol: float = _CORNER_TOL) -> np.ndarray:
-    """Evaluate the representation on the grid t_nodes x x_nodes, all in
-    the engine's [0, t_ref] x [0, x_ref].
+    """Evaluate the representation on the grid t_nodes x x_nodes.
 
-    ``tau`` is a callable or a TraceSolution covering [0, max(x_nodes)];
-    ``phi`` a callable on [0, max(t_nodes)]; ``forcing`` a ForcingTerm of
-    this engine on x_nodes, or None.  The trace and boundary data must
-    agree at the corner within corner_tol (a solved discrete trace
-    carries its assembly noise there).  Returns u[i, j] = u(t_i, x_j).
+    The nodes are uniform grids from 0 to at most the engine's t_ref and
+    x_ref, and ``tau`` the TraceSolution on x_nodes that ``solve_tau``
+    returns (else DomainError); ``phi`` is a callable and ``forcing`` a
+    ForcingTerm of this engine on x_nodes, or None.  The trace and
+    boundary data must agree at the corner within corner_tol (a solved
+    trace carries its assembly noise there).  Returns u[i, j] = u(t_i, x_j).
     """
-    t_nodes = np.asarray(t_nodes, dtype=float)
-    x_nodes = np.asarray(x_nodes, dtype=float)
-    for name, nodes, top in (("t_nodes", t_nodes, engine.t_ref),
-                             ("x_nodes", x_nodes, engine.x_ref)):
-        if not (nodes.ndim == 1 and nodes.size
-                and np.all((nodes >= 0.0) & (nodes <= top))):
-            raise DomainError(f"{name} must be non-empty, 1-D, in [0, {top}]")
+    t_nodes = _lattice("t_nodes", t_nodes, engine.t_ref)
+    x_nodes = _lattice("x_nodes", x_nodes, engine.x_ref)
+    if not (isinstance(tau, TraceSolution)
+            and np.array_equal(tau.x_grid, x_nodes)):
+        raise DomainError("tau must be a TraceSolution on x_nodes")
     _check_forcing(forcing, engine, x_nodes)
     return _GridEvaluator(engine, tau, phi, forcing, t_nodes, x_nodes, quad,
                           corner_tol).evaluate()

@@ -40,7 +40,8 @@ from .goursat import (
     _is_zero_forcing,
     goursat_grid,
 )
-from .quadrature import _call_grid, _call_on, _trapezoid_vec, graded_mesh
+from .quadrature import (_call_grid, _call_on, _is_lattice, _trapezoid_vec,
+                         graded_mesh)
 from .specfun import SeriesPolicy
 from .volterra import (_M_ZERO_TOL, _in_strict_regime, _outside_stacklevel,
                        _regime_failures, assemble_system, solve_tau)
@@ -164,7 +165,8 @@ class ResidualReport:
 
 @dataclass
 class GridSolution:
-    """Solution samples u[i, j] = u(t_i, x_j) with the trace and constants.
+    """Solution samples u[i, j] = u(t_i, x_j) on uniform grids from 0 (as
+    ``solve`` builds them; else InvalidData), with the trace and constants.
 
     A is the nonlocal constant int_0^q M(t) (1 - a Gamma(gamma) t^beta
     E2(a t^beta, delta t^alpha)) dt; the reduction divisor actually
@@ -189,13 +191,12 @@ class GridSolution:
         u = np.ascontiguousarray(self.u, dtype=float)
         self.t_grid, self.x_grid, self.u = t, x, u
         for name, g in (("t_grid", t), ("x_grid", x)):
-            if g.ndim != 1 or g.size < 2 or g[0] != 0.0 or not np.all(np.diff(g) > 0.0):
-                raise InvalidData(f"{name} must ascend strictly from 0")
+            if not _is_lattice(g):
+                raise InvalidData(f"{name} must be uniform and ascend from 0")
         if u.shape != (t.size, x.size):
             raise InvalidData(
                 f"u has shape {u.shape}, expected {(t.size, x.size)}")
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(t))
-                and np.all(np.isfinite(x))):
+        if not np.all(np.isfinite(u)):
             raise InvalidData("solution contains non-finite entries")
 
 
@@ -253,7 +254,7 @@ def solve(problem: ProblemN, n_t: int = 64, n_x: int = 64,
     x_grid = np.linspace(0.0, domain.p, n_x + 1)
     quad_x = replace(quad, n_points=n_x)
     forcing = None if _is_zero_forcing(problem.f_smooth) else ForcingTerm(
-        engine, problem.f_smooth, problem.eps1, problem.eps2, x_grid, quad_x)
+        engine, problem.f_smooth, problem.eps1, problem.eps2, x_grid)
     system = assemble_system(engine, domain, problem.M, problem.phi,
                              problem.psi, forcing, quad_x, x_grid)
     phi0 = float(np.asarray(problem.phi(0.0), dtype=float))

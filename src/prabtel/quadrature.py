@@ -131,29 +131,40 @@ def _trapezoid_vec(grid: np.ndarray) -> np.ndarray:
     return w
 
 
-def _call_on(fn, values) -> np.ndarray:
-    """Evaluate a scalar-or-vectorized callable on a 1-D array.
+def _is_lattice(nodes) -> bool:
+    """Whether nodes are the uniform grid from 0 that every solver stage
+    takes: 1-D, two or more, the first 0.0, finite steps h > 0 with
+    ptp(h) <= 1e-9 h[0]."""
+    nodes = np.asarray(nodes, dtype=float)
+    if nodes.ndim != 1 or nodes.size < 2 or nodes[0] != 0.0:
+        return False
+    h = np.diff(nodes)
+    return bool(0.0 < h[0] < np.inf and np.ptp(h) <= 1e-9 * h[0])
 
-    One call on the whole array when fn broadcasts; if that call raises
-    TypeError or ValueError or returns another shape, one call per
-    point.  Any other error propagates.
-    """
+
+def _call_on(fn, values) -> np.ndarray:
+    """Evaluate a pointwise data callable on a 1-D array: one call on the
+    whole array when fn broadcasts (a 0-d result, as of ``lambda t: 1.0``,
+    fills it), else, if that call raises TypeError or ValueError or
+    returns another shape, one call per point.  Other errors propagate."""
     values = np.asarray(values, dtype=float)
     try:
         out = np.asarray(fn(values), dtype=float)
         if out.shape == values.shape:
             return out
+        if out.shape == ():
+            return np.full(values.shape, out)
     except (TypeError, ValueError):
         pass
     return np.array([float(fn(float(v))) for v in values])
 
 
 def _call_grid(fn, ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Evaluate a callable f(t, x) on the (ts x xs) grid of 1-D arrays.
+    """Evaluate a pointwise data callable f(t, x) on the (ts x xs) grid.
 
-    One call on the broadcast 2-D pair when fn broadcasts; if that call
-    raises TypeError or ValueError or returns another shape, one
-    ``_call_on`` per t (which itself falls back to one call per point).
+    One call on the broadcast 2-D pair when fn broadcasts, a 0-d result
+    filling the grid; if that call raises TypeError or ValueError or
+    returns another shape, one ``_call_on`` per t.
     """
     shape = (ts.size, xs.size)
     try:
@@ -161,6 +172,8 @@ def _call_grid(fn, ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
                             np.broadcast_to(xs, shape)), dtype=float)
         if out.shape == shape:
             return out
+        if out.shape == ():
+            return np.full(shape, out)
     except (TypeError, ValueError):
         pass
     return np.array([_call_on(lambda x, t=t: fn(t, x), xs)

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, NonConvergence
+from .errors import ArgumentOutOfRange, InvalidParams, NonConvergence
 
 __all__ = [
     "SeriesPolicy",
@@ -519,13 +519,17 @@ def fit_tensors(tensors: SeriesTensors, policy: SeriesPolicy) -> tuple:
     the majorant is the entrywise maximum over the K and over the J
     tensors, and the limit 1e-15 times its total mass. Each cap doubling
     extends the kept tensors of ``tensors`` by their new rows and columns
-    and reads them whole."""
+    and reads them whole. A mass that overflows raises ArgumentOutOfRange."""
     def build(caps):
         k, j = tensors.logs(caps)
-        kmaj, jmaj = (np.exp(np.maximum.reduce([lg for _, lg in t.values()]))
-                      for t in (k, j))
-        sk, sj = kmaj.sum(axis=1), jmaj.sum(axis=1)
-        return kmaj, jmaj, sk, sj, 1e-15 * (float(sk @ sj) + 1e-300), k, j
+        with np.errstate(over="ignore"):
+            kmaj, jmaj = (np.exp(np.maximum.reduce(
+                [lg for _, lg in t.values()])) for t in (k, j))
+            sk, sj = kmaj.sum(axis=1), jmaj.sum(axis=1)
+            mass = float(sk @ sj)
+        if not math.isfinite(mass):
+            raise ArgumentOutOfRange(f"series majorant overflows at {caps}")
+        return kmaj, jmaj, sk, sj, 1e-15 * (mass + 1e-300), k, j
 
     caps, (*_, k, j) = _fit_caps(build, _START_CAPS, (True, True, True), policy)
     k, j = ({name: _signed(s, np.exp(lg)) for name, (s, lg) in t.items()}

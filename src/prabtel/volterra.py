@@ -62,6 +62,7 @@ from .quadrature import (
     _GRADING,
     WeightedRule,
     _call_on,
+    _is_lattice,
     _trapezoid_vec,
     build_rule,
     graded_mesh,
@@ -325,9 +326,7 @@ def assemble_system(engine: TeleEngine, domain: Domain2D, M, phi, psi,
         warnings.warn(_STRICT_NOTE, RuntimeWarning,
                       stacklevel=_outside_stacklevel())
     x_grid = np.asarray(x_grid, dtype=float)
-    h = np.diff(x_grid)
-    if (x_grid.ndim != 1 or x_grid.size < 2 or x_grid[0] != 0.0
-            or np.ptp(h) > 1e-9 * h[0]):
+    if not _is_lattice(x_grid):
         raise InvalidData("x_grid must be uniform and ascend from 0")
     _check_forcing(forcing, engine, x_grid)
     # at least 16 cells, so that the coarse level, max(n // 2, 8) cells,

@@ -182,6 +182,21 @@ class TestSolveCommand:
         with pytest.warns(RuntimeWarning):
             assert main(["solve", str(cfg)]) == 5
 
+    def test_series_overflow_exits_2(self, workdir):
+        # u = 1 data whose series majorant overflows float64: an argument
+        # out of range, not a degenerate divisor (exit 5)
+        cfg = write_config(workdir / "run.json",
+                           params={"alpha": 0.928, "beta": 0.103,
+                                   "gamma": 1.49, "delta": -2.07},
+                           coeffs={"a": -5.06, "b": 2.28},
+                           data={"phi": "1", "psi": "0.5", "M": "0.5"},
+                           grid={"n_t": 16, "n_x": 16},
+                           policies={"quad": {"n_points": 64}},
+                           mode="relaxed")
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            assert main(["solve", str(cfg)]) == 2
+
     def test_missing_config_file_exits_2(self, workdir):
         assert main(["solve", str(workdir / "absent.json")]) == 2
 

@@ -1,6 +1,7 @@
 """Tests of the closed-form telegraph solution evaluator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from prabtel.goursat import (
     _GridEvaluator,
     _pascal,
     _power_rows,
-    _shift_matrices,
+    _shift_matrix,
     _trace_moments,
     _variant_shifts,
     _xi_moments,
@@ -60,12 +61,15 @@ def zeros(v):
 def fill(params, coeffs, tau, phi, f, t_nodes, x_nodes, *, eps1=0.0,
          eps2=0.0, quad=QuadPolicy()):
     """``goursat_grid`` on a fresh engine and forcing term fitted to the
-    grid: t_ref and x_ref are the largest nodes."""
+    grid (t_ref and x_ref are the last nodes); a callable tau is sampled
+    as a TraceSolution on the x-nodes."""
     t_nodes, x_nodes = np.asarray(t_nodes), np.asarray(x_nodes)
-    engine = TeleEngine(params, coeffs, float(t_nodes.max()),
-                        float(x_nodes.max()))
+    engine = TeleEngine(params, coeffs, float(t_nodes[-1]),
+                        float(x_nodes[-1]))
+    if not isinstance(tau, TraceSolution):
+        tau = TraceSolution(x_nodes, tau(x_nodes))
     forcing = (None if f is None else
-               ForcingTerm(engine, f, eps1, eps2, x_nodes, quad))
+               ForcingTerm(engine, f, eps1, eps2, x_nodes))
     return goursat_grid(engine, tau, phi, forcing, t_nodes, x_nodes, quad)
 
 
@@ -154,6 +158,18 @@ class TestEngine:
     def test_argument_cap(self):
         with pytest.raises(ArgumentOutOfRange):
             TeleEngine(PARAMS, TelegraphCoeffs(a=-100.0, b=-1.0), 1.0, 1.0)
+
+    @pytest.mark.parametrize("params, coeffs", [
+        ((0.928, 0.103, 1.49, -2.07), (-5.06, 2.28)),
+        ((0.934, 0.102, 1.50, -1.34), (-7.13, -1.11))])
+    def test_majorant_overflow_is_out_of_range(self, params, coeffs):
+        # arguments below the cap whose series majorant overflows float64:
+        # no finite sum of those terms keeps a digit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ArgumentOutOfRange):
+                TeleEngine(PrabhakarParams(*params),
+                           TelegraphCoeffs(*coeffs), 1.0, 1.0)
 
     def test_cap_exhaustion_raises(self):
         with pytest.raises(NonConvergence):
@@ -299,53 +315,63 @@ class TestRepresentation:
         assert np.array_equal(u[0], tr.tau)
 
     def test_trace_coverage_required(self):
-        tr = TraceSolution(x_grid=np.linspace(0.0, 0.5, 9),
-                           tau=np.ones(9))
-        with pytest.raises(DomainError):
-            fill(PARAMS, COEFFS, tr, ones, None,
-                 np.array([0.1]), np.linspace(0.0, 1.0, 5))
+        # tau is the solved trace on the x-nodes: not a callable, and not
+        # a trace on a shorter or a finer grid
+        eng = TeleEngine(PARAMS, COEFFS, 1.0, 1.0)
+        t, x = np.array([0.0, 0.1]), np.linspace(0.0, 1.0, 5)
+        for tau in (ones, TraceSolution(np.linspace(0.0, 0.5, 9), np.ones(9)),
+                    TraceSolution(np.linspace(0.0, 1.0, 9), np.ones(9))):
+            with pytest.raises(DomainError):
+                goursat_grid(eng, tau, ones, None, t, x)
 
     def test_corner_mismatch_rejected(self):
         tau = lambda x: np.ones_like(np.asarray(x, dtype=float))
         phi = lambda t: 2.0 + 0.0 * np.asarray(t, dtype=float)
         with pytest.raises(InvalidData):
             fill(PARAMS, COEFFS, tau, phi, None,
-                 np.array([0.5]), np.array([0.0, 1.0]))
+                 np.array([0.0, 0.5]), np.array([0.0, 1.0]))
 
     def test_negative_nodes_rejected(self):
-        # negative, non-finite, and beyond the engine's t_ref = x_ref = 1
+        # negative, non-finite, beyond the engine's t_ref = x_ref = 1,
+        # graded, or not from 0: the grid fill and the forcing term take
+        # only uniform grids from 0
         eng = TeleEngine(PARAMS, COEFFS, 1.0, 1.0)
         good = np.array([0.0, 1.0])
+        tau = TraceSolution(good, np.ones(2))
+        f = lambda t, x: t * x
         for bad in ([-0.1, 0.5], [np.nan, 0.5], [0.5, np.inf], [0.5, 1.5],
-                    [], [[0.5]]):
+                    [], [[0.5]], [0.0, 0.25, 1.0], [0.5, 1.0]):
             for t, x in ((np.array(bad), good), (good, np.array(bad))):
                 with pytest.raises(DomainError):
-                    goursat_grid(eng, ones, ones, None, t, x)
+                    goursat_grid(eng, tau, ones, None, t, x)
+            with pytest.raises(DomainError):
+                ForcingTerm(eng, f, 0.0, 0.0, np.array(bad))
 
     def test_eps_ranges_validated(self):
         f = lambda t, x: 1.0 + 0.0 * t + 0.0 * x
         eng = TeleEngine(PARAMS, COEFFS, 1.0, 1.0)
-        x, quad = np.array([0.0, 1.0]), QuadPolicy()
+        x = np.array([0.0, 1.0])
         for eps1, eps2 in ((0.7, 0.0), (-0.1, 0.0), (0.0, 1.0), (0.0, -0.1)):
             with pytest.raises(InvalidParams):
-                ForcingTerm(eng, f, eps1, eps2, x, quad)
+                ForcingTerm(eng, f, eps1, eps2, x)
 
     def test_forcing_must_fit_the_grid(self):
         eng = TeleEngine(PARAMS, COEFFS, 1.0, 1.0)
         f = lambda t, x: t * x
         x, quad = np.linspace(0.0, 1.0, 5), QuadPolicy(n_points=16)
-        for forcing in (ForcingTerm(eng, f, 0.0, 0.0, x[:3], quad),
+        tau = TraceSolution(x, np.ones(5))
+        for forcing in (ForcingTerm(eng, f, 0.0, 0.0, x[:3]),
                         ForcingTerm(TeleEngine(PARAMS, COEFFS, 1.0, 1.0), f,
-                                    0.0, 0.0, x, quad)):
+                                    0.0, 0.0, x)):
             with pytest.raises(InvalidData):
-                goursat_grid(eng, ones, ones, forcing, np.array([0.5]), x,
-                             quad)
+                goursat_grid(eng, tau, ones, forcing, np.array([0.0, 0.5]),
+                             x, quad)
 
     def test_singular_forcing_exponents(self):
         # f = t^{-eps1} x^{-eps2} * smooth stays integrable and finite
         f = lambda t, x: 1.0 + 0.0 * t + 0.0 * x
         u = fill(PARAMS, COEFFS, zeros, zeros, f,
-                 np.array([0.5, 1.0]), np.linspace(0.0, 1.0, 5),
+                 np.array([0.0, 0.5, 1.0]), np.linspace(0.0, 1.0, 5),
                  eps1=0.25, eps2=0.5, quad=QuadPolicy(n_points=64))
         assert np.all(np.isfinite(u)) and np.any(u != 0.0)
 
@@ -379,11 +405,11 @@ class TestForcingTerm:
                             wvar=(-eps1, PARAMS.beta - 1.0),
                             epsabs=1e-11, epsrel=1e-10)[0]
 
-        forcing = ForcingTerm(eng, wavy, eps1, eps2, np.array([0.4, 1.0]),
-                              QuadPolicy(n_points=64))
+        x_nodes = np.linspace(0.0, 1.0, 81)  # 0.4 is node 32
+        forcing = ForcingTerm(eng, wavy, eps1, eps2, x_nodes)
         errs = [abs(forcing.fill(_EtaConv(eng, t, 64), [t])[0, i]
                     - reference(t, x))
-                for i, (t, x) in enumerate(((0.5, 0.4), (1.0, 1.0)))]
+                for i, (t, x) in ((32, (0.5, 0.4)), (80, (1.0, 1.0)))]
         # bound: the larger error of a graded per-x xi rule with the same
         # n_points at these two points (6.52e-5, at t = 0.5, x = 0.4)
         assert max(errs) <= 6.52e-5
@@ -400,7 +426,7 @@ class TestForcingTerm:
         eng = TeleEngine(prob.params, prob.coeffs, 1.0, 1.0)
         x = np.linspace(0.0, 1.0, 33)
         quad, fine = QuadPolicy(n_points=32), QuadPolicy(n_points=32 * 32)
-        forcing = ForcingTerm(eng, wavy, eps1, eps2, x, quad)
+        forcing = ForcingTerm(eng, wavy, eps1, eps2, x)
         rules = volterra._t_rules(eng, prob.M, prob.domain, quad)
         got = volterra._g_values(eng, rules, prob.M, zeros, zeros, forcing,
                                  prob.domain, quad, x)
@@ -427,8 +453,7 @@ class TestForcingTerm:
                                 [0.0]))
         for eps1 in (0.0, 0.25):
             forcing = ForcingTerm(eng, f, eps1, 0.5,
-                                  np.linspace(0.0, 1.0, 17),
-                                  QuadPolicy(n_points=32))
+                                  np.linspace(0.0, 1.0, 17))
             got = forcing.fill(conv, times)
             want = _fill_per_time(forcing, conv, times)
             assert got.shape == (times.size, 17)
@@ -448,8 +473,8 @@ class TestForcingTerm:
         # one call on the shared eta-mesh of the grid fill
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("t_nodes", [np.linspace(0.0, 1.0, 9) ** 2,
-                                          np.array([0.7])])
+    @pytest.mark.parametrize("t_nodes", [np.linspace(0.0, 1.0, 9),
+                                          np.array([0.0, 0.7])])
     def test_broadcasting_f_called_once_per_grid_fill(self, t_nodes):
         calls = []
 
@@ -490,9 +515,8 @@ class TestEtaMesh:
     @staticmethod
     def _grid_convolutions(prob, forcing, points, t, x):
         """(phi convolution folded with V3, forcing rows) of the grid fill."""
-        phi0 = float(prob.phi(0.0))
-        ev = _GridEvaluator(forcing.engine, lambda v: phi0 + 0.0 * v,
-                            prob.phi, forcing, t, x,
+        tau = TraceSolution(x, float(prob.phi(0.0)) + 0.0 * x)
+        ev = _GridEvaluator(forcing.engine, tau, prob.phi, forcing, t, x,
                             QuadPolicy(n_points=points))
         return (ev.phi_conv() @ forcing.engine.jw["V3"],
                 forcing.fill(ev.conv, t))
@@ -503,8 +527,7 @@ class TestEtaMesh:
         prob = _smooth_problem(forcing=True)
         eng = TeleEngine(prob.params, prob.coeffs, 1.0, 1.0)
         t, x = np.linspace(0.0, 1.0, 65), np.linspace(0.0, 1.0, 65)
-        forcing = ForcingTerm(eng, prob.f_smooth, 0.0, 0.0, x,
-                              QuadPolicy(n_points=64))
+        forcing = ForcingTerm(eng, prob.f_smooth, 0.0, 0.0, x)
         phi_ref, rows_ref = self._grid_convolutions(prob, forcing, 2048, t, x)
         phi_new, rows_new = self._grid_convolutions(prob, forcing, 256, t, x)
         beta = prob.params.beta
@@ -522,13 +545,13 @@ class TestEtaMesh:
 
     @pytest.mark.parametrize("eps1", [0.0, 0.25])
     @pytest.mark.parametrize("t_nodes", [
-        np.linspace(0.0, 1.0, 9) ** 2,  # on and off the 32-cell mesh
-        np.array([0.9, 0.0, 0.33, 0.61, 0.9 - 1e-7, 1.0]),
-        np.array([0.7])])  # a single time: 32 cells on [0, 0.7]
+        np.linspace(0.0, 1.0, 9),  # 32 cells
+        np.linspace(0.0, 1.0, 4),  # n_t = 3: 33 cells
+        np.array([0.0, 0.7])])  # one t-cell: 32 cells on [0, 0.7]
     def test_rows_match_one_row_at_a_time(self, t_nodes, eps1, monkeypatch):
-        eng = TeleEngine(PARAMS, COEFFS, t_nodes.max(), 1.0)
-        n_t = np.count_nonzero(t_nodes)
-        conv = _EtaConv(eng, t_nodes.max(), n_t * -(-32 // n_t))
+        eng = TeleEngine(PARAMS, COEFFS, t_nodes[-1], 1.0)
+        n_t = t_nodes.size - 1
+        conv = _EtaConv(eng, t_nodes[-1], n_t * -(-32 // n_t))
         samples = np.cos(np.multiply.outer(conv.etas, [1.0, 4.0, 9.0]))
         # blocks of 2 rows
         monkeypatch.setattr(goursat, "_CONV_CHUNK", 2 * 3 * eng.m_cap)
@@ -542,15 +565,16 @@ class TestEtaMesh:
                                                          1e-300)
 
     @pytest.mark.parametrize("t_nodes", [
-        np.linspace(0.0, 1.0, 9),  # every row on the 32-cell mesh
-        np.linspace(0.0, 1.0, 9) ** 2])  # on and off it
+        np.linspace(0.0, 1.0, 9),  # 32 cells
+        np.linspace(0.0, 1.0, 4)])  # n_t = 3: 33 cells
     def test_phi_rows_match_one_row_at_a_time(self, t_nodes, monkeypatch):
-        # the rows on the Toeplitz table come from ``_EtaConv.hankel``,
-        # the others from ``apply``; both against each row's own weights
+        # the rows come from ``_EtaConv.hankel``, against each row's own
+        # weights
         eng = TeleEngine(PARAMS, COEFFS, 1.0, 1.0)
         phi = lambda t: np.cos(3.0 * np.asarray(t, dtype=float))
-        ev = _GridEvaluator(eng, ones, phi, None, t_nodes,
-                            np.linspace(0.0, 1.0, 5), QuadPolicy(n_points=32))
+        x = np.linspace(0.0, 1.0, 5)
+        ev = _GridEvaluator(eng, TraceSolution(x, ones(x)), phi, None,
+                            t_nodes, x, QuadPolicy(n_points=32))
         # blocks of 3 Hankel rows
         monkeypatch.setattr(goursat, "_CONV_CHUNK", 3 * ev.conv.cells)
         got = ev.phi_conv()
@@ -560,27 +584,6 @@ class TestEtaMesh:
                     if tk > 0.0 else np.zeros_like(g))
             assert np.abs(g - want).max() <= 1e-13 * max(np.abs(want).max(),
                                                          1e-300)
-
-    @pytest.mark.parametrize("eps1", [0.0, 0.25])
-    def test_rows_just_above_a_node_match_a_refined_mesh(self, eps1):
-        # t a ten-thousandth of a cell above a node of the 256-cell mesh,
-        # where s^(beta-1) is nearly singular on the full cell next to
-        # the lag end; 4 Gauss-Legendre nodes there erred about 1e-2.
-        # The reference ends its own 4096-cell mesh at t, and samples
-        # linear in eta are interpolated exactly on both meshes
-        prob = _smooth_problem(forcing=True)
-        eng = TeleEngine(prob.params, prob.coeffs, 1.0, 1.0)
-
-        def rows(conv, times):
-            samples = 1.0 + 2.0 * conv.etas[:, None]
-            return np.concatenate([g[:, 0] for _, g in
-                                   conv.apply(samples, times, eps1)])
-
-        times = (np.array([1.0, 2.0, 100.0, 255.0]) + 1e-4) / 256.0
-        got = rows(_EtaConv(eng, 1.0, 256), times)
-        for t, g in zip(times, got):
-            want = rows(_EtaConv(eng, t, 4096), np.array([t]))[0]
-            assert np.abs(g - want).max() <= 1e-6 * np.abs(want).max()
 
 
 def _cvec_by_pow(eng, s, shifted):
@@ -728,57 +731,36 @@ class TestLagTables:
             assert np.abs(eng.lag_cvec(table, t, shifted) - want).max() <= tol
             assert np.abs(eng.cvec(t * u, shifted) - want).max() <= tol
 
-    def _moment_cases(self):
-        uniform = np.linspace(0.0, 1.0, 65)
-        long = np.linspace(0.0, 1.0, 257)
-        graded = np.linspace(0.0, 1.0, 97) ** 2
-        smooth = lambda x: np.exp(-x) + np.sin(5.0 * x)
-        return (
-            # solve: the trace grid is the x-grid
-            (TraceSolution(uniform, smooth(uniform)), uniform),
-            # a grid fill on [0, x] inside a longer trace grid
-            (TraceSolution(long, smooth(long)), np.linspace(0.0, 0.6, 65)),
-            (TraceSolution(graded, smooth(graded)), np.linspace(0.0, 1.0, 41)),
-            (TraceSolution(uniform, smooth(uniform)), np.array([0.0])),
-        )
+    # (grid, x_ref): uniform grids from 0: the x-grid of solve, a
+    # non-dyadic step, a grid that ends short of x_ref, and one cell
+    _GRIDS = ((np.linspace(0.0, 1.0, 65), 1.0),
+              (np.linspace(0.0, 1.3, 41), 1.3),
+              (np.linspace(0.0, 0.6, 65), 1.0),
+              (np.linspace(0.0, 1.0, 2), 1.0))
 
     @pytest.mark.parametrize("case", range(4))
     @pytest.mark.parametrize("sign_b", [-1.0, 1.0])
     def test_trace_moments_match_per_node_loop(self, case, sign_b):
-        trace, x_nodes = self._moment_cases()[case]
-        want = _trace_moments_per_node(trace, x_nodes, 32, 1.0, sign_b)
-        got = _trace_moments(trace, x_nodes, 32, 1.0, sign_b)
+        grid, x_ref = self._GRIDS[case]
+        trace = TraceSolution(grid, np.exp(-grid) + np.sin(5.0 * grid))
+        want = _trace_moments_per_node(trace, grid, 32, x_ref, sign_b)
+        got = _trace_moments(trace, 32, x_ref, sign_b)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
-
-    def _xi_cases(self):
-        uniform = np.linspace(0.0, 1.0, 65)
-        graded = np.linspace(0.0, 1.0, 41) ** 2
-        long = np.linspace(0.0, 1.0, 129)
-        fallback = np.array([0.4, 1.0])
-        return (
-            # solve: the mesh is the x-grid
-            (uniform, uniform),
-            (graded, graded),
-            # x-nodes on and between the nodes of a longer mesh, unsorted
-            (long, np.linspace(0.0, 0.6, 65)[::-1]),
-            # x-nodes that do not ascend from 0 get the graded mesh
-            (graded_mesh(1.0, 64, 2.0).nodes, fallback),
-        )
 
     @pytest.mark.parametrize("case", range(4))
     @pytest.mark.parametrize("eps2", [0.0, 0.5])
     @pytest.mark.parametrize("sign_b", [-1.0, 1.0])
     def test_xi_moments_match_per_pair_rule(self, case, eps2, sign_b):
-        mesh, x_nodes = self._xi_cases()[case]
+        mesh, x_ref = self._GRIDS[case]
         jw = TeleEngine(PARAMS, TelegraphCoeffs(-1.0, sign_b), 1.0,
                         1.0).jw["V4"]
         j_cap = jw.shape[1]
-        per_pair = _xi_moments_per_pair(mesh, x_nodes, eps2, j_cap, 1.0,
+        per_pair = _xi_moments_per_pair(mesh, mesh, eps2, j_cap, x_ref,
                                         sign_b)
         # the identity for jw gives the signed table itself, entry by entry
-        got = _xi_moments(mesh, x_nodes, eps2, np.eye(j_cap), 1.0, sign_b)
-        assert got.shape == (x_nodes.size, mesh.size * j_cap)
+        got = _xi_moments(mesh, eps2, np.eye(j_cap), x_ref, sign_b)
+        assert got.shape == (mesh.size, mesh.size * j_cap)
         got = got.reshape(per_pair.shape)
         assert np.all(np.abs(got - per_pair) <= 1e-13 * np.abs(per_pair))
         # folded with V4: for sign_b = -1 the fold is an alternating sum
@@ -786,16 +768,15 @@ class TestLagTables:
         # each entry is held to its sum of |terms|
         want = np.einsum("ikj,mj->ikm", per_pair, jw)
         terms = np.einsum("ikj,mj->ikm", np.abs(per_pair), jw)
-        got = _xi_moments(mesh, x_nodes, eps2, jw, 1.0, sign_b)
-        assert got.shape == (x_nodes.size, mesh.size * jw.shape[0])
+        got = _xi_moments(mesh, eps2, jw, x_ref, sign_b)
+        assert got.shape == (mesh.size, mesh.size * jw.shape[0])
         assert np.all(np.abs(got.reshape(want.shape) - want) <= 1e-13 * terms)
 
     @given(a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0),
            w=st.floats(0.0, 1.0), count=st.integers(1, 40))
     @settings(max_examples=60, deadline=None)
     def test_shift_matrices_compose(self, a, b, w, count):
-        (shifts,) = _shift_matrices(count, np.array([0.0, a, b, a + b]))
-        b0, ba, bb, bab = shifts
+        b0, ba, bb, bab = (_shift_matrix(count, h) for h in (0.0, a, b, a + b))
         assert np.array_equal(b0, np.eye(count))
         assert np.abs(ba @ bb - bab).max() <= 1e-13 * np.abs(bab).max()
         # powers of w times B(a) are the powers of w + a

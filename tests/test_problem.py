@@ -211,10 +211,12 @@ class TestGridSolutionValidation:
                          compatibility=0.0)
 
     def test_grid_must_ascend_from_zero(self):
+        # and be uniform: verify's time derivative is one Toeplitz product
         sol = self._sol()
-        with pytest.raises(InvalidData):
-            GridSolution(t_grid=sol.t_grid + 1.0, x_grid=sol.x_grid,
-                         u=sol.u, tau=sol.tau, A=sol.A, compatibility=0.0)
+        for t in (sol.t_grid + 1.0, sol.t_grid ** 2):
+            with pytest.raises(InvalidData):
+                GridSolution(t_grid=t, x_grid=sol.x_grid, u=sol.u,
+                             tau=sol.tau, A=sol.A, compatibility=0.0)
 
 
 class TestVerify:
@@ -279,10 +281,10 @@ class TestVerify:
         r = verify(prob, sol, QUICK)
         assert r.nonlocal_defect >= 0.05
 
-    def test_nonuniform_grid_rows_match_pointwise_derivative(self):
-        # u = t g(x) is linear in t, so the slope rule is exact on any
+    def test_grid_rows_match_pointwise_derivative(self):
+        # u = t g(x) is linear in t, so the slope rule is exact on the
         # t-grid and each row is D(t)(t_k) g(x)
-        t = np.array([0.0, 0.05, 0.2, 0.3, 0.55, 0.6, 1.0])
+        t = np.linspace(0.0, 1.0, 7)
         g = 1.0 + np.linspace(0.0, 1.0, 5) ** 2
         rows = _fractional_rows(PARAMS, t, t[:, None] * g[None, :],
                                 SeriesPolicy())
@@ -342,6 +344,28 @@ class TestVerifyForcing:
         assert len(calls) == 1
         twin = verify(replace(prob, f_smooth=per_row), sol, QUICK)
         assert twin.as_dict() == report.as_dict()
+
+
+class TestConstantData:
+    def test_scalar_results_fill_the_grid(self):
+        # data callables are pointwise, so a Python scalar for array input
+        # fills the array: the same grid as the broadcasting twins, and
+        # one call of f per sampling, not one per point
+        calls = []
+
+        def f(t, x):
+            calls.append(1)
+            return 0.1
+
+        quad = QuadPolicy(n_points=128)
+        got = solve(make_problem(phi=lambda t: 1.0, f_smooth=f), n_t=32,
+                    n_x=32, quad=quad)
+        assert len(calls) <= 4
+        want = solve(make_problem(phi=constant(1.0),
+                                  f_smooth=lambda t, x: 0.1 + 0.0 * t * x),
+                     n_t=32, n_x=32, quad=quad)
+        assert np.array_equal(got.u, want.u)
+        assert np.array_equal(got.tau.tau, want.tau.tau)
 
 
 class TestSharedSetup:

@@ -71,7 +71,7 @@ def assemble(params, coeffs, domain, M, phi, psi, f=None,
     quad.n_points cells on [0, p]."""
     engine = TeleEngine(params, coeffs, domain.q, domain.p)
     x = np.linspace(0.0, domain.p, quad.n_points + 1)
-    forcing = None if f is None else ForcingTerm(engine, f, 0.0, 0.0, x, quad)
+    forcing = None if f is None else ForcingTerm(engine, f, 0.0, 0.0, x)
     return assemble_system(engine, domain, M, phi, psi, forcing, quad, x)
 
 
@@ -276,7 +276,7 @@ def _g_values_by_row(engine, rules, M, phi, psi, forcing, domain, quad,
     cacc = np.zeros(engine.m_cap)
     if forcing is not None:
         wf = _forcing_weights(outer.nodes, beta, forcing.eps1)
-        facc = np.zeros((forcing.mesh.size, engine.m_cap))
+        facc = np.zeros((forcing.x_nodes.size, engine.m_cap))
     for i, (v, w_v) in enumerate(zip(outer.nodes, outer.weights)):
         eta = q - v
         mv = _call_on(M, eta + v * inner.nodes)
@@ -302,7 +302,7 @@ class TestGValues:
         quad = QuadPolicy(n_points=n_points)
         engine = TeleEngine(prob.params, prob.coeffs, 1.0, 1.0)
         x = np.linspace(0.0, 1.0, 33)
-        forcing = (ForcingTerm(engine, prob.f_smooth, 0.0, 0.0, x, quad)
+        forcing = (ForcingTerm(engine, prob.f_smooth, 0.0, 0.0, x)
                    if forced else None)
         rules = _t_rules(engine, prob.M, prob.domain, quad)
         args = (engine, rules, prob.M, prob.phi, prob.psi, forcing,
@@ -415,9 +415,9 @@ class TestAssemble:
                 assemble_system(engine, DOMAIN, ones, ones, zeros, None, quad,
                                 bad)
         f = lambda t, x: t * x
-        for other in (ForcingTerm(engine, f, 0.0, 0.0, x[::2], quad),
+        for other in (ForcingTerm(engine, f, 0.0, 0.0, x[::2]),
                       ForcingTerm(TeleEngine(PARAMS, COEFFS, 1.0, 1.0), f,
-                                  0.0, 0.0, x, quad)):
+                                  0.0, 0.0, x)):
             with pytest.raises(InvalidData):
                 assemble_system(engine, DOMAIN, ones, ones, zeros, other,
                                 quad, x)
