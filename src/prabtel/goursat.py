@@ -554,8 +554,8 @@ class _EtaConv:
         their weight: (cells, adds), adds[i, :, p] (2, m_cap) what piece
         p of row t[i] gives the two nodes of its cell cells[i, p].
 
-        For n cells, the cells n - 1 and n - 2 cover the lags
-        s < t - (n - 2) h, where s^(beta-1) is far from a polynomial.
+        The row t = n h (n from ``index``) has its cells n - 1 and n - 2
+        at the lags s < 2 h, where s^(beta-1) is far from a polynomial.
         For eps1 = 0 they take the closed form of ``_moments``.  For
         eps1 > 0 they take Gauss-Legendre in sigma = s^beta, where the
         series powers are polynomials when alpha / beta is whole, and the
@@ -565,21 +565,20 @@ class _EtaConv:
         row's weight against 1 and against s - s_(j+1), s_j = t - eta_j.
         """
         h, beta = self.h, self.engine.params.beta
-        n = np.maximum(np.ceil(t / h - 1e-9), 1.0)
-        last = t - (n - 1.0) * h
-        cells = np.stack((n - 1.0, np.maximum(n - 2.0, 0.0), 0.0 * n),
-                         axis=1).astype(int)
-        base = np.stack((last - h, last), axis=1)[..., None]  # s_(j+1)
+        n = np.maximum(self.index(t), 1)
+        cells = np.stack((n - 1, np.maximum(n - 2, 0), 0 * n), axis=1)
+        base = np.array([[0.0], [h]])  # s_(j+1) of the two cells
         if eps1 == 0.0:
-            f = self._moments(np.concatenate((last, np.minimum(last + h, t))))
+            f = self._moments(np.concatenate((np.full(t.size, h),
+                                              np.minimum(2.0 * h, t))))
             d0, d1 = (np.stack((g[:t.size], g[t.size:] - g[:t.size]), axis=1)
                       for g in f)
             d1, cells = d1 - base * d0, cells[:, :2]
         else:
             first = np.minimum(h, 0.5 * t)
-            mid = np.minimum(last, t - first)
+            mid = np.minimum(h, t - first)
             edges = np.stack((0.0 * mid, mid, np.maximum(
-                mid, np.minimum(last + h, t - first))), axis=1) ** beta
+                mid, np.minimum(2.0 * h, t - first))), axis=1) ** beta
             top = np.diff(edges, axis=1)[..., None]
             v, wv = _gauss_jacobi(_END_NODES, 0.0)
             s = (edges[:, :2, None] + 0.5 * top * (1.0 + v)) ** (1.0 / beta)
@@ -604,7 +603,7 @@ class _EtaConv:
         which every row then reads).  The pieces at the ends are ``ends``,
         the row's entries of a ``_ends`` batch, or the row's own.
         """
-        n = max(1, round(t / self.h))
+        n = max(1, int(self.index(t)))
         hats = np.zeros((2, n, self.engine.m_cap))
         if eps1 not in self._wts:  # the hats times eta^-eps1 at the nodes
             self._wts[eps1] = (self._eta ** -eps1)[:, None] * (

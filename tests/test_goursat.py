@@ -547,7 +547,9 @@ class TestEtaMesh:
     @pytest.mark.parametrize("t_nodes", [
         np.linspace(0.0, 1.0, 9),  # 32 cells
         np.linspace(0.0, 1.0, 4),  # n_t = 3: 33 cells
-        np.array([0.0, 0.7])])  # one t-cell: 32 cells on [0, 0.7]
+        np.array([0.0, 0.7]),  # one t-cell: 32 cells on [0, 0.7]
+        # n_t = 3 to 10 digits: t_2 sits 1e-9 cells above its node
+        np.round(np.linspace(0.0, 1.0, 4), 10)])
     def test_rows_match_one_row_at_a_time(self, t_nodes, eps1, monkeypatch):
         eng = TeleEngine(PARAMS, COEFFS, t_nodes[-1], 1.0)
         n_t = t_nodes.size - 1
