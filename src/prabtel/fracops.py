@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .cache import TABLES
 from .errors import DomainError, InvalidParams, NonConvergence, QuadratureFailure
 from .quadrature import _call_on, graded_mesh
 from .specfun import _CONSECUTIVE_SMALL, SeriesPolicy, rgamma
@@ -117,9 +118,9 @@ def kernel_cell_moments(params: PrabhakarParams, cell_edges: np.ndarray,
             d1 = c * (hi ** (p + 1) - lo ** (p + 1)) / (p + 1)
         m0 += d0
         m1 += d1
-        ok0 = np.all(np.abs(d0) <= series.rel_tol * np.maximum(np.abs(m0), tiny))
-        ok1 = np.all(np.abs(d1) <= series.rel_tol * np.maximum(np.abs(m1), tiny))
-        if ok0 and ok1:
+        if (np.all(np.abs(d0) <= series.rel_tol * np.maximum(np.abs(m0), tiny))
+                and np.all(np.abs(d1)
+                           <= series.rel_tol * np.maximum(np.abs(m1), tiny))):
             small += 1
             if small >= _CONSECUTIVE_SMALL:
                 return m0, m1
@@ -246,12 +247,17 @@ def _fractional_rows(params: PrabhakarParams, t_grid: np.ndarray,
     at every time of a uniform grid from 0 (as ``GridSolution`` holds),
     by the rule of ``_slope_weights`` on the grid's own cells; row 0 is
     zero.  The lag cells of every row are the leading grid cells, so
-    rows 1..n are one lower-triangular Toeplitz product.
+    rows 1..n are one lower-triangular Toeplitz product.  The weights
+    depend on (params, t_grid, series) alone and are kept in
+    ``cache.TABLES``.
     """
     slopes = (u[1:, :] - u[:-1, :]) / np.diff(t_grid)[:, None]
     out = np.zeros_like(u)
     n = t_grid.size - 1
-    w_all = _slope_weights(params, t_grid, series)
+    w_all = TABLES.get(
+        (repr((params, series)), "slope",
+         np.asarray(t_grid, dtype=float).tobytes()),
+        lambda: _slope_weights(params, t_grid, series))
     padded = np.concatenate((w_all[::-1], np.zeros(n - 1)))
     out[1:] = sliding_window_view(padded, n)[::-1] @ slopes
     return out

@@ -56,6 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .cache import TABLES
 from .errors import (
     ArgumentOutOfRange,
     DomainError,
@@ -212,6 +213,13 @@ def _power_rows(r: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
+def _engine_key(params: PrabhakarParams, coeffs: TelegraphCoeffs,
+                t_max: float, x_max: float, series: SeriesPolicy) -> str:
+    """The inputs of a ``TeleEngine``, exactly: equal floats of another
+    type or sign (1 and 1.0, 0.0 and -0.0) get keys of their own."""
+    return repr((params, coeffs, t_max, x_max, series))
+
+
 class TeleEngine:
     """Shared series core for one (params, coeffs, t_max, x_max) context.
 
@@ -240,6 +248,11 @@ class TeleEngine:
     ``specfun._CONSECUTIVE_SMALL`` rows of each index carry at most 1e-15
     of the majorant (the entrywise maximum over the families).  With
     alpha > 0, the beta and gamma checks make every packing convergent.
+
+    ``key`` names the inputs exactly (``_engine_key``).  ``solve`` takes
+    its engine from ``cache.TABLES`` under that key, and the tables built
+    from an engine for a grid are kept there under it too, so repeated
+    solves of one operator in one process build neither again.
     """
 
     def __init__(self, params: PrabhakarParams, coeffs: TelegraphCoeffs,
@@ -253,6 +266,7 @@ class TeleEngine:
                 f"representation requires gamma > 0, got {params.gamma}")
         self.params = params
         self.coeffs = coeffs
+        self.key = _engine_key(params, coeffs, t_max, x_max, series)
         self.t_ref = max(float(t_max), 1e-300)
         self.x_ref = max(float(x_max), 1e-300)
         self.x_scale = abs(coeffs.a) * self.t_ref ** params.beta
@@ -342,10 +356,12 @@ class TeleEngine:
 
         Row n holds (sign(b) dx_n / x_ref)^j; together with the
         (|b| x_ref)^j factor folded into the jw tensors this realizes
-        the physical argument (b dx_n)^j.
+        the physical argument (b dx_n)^j.  The solver calls it on x-grids
+        only, so the matrix is kept in ``cache.TABLES`` by the dx values.
         """
         dx = np.atleast_1d(np.asarray(dx_values, dtype=float))
-        return _power_rows(self._sign_b * dx / self.x_ref, self.j_cap).T
+        return TABLES.get((self.key, "ypowers", dx.tobytes()), lambda: (
+            _power_rows(self._sign_b * dx / self.x_ref, self.j_cap).T))
 
 
 @functools.lru_cache(maxsize=None)
@@ -501,7 +517,9 @@ class _EtaConv:
     ``_cells``, whose inner cells read the kernel of the row t_max
     (``_lags``).  In every row the two cells at the lag end, where
     s^(beta-1) is nearly singular, and for eps1 > 0 the first cell take
-    rules of their own (``_ends``).
+    rules of their own (``_ends``).  The weights of the row t_max and
+    its lags depend on the engine, t_max and cells alone, and are kept in
+    ``cache.TABLES``.
     """
 
     def __init__(self, engine: TeleEngine, t_max: float, cells: int):
@@ -513,8 +531,15 @@ class _EtaConv:
         self._wts = {}
         self._step = max(1, _CONV_CHUNK // (4 * max(engine.m_cap,
                                                     engine.k_cap)))
-        self.left, self.inner = self._cells(t_max, 0.0)
-        self.inner[:-1] += self.left[1:]
+        self._key = (engine.key, "eta", float(t_max), int(cells))
+        self.left, self.inner = TABLES.get(self._key, self._toeplitz)
+
+    def _toeplitz(self) -> tuple:
+        """(left, inner): the left hats of the row t_max, and its right
+        hats plus the left hats of the next cells (``hankel``)."""
+        left, inner = self._cells(self.t_max, 0.0)
+        inner[:-1] += left[1:]
+        return left, inner
 
     def _kernel(self, s: np.ndarray) -> np.ndarray:
         """s^(beta-1) c(m; s) at an array of lags, shape (*s.shape, m_cap)."""
@@ -526,12 +551,15 @@ class _EtaConv:
         """``_kernel`` at the lags of the inner cells of the row t_max,
         shape (cells - 2, 4, m_cap): a row t = k h reads the same lags for
         its cell j at j + cells - k.  Built on the first row with
-        eps1 > 0, in ``_CONV_CHUNK`` blocks."""
-        out = np.empty((self.cells - 2, 4, self.engine.m_cap))
-        for lo in range(0, self.cells - 2, self._step):
-            hi = min(lo + self._step, self.cells - 2)
-            out[lo:hi] = self._kernel(self.t_max - self._eta[lo:hi])
-        return out
+        eps1 > 0, in ``_CONV_CHUNK`` blocks, and kept in ``cache.TABLES``."""
+        def build():
+            out = np.empty((self.cells - 2, 4, self.engine.m_cap))
+            for lo in range(0, self.cells - 2, self._step):
+                hi = min(lo + self._step, self.cells - 2)
+                out[lo:hi] = self._kernel(self.t_max - self._eta[lo:hi])
+            return out
+
+        return TABLES.get(self._key + ("lags",), build)
 
     def _moments(self, lags: np.ndarray) -> tuple:
         """int_0^L s^(beta-1) (1, s) c(m; s) ds for each L of ``lags``, two
@@ -693,7 +721,8 @@ class ForcingTerm:
     it once on its outer nodes (``_sample``) and folds int M T dt onto
     the kernel of its V3 term (``volterra._g_values``).  Each sampling is
     one ``quadrature._call_grid``.  The exponents must pass
-    ``_check_exponents``.
+    ``_check_exponents``.  ``q`` depends on the engine, the x-nodes and
+    eps2 alone, and is kept in ``cache.TABLES``.
     """
 
     def __init__(self, engine: TeleEngine, f, eps1: float, eps2: float,
@@ -702,8 +731,10 @@ class ForcingTerm:
         self.engine, self.f = engine, f
         self.eps1, self.eps2 = float(eps1), float(eps2)
         self.x_nodes = _lattice("x_nodes", x_nodes, engine.x_ref)
-        self.q = _xi_moments(self.x_nodes, self.eps2, engine.jw["V4"],
-                             engine.x_ref, engine._sign_b)
+        self.q = TABLES.get(
+            (engine.key, "xi", self.x_nodes.tobytes(), self.eps2),
+            lambda: _xi_moments(self.x_nodes, self.eps2, engine.jw["V4"],
+                                engine.x_ref, engine._sign_b))
 
     def _sample(self, etas: np.ndarray) -> np.ndarray:
         """f on the (eta x x_nodes) array."""
@@ -776,11 +807,16 @@ class _GridEvaluator:
         The terms that sample no data under an integral (phi(t), E2, the
         V1 and V2 instances) come from one coefficient matrix of all t
         nodes, the phi and forcing convolutions from the eta-mesh
-        (``phi_conv``, ``ForcingTerm.fill``).
+        (``phi_conv``, ``ForcingTerm.fill``).  The forcing is filled
+        first: its samples of f are the largest temporary of the fill, and
+        u does not exist yet beside them.
         """
         eng, a, b = self.engine, self.coeffs.a, self.coeffs.b
         t = self.t_nodes
-        c1 = eng.cvec(t, shifted=True)
+        forced = None if self.forcing is None else self.forcing.fill(
+            self.conv, t)
+        c1 = TABLES.get((eng.key, "cvec", t.tobytes()),
+                        lambda: eng.cvec(t, shifted=True))
         at_beta = a * t ** self.params.beta
         u = (self.tau_x + np.multiply.outer(_call_on(self.phi, t) - self.phi0,
                                             self.ebx))
@@ -791,8 +827,8 @@ class _GridEvaluator:
         u += (a * b) * ((self.phi_conv() @ eng.jw["V3"]) @ self.ypx.T
                         * self.x_nodes)
         u[0] = self.tau_x
-        if self.forcing is not None:
-            u += self.forcing.fill(self.conv, t)
+        if forced is not None:
+            u += forced
         return u
 
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .cache import TABLES
 from .errors import InvalidData, InvalidParams, RegimeViolation
 from .fracops import PrabhakarParams, QuadPolicy, _fractional_rows
 from .goursat import (
@@ -37,6 +38,7 @@ from .goursat import (
     TraceSolution,
     _CORNER_TOL,
     _check_exponents,
+    _engine_key,
     _is_zero_forcing,
     goursat_grid,
 )
@@ -209,11 +211,16 @@ def compatibility_check(problem: ProblemN,
     data resolves to well below 1e-8; the caller decides what defect is
     acceptable.
     """
-    def level(cells):
+    def mesh(cells):
         nodes = graded_mesh(problem.domain.q, cells, 1.0).nodes
+        return nodes, _trapezoid_vec(nodes)
+
+    def level(cells):
+        nodes, weights = TABLES.get(
+            ("compat", float(problem.domain.q), cells), lambda: mesh(cells))
         m_vals = _call_on(problem.M, nodes)
         phi_vals = _call_on(problem.phi, nodes)
-        return float(_trapezoid_vec(nodes) @ (m_vals * phi_vals))
+        return float(weights @ (m_vals * phi_vals))
 
     coarse = level(2 * quad.n_points)
     fine = level(4 * quad.n_points)
@@ -236,7 +243,11 @@ def solve(problem: ProblemN, n_t: int = 64, n_x: int = 64,
     discretized on the solution x-grid itself, so tau lands on the grid
     nodes with no interpolation; its t-rules take max(n_x, 16) cells.
     The stages are the public ``assemble_system``, ``solve_tau`` and
-    ``goursat_grid``, on one ``TeleEngine`` and one forcing term.
+    ``goursat_grid``, on one ``TeleEngine`` and one forcing term.  The
+    engine comes from ``cache.TABLES``, keyed by (params, coeffs, q, p,
+    series), and the stages keep there what they build from it for the
+    grids; only the sampling of phi, psi, M and f runs again when one
+    operator is solved again, and the result is the same bit for bit.
     """
     if n_t < 2 or n_x < 2:
         raise InvalidParams(f"grid needs n_t, n_x >= 2, got ({n_t}, {n_x})")
@@ -249,8 +260,11 @@ def solve(problem: ProblemN, n_t: int = 64, n_x: int = 64,
     # one engine and one forcing xi-moment table serve the assembly and
     # the grid fill: both run on (q, p) and on the same x-grid
     domain = problem.domain
-    engine = TeleEngine(problem.params, problem.coeffs, domain.q, domain.p,
-                        series=series)
+    engine = TABLES.get(
+        _engine_key(problem.params, problem.coeffs, domain.q, domain.p,
+                    series),
+        lambda: TeleEngine(problem.params, problem.coeffs, domain.q,
+                           domain.p, series=series))
     x_grid = np.linspace(0.0, domain.p, n_x + 1)
     quad_x = replace(quad, n_points=n_x)
     forcing = None if _is_zero_forcing(problem.f_smooth) else ForcingTerm(

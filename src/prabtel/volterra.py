@@ -42,6 +42,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .cache import TABLES
 from .errors import (
     DegenerateNonlocal,
     InvalidData,
@@ -161,18 +162,25 @@ def _t_rules(engine: TeleEngine, M, domain: Domain2D,
 
     The 1-D t-integrals are cheap next to the grid evaluation, so they
     run on a finer mesh than quad.n_points to keep their error
-    subdominant.  The level's one shifted ``cvec`` call runs here.
+    subdominant.  The rules and the level's one shifted ``cvec`` call
+    depend on the engine, q and the cells alone, and are kept in
+    ``cache.TABLES``; M is sampled on every call.
     """
     cells = 4 * quad.n_points
-    nodes = graded_mesh(domain.q, cells, 1.0).nodes
-    flat = WeightedRule(nodes=nodes, weights=_trapezoid_vec(nodes))
+
+    def build():
+        nodes = graded_mesh(domain.q, cells, 1.0).nodes
+        flat = WeightedRule(nodes=nodes, weights=_trapezoid_vec(nodes))
+        beta = engine.params.beta
+        r = max(_GRADING, 1.0 / beta)
+        rule = build_rule(beta, graded_mesh(domain.q, cells, r))
+        return flat, rule, engine.cvec(rule.nodes, shifted=True)
+
+    flat, rule, c = TABLES.get(
+        (engine.key, "t_rules", float(domain.q), cells), build)
     m_flat = _sample_m(M, flat.nodes)
-    beta = engine.params.beta
-    r = max(_GRADING, 1.0 / beta)
-    rule = build_rule(beta, graded_mesh(domain.q, cells, r))
     mw = rule.weights * _sample_m(M, rule.nodes)
-    return _TRules(flat, m_flat, rule, mw,
-                   engine.cvec(rule.nodes, shifted=True) @ mw)
+    return _TRules(flat, m_flat, rule, mw, c @ mw)
 
 
 def _a_integrals(engine: TeleEngine, rules: _TRules) -> tuple:
@@ -228,7 +236,10 @@ def _g_values(engine: TeleEngine, rules: _TRules, M, phi, psi, forcing,
 
     ``rules`` are the t-rules of ``quad``; ``forcing`` is a ForcingTerm on
     x_arr, or None.  The phi and forcing double integrals share one
-    kernel matrix K over the outer nodes of ``quad.n_points`` cells.
+    kernel matrix K over the outer nodes of ``quad.n_points`` cells.  The
+    outer and inner rules, the lag table and the forcing's outer weights
+    depend on the engine, q, the cells and eps1 alone, and are kept in
+    ``cache.TABLES``; M, phi, psi and f are sampled on every call.
     """
     co, q = engine.coeffs, domain.q
     phi0 = float(phi(0.0))
@@ -249,10 +260,15 @@ def _g_values(engine: TeleEngine, rules: _TRules, M, phi, psi, forcing,
     # collapse onto the same K.  One lag table of the unit inner nodes
     # serves every v; M is sampled on blocks of (v, inner node) pairs.
     beta = engine.params.beta
-    r = max(_GRADING, 1.0 / beta)
-    outer = build_rule(beta, graded_mesh(q, quad.n_points, r))
-    inner = build_rule(beta - 1.0, graded_mesh(1.0, quad.n_points, r))
-    table = engine.lag_table(inner.nodes)
+
+    def build():
+        r = max(_GRADING, 1.0 / beta)
+        outer = build_rule(beta, graded_mesh(q, quad.n_points, r))
+        inner = build_rule(beta - 1.0, graded_mesh(1.0, quad.n_points, r))
+        return outer, inner, engine.lag_table(inner.nodes)
+
+    outer, inner, table = TABLES.get(
+        (engine.key, "lag_rules", float(q), quad.n_points), build)
     vs = outer.nodes
     kern = np.empty((vs.size, engine.m_cap))
     step = max(1, _CONV_CHUNK // inner.nodes.size)
@@ -272,7 +288,9 @@ def _g_values(engine: TeleEngine, rules: _TRules, M, phi, psi, forcing,
     # piecewise-quadratic weights keep the forcing's eta^-eps1 exact
     # (eta = 0 is a node) and their error far below that of K
     if forcing is not None:
-        wf = _forcing_weights(vs, beta, forcing.eps1)
+        wf = TABLES.get((engine.key, "forcing_weights", float(q),
+                         quad.n_points, forcing.eps1),
+                        lambda: _forcing_weights(vs, beta, forcing.eps1))
         out += forcing.q @ ((forcing._sample(q - vs).T * wf) @ kern).ravel()
     return out
 

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from prabtel.acceptance import cli_env
+from prabtel.cache import TABLES
 from prabtel.cli import main
 
 BASE_CONFIG = {
@@ -274,6 +275,7 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(problem, "compatibility_check", counted)
         monkeypatch.setattr(cli, "compatibility_check", counted, raising=False)
+        TABLES.clear()  # count a cold verify
         assert main(["verify", str(cfg), "u.csv"]) == 0
         assert len(calls) == 1
 

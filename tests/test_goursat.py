@@ -12,6 +12,7 @@ from scipy.special import gammaln
 import prabtel.goursat as goursat
 import prabtel.volterra as volterra
 from prabtel.acceptance import _smooth_problem
+from prabtel.cache import TABLES
 from prabtel.errors import (
     ArgumentOutOfRange,
     DomainError,
@@ -837,6 +838,7 @@ class TestLagTables:
         counts = []
         for n, points in ((16, 64), (32, 128)):
             calls.clear()
+            TABLES.clear()  # count a cold solve
             solve(prob, n_t=n, n_x=n, quad=QuadPolicy(n_points=points))
             counts.append(len(calls))
         assert counts[0] == counts[1]
@@ -860,6 +862,8 @@ class TestLagTables:
         counts = []
         for n_t in (16, 32):
             power_row_calls.clear()
+            # count a cold solve: the second would reuse the x-side tables
+            TABLES.clear()
             solve(prob, n_t=n_t, n_x=16, quad=QuadPolicy(n_points=64))
             counts.append(len(power_row_calls))
         assert counts[0] == counts[1]
@@ -871,6 +875,7 @@ class TestLagTables:
         counts = []
         for n in (32, 64):
             power_row_calls.clear()
+            TABLES.clear()  # count a cold assembly
             volterra.assemble_system(eng, prob.domain, prob.M, prob.phi,
                                      prob.psi, None, QuadPolicy(n_points=n),
                                      np.linspace(0.0, 1.0, 3))

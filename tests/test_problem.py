@@ -9,9 +9,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import prabtel.fracops as fracops
 import prabtel.goursat as goursat
 import prabtel.problem as problem_mod
 from prabtel.acceptance import cli_env
+from prabtel.cache import TABLES
 from prabtel.errors import InvalidData, InvalidParams, RegimeViolation
 from prabtel.fracops import (
     PrabhakarParams,
@@ -30,6 +32,7 @@ from prabtel.problem import (
     verify,
 )
 from prabtel.specfun import SeriesPolicy
+from prabtel.volterra import assemble_system, solve_tau
 
 PARAMS = PrabhakarParams(alpha=1.0, beta=0.5, gamma=0.5, delta=-1.0)
 COEFFS = TelegraphCoeffs(a=-1.0, b=-1.0)
@@ -231,6 +234,7 @@ class TestVerify:
 
         monkeypatch.setattr(problem, "compatibility_check", counted)
         prob = smooth_problem()
+        TABLES.clear()  # count a cold solve
         sol = solve(prob, n_t=16, n_x=16, quad=QUICK)
         report = verify(prob, sol, quad=QUICK)
         assert len(calls) == 1
@@ -388,6 +392,7 @@ class TestSharedSetup:
 
         monkeypatch.setattr(goursat.TeleEngine, "__init__", counted_init)
         monkeypatch.setattr(goursat, "_xi_moments", counted_xi)
+        TABLES.clear()  # count a cold solve
         solve(smooth_problem(), n_t=16, n_x=16, quad=QUICK)
         assert counts == {"engine": 1, "xi": 1}
 
@@ -402,6 +407,7 @@ class TestSharedSetup:
                 counts[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(problem_mod, name, counted)
+        TABLES.clear()  # count a cold solve
         solve(smooth_problem(), n_t=16, n_x=16, quad=QUICK)
         assert counts == dict.fromkeys(counts, 1)
 
@@ -467,3 +473,138 @@ class TestSharedSetup:
                                 env=cli_env(), timeout=300)
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["[]", "[]"]
+
+
+def _counted(fn, counts, name):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def _count_builds(monkeypatch, counts):
+    """Count engine builds, xi-moment tables and slope-weight moments."""
+    for owner, attr, name in ((goursat.TeleEngine, "__init__", "engine"),
+                              (goursat, "_xi_moments", "xi"),
+                              (fracops, "kernel_cell_moments", "moments")):
+        monkeypatch.setattr(owner, attr,
+                            _counted(getattr(owner, attr), counts, name))
+
+
+def _run(prob, n_t, n_x, quad):
+    sol = solve(prob, n_t=n_t, n_x=n_x, quad=quad)
+    report = verify(prob, sol, quad)
+    return sol, report
+
+
+def _assert_same_run(got, want):
+    (sol, report), (sol_w, report_w) = got, want
+    assert np.array_equal(sol.u, sol_w.u)
+    assert np.array_equal(sol.tau.tau, sol_w.tau.tau)
+    assert sol.diagnostics == sol_w.diagnostics
+    assert report.as_dict() == report_w.as_dict()
+
+
+class TestWarmSolve:
+    """A second solve of one operator reads the engine and the grid tables
+    that the first one kept, and returns the cold numbers bit for bit."""
+
+    @pytest.mark.parametrize("forcing, eps, n_t, n_x, points", [
+        (False, (0.0, 0.0), 16, 16, 64),
+        (True, (0.0, 0.0), 16, 16, 64),
+        (True, (0.25, 0.5), 16, 16, 64),
+        (False, (0.0, 0.0), 5, 7, 64),  # a non-dyadic x step
+        (True, (0.0, 0.0), 5, 7, 64)])
+    def test_warm_solve_equals_cold(self, forcing, eps, n_t, n_x, points,
+                                    monkeypatch):
+        counts = dict.fromkeys(("phi", "psi", "M", "f", "engine", "xi",
+                                "moments"), 0)
+        base = smooth_problem(forcing=forcing)
+        fields = {"phi": "phi", "psi": "psi", "M": "M", "f_smooth": "f"}
+        prob = replace(base, eps1=eps[0], eps2=eps[1], **{
+            field: _counted(getattr(base, field), counts, name)
+            for field, name in fields.items()
+            if getattr(base, field) is not None})
+        quad = QuadPolicy(n_points=points)
+        TABLES.clear()
+        counts.update(dict.fromkeys(counts, 0))
+        cold = _run(prob, n_t, n_x, quad)
+        cold_counts = dict(counts)
+        _count_builds(monkeypatch, counts)
+        counts.update(dict.fromkeys(counts, 0))
+        warm = _run(prob, n_t, n_x, quad)
+        _assert_same_run(warm, cold)
+        # each data callable as often as cold, and nothing built
+        assert counts == dict(cold_counts, engine=0, xi=0, moments=0)
+
+    @pytest.mark.parametrize("n", [32, 6])
+    def test_stages_on_a_rounded_grid_after_a_warm_solve(self, n):
+        # np.round(linspace, 10) passes the lattice check of linspace; at
+        # n = 6 (not at 32, a dyadic step) it has other node values, which
+        # get tables of their own
+        prob = smooth_problem()
+        quad = QuadPolicy(n_points=128)
+        rounded = np.round(np.linspace(0.0, 1.0, n + 1), 10)
+
+        def stages():
+            engine = goursat.TeleEngine(prob.params, prob.coeffs, 1.0, 1.0)
+            forcing = goursat.ForcingTerm(engine, prob.f_smooth, 0.0, 0.0,
+                                          rounded)
+            system = assemble_system(engine, prob.domain, prob.M, prob.phi,
+                                     prob.psi, forcing,
+                                     QuadPolicy(n_points=n), rounded)
+            u = goursat.goursat_grid(engine, solve_tau(system), prob.phi,
+                                     forcing, rounded, rounded, quad,
+                                     corner_tol=1e-4)
+            return u, _fractional_rows(prob.params, rounded, u,
+                                       SeriesPolicy())
+
+        for _ in range(2):
+            _run(prob, n, n, quad)
+        got = stages()
+        TABLES.clear()
+        want = stages()
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("change", [
+        {"coeffs": TelegraphCoeffs(-0.25, -0.75)},
+        {"domain": Domain2D(1.0, 0.8)},
+        {"eps2": 0.5}])
+    def test_another_operator_after_a_warm_solve(self, change):
+        base = replace(smooth_problem(), eps2=0.25)
+        other = replace(base, **change)
+        quad = QuadPolicy(n_points=64)
+        for _ in range(2):
+            _run(base, 16, 16, quad)
+        got = _run(other, 16, 16, quad)
+        TABLES.clear()
+        _assert_same_run(got, _run(other, 16, 16, quad))
+
+    def test_kept_arrays_are_read_only(self):
+        prob = smooth_problem()
+        sol = solve(prob, n_t=16, n_x=16, quad=QUICK)
+        engine = TABLES.get(
+            goursat._engine_key(prob.params, prob.coeffs, 1.0, 1.0,
+                                SeriesPolicy()), pytest.fail)
+        conv = goursat._EtaConv(engine, 1.0, 64)
+        forcing = goursat.ForcingTerm(engine, prob.f_smooth, 0.0, 0.0,
+                                      sol.x_grid)
+        for table in (engine.kt["base"], engine.jw["V4"], conv.inner,
+                      conv.left, engine.ypowers(sol.x_grid), forcing.q):
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+
+    def test_a_table_above_the_budget_is_dropped(self, monkeypatch):
+        # the 33 x 33 x m_cap xi table of a forced 32 x 32 solve is 209 kB,
+        # and every other table of the solve fits in the budget beside it
+        counts = dict.fromkeys(("engine", "xi", "moments"), 0)
+        _count_builds(monkeypatch, counts)
+        monkeypatch.setattr(TABLES, "budget", 200_000)
+        TABLES.clear()
+        prob = smooth_problem()
+        cold = _run(prob, 32, 32, QUICK)
+        assert 0 < TABLES.nbytes <= TABLES.budget
+        warm = _run(prob, 32, 32, QUICK)
+        assert TABLES.nbytes <= TABLES.budget
+        assert counts == {"engine": 1, "xi": 2, "moments": 1}
+        _assert_same_run(warm, cold)

@@ -13,6 +13,7 @@ from prabtel.errors import (
     SingularStep,
 )
 from prabtel.acceptance import _smooth_problem
+from prabtel.cache import TABLES
 from prabtel.fracops import PrabhakarParams, QuadPolicy
 from prabtel.goursat import (
     Domain2D,
@@ -348,6 +349,7 @@ class TestShiftedPass:
 
         monkeypatch.setattr(TeleEngine, "cvec", counted)
         prob = _smooth_problem(forcing=True)
+        TABLES.clear()  # count a cold assembly
         assemble(prob.params, prob.coeffs, prob.domain, prob.M, prob.phi,
                  prob.psi, prob.f_smooth, quad=QuadPolicy(n_points=32))
         # the fine and the coarse level; the base family runs on lag tables
