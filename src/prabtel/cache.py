@@ -22,6 +22,13 @@ import numpy as np
 _BUDGET = 32 * 2 ** 20
 
 
+def exact_key(*inputs) -> str:
+    """A key of build inputs, exactly: their ``repr``, so that equal
+    numbers of another type or sign (1 and 1.0, 0.0 and -0.0) get keys of
+    their own."""
+    return repr(inputs)
+
+
 def _arrays(value) -> list:
     """Every ndarray in a table: the value itself, the items of a tuple,
     or the array and dict-of-array attributes of an object (an engine, a

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .cache import TABLES
+from .cache import TABLES, exact_key
 from .errors import DomainError, InvalidParams, NonConvergence, QuadratureFailure
 from .quadrature import _call_on, graded_mesh
 from .specfun import _CONSECUTIVE_SMALL, SeriesPolicy, rgamma
@@ -255,7 +255,7 @@ def _fractional_rows(params: PrabhakarParams, t_grid: np.ndarray,
     out = np.zeros_like(u)
     n = t_grid.size - 1
     w_all = TABLES.get(
-        (repr((params, series)), "slope",
+        (exact_key(params, series), "slope",
          np.asarray(t_grid, dtype=float).tobytes()),
         lambda: _slope_weights(params, t_grid, series))
     padded = np.concatenate((w_all[::-1], np.zeros(n - 1)))

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .cache import TABLES
+from .cache import TABLES, exact_key
 from .errors import (
     ArgumentOutOfRange,
     DomainError,
@@ -213,13 +213,6 @@ def _power_rows(r: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def _engine_key(params: PrabhakarParams, coeffs: TelegraphCoeffs,
-                t_max: float, x_max: float, series: SeriesPolicy) -> str:
-    """The inputs of a ``TeleEngine``, exactly: equal floats of another
-    type or sign (1 and 1.0, 0.0 and -0.0) get keys of their own."""
-    return repr((params, coeffs, t_max, x_max, series))
-
-
 class TeleEngine:
     """Shared series core for one (params, coeffs, t_max, x_max) context.
 
@@ -249,10 +242,10 @@ class TeleEngine:
     of the majorant (the entrywise maximum over the families).  With
     alpha > 0, the beta and gamma checks make every packing convergent.
 
-    ``key`` names the inputs exactly (``_engine_key``).  ``solve`` takes
-    its engine from ``cache.TABLES`` under that key, and the tables built
-    from an engine for a grid are kept there under it too, so repeated
-    solves of one operator in one process build neither again.
+    ``key`` names the inputs exactly (``cache.exact_key``).  ``solve``
+    takes its engine from ``cache.TABLES`` under that key, and the tables
+    built from an engine for a grid are kept there under it too, so
+    repeated solves of one operator in one process build neither again.
     """
 
     def __init__(self, params: PrabhakarParams, coeffs: TelegraphCoeffs,
@@ -266,7 +259,7 @@ class TeleEngine:
                 f"representation requires gamma > 0, got {params.gamma}")
         self.params = params
         self.coeffs = coeffs
-        self.key = _engine_key(params, coeffs, t_max, x_max, series)
+        self.key = exact_key(params, coeffs, t_max, x_max, series)
         self.t_ref = max(float(t_max), 1e-300)
         self.x_ref = max(float(x_max), 1e-300)
         self.x_scale = abs(coeffs.a) * self.t_ref ** params.beta

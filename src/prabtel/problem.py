@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cache import TABLES
+from .cache import TABLES, exact_key
 from .errors import InvalidData, InvalidParams, RegimeViolation
 from .fracops import PrabhakarParams, QuadPolicy, _fractional_rows
 from .goursat import (
@@ -38,7 +38,6 @@ from .goursat import (
     TraceSolution,
     _CORNER_TOL,
     _check_exponents,
-    _engine_key,
     _is_zero_forcing,
     goursat_grid,
 )
@@ -261,8 +260,8 @@ def solve(problem: ProblemN, n_t: int = 64, n_x: int = 64,
     # the grid fill: both run on (q, p) and on the same x-grid
     domain = problem.domain
     engine = TABLES.get(
-        _engine_key(problem.params, problem.coeffs, domain.q, domain.p,
-                    series),
+        exact_key(problem.params, problem.coeffs, domain.q, domain.p,
+                  series),
         lambda: TeleEngine(problem.params, problem.coeffs, domain.q,
                            domain.p, series=series))
     x_grid = np.linspace(0.0, domain.p, n_x + 1)

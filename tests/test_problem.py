@@ -13,7 +13,7 @@ import prabtel.fracops as fracops
 import prabtel.goursat as goursat
 import prabtel.problem as problem_mod
 from prabtel.acceptance import cli_env
-from prabtel.cache import TABLES
+from prabtel.cache import TABLES, exact_key
 from prabtel.errors import InvalidData, InvalidParams, RegimeViolation
 from prabtel.fracops import (
     PrabhakarParams,
@@ -584,8 +584,8 @@ class TestWarmSolve:
         prob = smooth_problem()
         sol = solve(prob, n_t=16, n_x=16, quad=QUICK)
         engine = TABLES.get(
-            goursat._engine_key(prob.params, prob.coeffs, 1.0, 1.0,
-                                SeriesPolicy()), pytest.fail)
+            exact_key(prob.params, prob.coeffs, 1.0, 1.0, SeriesPolicy()),
+            pytest.fail)
         conv = goursat._EtaConv(engine, 1.0, 64)
         forcing = goursat.ForcingTerm(engine, prob.f_smooth, 0.0, 0.0,
                                       sol.x_grid)
