@@ -7,9 +7,9 @@ slope weights) do not depend on phi, psi, M or f.  ``TABLES`` keeps them
 under exact keys, the inputs of the build or the node values, so that a
 second solve of one operator builds none of them again and returns the
 same numbers bit for bit.  Everything that samples the data runs on every
-solve.  Stored arrays are read-only.  The cache holds at most
-``_BUDGET`` bytes, dropping the least recently used tables first; a table
-larger than that is built, used and dropped as if there were no cache.
+solve.  Every table it hands out has read-only arrays.  The cache holds
+at most ``_BUDGET`` bytes, dropping the least recently used tables first;
+a table larger than that is built, made read-only, used and dropped.
 """
 
 from __future__ import annotations

@@ -311,13 +311,13 @@ def _apply_overrides(cfg: dict, args) -> None:
         cfg["n_t"] = args.n_t
     if args.n_x is not None:
         cfg["n_x"] = args.n_x
-    if args.mode is not None:
-        cfg["strict"] = args.mode == "strict"
 
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
+    if args.mode is not None:
+        cfg["strict"] = args.mode == "strict"
     if args.u_csv is not None:
         cfg["u_csv"] = args.u_csv
     if args.tau_csv is not None:
@@ -430,12 +430,12 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="override grid.n_t from the config")
         sub.add_argument("--n-x", type=int, default=None,
                          help="override grid.n_x from the config")
-        sub.add_argument("--mode", choices=("strict", "relaxed"), default=None,
-                         help="override the config mode")
 
     sv = subs.add_parser("solve", help="solve the problem from a JSON config")
     sv.add_argument("config", help="path to the run config")
     add_grid_overrides(sv)
+    sv.add_argument("--mode", choices=("strict", "relaxed"), default=None,
+                    help="override the config mode")
     sv.add_argument("--u-csv", default=None, help="solution table path")
     sv.add_argument("--tau-csv", default=None, help="trace table path")
     sv.add_argument("--plot", default=None, metavar="SVG",

@@ -31,11 +31,13 @@ lattice from 0 that ``solve`` builds (``quadrature._is_lattice``).  Its
 phi and forcing convolutions share one eta-mesh (``_EtaConv``) of
 ``quad.n_points`` cells, rounded up to a multiple of n_t, so every time
 row is a mesh node: the data are sampled once, and the rows read the
-lags of the row t_max (the phi rows a block at a time, ``hankel``).  The
-trace assembly, which ``solve`` runs on n_x points, samples its kernels
-at lags t u of a unit rule u (``TeleEngine.lag_table``, ``lag_conv``)
-and folds the forcing's double integral onto the kernel of its phi
-term, with one sample of f per level (``volterra._g_values``).
+lags of the row t_max.  On a lattice the phi rows and the tau
+convolution are Toeplitz products with the weights of the last node,
+a block of rows at a time (``_toeplitz_rows``).  The trace assembly,
+which ``solve`` runs on n_x points, samples its kernels at lags t u of
+a unit rule u (``TeleEngine.lag_table``, ``lag_conv``) and folds the
+forcing's double integral onto the kernel of its phi term, with one
+sample of f per level (``volterra._g_values``).
 
 Accuracy envelope: the tensors are exponentiated log-gamma ratios in
 float64 (``math.lgamma`` tables, see ``TeleEngine``).  For X = a t^beta < 0
@@ -78,7 +80,8 @@ _VARIANTS = ("V1", "V2", "V3", "V4")
 
 # floats (128 KB) per temporary of a batched time convolution: the data
 # block a caller samples (M in the trace assembly), the product block of
-# ``TeleEngine.lag_conv``, and a block of ``_EtaConv`` rows
+# ``TeleEngine.lag_conv``, and a block of ``_EtaConv`` or
+# ``_toeplitz_rows`` rows
 _CONV_CHUNK = 16384
 
 # the 4-point Gauss-Legendre rule on [0, 1] of each inner cell of the
@@ -378,46 +381,6 @@ def _shift_matrix(count: int, h: float) -> np.ndarray:
     return binom * _power_rows(np.array([h]), count)[gap, 0]
 
 
-def _shift_sweep(mesh: np.ndarray, x_ref: float, run: np.ndarray, cells):
-    """Yield the moments in w = (x_p - xi)/x_ref at each node x_p of a
-    uniform mesh from 0: those at node p times B(h_p), h_p = (x_(p+1) -
-    x_p)/x_ref, plus the new cell, whose moments ``cells(c, x)`` (c.size,
-    rows, count) go to rows p.. of ``run`` (one row per hat) or to its
-    only row.  B >= 0, so on a nonnegative weight the sums cancel nothing.
-    One B per distinct float step (a few; one if dyadic): one B(h) for
-    all would shift old cells off their nodes by up to p ulps."""
-    steps, which = np.unique(np.diff(mesh) / x_ref, return_inverse=True)
-    shifts = [_shift_matrix(run.shape[1], h) for h in steps.tolist()]
-    full = cells(np.arange(mesh.size - 1), mesh[1:])
-    hats = run.shape[0] > 1
-    yield run[:1]
-    for p in range(mesh.size - 1):
-        run[:p + 1] = run[:p + 1] @ shifts[which[p]]
-        run[hats * p:p + 2] += full[p]
-        yield run[:p + 2]
-
-
-def _trace_moments(trace: TraceSolution, j_cap: int, x_ref: float,
-                   sign_b: float) -> np.ndarray:
-    """mom[i, j] = int_0^{x_i} tau(xi) (sign_b (x_i - xi)/x_ref)^j dxi at
-    the nodes of the trace's grid: ``_shift_sweep`` with one running row,
-    a cell adding its moments in closed form, as tau is linear on it."""
-    gx, gv = trace.x_grid, trace.tau
-    slope = np.diff(gv) / np.diff(gx) * x_ref
-    jj = np.arange(j_cap, dtype=float)[:, None]
-
-    def cells(c, x):
-        w = (x - gx[c]) / x_ref
-        pw = _power_rows(w, j_cap + 2)
-        return (pw[1:-1] * (gv[c] + slope[c] * w) / (jj + 1.0)
-                - pw[2:] * slope[c] / (jj + 2.0)).T[:, None]
-
-    mom = np.array([rows[0].copy() for rows in _shift_sweep(
-        gx, x_ref, np.zeros((1, j_cap)), cells)])
-    mom *= x_ref * sign_b ** jj.T
-    return mom
-
-
 def _is_zero_forcing(f) -> bool:
     return f is None or bool(getattr(f, "is_zero", False))
 
@@ -454,6 +417,64 @@ def _gauss_jacobi(n: int, beta: float) -> tuple:
     return nodes, weights
 
 
+def _hat_moments(mesh: np.ndarray, j_cap: int, x_ref: float,
+                 sign_b: float) -> tuple:
+    """(left, inner), each (mesh.size - 1, j_cap): the moments in
+    (sign_b (x_n - xi)/x_ref)^j of the hats of the last node x_n of a
+    uniform mesh from 0, in the layout of ``_toeplitz_rows``: left[c] the
+    left hat of cell c, inner[c] the hat of node c + 1 on [0, x_n].
+
+    In v = (x_(c+1) - xi)/x_ref every cell, of the mean step s = x_n /
+    (n x_ref), has the hat moments x_ref s^(l+1) / (l+2) (left) and
+    x_ref s^(l+1) / ((l+1)(l+2)) (right) in closed form, and its moments
+    in w_c + v, w_c = (x_n - x_(c+1))/x_ref, are sum_l C(j, l) w_c^(j-l)
+    times those: one product with the binomial table for all cells, of
+    nonnegative terms.  No quadrature rule runs, so an unforced solve
+    needs no eigensolver (``_gauss_jacobi``).
+    """
+    binom, gap = _pascal(j_cap)
+    j = np.arange(j_cap)
+    step = mesh[-1] / (mesh.size - 1) / x_ref
+    own = x_ref * step ** (j + 1.0) / (j + 2.0)
+    pw = _power_rows((mesh[-1] - mesh[1:]) / x_ref, j_cap).T
+    left, inner = (pw @ (binom * hat[gap]) * sign_b ** j
+                   for hat in (own, own / (j + 1.0)))
+    inner[:-1] += left[1:]
+    return left, inner
+
+
+def _toeplitz_rows(samples: np.ndarray, left: np.ndarray, inner: np.ndarray,
+                   k: np.ndarray) -> np.ndarray:
+    """Rows k (whole, 1 <= k <= n) of a lattice convolution of one column
+    of samples on the nodes 0..n, shape (k.size, inner.shape[1]), from the
+    weights (left, inner) of the row n.
+
+    Row k weighs samples[j] by inner[n - k + j - 1] for j >= 1, and
+    samples[0] by left[n - k].  After n zeros the samples 1..n read as a
+    Hankel matrix, whose row k meets ``inner`` at those indices, so a
+    ``_CONV_CHUNK`` block of rows is one gather and one matrix product.
+    """
+    n = len(inner)
+    windows = sliding_window_view(
+        np.concatenate((np.zeros(n), samples[1:])), n)
+    out = np.empty((k.size, inner.shape[1]))
+    step = max(1, _CONV_CHUNK // n)
+    for lo in range(0, k.size, step):
+        rows = k[lo:lo + step]
+        out[lo:lo + step] = windows[rows] @ inner + samples[0] * left[n - rows]
+    return out
+
+
+def _trace_moments(trace: TraceSolution, hats: tuple) -> np.ndarray:
+    """mom[i, j] = int_0^{x_i} tau(xi) (sign_b (x_i - xi)/x_ref)^j dxi at
+    the nodes of the trace's grid, uniform from 0, from the
+    ``_hat_moments`` of that grid: tau is linear between the nodes, and
+    the moments of a hat depend on its lag from x_i alone."""
+    mom = np.zeros((trace.tau.size, hats[1].shape[1]))
+    mom[1:] = _toeplitz_rows(trace.tau, *hats, np.arange(1, trace.tau.size))
+    return mom
+
+
 def _xi_moments(mesh: np.ndarray, eps2: float, jw: np.ndarray,
                 x_ref: float, sign_b: float) -> np.ndarray:
     """Q[i, k, m] = sum_j jw[m, j] int_0^{x_i} xi^-eps2 hat_k(xi) y_i(xi)^j
@@ -465,8 +486,13 @@ def _xi_moments(mesh: np.ndarray, eps2: float, jw: np.ndarray,
     past node i: twice the memory of a packed layout, but no gather in
     any contraction.  Per cell, Gauss-Jacobi (weight xi^-eps2, the cell
     at 0) or Gauss-Legendre with j_cap // 2 + 2 points is exact for the
-    polynomial factor.  ``_shift_sweep`` runs with one row per hat.  Rows
-    are folded with sign_b^j jw as they are written.
+    polynomial factor.  The moments in w = (x_p - xi)/x_ref at node p
+    times the shift matrix B(h_p), h_p = (x_(p+1) - x_p)/x_ref, are those
+    at node p + 1, to which the new cell adds its own.  B >= 0, so on a
+    nonnegative weight the sums cancel nothing.  One B per distinct float
+    step (a few; one if dyadic): one B(h) for all would shift old cells
+    off their nodes by up to p ulps.  Rows are folded with sign_b^j jw as
+    they are written.
     """
     m_cap, j_cap = jw.shape
     n_gauss = j_cap // 2 + 2
@@ -487,11 +513,16 @@ def _xi_moments(mesh: np.ndarray, eps2: float, jw: np.ndarray,
         return (np.stack((w - right, right), axis=1)
                 @ ypow.T.reshape(c.size, n_gauss, j_cap))
 
+    steps, which = np.unique(np.diff(mesh) / x_ref, return_inverse=True)
+    shifts = [_shift_matrix(j_cap, h) for h in steps.tolist()]
+    full = cells(np.arange(mesh.size - 1), mesh[1:])
     fold = (sign_b ** np.arange(j_cap))[:, None] * jw.T
     q = np.zeros((mesh.size, mesh.size, m_cap))
     run = np.zeros((mesh.size, j_cap))
-    for i, rows in enumerate(_shift_sweep(mesh, x_ref, run, cells)):
-        np.matmul(rows, fold, out=q[i, :len(rows)])
+    for p in range(mesh.size - 1):
+        run[:p + 1] = run[:p + 1] @ shifts[which[p]]
+        run[p:p + 2] += full[p]
+        np.matmul(run[:p + 2], fold, out=q[p + 1, :p + 2])
     return q.reshape(mesh.size, -1)
 
 
@@ -505,9 +536,9 @@ class _EtaConv:
     With eps1 = 0 a row weighs eta_j by its lag k - j alone (Toeplitz),
     so it reads the weights of the row t_max shifted by cells - k nodes:
     eta_1 .. eta_k take the contiguous ``inner[cells - k:]``, eta_0 the
-    left hat of cell cells - k (``hankel`` takes a block of such rows of
-    one column of samples at once).  With eps1 > 0 each row takes its own
-    ``_cells``, whose inner cells read the kernel of the row t_max
+    left hat of cell cells - k (``_toeplitz_rows`` takes a block of such
+    rows of one column of samples at once).  With eps1 > 0 each row takes
+    its own ``_cells``, whose inner cells read the kernel of the row t_max
     (``_lags``).  In every row the two cells at the lag end, where
     s^(beta-1) is nearly singular, and for eps1 > 0 the first cell take
     rules of their own (``_ends``).  The weights of the row t_max and
@@ -529,7 +560,7 @@ class _EtaConv:
 
     def _toeplitz(self) -> tuple:
         """(left, inner): the left hats of the row t_max, and its right
-        hats plus the left hats of the next cells (``hankel``)."""
+        hats plus the left hats of the next cells (``_toeplitz_rows``)."""
         left, inner = self._cells(self.t_max, 0.0)
         inner[:-1] += left[1:]
         return left, inner
@@ -644,27 +675,6 @@ class _EtaConv:
         """The node k of each row t = k h, as integers."""
         return np.rint(times / self.h).astype(int)
 
-    def hankel(self, samples: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """Rows t = k h of the Toeplitz table (k whole, 1 <= k <= cells)
-        for one column of samples on ``etas``, shape (k.size, m_cap).
-
-        Row k weighs samples[j] by inner[cells - k + j - 1] for j >= 1,
-        and samples[0] by left[cells - k].  After cells zeros the samples
-        1..cells read as a Hankel matrix, whose row k meets ``inner`` at
-        those indices, so a ``_CONV_CHUNK`` block of rows is one gather and
-        one matrix product.
-        """
-        n = self.cells
-        windows = sliding_window_view(
-            np.concatenate((np.zeros(n), samples[1:])), n)
-        out = np.empty((k.size, self.engine.m_cap))
-        step = max(1, _CONV_CHUNK // n)
-        for lo in range(0, k.size, step):
-            rows = k[lo:lo + step]
-            out[lo:lo + step] = (windows[rows] @ self.inner
-                                 + samples[0] * self.left[n - rows])
-        return out
-
     def apply(self, samples: np.ndarray, times: np.ndarray,
               eps1: float = 0.0):
         """Yield (rows, G) per block of times on the mesh, G[i] = sum_j
@@ -759,72 +769,6 @@ def _check_forcing(forcing, engine: TeleEngine, x_nodes: np.ndarray):
         raise InvalidData("forcing term belongs to another engine or x-grid")
 
 
-class _GridEvaluator:
-    """One grid evaluation: engine, trace moments, and one eta-mesh.
-
-    The arguments are those ``goursat_grid`` checked.  The phi and forcing
-    convolutions share one ``_EtaConv`` on [0, t_nodes[-1]] of
-    quad.n_points cells, rounded up to a multiple of the n_t t-cells.
-    """
-
-    def __init__(self, engine: TeleEngine, tau: TraceSolution, phi, forcing,
-                 t_nodes: np.ndarray, x_nodes: np.ndarray,
-                 quad: QuadPolicy, corner_tol: float = _CORNER_TOL):
-        self.t_nodes, self.x_nodes = t_nodes, x_nodes
-        self.engine, self.phi, self.forcing = engine, phi, forcing
-        self.params, self.coeffs = engine.params, engine.coeffs
-        self.phi0, self.tau_x = float(phi(0.0)), tau.tau
-        if abs(self.phi0 - self.tau_x[0]) > corner_tol:
-            raise InvalidData(
-                f"corner mismatch |phi(0) - tau(0)| = "
-                f"{abs(self.phi0 - self.tau_x[0]):.3g} exceeds {corner_tol}")
-        self.ebx = np.exp(self.coeffs.b * self.x_nodes)
-        self.ypx = engine.ypowers(self.x_nodes)
-        self.mom = _trace_moments(tau, engine.j_cap, engine.x_ref,
-                                  engine._sign_b)
-        n_t = t_nodes.size - 1
-        self.conv = _EtaConv(engine, float(t_nodes[-1]),
-                             n_t * -(-quad.n_points // n_t))
-
-    def phi_conv(self) -> np.ndarray:
-        """c[i, m] = int_0^t_i s^(beta-1) phi(t_i - s) c(m; s) ds, from one
-        call of phi on the eta-mesh and one ``_EtaConv.hankel``."""
-        out = np.zeros((self.t_nodes.size, self.engine.m_cap))
-        phi = _call_on(self.phi, self.conv.etas)
-        out[1:] = self.conv.hankel(phi, self.conv.index(self.t_nodes[1:]))
-        return out
-
-    def evaluate(self) -> np.ndarray:
-        """u on the grid, one row per t node.
-
-        The terms that sample no data under an integral (phi(t), E2, the
-        V1 and V2 instances) come from one coefficient matrix of all t
-        nodes, the phi and forcing convolutions from the eta-mesh
-        (``phi_conv``, ``ForcingTerm.fill``).  The forcing is filled
-        first: its samples of f are the largest temporary of the fill, and
-        u does not exist yet beside them.
-        """
-        eng, a, b = self.engine, self.coeffs.a, self.coeffs.b
-        t = self.t_nodes
-        forced = None if self.forcing is None else self.forcing.fill(
-            self.conv, t)
-        c1 = TABLES.get((eng.key, "cvec", t.tobytes()),
-                        lambda: eng.cvec(t, shifted=True))
-        at_beta = a * t ** self.params.beta
-        u = (self.tau_x + np.multiply.outer(_call_on(self.phi, t) - self.phi0,
-                                            self.ebx))
-        u += np.multiply.outer(at_beta * c1.sum(axis=0), self.tau_x)
-        u -= ((self.phi0 * at_beta)[:, None]
-              * (self.ypx @ (eng.jw["V1"].T @ c1)).T)
-        u += (b * at_beta)[:, None] * (self.mom @ (eng.jw["V2"].T @ c1)).T
-        u += (a * b) * ((self.phi_conv() @ eng.jw["V3"]) @ self.ypx.T
-                        * self.x_nodes)
-        u[0] = self.tau_x
-        if forced is not None:
-            u += forced
-        return u
-
-
 def goursat_grid(engine: TeleEngine, tau, phi, forcing, t_nodes, x_nodes,
                  quad: QuadPolicy = QuadPolicy(),
                  corner_tol: float = _CORNER_TOL) -> np.ndarray:
@@ -836,6 +780,15 @@ def goursat_grid(engine: TeleEngine, tau, phi, forcing, t_nodes, x_nodes,
     ForcingTerm of this engine on x_nodes, or None.  The trace and
     boundary data must agree at the corner within corner_tol (a solved
     trace carries its assembly noise there).  Returns u[i, j] = u(t_i, x_j).
+
+    The terms that sample no data under an integral (phi(t), E2, the V1
+    and V2 instances) come from one coefficient matrix of all t nodes,
+    the tau convolution from the trace moments (``_trace_moments``).  The
+    phi and forcing convolutions share one ``_EtaConv`` on [0, t_max] of
+    quad.n_points cells, rounded up to a multiple of the n_t t-cells: the
+    phi rows are one ``_toeplitz_rows``, the forcing ``ForcingTerm.fill``.
+    The forcing is filled first: its samples of f are the largest
+    temporary of the fill, and u does not exist yet beside them.
     """
     t_nodes = _lattice("t_nodes", t_nodes, engine.t_ref)
     x_nodes = _lattice("x_nodes", x_nodes, engine.x_ref)
@@ -843,5 +796,34 @@ def goursat_grid(engine: TeleEngine, tau, phi, forcing, t_nodes, x_nodes,
             and np.array_equal(tau.x_grid, x_nodes)):
         raise DomainError("tau must be a TraceSolution on x_nodes")
     _check_forcing(forcing, engine, x_nodes)
-    return _GridEvaluator(engine, tau, phi, forcing, t_nodes, x_nodes, quad,
-                          corner_tol).evaluate()
+    phi0, tau_x = float(phi(0.0)), tau.tau
+    if abs(phi0 - tau_x[0]) > corner_tol:
+        raise InvalidData(
+            f"corner mismatch |phi(0) - tau(0)| = "
+            f"{abs(phi0 - tau_x[0]):.3g} exceeds {corner_tol}")
+    n_t = t_nodes.size - 1
+    conv = _EtaConv(engine, float(t_nodes[-1]),
+                    n_t * -(-quad.n_points // n_t))
+    forced = None if forcing is None else forcing.fill(conv, t_nodes)
+    a, b = engine.coeffs.a, engine.coeffs.b
+    c1 = TABLES.get((engine.key, "cvec", t_nodes.tobytes()),
+                    lambda: engine.cvec(t_nodes, shifted=True))
+    ypx = engine.ypowers(x_nodes)
+    mom = _trace_moments(tau, TABLES.get(
+        (engine.key, "hats", x_nodes.tobytes()),
+        lambda: _hat_moments(x_nodes, engine.j_cap, engine.x_ref,
+                             engine._sign_b)))
+    phi_rows = np.zeros((t_nodes.size, engine.m_cap))
+    phi_rows[1:] = _toeplitz_rows(_call_on(phi, conv.etas), conv.left,
+                                  conv.inner, conv.index(t_nodes[1:]))
+    at_beta = a * t_nodes ** engine.params.beta
+    u = tau_x + np.multiply.outer(_call_on(phi, t_nodes) - phi0,
+                                  np.exp(b * x_nodes))
+    u += np.multiply.outer(at_beta * c1.sum(axis=0), tau_x)
+    u -= (phi0 * at_beta)[:, None] * (ypx @ (engine.jw["V1"].T @ c1)).T
+    u += (b * at_beta)[:, None] * (mom @ (engine.jw["V2"].T @ c1)).T
+    u += (a * b) * ((phi_rows @ engine.jw["V3"]) @ ypx.T * x_nodes)
+    u[0] = tau_x
+    if forced is not None:
+        u += forced
+    return u

@@ -80,6 +80,13 @@ class SeriesPolicy:
     - max_terms_per_index: the largest cap of any index; a tail still above
       the limit at this cap raises NonConvergence.
 
+    Both fields also truncate the kernel series of
+    ``fracops.kernel_cell_moments``: it stops once ``_CONSECUTIVE_SMALL``
+    terms in a row are below rel_tol of the moments, and raises
+    NonConvergence after max_terms_per_index terms.  Those moments are
+    verify's slope weights (``fracops._slope_weights``,
+    ``_fractional_rows``), so both fields move the ``pde`` residual.
+
     A cap stops doubling once the last ``_CONSECUTIVE_SMALL`` rows of its
     index carry mass below the limit, in the values and in the engine
     alike.

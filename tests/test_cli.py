@@ -305,6 +305,18 @@ class TestVerifyCommand:
         assert main(["solve", str(cfg)]) == 0
         assert main(["verify", str(cfg), "u.csv", "--n-t", "4"]) == 2
 
+    def test_mode_flag_is_a_usage_error(self, workdir, capsys):
+        # the regime mode reaches solve only; verify rejects the flag
+        cfg = write_config(workdir / "run.json")
+        assert main(["solve", str(cfg)]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(cfg), "u.csv", "--mode", "relaxed"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "unrecognized arguments: --mode relaxed" in err
+
     def test_non_numeric_cell_exits_2(self, workdir):
         cfg = write_config(workdir / "run.json")
         assert main(["solve", str(cfg)]) == 0

@@ -30,10 +30,11 @@ from prabtel.goursat import (
     TraceSolution,
     _EtaConv,
     _gauss_jacobi,
-    _GridEvaluator,
+    _hat_moments,
     _pascal,
     _power_rows,
     _shift_matrix,
+    _toeplitz_rows,
     _trace_moments,
     _variant_shifts,
     _xi_moments,
@@ -43,7 +44,7 @@ from prabtel.goursat import (
 )
 from prabtel.oracle import classical_telegraph_fd
 from prabtel.problem import solve
-from prabtel.quadrature import _GRADING, build_rule, graded_mesh
+from prabtel.quadrature import _GRADING, _call_on, build_rule, graded_mesh
 from prabtel.specfun import SeriesPolicy, discriminants3, ml2, ml3
 
 
@@ -512,15 +513,23 @@ class TestForcingTerm:
         assert np.abs(got - want).max() <= 1e-13
 
 
+def _phi_rows(conv, phi, t_nodes):
+    """The phi rows of the grid fill on ``conv``: zero at t = 0, then one
+    ``_toeplitz_rows`` of phi on the eta-mesh."""
+    rows = np.zeros((t_nodes.size, conv.engine.m_cap))
+    rows[1:] = _toeplitz_rows(_call_on(phi, conv.etas), conv.left, conv.inner,
+                              conv.index(t_nodes[1:]))
+    return rows
+
+
 class TestEtaMesh:
     @staticmethod
-    def _grid_convolutions(prob, forcing, points, t, x):
+    def _grid_convolutions(prob, forcing, points, t):
         """(phi convolution folded with V3, forcing rows) of the grid fill."""
-        tau = TraceSolution(x, float(prob.phi(0.0)) + 0.0 * x)
-        ev = _GridEvaluator(forcing.engine, tau, prob.phi, forcing, t, x,
-                            QuadPolicy(n_points=points))
-        return (ev.phi_conv() @ forcing.engine.jw["V3"],
-                forcing.fill(ev.conv, t))
+        n_t = t.size - 1
+        conv = _EtaConv(forcing.engine, t[-1], n_t * -(-points // n_t))
+        return (_phi_rows(conv, prob.phi, t) @ forcing.engine.jw["V3"],
+                forcing.fill(conv, t))
 
     def test_converges_faster_than_per_row_rule(self):
         # the acceptance problem at 64/256: both the eta-mesh and the
@@ -529,8 +538,8 @@ class TestEtaMesh:
         eng = TeleEngine(prob.params, prob.coeffs, 1.0, 1.0)
         t, x = np.linspace(0.0, 1.0, 65), np.linspace(0.0, 1.0, 65)
         forcing = ForcingTerm(eng, prob.f_smooth, 0.0, 0.0, x)
-        phi_ref, rows_ref = self._grid_convolutions(prob, forcing, 2048, t, x)
-        phi_new, rows_new = self._grid_convolutions(prob, forcing, 256, t, x)
+        phi_ref, rows_ref = self._grid_convolutions(prob, forcing, 2048, t)
+        phi_new, rows_new = self._grid_convolutions(prob, forcing, 256, t)
         beta = prob.params.beta
         rule = build_rule(beta - 1.0, graded_mesh(1.0, 256, 1.0 / beta))
         table = eng.lag_table(rule.nodes)
@@ -571,19 +580,18 @@ class TestEtaMesh:
         np.linspace(0.0, 1.0, 9),  # 32 cells
         np.linspace(0.0, 1.0, 4)])  # n_t = 3: 33 cells
     def test_phi_rows_match_one_row_at_a_time(self, t_nodes, monkeypatch):
-        # the rows come from ``_EtaConv.hankel``, against each row's own
+        # the rows come from ``_toeplitz_rows``, against each row's own
         # weights
         eng = TeleEngine(PARAMS, COEFFS, 1.0, 1.0)
         phi = lambda t: np.cos(3.0 * np.asarray(t, dtype=float))
-        x = np.linspace(0.0, 1.0, 5)
-        ev = _GridEvaluator(eng, TraceSolution(x, ones(x)), phi, None,
-                            t_nodes, x, QuadPolicy(n_points=32))
+        n_t = t_nodes.size - 1
+        conv = _EtaConv(eng, t_nodes[-1], n_t * -(-32 // n_t))
         # blocks of 3 Hankel rows
-        monkeypatch.setattr(goursat, "_CONV_CHUNK", 3 * ev.conv.cells)
-        got = ev.phi_conv()
-        samples = phi(ev.conv.etas)
+        monkeypatch.setattr(goursat, "_CONV_CHUNK", 3 * conv.cells)
+        got = _phi_rows(conv, phi, t_nodes)
+        samples = phi(conv.etas)
         for tk, g in zip(t_nodes, got):
-            want = (samples @ _row_weights(ev.conv, tk, 0.0)
+            want = (samples @ _row_weights(conv, tk, 0.0)
                     if tk > 0.0 else np.zeros_like(g))
             assert np.abs(g - want).max() <= 1e-13 * max(np.abs(want).max(),
                                                          1e-300)
@@ -742,18 +750,18 @@ class TestLagTables:
               (np.linspace(0.0, 1.0, 2), 1.0))
 
     @pytest.mark.parametrize("case", range(4))
-    @pytest.mark.parametrize("sign_b", [-1.0, 1.0])
+    @pytest.mark.parametrize("sign_b", [-1.0, 0.0, 1.0])
     def test_trace_moments_match_per_node_loop(self, case, sign_b):
         grid, x_ref = self._GRIDS[case]
         trace = TraceSolution(grid, np.exp(-grid) + np.sin(5.0 * grid))
         want = _trace_moments_per_node(trace, grid, 32, x_ref, sign_b)
-        got = _trace_moments(trace, 32, x_ref, sign_b)
+        got = _trace_moments(trace, _hat_moments(grid, 32, x_ref, sign_b))
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
 
     @pytest.mark.parametrize("case", range(4))
     @pytest.mark.parametrize("eps2", [0.0, 0.5])
-    @pytest.mark.parametrize("sign_b", [-1.0, 1.0])
+    @pytest.mark.parametrize("sign_b", [-1.0, 0.0, 1.0])
     def test_xi_moments_match_per_pair_rule(self, case, eps2, sign_b):
         mesh, x_ref = self._GRIDS[case]
         jw = TeleEngine(PARAMS, TelegraphCoeffs(-1.0, sign_b), 1.0,
@@ -774,6 +782,23 @@ class TestLagTables:
         got = _xi_moments(mesh, eps2, jw, x_ref, sign_b)
         assert got.shape == (mesh.size, mesh.size * jw.shape[0])
         assert np.all(np.abs(got.reshape(want.shape) - want) <= 1e-13 * terms)
+
+    def test_toeplitz_rows_match_dense_product(self, monkeypatch):
+        # rows k of the lower-triangular Toeplitz matrix of lags k - j on
+        # the samples 1..n, plus the left edge left[n - k] samples[0]
+        rng = np.random.default_rng(7)
+        n, width = 11, 4
+        left, inner = rng.standard_normal((2, n, width))
+        samples = rng.standard_normal(n + 1)
+        lag = np.subtract.outer(np.arange(n), np.arange(n))
+        dense = np.tril(np.moveaxis(inner[(n - 1 - lag) % n], -1, 0))
+        want = (dense @ samples[1:]).T + samples[0] * left[::-1]
+        k = np.array([n, 1, 7, 2, 9])
+        # blocks of 3 rows
+        monkeypatch.setattr(goursat, "_CONV_CHUNK", 3 * n)
+        got = _toeplitz_rows(samples, left, inner, k)
+        assert got.shape == (k.size, width)
+        assert np.abs(got - want[k - 1]).max() <= 1e-14 * np.abs(want).max()
 
     @given(a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0),
            w=st.floats(0.0, 1.0), count=st.integers(1, 40))

@@ -537,6 +537,23 @@ class TestWarmSolve:
         # each data callable as often as cold, and nothing built
         assert counts == dict(cold_counts, engine=0, xi=0, moments=0)
 
+    @pytest.mark.parametrize("forcing", [False, True])
+    def test_warm_solve_builds_no_moment_tables(self, forcing, monkeypatch):
+        # the hat moments of the trace, and the shift matrices of the
+        # forced xi table, are built by a cold solve only
+        counts = dict.fromkeys(("_hat_moments", "_shift_matrix"), 0)
+        for name in counts:
+            monkeypatch.setattr(goursat, name,
+                                _counted(getattr(goursat, name), counts, name))
+        prob = smooth_problem(forcing=forcing)
+        TABLES.clear()
+        solve(prob, n_t=16, n_x=16, quad=QUICK)
+        assert counts["_hat_moments"] == 1
+        assert (counts["_shift_matrix"] > 0) == forcing
+        counts.update(dict.fromkeys(counts, 0))
+        solve(prob, n_t=16, n_x=16, quad=QUICK)
+        assert counts == {"_hat_moments": 0, "_shift_matrix": 0}
+
     @pytest.mark.parametrize("n", [32, 6])
     def test_stages_on_a_rounded_grid_after_a_warm_solve(self, n):
         # np.round(linspace, 10) passes the lattice check of linspace; at
