@@ -22,22 +22,25 @@ form
     F(X; y; Z) = sum_m X^m W(m) [sum_k K(m,k) Z^k] [sum_j J(m,j) y^j],
 
 so a grid evaluation reduces to matrix products.  ``TeleEngine``
-precomputes the gamma-ratio tensors once per evaluation context.
-Reference scales |a| t_max^beta, |b| x_max, |delta| t_max^alpha are
-folded into the tensors, keeping every runtime power vector bounded by
-one.  The terms without a time integral take one coefficient matrix
-for all time rows at once.  The grid fill takes only the uniform
-lattice from 0 that ``solve`` builds (``quadrature._is_lattice``).  Its
-phi and forcing convolutions share one eta-mesh (``_EtaConv``) of
-``quad.n_points`` cells, rounded up to a multiple of n_t, so every time
-row is a mesh node: the data are sampled once, and the rows read the
-lags of the row t_max.  On a lattice the phi rows and the tau
-convolution are Toeplitz products with the weights of the last node,
-a block of rows at a time (``_toeplitz_rows``).  The trace assembly,
-which ``solve`` runs on n_x points, samples its kernels at lags t u of
-a unit rule u (``TeleEngine.lag_table``, ``lag_conv``) and folds the
-forcing's double integral onto the kernel of its phi term, with one
-sample of f per level (``volterra._g_values``).
+precomputes the gamma-ratio tensors once per evaluation context, at caps
+trimmed to the terms above 1e-15 of their majorant mass
+(``specfun.fit_tensors``).  Reference scales |a| t_max^beta, |b| x_max,
+|delta| t_max^alpha are folded into the tensors, keeping every runtime
+power vector bounded by one.  The terms without a time integral take one
+coefficient matrix for all time rows at once.  The grid fill takes only
+the uniform lattice from 0 that ``solve`` builds
+(``quadrature._is_lattice``).  Its phi and forcing convolutions share
+one eta-mesh (``_EtaConv``) of ``quad.n_points`` cells, rounded up to a
+multiple of n_t, so every time row is a mesh node: the data are sampled
+once, and the rows read the lags of the row t_max.  On a lattice the phi
+rows and the tau convolution are Toeplitz products with the weights of
+the last node, a block of rows at a time (``_toeplitz_rows``).  The
+trace assembly, which ``solve`` runs on n_x points, samples its kernels
+at lags t u of a unit rule u, one matrix product per block of times
+against the rule's power table with the tensor folded in
+(``TeleEngine.lag_fold``, ``lag_conv``), and folds the forcing's double
+integral onto the kernel of its phi term, with one sample of f per level
+(``volterra._g_values``).
 
 Accuracy envelope: the tensors are exponentiated log-gamma ratios in
 float64 (``math.lgamma`` tables, see ``TeleEngine``).  For X = a t^beta < 0
@@ -234,16 +237,21 @@ class TeleEngine:
     and sign(delta) (t/t_ref)^alpha, for one time or a block of times.
     ``cvec(s)`` is the same path with u = s/t_ref at t = t_ref.
     ``lag_conv`` applies the kernels of many times to their data rows
-    at once, with one matrix product per block.
+    at once: the table with kt folded in (``lag_fold``) takes one matrix
+    product per ``_CONV_CHUNK`` block of rows, and the zs powers one
+    batched product.
 
     These are the K and J tensors of ``specfun.ml3`` for the
     ``ml3_tele_variant`` packings at the magnitudes (Xs, Ys, Zs), from
     the same ``SeriesTensors`` builder: "base" is the d3 = beta family
     (V3, V4) and "shifted" the d3 = beta+1 family (V1, V2).  The caps
-    come from ``specfun.fit_tensors``: the trailing
+    come from ``specfun.fit_tensors``: they double until the trailing
     ``specfun._CONSECUTIVE_SMALL`` rows of each index carry at most 1e-15
-    of the majorant (the entrywise maximum over the families).  With
-    alpha > 0, the beta and gamma checks make every packing convergent.
+    of the majorant (the entrywise maximum over the families), and are
+    then trimmed to the smallest caps whose left-out tails carry at most
+    that 1e-15 together; kt and jw are slices of the doubled tensors.
+    With alpha > 0, the beta and gamma checks make every packing
+    convergent.
 
     ``key`` names the inputs exactly (``cache.exact_key``).  ``solve``
     takes its engine from ``cache.TABLES`` under that key, and the tables
@@ -317,22 +325,31 @@ class TeleEngine:
         c *= xu
         return c
 
-    def lag_conv(self, table, times, g, shifted: bool) -> np.ndarray:
+    def lag_fold(self, table, shifted: bool) -> np.ndarray:
+        """The ``lag_table`` of a unit rule u with the family's kt folded
+        in, shape (n, m_cap * k_cap): entry [n, m k_cap + k] is
+        kt[m, k] Xu[m, n] Zu[k, n].  ``lag_conv`` contracts data rows
+        against it."""
+        xu, zu = table
+        fold = xu.T[:, :, None] * zu.T[:, None, :]
+        fold *= self.kt["shifted" if shifted else "base"]
+        return fold.reshape(xu.shape[1], -1)
+
+    def lag_conv(self, fold, times, g) -> np.ndarray:
         """Rows ``lag_cvec(table, times[i], shifted) @ g[i]``, shape
-        (times.size, m_cap): the moments P[i, m, k] = sum_n g[i, n] Xu[m, n]
-        Zu[k, n] of a block of rows are one matrix product with Zu, then
-        c[i, m] = xs_i[m] sum_k kt[m, k] zs_i[k] P[i, m, k]."""
-        xu, zu_t = table[0], np.ascontiguousarray(table[1].T)
+        (times.size, m_cap), from the ``lag_fold`` of that table: the
+        moments P[i, m, k] = sum_n g[i, n] kt[m, k] Xu[m, n] Zu[k, n] of a
+        ``_CONV_CHUNK`` block of rows are one matrix product, then
+        c[i, m] = xs_i[m] sum_k zs_i[k] P[i, m, k] one batched product."""
         r = times / self.t_ref
         xs = _power_rows(self._sign_a * r ** self.params.beta, self.m_cap)
         zs = _power_rows(self._sign_d * r ** self.params.alpha, self.k_cap)
-        kt = self.kt["shifted" if shifted else "base"]
         out = np.empty((times.size, self.m_cap))
-        step = max(1, _CONV_CHUNK // xu.size)
+        step = max(1, _CONV_CHUNK // fold.shape[1])
         for lo in range(0, times.size, step):
             rows = slice(lo, lo + step)
-            mom = (g[rows, None, :] * xu) @ zu_t
-            out[rows] = np.einsum("imk,mk,ki->im", mom, kt, zs[:, rows])
+            mom = (g[rows] @ fold).reshape(-1, self.m_cap, self.k_cap)
+            out[rows] = (mom @ zs.T[rows, :, None])[..., 0]
         out *= xs.T
         return out
 

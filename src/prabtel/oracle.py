@@ -5,7 +5,8 @@ here that favours transparency over speed: plain shell-by-shell
 summation in mpmath arbitrary precision with an explicit geometric tail
 bound, and adaptive-bisection quadrature on an explicitly desingularised
 integrand.  Production modules never import this file; tests and the
-fixture generator do.
+fixture generator do.  mpmath is imported by the functions that use it,
+so reading the stored fixtures (``load_fixtures``) does not load it.
 
 "BigReal" values returned by ``hp_ml``, ``hp_ml2``, ``hp_ml3`` and
 ``adaptive_quad`` are mpmath.mpf numbers computed at a working precision
@@ -24,7 +25,6 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
-from mpmath import mp
 
 from .errors import (
     DomainError,
@@ -48,6 +48,8 @@ def _check_dps(dps: int) -> None:
 
 def _gamma_num(arg):
     """Gamma for a numerator factor; a pole there is a parameter error."""
+    from mpmath import mp
+
     if arg <= 0 and mp.isint(arg):
         raise InvalidParams(f"gamma pole in numerator at argument {arg}")
     return mp.gamma(arg)
@@ -66,6 +68,8 @@ def _tail_done(shell, prev, tol) -> bool:
 def hp_ml(alpha: float, beta: float, gamma: float, z,
           dps: int = DEFAULT_DPS, max_terms: int = 5000):
     """Univariate generalized Mittag-Leffler sum in high precision."""
+    from mpmath import mp
+
     _check_dps(dps)
     if not alpha > 0:
         raise InvalidParams(f"alpha must be positive, got {alpha}")
@@ -98,6 +102,8 @@ def hp_ml(alpha: float, beta: float, gamma: float, z,
 def hp_ml2(params: ML2Params, x, y,
            dps: int = DEFAULT_DPS, max_shells: int = 900):
     """Bivariate Mittag-Leffler type sum by total-degree shells."""
+    from mpmath import mp
+
     _check_dps(dps)
     p = params
     with mp.workdps(dps):
@@ -147,6 +153,8 @@ def hp_ml3(params: ML3Params, x, y, z,
     numerator/denominator factors per index pair; the summation order
     (plain shells) stays independent of the production evaluator.
     """
+    from mpmath import mp
+
     _check_dps(dps)
     p = params
     with mp.workdps(dps):
@@ -226,6 +234,8 @@ def _gl_rule():
 
 
 def _panel(g, lo, hi, nodes, weights):
+    from mpmath import mp
+
     c = (lo + hi) / 2
     h = (hi - lo) / 2
     return h * mp.fsum(w * g(c + h * t) for t, w in zip(nodes, weights))
@@ -241,6 +251,8 @@ def adaptive_quad(f, a, b, weight_exponent: float,
     substitution v = (s - a)^(1 + weight_exponent) before an adaptive
     bisection with Gauss-Legendre panels is applied.
     """
+    from mpmath import mp
+
     _check_dps(dps)
     mu = weight_exponent
     if not mu > -1:
@@ -325,6 +337,8 @@ def load_fixtures(path: Path | None = None) -> dict:
 
 
 def _mlstr(value) -> str:
+    from mpmath import mp
+
     return mp.nstr(value, 36)
 
 
@@ -423,6 +437,8 @@ def generate_fixtures(path: Path | None = None,
     Writes JSON to ``path`` (default: the packaged fixture file) so the
     stored references stay reproducible from one seeded command.
     """
+    from mpmath import mp
+
     rng = random.Random(_FIXTURE_SEED)
     out: dict = {
         "meta": {

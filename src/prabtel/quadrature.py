@@ -133,13 +133,18 @@ def _trapezoid_vec(grid: np.ndarray) -> np.ndarray:
 
 def _is_lattice(nodes) -> bool:
     """Whether nodes are the uniform grid from 0 that every solver stage
-    takes: 1-D, two or more, the first 0.0, finite steps h > 0 with
-    ptp(h) <= 1e-9 h[0]."""
+    takes: 1-D, two or more, the first 0.0, the last a finite x_n > 0,
+    and each node x_i within 1e-13 x_n of i x_n / n.  That admits the
+    rounding of ``np.linspace`` and of its values written as decimal
+    text, but not a grid rounded to fewer digits: the Toeplitz products
+    of the grid fill are exact only on an exact lattice."""
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 1 or nodes.size < 2 or nodes[0] != 0.0:
         return False
-    h = np.diff(nodes)
-    return bool(0.0 < h[0] < np.inf and np.ptp(h) <= 1e-9 * h[0])
+    top, n = nodes[-1], nodes.size - 1
+    return bool(0.0 < top < np.inf
+                and np.abs(nodes - np.arange(n + 1) * (top / n)).max()
+                <= 1e-13 * top)
 
 
 def _call_on(fn, values) -> np.ndarray:

@@ -19,7 +19,8 @@ with K and J gamma ratios of arguments linear in the indices
   log-gamma grid per argument form (``math.lgamma`` and G(a + 1) =
   a G(a); no scipy). Each ratio keeps its log tensor, and the grids and
   tensors grow in place: larger caps compute only the new rows and
-  columns, each entry by the same additions as a whole sum. Denominator
+  columns. A running sum restarts at each block a grid grows by, so
+  the entries depend on the cap schedule in their last bits. Denominator
   poles give exact zeros; numerator poles raise InvalidParams.
 - ``_fit_caps``: the caps (m, j, k) start at (24, 16, 16) and double while
   the last ``_CONSECUTIVE_SMALL`` (3) rows of any index carry more
@@ -27,7 +28,12 @@ with K and J gamma ratios of arguments linear in the indices
   1e-15 * majorant for the engine (``fit_tensors``). Each doubling reads
   slices of the kept tensors, so a build costs the new entries and its
   scaling. A value sums every term within the caps in float64, each
-  scaled by the largest term.
+  scaled by the largest term. The engine then trims the doubled caps to
+  the smallest whose left-out tails carry at most its limit together
+  (suffix sums, as ``_rectangle`` reads them for the rescue) and slices
+  its tensors to them, so that every contraction of a solve pays only
+  for the terms it needs; a rebuild at the trimmed caps would not give
+  the same entries.
 - Rescue: when majorant / |sum| is more than float64 can hold to rel_tol,
   or a term is beyond float64 range, ``_mp_sum`` re-sums the smallest
   rectangle that the majorant's suffix sums allow, at a precision taken
@@ -526,7 +532,12 @@ def fit_tensors(tensors: SeriesTensors, policy: SeriesPolicy) -> tuple:
     the majorant is the entrywise maximum over the K and over the J
     tensors, and the limit 1e-15 times its total mass. Each cap doubling
     extends the kept tensors of ``tensors`` by their new rows and columns
-    and reads them whole. A mass that overflows raises ArgumentOutOfRange."""
+    and reads them whole. The doubled caps are then trimmed to the
+    smallest extents whose left-out majorant mass along each index is at
+    most a third of the limit (``_rectangle``), so the three tails carry
+    at most the limit together, and the tensors are sliced to them: every
+    kept entry is the doubling fit's, bit for bit. A mass that overflows
+    raises ArgumentOutOfRange."""
     def build(caps):
         k, j = tensors.logs(caps)
         with np.errstate(over="ignore"):
@@ -538,9 +549,12 @@ def fit_tensors(tensors: SeriesTensors, policy: SeriesPolicy) -> tuple:
             raise ArgumentOutOfRange(f"series majorant overflows at {caps}")
         return kmaj, jmaj, sk, sj, 1e-15 * (mass + 1e-300), k, j
 
-    caps, (*_, k, j) = _fit_caps(build, _START_CAPS, (True, True, True), policy)
-    k, j = ({name: _signed(s, np.exp(lg)) for name, (s, lg) in t.items()}
-            for t in (k, j))
+    _, (kmaj, jmaj, _, _, limit, k, j) = _fit_caps(
+        build, _START_CAPS, (True, True, True), policy)
+    caps = _rectangle(kmaj, jmaj, limit / 3.0)
+    k, j = ({name: np.ascontiguousarray(_signed(s, np.exp(lg))[:caps[0], :c])
+             for name, (s, lg) in t.items()}
+            for t, c in ((k, caps[2]), (j, caps[1])))
     return caps, k, j
 
 

@@ -77,6 +77,10 @@ _M_ZERO_TOL = 1e-14
 # Gauss nodes per cell of the forcing's outer weights
 _OUTER_GAUSS = 24
 
+# nodes per block of the trace solve: one matrix-vector product and one
+# dense solve each
+_TAU_BLOCK = 32
+
 
 @dataclass(frozen=True)
 class VolterraSystem:
@@ -237,9 +241,10 @@ def _g_values(engine: TeleEngine, rules: _TRules, M, phi, psi, forcing,
     ``rules`` are the t-rules of ``quad``; ``forcing`` is a ForcingTerm on
     x_arr, or None.  The phi and forcing double integrals share one
     kernel matrix K over the outer nodes of ``quad.n_points`` cells.  The
-    outer and inner rules, the lag table and the forcing's outer weights
-    depend on the engine, q, the cells and eps1 alone, and are kept in
-    ``cache.TABLES``; M, phi, psi and f are sampled on every call.
+    outer and inner rules, the folded lag table and the forcing's outer
+    weights depend on the engine, q, the cells and eps1 alone, and are
+    kept in ``cache.TABLES``; M, phi, psi and f are sampled on every
+    call.
     """
     co, q = engine.coeffs, domain.q
     phi0 = float(phi(0.0))
@@ -257,17 +262,19 @@ def _g_values(engine: TeleEngine, rules: _TRules, M, phi, psi, forcing,
     # inner integral is v^beta K(v), K[v, m] = int_0^1 u^(beta-1)
     # M(q - v + v u) c(m; v u) du, and v^beta goes into the outer weights.
     # The x-dependence factors through the y-powers, so both double sums
-    # collapse onto the same K.  One lag table of the unit inner nodes
-    # serves every v; M is sampled on blocks of (v, inner node) pairs.
+    # collapse onto the same K.  One lag table of the unit inner nodes,
+    # with kt folded in (``lag_fold``), serves every v; M is sampled on
+    # blocks of (v, inner node) pairs.
     beta = engine.params.beta
 
     def build():
         r = max(_GRADING, 1.0 / beta)
         outer = build_rule(beta, graded_mesh(q, quad.n_points, r))
         inner = build_rule(beta - 1.0, graded_mesh(1.0, quad.n_points, r))
-        return outer, inner, engine.lag_table(inner.nodes)
+        return outer, inner, engine.lag_fold(engine.lag_table(inner.nodes),
+                                             shifted=False)
 
-    outer, inner, table = TABLES.get(
+    outer, inner, fold = TABLES.get(
         (engine.key, "lag_rules", float(q), quad.n_points), build)
     vs = outer.nodes
     kern = np.empty((vs.size, engine.m_cap))
@@ -276,8 +283,8 @@ def _g_values(engine: TeleEngine, rules: _TRules, M, phi, psi, forcing,
         v = vs[lo:lo + step, None]
         eta = q - v
         mv = _call_on(M, (eta + v * inner.nodes).ravel()).reshape(v.size, -1)
-        kern[lo:lo + step] = engine.lag_conv(table, v[:, 0],
-                                             inner.weights * mv, shifted=False)
+        kern[lo:lo + step] = engine.lag_conv(fold, v[:, 0],
+                                             inner.weights * mv)
     # the phi sum skips v = 0, as it always has: taking it in would move
     # every unforced trace by O(h^(1+beta))
     ws = np.where(vs > 0.0, outer.weights, 0.0)
@@ -385,26 +392,37 @@ def assemble_system(engine: TeleEngine, domain: Domain2D, M, phi, psi,
 
 
 def solve_tau(system: VolterraSystem) -> TraceSolution:
-    """Forward-substitution Nystrom solve of the trace equation.
+    """Blocked forward-substitution Nystrom solve of the trace equation.
 
     Trapezoid weights in xi make every row i depend on nodes j <= i
-    only; each step divides by the pivot 1 - coupling * w_ii * m2_ii.
-    The discrete residual of the returned trace is an algebraic
-    identity (reported in diagnostics, <= 1e-12).
+    only, so the system (I - coupling * w * m2) tau = rhs is lower
+    triangular, with the pivots 1 - coupling * w_ii * m2_ii on its
+    diagonal; all are checked first (SingularStep below 1e-12).  Then
+    each block of ``_TAU_BLOCK`` nodes takes the known nodes in one
+    matrix-vector product and its own lower-triangular block in one
+    dense solve.  The block is solved with its rows and columns reversed:
+    an upper-triangular matrix leaves row pivoting nothing to swap, so
+    the solve is a substitution node by node, exact at the first node
+    however large the kernel.  The discrete residual of the returned
+    trace is an algebraic identity (reported in diagnostics, <= 1e-12).
     """
-    x, m2, rhs, c = system.x_grid, system.m2, system.rhs, system.coupling
-    w = _trapezoid_weights(x)
-    n = x.size
-    tau = np.zeros(n)
-    tau[0] = rhs[0]
-    for i in range(1, n):
-        pivot = 1.0 - c * w[i, i] * m2[i, i]
-        if abs(pivot) < 1e-12:
-            raise SingularStep(f"pivot {pivot:.3g} at node {i} (x={x[i]:.6g})")
-        acc = rhs[i] + c * float((w[i, :i] * m2[i, :i]) @ tau[:i])
-        tau[i] = acc / pivot
-    residual = float(np.abs(
-        tau - c * (w * m2) @ tau - rhs).max())
+    x, rhs = system.x_grid, system.rhs
+    kernel = system.coupling * (_trapezoid_weights(x) * system.m2)
+    pivots = 1.0 - np.diagonal(kernel)
+    small = np.flatnonzero(np.abs(pivots) < 1e-12)
+    if small.size:
+        i = small[0]
+        raise SingularStep(
+            f"pivot {pivots[i]:.3g} at node {i} (x={x[i]:.6g})")
+    tau = np.empty(x.size)
+    for lo in range(0, x.size, _TAU_BLOCK):
+        hi = min(lo + _TAU_BLOCK, x.size)
+        block = np.eye(hi - lo) - kernel[lo:hi, lo:hi]
+        known = rhs[lo:hi] + kernel[lo:hi, :lo] @ tau[:lo]
+        # contiguous copies: the solve ran slower on the reversed views
+        tau[lo:hi] = np.linalg.solve(np.ascontiguousarray(block[::-1, ::-1]),
+                                     known[::-1].copy())[::-1]
+    residual = float(np.abs(tau - kernel @ tau - rhs).max())
     return TraceSolution(x_grid=x.copy(), tau=tau,
                          diagnostics={"residual": residual})
 

@@ -261,6 +261,15 @@ class TestVerifyCommand:
 
         assert block(solve_out) == block(verify_out)
 
+    def test_passes_on_its_own_csv_of_a_non_dyadic_grid(self, workdir):
+        # steps of 0.7 / 6 and 1 / 7 are not binary fractions: the grids
+        # read back from u.csv must pass the lattice check of every stage
+        cfg = write_config(workdir / "run.json",
+                           domain={"q": 1.0, "p": 0.7},
+                           grid={"n_t": 7, "n_x": 6})
+        assert main(["solve", str(cfg)]) == 0
+        assert main(["verify", str(cfg), "u.csv"]) == 0
+
     def test_compatibility_defect_computed_once(self, workdir, monkeypatch):
         import prabtel.cli as cli
         import prabtel.problem as problem

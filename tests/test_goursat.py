@@ -45,7 +45,13 @@ from prabtel.goursat import (
 from prabtel.oracle import classical_telegraph_fd
 from prabtel.problem import solve
 from prabtel.quadrature import _GRADING, _call_on, build_rule, graded_mesh
-from prabtel.specfun import SeriesPolicy, discriminants3, ml2, ml3
+from prabtel.specfun import (
+    SeriesPolicy,
+    SeriesTensors,
+    discriminants3,
+    ml2,
+    ml3,
+)
 
 
 PARAMS = PrabhakarParams(alpha=1.0, beta=0.5, gamma=0.5, delta=-1.0)
@@ -213,10 +219,10 @@ def _reference_tensors(eng):
 
 class TestTensorTables:
     @pytest.mark.parametrize("params, coeffs, caps", [
-        ((1.0, 0.5, 0.5, -0.5), (-0.25, -0.5), (24, 32, 32)),
-        ((0.7, 0.3, 1.3, -2.0), (-3.0, 2.0), (768, 64, 128)),
-        ((1.0, 0.5, 0.5, -1.0), (-10.0, -1.0), (768, 64, 32)),
-        ((1.0, 0.5, 0.5, 0.0), (0.0, -1.0), (24, 32, 16)),
+        ((1.0, 0.5, 0.5, -0.5), (-0.25, -0.5), (20, 16, 15)),
+        ((0.7, 0.3, 1.3, -2.0), (-3.0, 2.0), (431, 57, 80)),
+        ((1.0, 0.5, 0.5, -1.0), (-10.0, -1.0), (417, 45, 18)),
+        ((1.0, 0.5, 0.5, 0.0), (0.0, -1.0), (1, 19, 1)),
     ])
     def test_match_gammaln_reference(self, params, coeffs, caps):
         eng = TeleEngine(PrabhakarParams(*params), TelegraphCoeffs(*coeffs),
@@ -229,6 +235,51 @@ class TestTensorTables:
             assert got.shape == want.shape
             # entries below 1e-300 are subnormal or zero in both
             np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-300)
+
+    @pytest.mark.parametrize("params, coeffs, fit", [
+        ((1.0, 0.5, 0.5, -0.5), (-0.25, -0.5), (24, 32, 32)),
+        ((0.7, 0.3, 1.3, -2.0), (-3.0, 2.0), (768, 64, 128)),
+        ((1.0, 0.5, 0.5, -1.0), (-4.0, -1.0), (192, 64, 32)),
+        ((1.0, 0.5, 0.5, 0.0), (0.0, -1.0), (24, 32, 16)),
+    ])
+    def test_trimmed_caps_leave_out_at_most_the_limit(self, params, coeffs,
+                                                      fit, monkeypatch):
+        # the engine's tensors read at the caps of its doubling fit: the
+        # engine keeps their leading slices bit for bit, and the three
+        # tails it leaves out carry at most 1e-15 of the majorant mass,
+        # while one row fewer along any index would leave out more than
+        # a third of that
+        reads = []
+        logs = SeriesTensors.logs
+        monkeypatch.setattr(SeriesTensors, "logs", lambda self, caps: (
+            reads.append((self, caps)) or logs(self, caps)))
+        eng = TeleEngine(PrabhakarParams(*params), TelegraphCoeffs(*coeffs),
+                         1.0, 1.0)
+        tensors, last = reads[-1]
+        assert last == fit
+        k, j = logs(tensors, fit)
+        kmaj, jmaj = (np.exp(np.maximum.reduce([lg for _, lg in t.values()]))
+                      for t in (k, j))
+        sk, sj = kmaj.sum(axis=1), jmaj.sum(axis=1)
+        limit = 1e-15 * float(sk @ sj)
+
+        def tails(m, j_cap, k_cap):
+            return (float(sk[m:] @ sj[m:]),
+                    float(sk @ jmaj[:, j_cap:].sum(axis=1)),
+                    float(kmaj[:, k_cap:].sum(axis=1) @ sj))
+
+        caps = (eng.m_cap, eng.j_cap, eng.k_cap)
+        assert all(c <= f for c, f in zip(caps, fit))
+        assert sum(tails(*caps)) <= limit
+        for i, c in enumerate(caps):
+            if c > 1:
+                fewer = tuple(c - (i == n) for n in range(3))
+                assert tails(*fewer)[i] > limit / 3.0
+        for tensors, kept, cols in ((k, eng.kt, eng.k_cap),
+                                    (j, eng.jw, eng.j_cap)):
+            for name, (sign, lg) in tensors.items():
+                full = np.exp(lg) if sign is None else np.exp(lg) * sign
+                assert np.array_equal(kept[name], full[:eng.m_cap, :cols])
 
 
 class TestTraceSolution:
@@ -822,11 +873,11 @@ class TestLagTables:
     def _check_lag_conv(eng, shifted):
         u = np.concatenate(([0.0], np.linspace(0.0, 1.0, 41) ** 2, [1.0]))
         table = eng.lag_table(u)
+        fold = eng.lag_fold(table, shifted)
+        assert fold.shape == (u.size, eng.m_cap * eng.k_cap)
         times = np.linspace(0.0, eng.t_ref, 40)
         g = np.cos(np.multiply.outer(times, 7.0 * u)) + u
-        # more rows than one block of (g x Xu) products holds
-        assert times.size * eng.m_cap * u.size > 2 * goursat._CONV_CHUNK
-        got = eng.lag_conv(table, times, g, shifted)
+        got = eng.lag_conv(fold, times, g)
         assert got.shape == (times.size, eng.m_cap)
         for t, g_row, c in zip(times, g, got):
             want = eng.lag_cvec(table, t, shifted) @ g_row
@@ -835,16 +886,21 @@ class TestLagTables:
     @pytest.mark.parametrize("a, delta", [(-1.0, -0.5), (0.7, -0.5),
                                           (-1.0, 0.8)])
     @pytest.mark.parametrize("shifted", [True, False])
-    def test_lag_conv_matches_per_row_lag_cvec(self, a, delta, shifted):
+    def test_lag_conv_matches_per_row_lag_cvec(self, a, delta, shifted,
+                                               monkeypatch):
         eng = TeleEngine(PrabhakarParams(1.0, 0.5, 0.5, delta),
                          TelegraphCoeffs(a, -0.5), 1.3, 1.0)
+        # blocks of 3 rows: the 40 rows span 14 blocks
+        monkeypatch.setattr(goursat, "_CONV_CHUNK",
+                            3 * eng.m_cap * eng.k_cap + 1)
         self._check_lag_conv(eng, shifted)
 
     @pytest.mark.parametrize("shifted", [True, False])
     def test_lag_conv_at_large_m_cap(self, shifted):
-        # one row per block: the (g x Xu) products of a row fill the chunk
+        # two rows per block: the moments of a row fill nearly half the
+        # chunk
         eng = TeleEngine(PARAMS, TelegraphCoeffs(-10.0, -1.0), 1.0, 1.0)
-        assert eng.m_cap == 768
+        assert goursat._CONV_CHUNK // (eng.m_cap * eng.k_cap) == 2
         self._check_lag_conv(eng, shifted)
 
     def test_unforced_solve_makes_no_lag_cvec_call_per_row(

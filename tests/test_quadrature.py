@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from prabtel.errors import DomainError, InvalidParams
 from prabtel.quadrature import (
     GradedMesh,
+    _is_lattice,
     _trapezoid_vec,
     build_rule,
     graded_mesh,
@@ -146,3 +147,25 @@ class TestBuildRule:
         mesh = graded_mesh(1.0, cells, r=1.0)
         assert np.array_equal(_trapezoid_vec(mesh.nodes),
                               build_rule(0.0, mesh).weights)
+
+
+class TestIsLattice:
+    @pytest.mark.parametrize("n", [1, 6, 129, 1000])
+    @pytest.mark.parametrize("top", [1.0, 0.7, 3.3e-3, 41.0])
+    def test_admits_linspace_and_its_decimal_text(self, n, top):
+        grid = np.linspace(0.0, top, n + 1)
+        assert _is_lattice(grid)
+        for digits in (15, 17):
+            assert _is_lattice([float(f"{v:.{digits}g}") for v in grid])
+
+    @pytest.mark.parametrize("nodes", [
+        np.round(np.linspace(0.0, 1.0, 7), 10),  # steps off by 3e-11
+        np.linspace(0.0, 1.0, 7) ** 2,
+        np.linspace(0.1, 1.0, 7),
+        np.array([0.0, 2.0, 1.0, 3.0]),
+        np.array([0.0, np.nan]),
+        np.array([0.0, np.inf]),
+        np.array([0.0]),
+        np.zeros((2, 2))])
+    def test_rejects_other_grids(self, nodes):
+        assert not _is_lattice(nodes)

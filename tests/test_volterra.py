@@ -127,6 +127,41 @@ class TestSolvers:
         with pytest.raises(SingularStep):
             solve_tau(sys_)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    @pytest.mark.parametrize("n", [2, 31, 33, 129])
+    def test_blocked_solve_matches_forward_substitution(self, n, scale):
+        # n nodes: within one block, one block and a node, four blocks and
+        # a node; the kernel carries entries above the diagonal, which the
+        # trapezoid weights drop.  At scale 1e3 the entries below the
+        # diagonal outgrow it, where a pivoting solve would reorder rows
+        x = np.linspace(0.0, 1.0, n)
+        m2 = scale * (np.exp(x[None, :] - x[:, None])
+                      * (1.0 + np.random.default_rng(n).random((n, n))))
+        sys_ = VolterraSystem(A=1.0, x_grid=x, m2=m2, rhs=np.cos(3.0 * x),
+                              coupling=-1.5)
+        sol = solve_tau(sys_)
+        w, c = _trapezoid_weights(x), sys_.coupling
+        want = np.zeros(n)
+        want[0] = sys_.rhs[0]
+        for i in range(1, n):
+            acc = sys_.rhs[i] + c * (w[i, :i] * m2[i, :i]) @ want[:i]
+            want[i] = acc / (1.0 - c * w[i, i] * m2[i, i])
+        assert sol.tau[0] == sys_.rhs[0]
+        assert np.abs(sol.tau - want).max() <= 1e-14 * np.abs(want).max()
+        assert sol.diagnostics["residual"] <= 1e-12 * max(
+            1.0, np.abs(want).max())
+
+    def test_zero_pivot_past_the_first_block_detected(self):
+        # coupling * (h/2) * m2[40, 40] = 1 at h = 1/64 makes node 40 the
+        # only zero pivot
+        x = np.linspace(0.0, 1.0, 65)
+        m2 = np.zeros((65, 65))
+        m2[40, 40] = 128.0
+        sys_ = VolterraSystem(A=1.0, x_grid=x, m2=m2, rhs=np.ones(65),
+                              coupling=1.0)
+        with pytest.raises(SingularStep, match="at node 40 "):
+            solve_tau(sys_)
+
     def test_picard_matches_direct(self):
         sys_ = manufactured_system(64)
         direct = solve_tau(sys_)
