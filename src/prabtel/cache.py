@@ -1,12 +1,12 @@
 """The tables a solve builds from its operator alone, kept for the process.
 
 The series engine of (params, coeffs, q, p, series) and the tables built
-from it for a grid (t-rules with their ``cvec`` columns, lag tables with
-kt folded in, the eta-mesh weights of the grid fill, the xi-moments of
-the forcing, verify's slope weights) do not depend on phi, psi, M or f.
-``TABLES`` keeps them under exact keys, the inputs of the build or the
-node values, so that a second solve of one operator builds none of them
-again and returns the same numbers bit for bit.  Everything that samples
+from it for a grid (t-rules with their ``cvec`` columns, lag tables, kt
+folded in up to a bound, the eta-mesh weights of the grid fill, the
+xi-moments of the forcing, verify's slope weights) do not depend on phi,
+psi, M or f.  ``TABLES`` keeps them under exact keys, the inputs of the
+build or the node values, so that a second solve of one operator builds
+none of them again and returns the same numbers bit for bit.  Everything that samples
 the data runs on every solve.  Every table it hands out has read-only
 arrays.  The cache holds at most ``_BUDGET`` bytes, dropping the least
 recently used tables first; a table larger than that is built, made

@@ -37,10 +37,10 @@ rows and the tau convolution are Toeplitz products with the weights of
 the last node, a block of rows at a time (``_toeplitz_rows``).  The
 trace assembly, which ``solve`` runs on n_x points, samples its kernels
 at lags t u of a unit rule u, one matrix product per block of times
-against the rule's power table with the tensor folded in
-(``TeleEngine.lag_fold``, ``lag_conv``), and folds the forcing's double
-integral onto the kernel of its phi term, with one sample of f per level
-(``volterra._g_values``).
+against the rule's power table with the tensor folded in, up to a
+bounded size (``TeleEngine.lag_fold``, ``lag_conv``), and folds the
+forcing's double integral onto the kernel of its phi term, with one
+sample of f per level (``volterra._g_values``).
 
 Accuracy envelope: the tensors are exponentiated log-gamma ratios in
 float64 (``math.lgamma`` tables, see ``TeleEngine``).  For X = a t^beta < 0
@@ -86,6 +86,13 @@ _VARIANTS = ("V1", "V2", "V3", "V4")
 # ``TeleEngine.lag_conv``, and a block of ``_EtaConv`` or
 # ``_toeplitz_rows`` rows
 _CONV_CHUNK = 16384
+
+# floats (2 MiB) of the largest table ``TeleEngine.lag_fold`` folds kt
+# into.  A fold takes m_cap k_cap n floats, and every block of rows of
+# ``lag_conv`` reads all of it: folds of 4-8 MB at two rows a block ran
+# slower than the power tables, which take (m_cap + k_cap) n floats, and
+# one of 36 MB at one row a block three times slower
+_FOLD_MAX = 2 ** 18
 
 # the 4-point Gauss-Legendre rule on [0, 1] of each inner cell of the
 # grid fill's eta-mesh, in closed form: the first call of an eigensolver
@@ -237,9 +244,10 @@ class TeleEngine:
     and sign(delta) (t/t_ref)^alpha, for one time or a block of times.
     ``cvec(s)`` is the same path with u = s/t_ref at t = t_ref.
     ``lag_conv`` applies the kernels of many times to their data rows
-    at once: the table with kt folded in (``lag_fold``) takes one matrix
-    product per ``_CONV_CHUNK`` block of rows, and the zs powers one
-    batched product.
+    at once, one ``_CONV_CHUNK`` block of rows after another: the table
+    with kt folded in (``lag_fold``, up to ``_FOLD_MAX`` floats) takes
+    one matrix product per block, a larger one a product of g Xu with Zu,
+    and the zs powers one batched product.
 
     These are the K and J tensors of ``specfun.ml3`` for the
     ``ml3_tele_variant`` packings at the magnitudes (Xs, Ys, Zs), from
@@ -325,30 +333,43 @@ class TeleEngine:
         c *= xu
         return c
 
-    def lag_fold(self, table, shifted: bool) -> np.ndarray:
-        """The ``lag_table`` of a unit rule u with the family's kt folded
-        in, shape (n, m_cap * k_cap): entry [n, m k_cap + k] is
-        kt[m, k] Xu[m, n] Zu[k, n].  ``lag_conv`` contracts data rows
-        against it."""
+    def lag_fold(self, table, shifted: bool):
+        """The ``lag_table`` of a unit rule u with the family's kt, as
+        ``lag_conv`` reads it.  Up to ``_FOLD_MAX`` floats, kt is folded
+        in: an array of shape (n, m_cap * k_cap) whose entry
+        [n, m k_cap + k] is kt[m, k] Xu[m, n] Zu[k, n].  Past that, the
+        tuple (Xu, Zu^T, kt), so memory grows with m_cap + k_cap, not
+        with their product."""
         xu, zu = table
+        kt = self.kt["shifted" if shifted else "base"]
+        if xu.shape[1] * kt.size > _FOLD_MAX:
+            return xu, np.ascontiguousarray(zu.T), kt
         fold = xu.T[:, :, None] * zu.T[:, None, :]
-        fold *= self.kt["shifted" if shifted else "base"]
+        fold *= kt
         return fold.reshape(xu.shape[1], -1)
 
-    def lag_conv(self, fold, times, g) -> np.ndarray:
+    def lag_conv(self, lag, times, g) -> np.ndarray:
         """Rows ``lag_cvec(table, times[i], shifted) @ g[i]``, shape
-        (times.size, m_cap), from the ``lag_fold`` of that table: the
-        moments P[i, m, k] = sum_n g[i, n] kt[m, k] Xu[m, n] Zu[k, n] of a
-        ``_CONV_CHUNK`` block of rows are one matrix product, then
-        c[i, m] = xs_i[m] sum_k zs_i[k] P[i, m, k] one batched product."""
+        (times.size, m_cap), from the ``lag_fold`` of that table.  The
+        moments P[i, m, k] = sum_n g[i, n] kt[m, k] Xu[m, n] Zu[k, n] of
+        a ``_CONV_CHUNK`` block of rows are one matrix product with the
+        fold, or (g Xu) @ Zu^T times kt; then c[i, m] = xs_i[m] sum_k
+        zs_i[k] P[i, m, k] is one batched product."""
         r = times / self.t_ref
         xs = _power_rows(self._sign_a * r ** self.params.beta, self.m_cap)
         zs = _power_rows(self._sign_d * r ** self.params.alpha, self.k_cap)
         out = np.empty((times.size, self.m_cap))
-        step = max(1, _CONV_CHUNK // fold.shape[1])
+        folded = isinstance(lag, np.ndarray)
+        step = max(1, _CONV_CHUNK // (lag.shape[1] if folded
+                                      else lag[0].size))
         for lo in range(0, times.size, step):
             rows = slice(lo, lo + step)
-            mom = (g[rows] @ fold).reshape(-1, self.m_cap, self.k_cap)
+            if folded:
+                mom = (g[rows] @ lag).reshape(-1, self.m_cap, self.k_cap)
+            else:
+                xu, zu_t, kt = lag
+                mom = (g[rows, None, :] * xu) @ zu_t
+                mom *= kt
             out[rows] = (mom @ zs.T[rows, :, None])[..., 0]
         out *= xs.T
         return out

@@ -241,10 +241,10 @@ def _g_values(engine: TeleEngine, rules: _TRules, M, phi, psi, forcing,
     ``rules`` are the t-rules of ``quad``; ``forcing`` is a ForcingTerm on
     x_arr, or None.  The phi and forcing double integrals share one
     kernel matrix K over the outer nodes of ``quad.n_points`` cells.  The
-    outer and inner rules, the folded lag table and the forcing's outer
+    outer and inner rules, the (folded) lag table and the forcing's outer
     weights depend on the engine, q, the cells and eps1 alone, and are
-    kept in ``cache.TABLES``; M, phi, psi and f are sampled on every
-    call.
+    kept in ``cache.TABLES``, the rules apart from the lag table; M, phi,
+    psi and f are sampled on every call.
     """
     co, q = engine.coeffs, domain.q
     phi0 = float(phi(0.0))
@@ -263,19 +263,20 @@ def _g_values(engine: TeleEngine, rules: _TRules, M, phi, psi, forcing,
     # M(q - v + v u) c(m; v u) du, and v^beta goes into the outer weights.
     # The x-dependence factors through the y-powers, so both double sums
     # collapse onto the same K.  One lag table of the unit inner nodes,
-    # with kt folded in (``lag_fold``), serves every v; M is sampled on
-    # blocks of (v, inner node) pairs.
+    # with kt folded in when small enough (``lag_fold``), serves every v;
+    # M is sampled on blocks of (v, inner node) pairs.
     beta = engine.params.beta
 
     def build():
         r = max(_GRADING, 1.0 / beta)
-        outer = build_rule(beta, graded_mesh(q, quad.n_points, r))
-        inner = build_rule(beta - 1.0, graded_mesh(1.0, quad.n_points, r))
-        return outer, inner, engine.lag_fold(engine.lag_table(inner.nodes),
-                                             shifted=False)
+        return (build_rule(beta, graded_mesh(q, quad.n_points, r)),
+                build_rule(beta - 1.0, graded_mesh(1.0, quad.n_points, r)))
 
-    outer, inner, fold = TABLES.get(
+    outer, inner = TABLES.get(
         (engine.key, "lag_rules", float(q), quad.n_points), build)
+    lag = TABLES.get(
+        (engine.key, "lag_fold", float(q), quad.n_points),
+        lambda: engine.lag_fold(engine.lag_table(inner.nodes), shifted=False))
     vs = outer.nodes
     kern = np.empty((vs.size, engine.m_cap))
     step = max(1, _CONV_CHUNK // inner.nodes.size)
@@ -283,7 +284,7 @@ def _g_values(engine: TeleEngine, rules: _TRules, M, phi, psi, forcing,
         v = vs[lo:lo + step, None]
         eta = q - v
         mv = _call_on(M, (eta + v * inner.nodes).ravel()).reshape(v.size, -1)
-        kern[lo:lo + step] = engine.lag_conv(fold, v[:, 0],
+        kern[lo:lo + step] = engine.lag_conv(lag, v[:, 0],
                                              inner.weights * mv)
     # the phi sum skips v = 0, as it always has: taking it in would move
     # every unforced trace by O(h^(1+beta))

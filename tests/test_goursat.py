@@ -870,14 +870,19 @@ class TestLagTables:
         assert binom[2, 4] == 6.0 and gap[1, 4] == 3 and gap[4, 1] == 0
 
     @staticmethod
-    def _check_lag_conv(eng, shifted):
+    def _check_lag_conv(eng, shifted, folded):
         u = np.concatenate(([0.0], np.linspace(0.0, 1.0, 41) ** 2, [1.0]))
         table = eng.lag_table(u)
-        fold = eng.lag_fold(table, shifted)
-        assert fold.shape == (u.size, eng.m_cap * eng.k_cap)
+        lag = eng.lag_fold(table, shifted)
+        if folded:
+            assert lag.shape == (u.size, eng.m_cap * eng.k_cap)
+        else:
+            assert [a.shape for a in lag] == [
+                (eng.m_cap, u.size), (u.size, eng.k_cap),
+                (eng.m_cap, eng.k_cap)]
         times = np.linspace(0.0, eng.t_ref, 40)
         g = np.cos(np.multiply.outer(times, 7.0 * u)) + u
-        got = eng.lag_conv(fold, times, g)
+        got = eng.lag_conv(lag, times, g)
         assert got.shape == (times.size, eng.m_cap)
         for t, g_row, c in zip(times, g, got):
             want = eng.lag_cvec(table, t, shifted) @ g_row
@@ -893,15 +898,28 @@ class TestLagTables:
         # blocks of 3 rows: the 40 rows span 14 blocks
         monkeypatch.setattr(goursat, "_CONV_CHUNK",
                             3 * eng.m_cap * eng.k_cap + 1)
-        self._check_lag_conv(eng, shifted)
+        self._check_lag_conv(eng, shifted, folded=True)
+
+    @pytest.mark.parametrize("a, delta", [(-1.0, -0.5), (0.7, -0.5),
+                                          (-1.0, 0.8)])
+    @pytest.mark.parametrize("shifted", [True, False])
+    def test_lag_conv_past_the_fold_bound(self, a, delta, shifted,
+                                          monkeypatch):
+        # no fold: the power tables, 3 rows of (g x Xu) products a block
+        eng = TeleEngine(PrabhakarParams(1.0, 0.5, 0.5, delta),
+                         TelegraphCoeffs(a, -0.5), 1.3, 1.0)
+        monkeypatch.setattr(goursat, "_FOLD_MAX", 0)
+        monkeypatch.setattr(goursat, "_CONV_CHUNK", 3 * eng.m_cap * 43 + 1)
+        self._check_lag_conv(eng, shifted, folded=False)
 
     @pytest.mark.parametrize("shifted", [True, False])
     def test_lag_conv_at_large_m_cap(self, shifted):
-        # two rows per block: the moments of a row fill nearly half the
-        # chunk
+        # the fold would take 43 m_cap k_cap floats, past _FOLD_MAX; one
+        # row per block: the (g x Xu) products of a row fill the chunk
         eng = TeleEngine(PARAMS, TelegraphCoeffs(-10.0, -1.0), 1.0, 1.0)
-        assert goursat._CONV_CHUNK // (eng.m_cap * eng.k_cap) == 2
-        self._check_lag_conv(eng, shifted)
+        assert 43 * eng.m_cap * eng.k_cap > goursat._FOLD_MAX
+        assert goursat._CONV_CHUNK // (43 * eng.m_cap) == 0
+        self._check_lag_conv(eng, shifted, folded=False)
 
     def test_unforced_solve_makes_no_lag_cvec_call_per_row(
             self, monkeypatch):

@@ -12,6 +12,7 @@ import pytest
 import prabtel.fracops as fracops
 import prabtel.goursat as goursat
 import prabtel.problem as problem_mod
+import prabtel.volterra as volterra
 from prabtel.acceptance import cli_env
 from prabtel.cache import TABLES, exact_key
 from prabtel.errors import (
@@ -596,6 +597,29 @@ class TestWarmSolve:
         counts.update(dict.fromkeys(counts, 0))
         solve(prob, n_t=16, n_x=16, quad=QUICK)
         assert counts == {"_hat_moments": 0, "_shift_matrix": 0}
+
+    def test_large_cap_operator_builds_no_rules_again(self, monkeypatch):
+        # caps (431, 57, 80): kt folded into the lag table of n_x = 128
+        # would take 36 MB, above the cache's budget, and be built (with
+        # the rules beside it) on every solve
+        prob = ProblemN(PrabhakarParams(0.7, 0.3, 1.3, -2.0),
+                        TelegraphCoeffs(-3.0, 2.0), DOMAIN,
+                        phi=lambda t: 1.0, psi=lambda x: 0.3,
+                        M=lambda t: 0.5 + 0.5 * np.asarray(t, dtype=float))
+        counts = dict.fromkeys(("build_rule", "lag_table"), 0)
+        monkeypatch.setattr(volterra, "build_rule", _counted(
+            volterra.build_rule, counts, "build_rule"))
+        monkeypatch.setattr(goursat.TeleEngine, "lag_table", _counted(
+            goursat.TeleEngine.lag_table, counts, "lag_table"))
+        TABLES.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            cold = solve(prob, n_t=4, n_x=128, quad=QUICK, strict=False)
+            assert counts["build_rule"] > 0 and counts["lag_table"] > 0
+            counts.update(dict.fromkeys(counts, 0))
+            warm = solve(prob, n_t=4, n_x=128, quad=QUICK, strict=False)
+        assert counts == {"build_rule": 0, "lag_table": 0}
+        assert np.array_equal(warm.u, cold.u)
 
     @pytest.mark.parametrize("n", [32, 6])
     def test_stages_on_a_rounded_grid_after_a_warm_solve(self, n):
