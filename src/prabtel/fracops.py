@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .cache import TABLES, exact_key
 from .errors import DomainError, InvalidParams, NonConvergence, QuadratureFailure
@@ -66,8 +65,9 @@ class QuadPolicy:
 
     In ``goursat_grid`` (the grid fill of ``solve``), n_points is the
     number of cells of the shared eta-mesh, rounded up to a multiple of
-    the number of t-cells; in ``assemble_system`` it is the
-    cells of the t-rules, at least 16, and ``solve`` passes n_x there.
+    the number of t-cells; in ``assemble_system`` it is the cells of the
+    eta-mesh of its phi and forcing integrals, at least 16, and a
+    quarter of those of its t-rules; ``solve`` passes n_x there.
     ``tol`` is read only by the adaptive refinement of
     ``prabhakar_integral`` and ``caputo_prabhakar_deriv``.  Every graded
     mesh takes the grading ``quadrature._GRADING``, raised to 1/beta in
@@ -247,17 +247,17 @@ def _fractional_rows(params: PrabhakarParams, t_grid: np.ndarray,
     at every time of a uniform grid from 0 (as ``GridSolution`` holds),
     by the rule of ``_slope_weights`` on the grid's own cells; row 0 is
     zero.  The lag cells of every row are the leading grid cells, so
-    rows 1..n are one lower-triangular Toeplitz product.  The weights
-    depend on (params, t_grid, series) alone and are kept in
-    ``cache.TABLES``.
+    rows 1..n are one lower-triangular Toeplitz product.  Its (n, n)
+    matrix depends on (params, t_grid, series) alone and is kept in
+    ``cache.TABLES``, C-contiguous.
     """
+    def toeplitz():  # [i, j] the weight of lag cell i - j, or 0
+        lag = np.subtract.outer(*2 * (np.arange(t_grid.size - 1),))
+        return np.tril(_slope_weights(params, t_grid, series)[lag])
+
     slopes = (u[1:, :] - u[:-1, :]) / np.diff(t_grid)[:, None]
     out = np.zeros_like(u)
-    n = t_grid.size - 1
-    w_all = TABLES.get(
-        (exact_key(params, series), "slope",
-         np.asarray(t_grid, dtype=float).tobytes()),
-        lambda: _slope_weights(params, t_grid, series))
-    padded = np.concatenate((w_all[::-1], np.zeros(n - 1)))
-    out[1:] = sliding_window_view(padded, n)[::-1] @ slopes
+    out[1:] = TABLES.get((exact_key(params, series), "slope",
+                          np.asarray(t_grid, dtype=float).tobytes()),
+                         toeplitz) @ slopes
     return out

@@ -35,12 +35,9 @@ multiple of n_t, so every time row is a mesh node: the data are sampled
 once, and the rows read the lags of the row t_max.  On a lattice the phi
 rows and the tau convolution are Toeplitz products with the weights of
 the last node, a block of rows at a time (``_toeplitz_rows``).  The
-trace assembly, which ``solve`` runs on n_x points, samples its kernels
-at lags t u of a unit rule u, one matrix product per block of times
-against the rule's power table with the tensor folded in, up to a
-bounded size (``TeleEngine.lag_fold``, ``lag_conv``), and folds the
-forcing's double integral onto the kernel of its phi term, with one
-sample of f per level (``volterra._g_values``).
+trace assembly, on n_x points, integrates the same rows against M on an
+eta-mesh of its own by the adjoint of the convolution, sampling phi, f
+and M once per level (``_EtaConv.adjoint``, ``volterra._g_values``).
 
 Accuracy envelope: the tensors are exponentiated log-gamma ratios in
 float64 (``math.lgamma`` tables, see ``TeleEngine``).  For X = a t^beta < 0
@@ -59,7 +56,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .cache import TABLES, exact_key
 from .errors import (
@@ -81,18 +78,9 @@ from .specfun import (
 
 _VARIANTS = ("V1", "V2", "V3", "V4")
 
-# floats (128 KB) per temporary of a batched time convolution: the data
-# block a caller samples (M in the trace assembly), the product block of
-# ``TeleEngine.lag_conv``, and a block of ``_EtaConv`` or
-# ``_toeplitz_rows`` rows
+# floats (128 KB) per temporary of a time convolution: a block of rows,
+# lags or end pieces (``_EtaConv``, ``_toeplitz_rows``)
 _CONV_CHUNK = 16384
-
-# floats (2 MiB) of the largest table ``TeleEngine.lag_fold`` folds kt
-# into.  A fold takes m_cap k_cap n floats, and every block of rows of
-# ``lag_conv`` reads all of it: folds of 4-8 MB at two rows a block ran
-# slower than the power tables, which take (m_cap + k_cap) n floats, and
-# one of 36 MB at one row a block three times slower
-_FOLD_MAX = 2 ** 18
 
 # the 4-point Gauss-Legendre rule on [0, 1] of each inner cell of the
 # grid fill's eta-mesh, in closed form: the first call of an eigensolver
@@ -243,11 +231,6 @@ class TeleEngine:
     are the m_cap and k_cap powers of the scalars sign(a) (t/t_ref)^beta
     and sign(delta) (t/t_ref)^alpha, for one time or a block of times.
     ``cvec(s)`` is the same path with u = s/t_ref at t = t_ref.
-    ``lag_conv`` applies the kernels of many times to their data rows
-    at once, one ``_CONV_CHUNK`` block of rows after another: the table
-    with kt folded in (``lag_fold``, up to ``_FOLD_MAX`` floats) takes
-    one matrix product per block, a larger one a product of g Xu with Zu,
-    and the zs powers one batched product.
 
     These are the K and J tensors of ``specfun.ml3`` for the
     ``ml3_tele_variant`` packings at the magnitudes (Xs, Ys, Zs), from
@@ -261,10 +244,12 @@ class TeleEngine:
     With alpha > 0, the beta and gamma checks make every packing
     convergent.
 
-    ``key`` names the inputs exactly (``cache.exact_key``).  ``solve``
-    takes its engine from ``cache.TABLES`` under that key, and the tables
-    built from an engine for a grid are kept there under it too, so
-    repeated solves of one operator in one process build neither again.
+    ``key`` names the inputs that the engine reads exactly
+    (``cache.exact_key``), of the series policy max_terms_per_index
+    alone.  ``solve`` takes its engine from ``cache.TABLES`` under that
+    key, and the tables built from an engine for a grid (the eta-mesh
+    tables among them) are kept there under it too, so repeated solves
+    of one operator in one process build neither again.
     """
 
     def __init__(self, params: PrabhakarParams, coeffs: TelegraphCoeffs,
@@ -278,7 +263,8 @@ class TeleEngine:
                 f"representation requires gamma > 0, got {params.gamma}")
         self.params = params
         self.coeffs = coeffs
-        self.key = exact_key(params, coeffs, t_max, x_max, series)
+        self.key = exact_key(params, coeffs, t_max, x_max,
+                             series.max_terms_per_index)
         self.t_ref = max(float(t_max), 1e-300)
         self.x_ref = max(float(x_max), 1e-300)
         self.x_scale = abs(coeffs.a) * self.t_ref ** params.beta
@@ -332,47 +318,6 @@ class TeleEngine:
         c = kz @ zu
         c *= xu
         return c
-
-    def lag_fold(self, table, shifted: bool):
-        """The ``lag_table`` of a unit rule u with the family's kt, as
-        ``lag_conv`` reads it.  Up to ``_FOLD_MAX`` floats, kt is folded
-        in: an array of shape (n, m_cap * k_cap) whose entry
-        [n, m k_cap + k] is kt[m, k] Xu[m, n] Zu[k, n].  Past that, the
-        tuple (Xu, Zu^T, kt), so memory grows with m_cap + k_cap, not
-        with their product."""
-        xu, zu = table
-        kt = self.kt["shifted" if shifted else "base"]
-        if xu.shape[1] * kt.size > _FOLD_MAX:
-            return xu, np.ascontiguousarray(zu.T), kt
-        fold = xu.T[:, :, None] * zu.T[:, None, :]
-        fold *= kt
-        return fold.reshape(xu.shape[1], -1)
-
-    def lag_conv(self, lag, times, g) -> np.ndarray:
-        """Rows ``lag_cvec(table, times[i], shifted) @ g[i]``, shape
-        (times.size, m_cap), from the ``lag_fold`` of that table.  The
-        moments P[i, m, k] = sum_n g[i, n] kt[m, k] Xu[m, n] Zu[k, n] of
-        a ``_CONV_CHUNK`` block of rows are one matrix product with the
-        fold, or (g Xu) @ Zu^T times kt; then c[i, m] = xs_i[m] sum_k
-        zs_i[k] P[i, m, k] is one batched product."""
-        r = times / self.t_ref
-        xs = _power_rows(self._sign_a * r ** self.params.beta, self.m_cap)
-        zs = _power_rows(self._sign_d * r ** self.params.alpha, self.k_cap)
-        out = np.empty((times.size, self.m_cap))
-        folded = isinstance(lag, np.ndarray)
-        step = max(1, _CONV_CHUNK // (lag.shape[1] if folded
-                                      else lag[0].size))
-        for lo in range(0, times.size, step):
-            rows = slice(lo, lo + step)
-            if folded:
-                mom = (g[rows] @ lag).reshape(-1, self.m_cap, self.k_cap)
-            else:
-                xu, zu_t, kt = lag
-                mom = (g[rows, None, :] * xu) @ zu_t
-                mom *= kt
-            out[rows] = (mom @ zs.T[rows, :, None])[..., 0]
-        out *= xs.T
-        return out
 
     def cvec(self, s, shifted: bool) -> np.ndarray:
         """Coefficient matrix c(m; s_n), shape (m_cap, n).
@@ -503,6 +448,18 @@ def _toeplitz_rows(samples: np.ndarray, left: np.ndarray, inner: np.ndarray,
     return out
 
 
+def _toeplitz_sums(a: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """S[c] = sum_(l >= c) a[n + c - l] table[l], n = a.size - 1, for c
+    below len(table): the rows k that read table[n - k + c] for their
+    cell c, summed with weights a[k].  a[n + c - l] is Toeplitz in (c, l),
+    a strided view of the reversed a after zeros: one matrix product."""
+    n = len(table)
+    ext = np.concatenate((np.zeros(n - 1), a[:-n - 1:-1]))
+    toeplitz = as_strided(ext[n - 1:], (n, n),
+                          (-ext.strides[0], ext.strides[0]))
+    return (toeplitz @ table.reshape(n, -1)).reshape(table.shape)
+
+
 def _trace_moments(trace: TraceSolution, hats: tuple) -> np.ndarray:
     """mom[i, j] = int_0^{x_i} tau(xi) (sign_b (x_i - xi)/x_ref)^j dxi at
     the nodes of the trace's grid, uniform from 0, from the
@@ -565,7 +522,8 @@ def _xi_moments(mesh: np.ndarray, eps2: float, jw: np.ndarray,
 
 
 class _EtaConv:
-    """The time convolutions of one grid fill, on one eta-mesh.
+    """The time convolutions on one eta-mesh: their rows for a grid fill
+    (``apply``), their weighted sum for an assembly level (``adjoint``).
 
     Row t is int_0^t s^(beta-1) (t-s)^-eps1 c(m; s) y(t-s) ds with c the
     kernel of ``kt["base"]`` (which the V3 and V4 instances share) and y
@@ -579,9 +537,9 @@ class _EtaConv:
     its own ``_cells``, whose inner cells read the kernel of the row t_max
     (``_lags``).  In every row the two cells at the lag end, where
     s^(beta-1) is nearly singular, and for eps1 > 0 the first cell take
-    rules of their own (``_ends``).  The weights of the row t_max and
-    its lags depend on the engine, t_max and cells alone, and are kept in
-    ``cache.TABLES``.
+    rules of their own (``_ends``).  The weights of the row t_max, its
+    lags and the ends of all rows depend on the engine, t_max and cells
+    alone, and are kept in ``cache.TABLES``.
     """
 
     def __init__(self, engine: TeleEngine, t_max: float, cells: int):
@@ -593,8 +551,8 @@ class _EtaConv:
         self._wts = {}
         self._step = max(1, _CONV_CHUNK // (4 * max(engine.m_cap,
                                                     engine.k_cap)))
-        self._key = (engine.key, "eta", float(t_max), int(cells))
-        self.left, self.inner = TABLES.get(self._key, self._toeplitz)
+        self.key = (engine.key, "eta", float(t_max), int(cells))
+        self.left, self.inner = TABLES.get(self.key, self._toeplitz)
 
     def _toeplitz(self) -> tuple:
         """(left, inner): the left hats of the row t_max, and its right
@@ -621,7 +579,7 @@ class _EtaConv:
                 out[lo:hi] = self._kernel(self.t_max - self._eta[lo:hi])
             return out
 
-        return TABLES.get(self._key + ("lags",), build)
+        return TABLES.get(self.key + ("lags",), build)
 
     def _moments(self, lags: np.ndarray) -> tuple:
         """int_0^L s^(beta-1) (1, s) c(m; s) ds for each L of ``lags``, two
@@ -713,23 +671,53 @@ class _EtaConv:
         """The node k of each row t = k h, as integers."""
         return np.rint(times / self.h).astype(int)
 
+    def _end_batch(self, times: np.ndarray, eps1: float) -> tuple:
+        """``_ends`` of the rows ``times``, in ``_CONV_CHUNK`` blocks."""
+        step = max(1, _CONV_CHUNK // (3 * _END_NODES * max(
+            self.engine.m_cap, self.engine.k_cap)))
+        return tuple(map(np.concatenate, zip(*(
+            self._ends(times[lo:lo + step], eps1)
+            for lo in range(0, times.size, step)))))
+
+    def adjoint(self, a: np.ndarray, eps1: float = 0.0) -> np.ndarray:
+        """W = sum_k a[k] w_k (cells + 1, m_cap) over the rows t = k h,
+        k >= 1, with w_k the node weights of row k (``_cells``): samples
+        @ W sums the rows with weights a.  W is one ``_toeplitz_sums`` of
+        ``inner`` (eps1 = 0), or of ``_lags`` for the inner cells plus the
+        ends of all rows, one cached ``_end_batch`` (eps1 > 0)."""
+        n, m_cap = self.cells, self.engine.m_cap
+        if eps1 == 0.0:
+            return np.vstack((a[1:] @ self.left[::-1],
+                              _toeplitz_sums(a, self.inner)))
+
+        def ends():
+            cells, adds = self._end_batch(self.etas[1:], eps1)
+            nodes = cells[:, None, :, None] + np.arange(2)[:, None, None]
+            return (nodes * m_cap + np.arange(m_cap)).ravel(), adds
+
+        index, adds = TABLES.get(self.key + ("ends", eps1), ends)
+        w = np.bincount(index, (a[1:, None, None, None] * adds).ravel(),
+                        (n + 1) * m_cap).reshape(n + 1, m_cap)
+        if n > 3:  # inner cells 1..n-3, past the Gauss-Jacobi cell 0
+            left, right = np.matmul(
+                (self._eta[1:-2] ** -eps1)[:, None] * (self.h * _LAG_HATS),
+                _toeplitz_sums(a, self._lags[1:])).transpose(1, 0, 2)
+            w[1:-3] += left
+            w[2:-2] += right
+        return w
+
     def apply(self, samples: np.ndarray, times: np.ndarray,
               eps1: float = 0.0):
         """Yield (rows, G) per block of times on the mesh, G[i] = sum_j
         samples[j] outer w_i(eta_j), shape (rows.size, ncols, m_cap), for
         samples (cells + 1, ncols) on ``etas``; a block fills
         ``_CONV_CHUNK``.  With eps1 > 0 the rows get their end pieces
-        from one ``_ends`` batch per block of rows."""
+        from one ``_end_batch``."""
         cells, m_cap = self.cells, self.engine.m_cap
         k = self.index(times)
         own = np.flatnonzero((k > 0) & (eps1 > 0.0))
-        ends = {}
-        step = max(1, _CONV_CHUNK // (3 * _END_NODES * max(m_cap,
-                                                           self.engine.k_cap)))
-        for lo in range(0, own.size, step):
-            rows = own[lo:lo + step]
-            ends.update(zip(rows.tolist(),
-                            zip(*self._ends(times[rows], eps1))))
+        ends = dict(zip(own.tolist(),
+                        zip(*self._end_batch(times[own], eps1))))
         step = max(1, _CONV_CHUNK // (samples.shape[1] * m_cap))
         for lo in range(0, times.size, step):
             rows = np.arange(lo, min(lo + step, times.size))
@@ -757,13 +745,12 @@ class ForcingTerm:
     (``DomainError`` otherwise).  In xi, f(eta, .) is replaced by its
     piecewise-linear interpolant on the x-nodes, whose moment table ``q``
     (``_xi_moments``) turns an (x_nodes, m_cap) matrix of eta-integrals
-    into values on the x-nodes.  The grid fill (``fill``) samples f once
-    on the eta-mesh of an ``_EtaConv``; each trace-assembly level samples
-    it once on its outer nodes (``_sample``) and folds int M T dt onto
-    the kernel of its V3 term (``volterra._g_values``).  Each sampling is
-    one ``quadrature._call_grid``.  The exponents must pass
-    ``_check_exponents``.  ``q`` depends on the engine, the x-nodes and
-    eps2 alone, and is kept in ``cache.TABLES``.
+    into values on the x-nodes.  The grid fill (``fill``) and each
+    trace-assembly level (``volterra._g_values``) sample f once on the
+    eta-mesh of an ``_EtaConv``, by one ``quadrature._call_grid``
+    (``_sample``).  The exponents must pass ``_check_exponents``.  ``q``
+    depends on the engine, the x-nodes and eps2 alone, and is kept in
+    ``cache.TABLES``.
     """
 
     def __init__(self, engine: TeleEngine, f, eps1: float, eps2: float,

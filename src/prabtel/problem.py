@@ -244,9 +244,9 @@ def solve(problem: ProblemN, n_t: int = 64, n_x: int = 64,
     The stages are the public ``assemble_system``, ``solve_tau`` and
     ``goursat_grid``, on one ``TeleEngine`` and one forcing term.  The
     engine comes from ``cache.TABLES``, keyed by (params, coeffs, q, p,
-    series), and the stages keep there what they build from it for the
-    grids; only the sampling of phi, psi, M and f runs again when one
-    operator is solved again, and the result is the same bit for bit.
+    max_terms_per_index), and the stages keep there what they build from
+    it for the grids; a repeated solve of one operator only samples phi,
+    psi, M and f again, and gives the same result bit for bit.
     """
     if n_t < 2 or n_x < 2:
         raise InvalidParams(f"grid needs n_t, n_x >= 2, got ({n_t}, {n_x})")
@@ -261,7 +261,7 @@ def solve(problem: ProblemN, n_t: int = 64, n_x: int = 64,
     domain = problem.domain
     engine = TABLES.get(
         exact_key(problem.params, problem.coeffs, domain.q, domain.p,
-                  series),
+                  series.max_terms_per_index),
         lambda: TeleEngine(problem.params, problem.coeffs, domain.q,
                            domain.p, series=series))
     x_grid = np.linspace(0.0, domain.p, n_x + 1)
@@ -329,7 +329,8 @@ def verify(problem: ProblemN, solution: GridSolution,
     v = du[1:-1] - a * u[1:-1]
     res = (v[:, 2:] - v[:, :-2]) / (x[2:] - x[:-2])
     res -= b * du[1:-1, 1:-1]
-    res -= problem.forcing_grid(t[1:-1], x[1:-1])
+    if not _is_zero_forcing(problem.f_smooth):
+        res -= problem.forcing_grid(t[1:-1], x[1:-1])
     pde = float(np.abs(res).max())
 
     compatibility = solution.compatibility

@@ -18,8 +18,9 @@ uniform x-grid from a caller's ``TeleEngine`` and ``ForcingTerm``,
 
 Each assembly level evaluates each kernel family once: the shifted
 family (E2, V1, V2) through one coefficient vector (``_TRules.cm``), the
-base family (V3, V4) through one inner kernel K(v) that the phi and
-forcing double integrals share after a Fubini swap (``_g_values``).
+base family (V3, V4) through the tables of one eta-mesh of the grid
+fill's time convolution, whose rows the phi and forcing double integrals
+sum against M (``_g_values``).
 
 A note on the constant.  Two closely related constants appear:
 
@@ -36,6 +37,7 @@ with tau identically constant.  ``VolterraSystem.A`` stores the divisor;
 
 from __future__ import annotations
 
+import math
 import sys
 import warnings
 from dataclasses import dataclass, field, replace
@@ -51,13 +53,12 @@ from .errors import (
 )
 from .fracops import PrabhakarParams, QuadPolicy
 from .goursat import (
-    _CONV_CHUNK,
     Domain2D,
     TeleEngine,
     TelegraphCoeffs,
     TraceSolution,
     _check_forcing,
-    _gauss_jacobi,
+    _EtaConv,
 )
 from .quadrature import (
     _GRADING,
@@ -73,9 +74,6 @@ A_TOL = 1e-10
 
 # M is declared degenerate when it never exceeds this at the sample nodes
 _M_ZERO_TOL = 1e-14
-
-# Gauss nodes per cell of the forcing's outer weights
-_OUTER_GAUSS = 24
 
 # nodes per block of the trace solve: one matrix-vector product and one
 # dense solve each
@@ -203,34 +201,22 @@ def _m1_at(engine: TeleEngine, rules: _TRules, diffs: np.ndarray,
     return engine.ypowers(diffs) @ (engine.jw[variant].T @ rules.cm)
 
 
-def _forcing_weights(nodes: np.ndarray, beta: float,
-                     eps1: float) -> np.ndarray:
-    """Product weights of v^beta (q - v)^-eps1 on the ascending nodes of
-    [0, q], q = nodes[-1], exact for functions quadratic on each pair of
-    cells 2k, 2k + 1 (an odd last cell takes the quadratic of the last
-    two); at least two cells.  Per cell a Gauss rule: Gauss-Jacobi for
-    the power singular on the first or last cell, else Gauss-Legendre.
-    """
-    q, lo, h = nodes[-1], nodes[:-1, None], np.diff(nodes)[:, None]
-    (u, w), (u0, w0), (u1, w1) = (_gauss_jacobi(_OUTER_GAUSS, e)
-                                  for e in (0.0, beta, -eps1))
-    x = np.tile(0.5 + 0.5 * u, (h.size, 1))  # the nodes on the unit cell
-    wt = np.tile(0.5 * w, (h.size, 1))
-    x[0], wt[0] = 0.5 + 0.5 * u0, 0.5 ** (1.0 + beta) * w0
-    x[-1], wt[-1] = 0.5 - 0.5 * u1, 0.5 ** (1.0 - eps1) * w1
-    v = lo + h * x
-    vb, ve = v ** beta, (q - v) ** -eps1
-    vb[0], ve[-1] = h[0] ** beta, h[-1] ** -eps1  # the rest is in the rules
-    wt *= h * vb * ve
-    # the three nodes of each cell's quadratic and its Lagrange basis
-    idx = (np.minimum(np.arange(h.size) // 2 * 2, h.size - 2)[:, None]
-           + np.arange(3))
-    p = nodes[idx]
-    basis = [(v - p[:, i, None]) * (v - p[:, j, None])
-             / ((p[:, k] - p[:, i]) * (p[:, k] - p[:, j]))[:, None]
-             for k, i, j in ((0, 1, 2), (1, 0, 2), (2, 0, 1))]
-    sums = np.stack([(wt * b).sum(axis=1) for b in basis], axis=1)
-    return np.bincount(idx.ravel(), sums.ravel(), nodes.size)
+def _eta_weights(conv: _EtaConv, eps1: float) -> np.ndarray:
+    """wt with int_0^q M R dt ~ sum_k wt[k] M(t_k) R_k over the rows R_k
+    of ``conv``, R ~ t^p, p = beta - eps1: the t^p product rule on the
+    mesh over t_k^p, and at t = 0 the rule's weight times the limit of
+    R / t^p per y(0) at m = 0, kt["base"][0, 0] B(beta, 1 - eps1).  Kept
+    in ``cache.TABLES``."""
+    def build():
+        beta = conv.engine.params.beta
+        p = beta - eps1
+        wt = build_rule(p, graded_mesh(conv.t_max, conv.cells, 1.0)).weights
+        wt[1:] /= conv.etas[1:] ** p
+        wt[0] *= conv.engine.kt["base"][0, 0] * math.exp(
+            math.lgamma(beta) + math.lgamma(1.0 - eps1) - math.lgamma(p + 1.0))
+        return wt
+
+    return TABLES.get(conv.key + ("weights", eps1), build)
 
 
 def _g_values(engine: TeleEngine, rules: _TRules, M, phi, psi, forcing,
@@ -239,12 +225,11 @@ def _g_values(engine: TeleEngine, rules: _TRules, M, phi, psi, forcing,
     """Right-hand side g on an array of x values (display normalization).
 
     ``rules`` are the t-rules of ``quad``; ``forcing`` is a ForcingTerm on
-    x_arr, or None.  The phi and forcing double integrals share one
-    kernel matrix K over the outer nodes of ``quad.n_points`` cells.  The
-    outer and inner rules, the (folded) lag table and the forcing's outer
-    weights depend on the engine, q, the cells and eps1 alone, and are
-    kept in ``cache.TABLES``, the rules apart from the lag table; M, phi,
-    psi and f are sampled on every call.
+    x_arr, or None.  The phi (V3) and forcing (V4) double integrals sum
+    the rows R of the grid fill's time convolution, on an eta-mesh of
+    ``quad.n_points`` cells, to int_0^q M R dt (``_EtaConv.adjoint``,
+    ``_eta_weights``).  The mesh's tables and weights are kept in
+    ``cache.TABLES``; M, phi, psi and f are sampled on every call.
     """
     co, q = engine.coeffs, domain.q
     phi0 = float(phi(0.0))
@@ -257,49 +242,24 @@ def _g_values(engine: TeleEngine, rules: _TRules, M, phi, psi, forcing,
 
     out -= co.a * phi0 * _m1_at(engine, rules, x_arr, "V1")
 
-    # double integrals over 0 < eta < t < q of phi (V3) and the forcing
-    # (V4), swapped (Fubini) onto v = q - eta: with s = t - eta = v u the
-    # inner integral is v^beta K(v), K[v, m] = int_0^1 u^(beta-1)
-    # M(q - v + v u) c(m; v u) du, and v^beta goes into the outer weights.
-    # The x-dependence factors through the y-powers, so both double sums
-    # collapse onto the same K.  One lag table of the unit inner nodes,
-    # with kt folded in when small enough (``lag_fold``), serves every v;
-    # M is sampled on blocks of (v, inner node) pairs.
-    beta = engine.params.beta
-
-    def build():
-        r = max(_GRADING, 1.0 / beta)
-        return (build_rule(beta, graded_mesh(q, quad.n_points, r)),
-                build_rule(beta - 1.0, graded_mesh(1.0, quad.n_points, r)))
-
-    outer, inner = TABLES.get(
-        (engine.key, "lag_rules", float(q), quad.n_points), build)
-    lag = TABLES.get(
-        (engine.key, "lag_fold", float(q), quad.n_points),
-        lambda: engine.lag_fold(engine.lag_table(inner.nodes), shifted=False))
-    vs = outer.nodes
-    kern = np.empty((vs.size, engine.m_cap))
-    step = max(1, _CONV_CHUNK // inner.nodes.size)
-    for lo in range(0, vs.size, step):
-        v = vs[lo:lo + step, None]
-        eta = q - v
-        mv = _call_on(M, (eta + v * inner.nodes).ravel()).reshape(v.size, -1)
-        kern[lo:lo + step] = engine.lag_conv(lag, v[:, 0],
-                                             inner.weights * mv)
-    # the phi sum skips v = 0, as it always has: taking it in would move
-    # every unforced trace by O(h^(1+beta))
-    ws = np.where(vs > 0.0, outer.weights, 0.0)
-    cacc = (ws * _call_on(phi, q - vs)) @ kern
+    conv = _EtaConv(engine, q, quad.n_points)
+    m_eta = _call_on(M, conv.etas)
+    a = _eta_weights(conv, 0.0) * m_eta
+    # the phi rows are Toeplitz (``_toeplitz_rows``): their a-weighted sum
+    # reads inner[l] with the correlation of a and phi, and left with a
+    phi_eta = _call_on(phi, conv.etas)
+    corr = np.correlate(a[1:], phi_eta[1:], "full")[conv.cells - 1:][::-1]
+    cacc = corr @ conv.inner + phi_eta[0] * (a[1:] @ conv.left[::-1])
+    cacc[0] += a[0] * phi_eta[0]
     j3 = engine.ypowers(x_arr) @ (engine.jw["V3"].T @ cacc)
     out += co.a * co.b * x_arr * j3
 
-    # piecewise-quadratic weights keep the forcing's eta^-eps1 exact
-    # (eta = 0 is a node) and their error far below that of K
     if forcing is not None:
-        wf = TABLES.get((engine.key, "forcing_weights", float(q),
-                         quad.n_points, forcing.eps1),
-                        lambda: _forcing_weights(vs, beta, forcing.eps1))
-        out += forcing.q @ ((forcing._sample(q - vs).T * wf) @ kern).ravel()
+        if forcing.eps1 > 0.0:
+            a = _eta_weights(conv, forcing.eps1) * m_eta
+        w = conv.adjoint(a, forcing.eps1)
+        w[0, 0] += a[0]
+        out += forcing.q @ (forcing._sample(conv.etas).T @ w).ravel()
     return out
 
 
@@ -340,12 +300,13 @@ def assemble_system(engine: TeleEngine, domain: Domain2D, M, phi, psi,
     """Build the discrete trace equation on a uniform x-grid from 0.
 
     ``forcing`` is a ForcingTerm of this engine on x_grid, or None; both
-    levels read its xi-moments.  The t-rules take max(quad.n_points, 16)
-    cells.  Diagnostics carry the display constant (``a_display``, the
-    quantity whose bound A > int M dt holds for a < 0, M >= 0), the
-    divisor, the M mass, and coarse-vs-fine refinement deltas for the
-    kernel and right-hand side assembly.  Outside the strict regime it
-    warns (RuntimeWarning) and goes on.
+    levels read its xi-moments.  The eta-mesh takes max(quad.n_points,
+    16) cells, the t-rules four times as many.  Diagnostics carry the
+    display constant (``a_display``, the quantity whose bound
+    A > int M dt holds for a < 0, M >= 0), the divisor, the M mass, and
+    coarse-vs-fine refinement deltas for the kernel and right-hand side
+    assembly.  Outside the strict regime it warns (RuntimeWarning) and
+    goes on.
     """
     params, coeffs = engine.params, engine.coeffs
     if not _in_strict_regime(params, coeffs):

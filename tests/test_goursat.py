@@ -647,6 +647,20 @@ class TestEtaMesh:
             assert np.abs(g - want).max() <= 1e-13 * max(np.abs(want).max(),
                                                          1e-300)
 
+    @pytest.mark.parametrize("eps1", [0.0, 0.25])
+    @pytest.mark.parametrize("cells", [2, 3, 4, 5, 32])
+    def test_adjoint_sums_the_rows_own_weights(self, cells, eps1):
+        # sum_k a_k w_k over the rows t = k h, each w_k from the row's own
+        # ``_cells``; a[0] is not read
+        eng = TeleEngine(PARAMS, COEFFS, 1.0, 1.0)
+        conv = _EtaConv(eng, 1.0, cells)
+        a = np.random.default_rng(cells).standard_normal(cells + 1)
+        want = sum(a[k] * _row_weights(conv, k * conv.h, eps1)
+                   for k in range(1, cells + 1))
+        got = conv.adjoint(a, eps1)
+        assert got.shape == (cells + 1, eng.m_cap)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
 
 def _cvec_by_pow(eng, s, shifted):
     """c(m; s) with float pows per node: ((kt @ Z^k) * X^m) for
@@ -869,62 +883,11 @@ class TestLagTables:
         assert not (binom.flags.writeable or gap.flags.writeable)
         assert binom[2, 4] == 6.0 and gap[1, 4] == 3 and gap[4, 1] == 0
 
-    @staticmethod
-    def _check_lag_conv(eng, shifted, folded):
-        u = np.concatenate(([0.0], np.linspace(0.0, 1.0, 41) ** 2, [1.0]))
-        table = eng.lag_table(u)
-        lag = eng.lag_fold(table, shifted)
-        if folded:
-            assert lag.shape == (u.size, eng.m_cap * eng.k_cap)
-        else:
-            assert [a.shape for a in lag] == [
-                (eng.m_cap, u.size), (u.size, eng.k_cap),
-                (eng.m_cap, eng.k_cap)]
-        times = np.linspace(0.0, eng.t_ref, 40)
-        g = np.cos(np.multiply.outer(times, 7.0 * u)) + u
-        got = eng.lag_conv(lag, times, g)
-        assert got.shape == (times.size, eng.m_cap)
-        for t, g_row, c in zip(times, g, got):
-            want = eng.lag_cvec(table, t, shifted) @ g_row
-            assert np.abs(c - want).max() <= 1e-14 * np.abs(want).max()
-
-    @pytest.mark.parametrize("a, delta", [(-1.0, -0.5), (0.7, -0.5),
-                                          (-1.0, 0.8)])
-    @pytest.mark.parametrize("shifted", [True, False])
-    def test_lag_conv_matches_per_row_lag_cvec(self, a, delta, shifted,
-                                               monkeypatch):
-        eng = TeleEngine(PrabhakarParams(1.0, 0.5, 0.5, delta),
-                         TelegraphCoeffs(a, -0.5), 1.3, 1.0)
-        # blocks of 3 rows: the 40 rows span 14 blocks
-        monkeypatch.setattr(goursat, "_CONV_CHUNK",
-                            3 * eng.m_cap * eng.k_cap + 1)
-        self._check_lag_conv(eng, shifted, folded=True)
-
-    @pytest.mark.parametrize("a, delta", [(-1.0, -0.5), (0.7, -0.5),
-                                          (-1.0, 0.8)])
-    @pytest.mark.parametrize("shifted", [True, False])
-    def test_lag_conv_past_the_fold_bound(self, a, delta, shifted,
-                                          monkeypatch):
-        # no fold: the power tables, 3 rows of (g x Xu) products a block
-        eng = TeleEngine(PrabhakarParams(1.0, 0.5, 0.5, delta),
-                         TelegraphCoeffs(a, -0.5), 1.3, 1.0)
-        monkeypatch.setattr(goursat, "_FOLD_MAX", 0)
-        monkeypatch.setattr(goursat, "_CONV_CHUNK", 3 * eng.m_cap * 43 + 1)
-        self._check_lag_conv(eng, shifted, folded=False)
-
-    @pytest.mark.parametrize("shifted", [True, False])
-    def test_lag_conv_at_large_m_cap(self, shifted):
-        # the fold would take 43 m_cap k_cap floats, past _FOLD_MAX; one
-        # row per block: the (g x Xu) products of a row fill the chunk
-        eng = TeleEngine(PARAMS, TelegraphCoeffs(-10.0, -1.0), 1.0, 1.0)
-        assert 43 * eng.m_cap * eng.k_cap > goursat._FOLD_MAX
-        assert goursat._CONV_CHUNK // (43 * eng.m_cap) == 0
-        self._check_lag_conv(eng, shifted, folded=False)
-
     def test_unforced_solve_makes_no_lag_cvec_call_per_row(
             self, monkeypatch):
         # the phi convolution and the V3 integral contract whole blocks of
-        # time rows (lag_conv); only whole-grid cvec calls remain
+        # time rows (``_toeplitz_rows``, ``_EtaConv.adjoint``); only
+        # whole-grid cvec calls remain
         calls = []
         original = TeleEngine.lag_cvec
 

@@ -20,16 +20,16 @@ from prabtel.goursat import (
     ForcingTerm,
     TeleEngine,
     TelegraphCoeffs,
+    _EtaConv,
 )
 from prabtel.oracle import adaptive_quad
 from prabtel.problem import solve
-from prabtel.quadrature import _GRADING, _call_on, build_rule, graded_mesh
+from prabtel.quadrature import _call_on
 from prabtel.specfun import SeriesPolicy, ml3
-from scipy.special import beta as beta_fn
 from prabtel.volterra import (
     VolterraSystem,
     _a_integrals,
-    _forcing_weights,
+    _eta_weights,
     _g_values,
     _m1_at,
     _t_rules,
@@ -292,10 +292,11 @@ class TestRhsG:
 
 def _g_values_by_row(engine, rules, M, phi, psi, forcing, domain, quad,
                      x_arr):
-    """``_g_values`` one outer node v at a time: the inner kernel K(v) of
-    the V3 and forcing integrals from its own lag_cvec product, f sampled
-    once per node, and the phi(0) term by ``fbar``."""
-    co, q = engine.coeffs, domain.q
+    """``_g_values`` one eta-mesh row at a time: each row t_k = k h of the
+    phi and forcing convolutions from its own ``_EtaConv._cells``
+    weights, times its weight of ``_eta_weights`` and M(t_k), the row
+    t = 0 by its limit weight, and the phi(0) term by ``fbar``."""
+    co, m_cap = engine.coeffs, engine.m_cap
     phi0 = float(phi(0.0))
     out = _call_on(psi, x_arr).copy()
     flat = rules.flat
@@ -304,27 +305,26 @@ def _g_values_by_row(engine, rules, M, phi, psi, forcing, domain, quad,
     out += np.exp(co.b * x_arr) * c_phi
     out -= co.a * phi0 * (fbar(engine, "V1", rules.beta.nodes, x_arr)
                           @ rules.mw)
-    beta = engine.params.beta
-    r = max(_GRADING, 1.0 / beta)
-    outer = build_rule(beta, graded_mesh(q, quad.n_points, r))
-    inner = build_rule(beta - 1.0, graded_mesh(1.0, quad.n_points, r))
-    table = engine.lag_table(inner.nodes)
-    cacc = np.zeros(engine.m_cap)
+    conv = _EtaConv(engine, domain.q, quad.n_points)
+    m_eta = _call_on(M, conv.etas)
+
+    def row_sum(samples, eps1):  # sum_k a_k R_k, samples (cells + 1, ncols)
+        a = _eta_weights(conv, eps1) * m_eta
+        acc = np.zeros((samples.shape[1], m_cap))
+        acc[:, 0] = a[0] * samples[0]
+        for k in range(1, conv.cells + 1):
+            left, right = conv._cells(k * conv.h, eps1)
+            w = np.zeros((k + 1, m_cap))
+            w[:-1] += left
+            w[1:] += right
+            acc += a[k] * (samples[:k + 1].T @ w)
+        return acc
+
+    cacc = row_sum(_call_on(phi, conv.etas)[:, None], 0.0)[0]
+    out += co.a * co.b * x_arr * (
+        engine.ypowers(x_arr) @ (engine.jw["V3"].T @ cacc))
     if forcing is not None:
-        wf = _forcing_weights(outer.nodes, beta, forcing.eps1)
-        facc = np.zeros((forcing.x_nodes.size, engine.m_cap))
-    for i, (v, w_v) in enumerate(zip(outer.nodes, outer.weights)):
-        eta = q - v
-        mv = _call_on(M, eta + v * inner.nodes)
-        kern = engine.lag_cvec(table, v, shifted=False) @ (inner.weights * mv)
-        if v > 0.0:
-            cacc += w_v * float(phi(eta)) * kern
-        if forcing is not None:
-            f = forcing._sample(np.array([eta]))[0]
-            facc += wf[i] * np.outer(f, kern)
-    j3 = engine.ypowers(x_arr) @ (engine.jw["V3"].T @ cacc)
-    out += co.a * co.b * x_arr * j3
-    if forcing is not None:
+        facc = row_sum(forcing._sample(conv.etas), forcing.eps1)
         out += forcing.q @ facc.ravel()
     return out
 
@@ -333,7 +333,6 @@ class TestGValues:
     @pytest.mark.parametrize("forced", [False, True])
     @pytest.mark.parametrize("n_points", [32, 160])
     def test_batched_integrals_match_row_loops(self, forced, n_points):
-        # at 160 points the V3 integral spans more than one block of rows
         prob = _smooth_problem(forcing=forced)
         quad = QuadPolicy(n_points=n_points)
         engine = TeleEngine(prob.params, prob.coeffs, 1.0, 1.0)
@@ -347,15 +346,29 @@ class TestGValues:
         got = _g_values(*args)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
-    @pytest.mark.parametrize("eps1", [0.0, 0.25])
-    @pytest.mark.parametrize("cells", [8, 9, 64])
-    def test_forcing_weights_exact_for_quadratics(self, eps1, cells):
-        # int_0^1 v^beta (1 - v)^-eps1 v^k dv = B(beta + 1 + k, 1 - eps1)
-        nodes = graded_mesh(1.0, cells, 2.0).nodes
-        w = _forcing_weights(nodes, 0.5, eps1)
-        for k in range(3):
-            want = beta_fn(1.5 + k, 1.0 - eps1)
-            assert w @ nodes ** k == pytest.approx(want, rel=1e-14)
+    @pytest.mark.parametrize("forced, eps", [(False, (0.0, 0.0)),
+                                             (True, (0.0, 0.0)),
+                                             (True, (0.25, 0.5))])
+    def test_converges_at_second_order(self, forced, eps):
+        # g of the acceptance problem with psi = 0 against its value at
+        # 1024 points: the eta-mesh rows summed with the t^p product rule,
+        # the row t = 0 taken as the limit of R / t^p
+        prob = _smooth_problem(forcing=forced)
+        engine = TeleEngine(prob.params, prob.coeffs, 1.0, 1.0)
+        x = np.linspace(0.0, 1.0, 33)
+        forcing = (ForcingTerm(engine, prob.f_smooth, *eps, x)
+                   if forced else None)
+
+        def g(n_points):
+            quad = QuadPolicy(n_points=n_points)
+            rules = _t_rules(engine, prob.M, prob.domain, quad)
+            return _g_values(engine, rules, prob.M, prob.phi, zeros, forcing,
+                             prob.domain, quad, x)
+
+        ref = g(1024)
+        errors = [np.abs(g(n) - ref).max() for n in (16, 32, 64)]
+        orders = np.log2(np.array(errors[:-1]) / errors[1:])
+        assert np.all(orders >= 1.8), orders
 
 
 class TestShiftedPass:
@@ -387,8 +400,8 @@ class TestShiftedPass:
         TABLES.clear()  # count a cold assembly
         assemble(prob.params, prob.coeffs, prob.domain, prob.M, prob.phi,
                  prob.psi, prob.f_smooth, quad=QuadPolicy(n_points=32))
-        # the fine and the coarse level; the base family runs on lag tables
-        assert calls == [True, True]
+        # the fine and the coarse level
+        assert calls.count(True) == 2
 
 
 class TestAssemble:
