@@ -206,8 +206,8 @@ def check_positivity_and_a_bound():
     eng, one = TeleEngine(params, coeffs, 1.0, 1.0), weights[0][1]
     worst_gap = math.inf
     for _, M, mass in weights:
-        system = assemble_system(eng, domain, M, one, one, None, QuadPolicy(),
-                                 np.linspace(0.0, 1.0, 3))
+        system = assemble_system(eng, domain, M, one, one, None,
+                                 np.linspace(0.0, 1.0, 257))
         worst_gap = min(worst_gap, system.diagnostics["a_display"] - mass)
     ok = min_val > 0.0 and worst_gap > -1e-8
     return ok, (f"kernel instance min {min_val:.3e} (> 0), smallest "
@@ -233,13 +233,13 @@ def check_classical_limit():
 def check_solver_cross_check():
     """Direct substitution against Picard iteration on every assembled
     trace system."""
-    worst, quad, x = 0.0, QuadPolicy(n_points=128), np.linspace(0.0, 1.0, 129)
+    worst, x = 0.0, np.linspace(0.0, 1.0, 129)
     for prob in (_constant_problem(), _smooth_problem()):
         eng = TeleEngine(prob.params, prob.coeffs, 1.0, 1.0)
         forcing = (None if prob.f_smooth is None else
                    ForcingTerm(eng, prob.f_smooth, 0.0, 0.0, x))
         system = assemble_system(eng, prob.domain, prob.M, prob.phi, prob.psi,
-                                 forcing, quad, x)
+                                 forcing, x)
         direct = solve_tau(system)
         picard = picard_solve(system)
         worst = max(worst, float(np.abs(direct.tau - picard.tau).max()))

@@ -1,16 +1,21 @@
 """The tables a solve builds from its operator alone, kept for the process.
 
-The series engine of (params, coeffs, q, p, series) and the tables built
-from it for a grid (t-rules with their ``cvec`` columns, lag tables, kt
-folded in up to a bound, the eta-mesh weights of the grid fill, the
-xi-moments of the forcing, verify's slope weights) do not depend on phi,
-psi, M or f.  ``TABLES`` keeps them under exact keys, the inputs of the
-build or the node values, so that a second solve of one operator builds
-none of them again and returns the same numbers bit for bit.  Everything that samples
-the data runs on every solve.  Every table it hands out has read-only
-arrays.  The cache holds at most ``_BUDGET`` bytes, dropping the least
-recently used tables first; a table larger than that is built, made
-read-only, used and dropped.
+The series engine of (params, coeffs, q, p, max_terms_per_index) and the
+tables built from it for a grid do not depend on phi, psi, M or f:
+the t-rules of each assembly level with their shifted ``cvec`` columns,
+the shifted ``cvec`` columns of the grid's t-nodes, the ``ypowers`` of
+the x-grid, the hat moments of the trace convolution, the xi-moments of
+the forcing, and per eta-mesh (``goursat._EtaConv``) the node weights of
+its row t_max, the kernel at the lags of its inner cells, the end pieces
+of each set of rows with eps1 > 0 and the assembly's row weights; beside
+them verify's slope weights and the compatibility check's trapezoid
+rules.  ``TABLES`` keeps them under exact keys, the inputs of the build
+or the node values, so that a second solve of one operator builds none
+of them again and returns the same numbers bit for bit.  Everything
+that samples the data runs on every solve.  Every table it hands out
+has read-only arrays.  The cache holds at most ``_BUDGET`` bytes,
+dropping the least recently used tables first; a table larger than that
+is built, made read-only, used and dropped.
 """
 
 from __future__ import annotations

@@ -65,9 +65,9 @@ class QuadPolicy:
 
     In ``goursat_grid`` (the grid fill of ``solve``), n_points is the
     number of cells of the shared eta-mesh, rounded up to a multiple of
-    the number of t-cells; in ``assemble_system`` it is the cells of the
-    eta-mesh of its phi and forcing integrals, at least 16, and a
-    quarter of those of its t-rules; ``solve`` passes n_x there.
+    the number of t-cells, and ``compatibility_check`` integrates on 2
+    and 4 times n_points cells.  ``assemble_system`` does not read it:
+    its eta-mesh takes as many cells as its x-grid, at least 16.
     ``tol`` is read only by the adaptive refinement of
     ``prabhakar_integral`` and ``caputo_prabhakar_deriv``.  Every graded
     mesh takes the grading ``quadrature._GRADING``, raised to 1/beta in

@@ -32,12 +32,14 @@ the uniform lattice from 0 that ``solve`` builds
 (``quadrature._is_lattice``).  Its phi and forcing convolutions share
 one eta-mesh (``_EtaConv``) of ``quad.n_points`` cells, rounded up to a
 multiple of n_t, so every time row is a mesh node: the data are sampled
-once, and the rows read the lags of the row t_max.  On a lattice the phi
+once, and each row is one product of shifted slices of the tables of
+the row t_max, plus its end pieces when eps1 > 0.  On a lattice the phi
 rows and the tau convolution are Toeplitz products with the weights of
 the last node, a block of rows at a time (``_toeplitz_rows``).  The
-trace assembly, on n_x points, integrates the same rows against M on an
-eta-mesh of its own by the adjoint of the convolution, sampling phi, f
-and M once per level (``_EtaConv.adjoint``, ``volterra._g_values``).
+trace assembly, on max(n_x, 16) cells, integrates the same rows against
+M on an eta-mesh of its own by the adjoint of the convolution, sampling
+phi, f and M once per level (``_EtaConv.adjoint``,
+``volterra._g_values``).
 
 Accuracy envelope: the tensors are exponentiated log-gamma ratios in
 float64 (``math.lgamma`` tables, see ``TeleEngine``).  For X = a t^beta < 0
@@ -224,14 +226,6 @@ class TeleEngine:
     so that F_v(X; y; Z) = ypow @ jw[v].T @ ((kt @ zpow) * xpow) with the
     normalized power vectors xpow_m = (X/Xs)^m etc., all of modulus <= 1.
 
-    A time convolution evaluates the kernel at lags s = t u, with a unit
-    rule u that does not depend on t.  ``lag_table(u)`` builds the power
-    tables of u^beta and u^alpha once; ``lag_cvec(table, t, shifted)``
-    then gives c(m; t u) = ((kt * xs zs^T) @ Zu) * Xu, where xs and zs
-    are the m_cap and k_cap powers of the scalars sign(a) (t/t_ref)^beta
-    and sign(delta) (t/t_ref)^alpha, for one time or a block of times.
-    ``cvec(s)`` is the same path with u = s/t_ref at t = t_ref.
-
     These are the K and J tensors of ``specfun.ml3`` for the
     ``ml3_tele_variant`` packings at the magnitudes (Xs, Ys, Zs), from
     the same ``SeriesTensors`` builder: "base" is the d3 = beta family
@@ -288,47 +282,24 @@ class TeleEngine:
         self._m_exps = np.arange(self.m_cap, dtype=float)
         self._k_exps = np.arange(self.k_cap, dtype=float)
 
-    def lag_table(self, u) -> tuple:
-        """Power tables of a unit lag rule u >= 0: ((m_cap, n), (k_cap, n)).
-
-        Rows m of the first are (u^beta)^m, rows k of the second
-        (u^alpha)^k.  ``lag_cvec`` scales them to the lags t u of any
-        time t, so a rule that every time row reuses is tabulated once.
-        """
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        return (_power_rows(u ** self.params.beta, self.m_cap),
-                _power_rows(u ** self.params.alpha, self.k_cap))
-
-    def lag_cvec(self, table, t, shifted: bool) -> np.ndarray:
-        """Coefficient matrix c(m; t u_n) from the ``lag_table`` of u.
-
-        X = a (t u)^beta factors as [sign(a) (t/t_ref)^beta] times the
-        u^beta of the table, and Z likewise, so the time enters only
-        through two short power vectors xs (m_cap) and zs (k_cap):
-        c = ((kt * xs zs^T) @ Zu) * Xu.  No pow runs over the nodes.
-        A 1-D array of times gives one matrix per time, shape
-        (t.size, m_cap, n).
-        """
-        xu, zu = table
-        r = np.asarray(t, dtype=float)[..., None] / self.t_ref
-        xs = (self._sign_a * r ** self.params.beta) ** self._m_exps
-        zs = (self._sign_d * r ** self.params.alpha) ** self._k_exps
-        kz = self.kt["shifted" if shifted else "base"] * (
-            xs[..., :, None] * zs[..., None, :])
-        c = kz @ zu
-        c *= xu
-        return c
-
     def cvec(self, s, shifted: bool) -> np.ndarray:
         """Coefficient matrix c(m; s_n), shape (m_cap, n).
 
         ``shifted`` selects the d3 = beta+1 family (E2, V1, V2); the
         other family (d3 = beta) feeds the time-convolution variants.
-        The times are their own lag rule at t = t_ref.
+        With u = s / t_ref, X = a s^beta is sign(a) u^beta times the scale
+        folded into kt, and Z likewise, so c = ((kt * sign(a)^m
+        sign(delta)^k) @ Zu) * Xu, the rows of Xu and Zu the powers
+        (u^beta)^m and (u^alpha)^k (``_power_rows``): no float pow runs
+        per term.
         """
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        return self.lag_cvec(self.lag_table(s / self.t_ref), self.t_ref,
-                             shifted)
+        u = np.atleast_1d(np.asarray(s, dtype=float)) / self.t_ref
+        signs = np.outer(self._sign_a ** self._m_exps,
+                         self._sign_d ** self._k_exps)
+        c = ((self.kt["shifted" if shifted else "base"] * signs)
+             @ _power_rows(u ** self.params.alpha, self.k_cap))
+        c *= _power_rows(u ** self.params.beta, self.m_cap)
+        return c
 
     def ypowers(self, dx_values) -> np.ndarray:
         """Normalized power matrix (n, j_cap) for displacements dx >= 0.
@@ -528,36 +499,51 @@ class _EtaConv:
     Row t is int_0^t s^(beta-1) (t-s)^-eps1 c(m; s) y(t-s) ds with c the
     kernel of ``kt["base"]`` (which the V3 and V4 instances share) and y
     the piecewise-linear interpolant of samples on the uniform mesh
-    ``etas``, eta_j = j h, h = t_max / cells.  Every row is a node t = k h.
+    ``etas``, eta_j = j h, h = t_max / cells.  Every row is a node t = k h,
+    and every row is one product of shifted slices plus its end pieces.
     With eps1 = 0 a row weighs eta_j by its lag k - j alone (Toeplitz),
-    so it reads the weights of the row t_max shifted by cells - k nodes:
-    eta_1 .. eta_k take the contiguous ``inner[cells - k:]``, eta_0 the
-    left hat of cell cells - k (``_toeplitz_rows`` takes a block of such
-    rows of one column of samples at once).  With eps1 > 0 each row takes
-    its own ``_cells``, whose inner cells read the kernel of the row t_max
-    (``_lags``).  In every row the two cells at the lag end, where
-    s^(beta-1) is nearly singular, and for eps1 > 0 the first cell take
-    rules of their own (``_ends``).  The weights of the row t_max, its
-    lags and the ends of all rows depend on the engine, t_max and cells
-    alone, and are kept in ``cache.TABLES``.
+    so it reads the node weights of the row t_max shifted by cells - k
+    nodes: eta_1 .. eta_k take the contiguous ``inner[cells - k:]``, eta_0
+    the left hat of cell cells - k (``_toeplitz_rows`` takes a block of
+    such rows of one column of samples at once).  With eps1 > 0 the inner
+    cells 1 .. k - 3 of a row weigh the samples at their 4 Gauss nodes by
+    the hats and eta^-eps1 (``_inner_hats``), which do not depend on the
+    row, against the kernel at the lags of the row t_max (``_lags``) from
+    cell cells - k + 1 on.  In every row the two cells at the lag end,
+    where s^(beta-1) is nearly singular, and for eps1 > 0 the first cell
+    take rules of their own (``_ends``).  The weights of the row t_max,
+    its lags and the end pieces of a set of rows (``_end_batch``) depend
+    on the engine, t_max, cells, eps1 and the row times alone, and are
+    kept in ``cache.TABLES``.
     """
 
     def __init__(self, engine: TeleEngine, t_max: float, cells: int):
         self.engine, self.cells, self.t_max = engine, cells, t_max
         self.h = t_max / cells
         self.etas = self.h * np.arange(cells + 1.0)
-        # the Gauss nodes of every cell, and their weights per eps1
+        # the Gauss nodes of every cell
         self._eta = (np.arange(cells)[:, None] + _LAG_U) * self.h
-        self._wts = {}
         self._step = max(1, _CONV_CHUNK // (4 * max(engine.m_cap,
                                                     engine.k_cap)))
         self.key = (engine.key, "eta", float(t_max), int(cells))
         self.left, self.inner = TABLES.get(self.key, self._toeplitz)
 
     def _toeplitz(self) -> tuple:
-        """(left, inner): the left hats of the row t_max, and its right
-        hats plus the left hats of the next cells (``_toeplitz_rows``)."""
-        left, inner = self._cells(self.t_max, 0.0)
+        """(left, inner) of the row t_max with eps1 = 0: the left hats of
+        its cells, and its right hats plus the left hats of the next cells
+        (``_toeplitz_rows``).  The inner cells take the kernel at their
+        Gauss nodes, in ``_CONV_CHUNK`` blocks, the two lag-end cells
+        their ``_ends``."""
+        n = self.cells
+        hats = np.zeros((2, n, self.engine.m_cap))
+        for lo in range(0, n - 2, self._step):
+            hi = min(lo + self._step, n - 2)
+            hats[:, lo:hi] = np.matmul(
+                self.h * _LAG_HATS,
+                self._kernel(self.t_max - self._eta[lo:hi])).transpose(1, 0, 2)
+        cells, adds = self._ends(np.array([self.t_max]), 0.0)
+        np.add.at(hats, (slice(None), cells[0]), adds[0])
+        left, inner = hats
         inner[:-1] += left[1:]
         return left, inner
 
@@ -570,7 +556,7 @@ class _EtaConv:
     def _lags(self) -> np.ndarray:
         """``_kernel`` at the lags of the inner cells of the row t_max,
         shape (cells - 2, 4, m_cap): a row t = k h reads the same lags for
-        its cell j at j + cells - k.  Built on the first row with
+        its cell j at j + cells - k.  Built on the first use with
         eps1 > 0, in ``_CONV_CHUNK`` blocks, and kept in ``cache.TABLES``."""
         def build():
             out = np.empty((self.cells - 2, 4, self.engine.m_cap))
@@ -581,10 +567,16 @@ class _EtaConv:
 
         return TABLES.get(self.key + ("lags",), build)
 
+    def _inner_hats(self, eps1: float) -> np.ndarray:
+        """The weights (cells - 3, 2, 4) of the 4 Gauss nodes of the inner
+        cells 1 .. cells - 3 for the left and right node of the cell: the
+        Gauss weights times the hats times eta^-eps1."""
+        return (self._eta[1:-2] ** -eps1)[:, None] * (self.h * _LAG_HATS)
+
     def _moments(self, lags: np.ndarray) -> tuple:
         """int_0^L s^(beta-1) (1, s) c(m; s) ds for each L of ``lags``, two
         arrays (lags.size, m_cap): term by term in the powers of s / t_ref
-        that ``lag_cvec`` sums, s^(beta m + alpha k) integrating to
+        that ``cvec`` sums, s^(beta m + alpha k) integrating to
         L^p / p, p = beta (m + 1) + alpha k."""
         eng, beta = self.engine, self.engine.params.beta
         r = lags / eng.t_ref
@@ -643,64 +635,42 @@ class _EtaConv:
             d1 = np.einsum("bpv,bpvm->bpm", w * x, c)
         return cells, np.stack((d1 / h, d0 - d1 / h), axis=1)
 
-    def _cells(self, t: float, eps1: float, ends=None) -> np.ndarray:
-        """What eta-cell j gives its nodes eta_j and eta_(j+1) in the row
-        t = n h, shape (2, n, m_cap).  The inner cells take 4
-        Gauss-Legendre nodes, in ``_CONV_CHUNK`` blocks, with the kernel
-        at the lags of the row t_max (the table ``_lags`` when eps1 > 0,
-        which every row then reads).  The pieces at the ends are ``ends``,
-        the row's entries of a ``_ends`` batch, or the row's own.
-        """
-        n = max(1, int(self.index(t)))
-        hats = np.zeros((2, n, self.engine.m_cap))
-        if eps1 not in self._wts:  # the hats times eta^-eps1 at the nodes
-            self._wts[eps1] = (self._eta ** -eps1)[:, None] * (
-                self.h * _LAG_HATS)
-        for lo in range(int(eps1 > 0.0), n - 2, self._step):
-            hi = min(lo + self._step, n - 2)
-            lags = slice(self.cells - n + lo, self.cells - n + hi)
-            k = (self._lags[lags] if eps1 > 0.0
-                 else self._kernel(self.t_max - self._eta[lags]))
-            hats[:, lo:hi] = np.matmul(self._wts[eps1][lo:hi],
-                                       k).transpose(1, 0, 2)
-        cells, adds = ends or [e[0] for e in self._ends(np.array([t]), eps1)]
-        np.add.at(hats, (slice(None), cells), adds)
-        return hats
-
     def index(self, times: np.ndarray) -> np.ndarray:
         """The node k of each row t = k h, as integers."""
         return np.rint(times / self.h).astype(int)
 
     def _end_batch(self, times: np.ndarray, eps1: float) -> tuple:
-        """``_ends`` of the rows ``times``, in ``_CONV_CHUNK`` blocks."""
-        step = max(1, _CONV_CHUNK // (3 * _END_NODES * max(
-            self.engine.m_cap, self.engine.k_cap)))
-        return tuple(map(np.concatenate, zip(*(
-            self._ends(times[lo:lo + step], eps1)
-            for lo in range(0, times.size, step)))))
+        """``_ends`` of the rows ``times`` (all above 0), in
+        ``_CONV_CHUNK`` blocks, kept in ``cache.TABLES`` under the mesh,
+        eps1 and the row times."""
+        def build():
+            step = max(1, _CONV_CHUNK // (3 * _END_NODES * max(
+                self.engine.m_cap, self.engine.k_cap)))
+            return tuple(map(np.concatenate, zip(*(
+                self._ends(times[lo:lo + step], eps1)
+                for lo in range(0, times.size, step)))))
+
+        return TABLES.get(self.key + ("ends", eps1, times.tobytes()), build)
 
     def adjoint(self, a: np.ndarray, eps1: float = 0.0) -> np.ndarray:
         """W = sum_k a[k] w_k (cells + 1, m_cap) over the rows t = k h,
-        k >= 1, with w_k the node weights of row k (``_cells``): samples
-        @ W sums the rows with weights a.  W is one ``_toeplitz_sums`` of
+        k >= 1, with w_k the node weights of row k (``apply``): samples @
+        W sums the rows with weights a.  W is one ``_toeplitz_sums`` of
         ``inner`` (eps1 = 0), or of ``_lags`` for the inner cells plus the
-        ends of all rows, one cached ``_end_batch`` (eps1 > 0)."""
+        ends of all rows from one ``_end_batch``, summed by one
+        ``np.bincount`` (eps1 > 0)."""
         n, m_cap = self.cells, self.engine.m_cap
         if eps1 == 0.0:
             return np.vstack((a[1:] @ self.left[::-1],
                               _toeplitz_sums(a, self.inner)))
-
-        def ends():
-            cells, adds = self._end_batch(self.etas[1:], eps1)
-            nodes = cells[:, None, :, None] + np.arange(2)[:, None, None]
-            return (nodes * m_cap + np.arange(m_cap)).ravel(), adds
-
-        index, adds = TABLES.get(self.key + ("ends", eps1), ends)
-        w = np.bincount(index, (a[1:, None, None, None] * adds).ravel(),
+        cells, adds = self._end_batch(self.etas[1:], eps1)
+        nodes = cells[:, None, :, None] + np.arange(2)[:, None, None]
+        w = np.bincount((nodes * m_cap + np.arange(m_cap)).ravel(),
+                        (a[1:, None, None, None] * adds).ravel(),
                         (n + 1) * m_cap).reshape(n + 1, m_cap)
         if n > 3:  # inner cells 1..n-3, past the Gauss-Jacobi cell 0
             left, right = np.matmul(
-                (self._eta[1:-2] ** -eps1)[:, None] * (self.h * _LAG_HATS),
+                self._inner_hats(eps1),
                 _toeplitz_sums(a, self._lags[1:])).transpose(1, 0, 2)
             w[1:-3] += left
             w[2:-2] += right
@@ -711,28 +681,41 @@ class _EtaConv:
         """Yield (rows, G) per block of times on the mesh, G[i] = sum_j
         samples[j] outer w_i(eta_j), shape (rows.size, ncols, m_cap), for
         samples (cells + 1, ncols) on ``etas``; a block fills
-        ``_CONV_CHUNK``.  With eps1 > 0 the rows get their end pieces
-        from one ``_end_batch``."""
+        ``_CONV_CHUNK``.  Row t = k h is one product of shifted slices:
+        of the samples with ``inner[cells - k:]`` and ``left[cells - k]``
+        (eps1 = 0), or of the ``_inner_hats``-weighted samples at the Gauss
+        nodes of its inner cells with the last k - 3 cells of ``_lags``,
+        plus its end pieces from one ``_end_batch`` (eps1 > 0)."""
         cells, m_cap = self.cells, self.engine.m_cap
         k = self.index(times)
-        own = np.flatnonzero((k > 0) & (eps1 > 0.0))
-        ends = dict(zip(own.tolist(),
-                        zip(*self._end_batch(times[own], eps1))))
+        live = k > 0
+        if eps1 > 0.0:
+            hats = self._inner_hats(eps1)[..., None]
+            weighted = (hats[:, 0] * samples[1:-3, None]
+                        + hats[:, 1] * samples[2:-2, None]).reshape(
+                            -1, samples.shape[1])
+            lags = self._lags[1:].reshape(-1, m_cap)
+            ends, adds = self._end_batch(times[live], eps1)
+            entry = np.cumsum(live) - 1
         step = max(1, _CONV_CHUNK // (samples.shape[1] * m_cap))
         for lo in range(0, times.size, step):
             rows = np.arange(lo, min(lo + step, times.size))
             g = np.zeros((rows.size, samples.shape[1], m_cap))
-            for out, i in zip(g, rows.tolist()):
-                if i in ends:
-                    left, right = self._cells(float(times[i]), eps1, ends[i])
-                    w = np.zeros((len(left) + 1, m_cap))
-                    w[:-1] = left
-                    w[1:] += right
-                    out[:] = samples[:len(w)].T @ w
-                elif k[i] > 0:
-                    top = cells - k[i]
-                    out[:] = (samples[1:cells - top + 1].T @ self.inner[top:]
+            for out, n in zip(g, k[rows].tolist()):
+                if n > 0 and eps1 > 0.0:
+                    r = 4 * max(n - 3, 0)
+                    out[:] = weighted[:r].T @ lags[len(lags) - r:]
+                elif n > 0:
+                    top = cells - n
+                    out[:] = (samples[1:n + 1].T @ self.inner[top:]
                               + np.outer(samples[0], self.left[top]))
+            if eps1 > 0.0:
+                own = rows[live[rows]]
+                e = entry[own]
+                at = ends[e][:, None, :] + np.arange(2)[:, None]
+                pieces = samples[at].reshape(e.size, 6, samples.shape[1])
+                g[own - lo] += np.matmul(pieces.transpose(0, 2, 1),
+                                         adds[e].reshape(e.size, 6, m_cap))
             yield rows, g
 
 

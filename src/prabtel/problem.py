@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -240,8 +240,10 @@ def solve(problem: ProblemN, n_t: int = 64, n_x: int = 64,
     (strict=False) only needs a non-degenerate nonlocal constant and
     downgrades those two gates to RuntimeWarning.  The trace equation is
     discretized on the solution x-grid itself, so tau lands on the grid
-    nodes with no interpolation; its t-rules take max(n_x, 16) cells.
-    The stages are the public ``assemble_system``, ``solve_tau`` and
+    nodes with no interpolation; its eta-mesh takes max(n_x, 16) cells
+    and its t-rules four times as many, while ``quad.n_points`` sizes the
+    eta-mesh of the grid fill and the compatibility check.  The stages
+    are the public ``assemble_system``, ``solve_tau`` and
     ``goursat_grid``, on one ``TeleEngine`` and one forcing term.  The
     engine comes from ``cache.TABLES``, keyed by (params, coeffs, q, p,
     max_terms_per_index), and the stages keep there what they build from
@@ -265,11 +267,10 @@ def solve(problem: ProblemN, n_t: int = 64, n_x: int = 64,
         lambda: TeleEngine(problem.params, problem.coeffs, domain.q,
                            domain.p, series=series))
     x_grid = np.linspace(0.0, domain.p, n_x + 1)
-    quad_x = replace(quad, n_points=n_x)
     forcing = None if _is_zero_forcing(problem.f_smooth) else ForcingTerm(
         engine, problem.f_smooth, problem.eps1, problem.eps2, x_grid)
     system = assemble_system(engine, domain, problem.M, problem.phi,
-                             problem.psi, forcing, quad_x, x_grid)
+                             problem.psi, forcing, x_grid)
     phi0 = float(np.asarray(problem.phi(0.0), dtype=float))
     g0_defect = abs(float(system.rhs[0]) - phi0)
     # widen the corner gate by the assembly's own refinement estimate so

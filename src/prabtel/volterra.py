@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from .errors import (
     MaxIterExceeded,
     SingularStep,
 )
-from .fracops import PrabhakarParams, QuadPolicy
+from .fracops import PrabhakarParams
 from .goursat import (
     Domain2D,
     TeleEngine,
@@ -159,16 +159,16 @@ class _TRules:
 
 
 def _t_rules(engine: TeleEngine, M, domain: Domain2D,
-             quad: QuadPolicy) -> _TRules:
+             n: int) -> _TRules:
     """Unit-weight (trapezoid) and t^beta-weight product rules, refined 4x.
 
     The 1-D t-integrals are cheap next to the grid evaluation, so they
-    run on a finer mesh than quad.n_points to keep their error
-    subdominant.  The rules and the level's one shifted ``cvec`` call
-    depend on the engine, q and the cells alone, and are kept in
-    ``cache.TABLES``; M is sampled on every call.
+    run on 4 n cells, finer than the level's eta-mesh of n cells, to keep
+    their error subdominant.  The rules and the level's one shifted
+    ``cvec`` call depend on the engine, q and the cells alone, and are
+    kept in ``cache.TABLES``; M is sampled on every call.
     """
-    cells = 4 * quad.n_points
+    cells = 4 * n
 
     def build():
         nodes = graded_mesh(domain.q, cells, 1.0).nodes
@@ -220,14 +220,13 @@ def _eta_weights(conv: _EtaConv, eps1: float) -> np.ndarray:
 
 
 def _g_values(engine: TeleEngine, rules: _TRules, M, phi, psi, forcing,
-              domain: Domain2D, quad: QuadPolicy,
-              x_arr: np.ndarray) -> np.ndarray:
+              domain: Domain2D, n: int, x_arr: np.ndarray) -> np.ndarray:
     """Right-hand side g on an array of x values (display normalization).
 
-    ``rules`` are the t-rules of ``quad``; ``forcing`` is a ForcingTerm on
-    x_arr, or None.  The phi (V3) and forcing (V4) double integrals sum
-    the rows R of the grid fill's time convolution, on an eta-mesh of
-    ``quad.n_points`` cells, to int_0^q M R dt (``_EtaConv.adjoint``,
+    ``rules`` are the t-rules of the level (``_t_rules`` of n); ``forcing``
+    is a ForcingTerm on x_arr, or None.  The phi (V3) and forcing (V4)
+    double integrals sum the rows R of the grid fill's time convolution,
+    on an eta-mesh of n cells, to int_0^q M R dt (``_EtaConv.adjoint``,
     ``_eta_weights``).  The mesh's tables and weights are kept in
     ``cache.TABLES``; M, phi, psi and f are sampled on every call.
     """
@@ -242,7 +241,7 @@ def _g_values(engine: TeleEngine, rules: _TRules, M, phi, psi, forcing,
 
     out -= co.a * phi0 * _m1_at(engine, rules, x_arr, "V1")
 
-    conv = _EtaConv(engine, q, quad.n_points)
+    conv = _EtaConv(engine, q, n)
     m_eta = _call_on(M, conv.etas)
     a = _eta_weights(conv, 0.0) * m_eta
     # the phi rows are Toeplitz (``_toeplitz_rows``): their a-weighted sum
@@ -295,13 +294,12 @@ def _outside_stacklevel() -> int:
 
 
 def assemble_system(engine: TeleEngine, domain: Domain2D, M, phi, psi,
-                    forcing, quad: QuadPolicy,
-                    x_grid: np.ndarray) -> VolterraSystem:
+                    forcing, x_grid: np.ndarray) -> VolterraSystem:
     """Build the discrete trace equation on a uniform x-grid from 0.
 
     ``forcing`` is a ForcingTerm of this engine on x_grid, or None; both
-    levels read its xi-moments.  The eta-mesh takes max(quad.n_points,
-    16) cells, the t-rules four times as many.  Diagnostics carry the
+    levels read its xi-moments.  The eta-mesh takes as many cells as the
+    x-grid, at least 16, the t-rules four times as many.  Diagnostics carry the
     display constant (``a_display``, the quantity whose bound
     A > int M dt holds for a < 0, M >= 0), the divisor, the M mass, and
     coarse-vs-fine refinement deltas for the kernel and right-hand side
@@ -318,8 +316,8 @@ def assemble_system(engine: TeleEngine, domain: Domain2D, M, phi, psi,
     _check_forcing(forcing, engine, x_grid)
     # at least 16 cells, so that the coarse level, max(n // 2, 8) cells,
     # is another one
-    quad = replace(quad, n_points=max(quad.n_points, 16))
-    rules = _t_rules(engine, M, domain, quad)
+    n = max(x_grid.size - 1, 16)
+    rules = _t_rules(engine, M, domain, n)
     i_m, i_e = _a_integrals(engine, rules)
     a_display = i_m - i_e
     a_true = 1.0 - i_m - i_e
@@ -331,9 +329,9 @@ def assemble_system(engine: TeleEngine, domain: Domain2D, M, phi, psi,
     m1 = _m1_at(engine, rules, x_grid)
     idx = np.arange(x_grid.size)
     m2 = np.tril(m1[np.maximum(idx[:, None] - idx[None, :], 0)]) / a_true
-    g = _g_values(engine, rules, M, phi, psi, forcing, domain, quad, x_grid)
+    g = _g_values(engine, rules, M, phi, psi, forcing, domain, n, x_grid)
 
-    coarse = replace(quad, n_points=max(quad.n_points // 2, 8))
+    coarse = max(n // 2, 8)
     rules_c = _t_rules(engine, M, domain, coarse)
     i_m_c, i_e_c = _a_integrals(engine, rules_c)
     m1_c = _m1_at(engine, rules_c, x_grid)

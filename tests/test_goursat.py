@@ -478,11 +478,11 @@ class TestForcingTerm:
         prob = _smooth_problem(forcing=True)
         eng = TeleEngine(prob.params, prob.coeffs, 1.0, 1.0)
         x = np.linspace(0.0, 1.0, 33)
-        quad, fine = QuadPolicy(n_points=32), QuadPolicy(n_points=32 * 32)
+        fine = QuadPolicy(n_points=32 * 32)
         forcing = ForcingTerm(eng, wavy, eps1, eps2, x)
-        rules = volterra._t_rules(eng, prob.M, prob.domain, quad)
+        rules = volterra._t_rules(eng, prob.M, prob.domain, 32)
         got = volterra._g_values(eng, rules, prob.M, zeros, zeros, forcing,
-                                 prob.domain, quad, x)
+                                 prob.domain, 32, x)
         r = max(_GRADING, 1.0 / eng.params.beta)
         outer = build_rule(0.0, graded_mesh(1.0, fine.n_points // 2, r))
         want = ((outer.weights * prob.M(outer.nodes))
@@ -593,9 +593,9 @@ class TestEtaMesh:
         phi_new, rows_new = self._grid_convolutions(prob, forcing, 256, t)
         beta = prob.params.beta
         rule = build_rule(beta - 1.0, graded_mesh(1.0, 256, 1.0 / beta))
-        table = eng.lag_table(rule.nodes)
+        table = _lag_table(eng, rule.nodes)
         phi_old = np.array([
-            tk ** beta * eng.lag_cvec(table, tk, shifted=False)
+            tk ** beta * _lag_cvec(eng, table, tk, shifted=False)
             @ (prob.phi(tk - tk * rule.nodes) * rule.weights) for tk in t])
         phi_old = phi_old @ eng.jw["V3"]
         rows_old = _forcing_rows_per_time(forcing, t,
@@ -627,6 +627,20 @@ class TestEtaMesh:
             assert np.abs(g - want).max() <= 1e-13 * max(np.abs(want).max(),
                                                          1e-300)
 
+    def test_rows_in_blocks_of_one(self, monkeypatch):
+        # eps1 > 0 with one row a block: the row t = 0 makes a block with
+        # no end pieces
+        eng = TeleEngine(PARAMS, COEFFS, 1.0, 1.0)
+        conv = _EtaConv(eng, 1.0, 32)
+        samples = np.cos(np.multiply.outer(conv.etas, [1.0, 4.0]))
+        monkeypatch.setattr(goursat, "_CONV_CHUNK", 2 * eng.m_cap)
+        t_nodes = np.linspace(0.0, 1.0, 5)
+        for (row,), (g,) in conv.apply(samples, t_nodes, 0.25):
+            want = (samples.T @ _row_weights(conv, t_nodes[row], 0.25)
+                    if row else np.zeros_like(g))
+            assert np.abs(g - want).max() <= 1e-13 * max(np.abs(want).max(),
+                                                         1e-300)
+
     @pytest.mark.parametrize("t_nodes", [
         np.linspace(0.0, 1.0, 9),  # 32 cells
         np.linspace(0.0, 1.0, 4)])  # n_t = 3: 33 cells
@@ -651,7 +665,7 @@ class TestEtaMesh:
     @pytest.mark.parametrize("cells", [2, 3, 4, 5, 32])
     def test_adjoint_sums_the_rows_own_weights(self, cells, eps1):
         # sum_k a_k w_k over the rows t = k h, each w_k from the row's own
-        # ``_cells``; a[0] is not read
+        # ``_row_weights``; a[0] is not read
         eng = TeleEngine(PARAMS, COEFFS, 1.0, 1.0)
         conv = _EtaConv(eng, 1.0, cells)
         a = np.random.default_rng(cells).standard_normal(cells + 1)
@@ -676,7 +690,7 @@ def _cvec_by_pow(eng, s, shifted):
 def _forcing_rows_per_time(forcing, times, quad):
     """Rows T(t, x_nodes) by the per-time eta rule of ``quad`` that the
     trace assembly used before it swapped int M T dt onto its V3 weights,
-    one time at a time, each with its own ``lag_cvec`` and call of f.
+    one time at a time, each with its own ``_lag_cvec`` and call of f.
 
     [0, t] splits at t/2 so each half carries one power weight:
     eta^-eps1 on the left, (t - eta)^(beta-1) on the right, each by
@@ -690,32 +704,66 @@ def _forcing_rows_per_time(forcing, times, quad):
     left, right = build_rule(-eps1, mesh), build_rule(beta - 1.0, mesh)
     ln, rn = 0.5 * left.nodes, 0.5 * right.nodes
     etas = np.concatenate((ln, 1.0 - rn))
-    table = eng.lag_table(np.concatenate((1.0 - ln, rn)))
+    table = _lag_table(eng, np.concatenate((1.0 - ln, rn)))
     coef = np.concatenate((
         0.5 ** (1.0 - eps1) * left.weights * (1.0 - ln) ** (beta - 1.0),
         0.5 ** beta * right.weights * (1.0 - rn) ** (-eps1)))
     out = np.zeros((len(times), forcing.x_nodes.size))
     for i, t in enumerate(times):
         if t > 0.0:
-            c = eng.lag_cvec(table, t, shifted=False)
+            c = _lag_cvec(eng, table, t, shifted=False)
             amat = forcing._sample(t * etas).T @ (c * coef).T
             out[i] = forcing.q @ (t ** (beta - eps1) * amat).ravel()
     return out
 
 
+def _lag_table(eng, u):
+    """Power tables of a unit lag rule u >= 0, ((m_cap, n), (k_cap, n)):
+    rows (u^beta)^m and (u^alpha)^k, which ``_lag_cvec`` scales to the
+    lags t u of any time t."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    return (_power_rows(u ** eng.params.beta, eng.m_cap),
+            _power_rows(u ** eng.params.alpha, eng.k_cap))
+
+
+def _lag_cvec(eng, table, t, shifted):
+    """c(m; t u_n) from the ``_lag_table`` of u: X = a (t u)^beta
+    factors as [sign(a) (t/t_ref)^beta] times the u^beta of the table, and
+    Z likewise, so c = ((kt * xs zs^T) @ Zu) * Xu with xs and zs the
+    m_cap and k_cap powers of those two scalars."""
+    xu, zu = table
+    r = float(t) / eng.t_ref
+    xs = (eng._sign_a * r ** eng.params.beta) ** eng._m_exps
+    zs = (eng._sign_d * r ** eng.params.alpha) ** eng._k_exps
+    return ((eng.kt["shifted" if shifted else "base"] * np.outer(xs, zs))
+            @ zu) * xu
+
+
 def _row_weights(conv, t, eps1):
-    """The weights (cells + 1, m_cap) of the eta-mesh nodes in the row at
-    t: ``_EtaConv._cells`` of that row alone."""
-    left, right = conv._cells(t, eps1)
-    w = np.zeros((conv.cells + 1, left.shape[1]))
-    w[:len(left)] += left
-    w[1:len(left) + 1] += right
+    """The weights (cells + 1, m_cap) of the eta-mesh nodes in the row
+    t = n h, built for that row alone: each inner cell j (from 1 when
+    eps1 > 0) by 4 Gauss-Legendre nodes with the kernel at the lags of
+    cell cells - n + j of the row t_max, the hats and eta^-eps1, and the
+    end pieces from the row's own ``_EtaConv._ends``."""
+    n, m_cap = max(1, int(conv.index(t))), conv.engine.m_cap
+    hats = np.zeros((2, n, m_cap))
+    inner = np.arange(int(eps1 > 0.0), n - 2)
+    if inner.size:
+        wts = (conv._eta[inner] ** -eps1)[:, None] * (
+            conv.h * goursat._LAG_HATS)
+        kernel = conv._kernel(conv.t_max - conv._eta[conv.cells - n + inner])
+        hats[:, inner] = np.matmul(wts, kernel).transpose(1, 0, 2)
+    cells, adds = (e[0] for e in conv._ends(np.array([t]), eps1))
+    np.add.at(hats, (slice(None), cells), adds)
+    w = np.zeros((conv.cells + 1, m_cap))
+    w[:n] += hats[0]
+    w[1:n + 1] += hats[1]
     return w
 
 
 def _fill_per_time(forcing, conv, times):
     """``ForcingTerm.fill`` one time at a time: each row from its own
-    ``_EtaConv._cells`` weights and its own call of f on the eta-mesh."""
+    ``_row_weights`` and its own call of f on the eta-mesh."""
     out = np.zeros((len(times), forcing.x_nodes.size))
     for i, t in enumerate(times):
         if t > 0.0:
@@ -800,11 +848,12 @@ class TestLagTables:
         eng = TeleEngine(PrabhakarParams(1.0, 0.5, 0.5, delta),
                          TelegraphCoeffs(a, -0.5), 1.3, 1.0)
         u = np.concatenate(([0.0], np.linspace(0.0, 1.0, 41) ** 2, [1.0]))
-        table = eng.lag_table(u)
+        table = _lag_table(eng, u)
         for t in (0.0, 0.01, 0.4, 1.3):
             want = _cvec_by_pow(eng, t * u, shifted)
             tol = 1e-14 * np.abs(want).max()
-            assert np.abs(eng.lag_cvec(table, t, shifted) - want).max() <= tol
+            got = _lag_cvec(eng, table, t, shifted)
+            assert np.abs(got - want).max() <= tol
             assert np.abs(eng.cvec(t * u, shifted) - want).max() <= tol
 
     # (grid, x_ref): uniform grids from 0: the x-grid of solve, a
@@ -883,19 +932,18 @@ class TestLagTables:
         assert not (binom.flags.writeable or gap.flags.writeable)
         assert binom[2, 4] == 6.0 and gap[1, 4] == 3 and gap[4, 1] == 0
 
-    def test_unforced_solve_makes_no_lag_cvec_call_per_row(
-            self, monkeypatch):
+    def test_unforced_solve_makes_no_cvec_call_per_row(self, monkeypatch):
         # the phi convolution and the V3 integral contract whole blocks of
         # time rows (``_toeplitz_rows``, ``_EtaConv.adjoint``); only
         # whole-grid cvec calls remain
         calls = []
-        original = TeleEngine.lag_cvec
+        original = TeleEngine.cvec
 
         def counted(self, *args, **kwargs):
             calls.append(1)
             return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(TeleEngine, "lag_cvec", counted)
+        monkeypatch.setattr(TeleEngine, "cvec", counted)
         prob = _smooth_problem(forcing=False)
         counts = []
         for n, points in ((16, 64), (32, 128)):
@@ -939,7 +987,7 @@ class TestLagTables:
             power_row_calls.clear()
             TABLES.clear()  # count a cold assembly
             volterra.assemble_system(eng, prob.domain, prob.M, prob.phi,
-                                     prob.psi, None, QuadPolicy(n_points=n),
-                                     np.linspace(0.0, 1.0, 3))
+                                     prob.psi, None,
+                                     np.linspace(0.0, 1.0, n + 1))
             counts.append(len(power_row_calls))
         assert counts[0] == counts[1]

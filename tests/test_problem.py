@@ -638,6 +638,28 @@ class TestWarmSolve:
         solve(prob, n_t=16, n_x=16, quad=QUICK)
         assert counts == {"_hat_moments": 0, "_shift_matrix": 0}
 
+    def test_warm_singular_fill_builds_no_end_pieces(self, monkeypatch):
+        # eps1 = 0.25, eps2 = 0.5: the end pieces of the grid fill's rows
+        # and of the assembly's rows, and the series columns, are built by
+        # the cold solve only
+        cfg = load_config(str(ROOT / "demos" / "singular_config.json"))
+        prob, quad = cfg["problem"], cfg["quad"]
+        counts = dict.fromkeys(("cvec", "_ends"), 0)
+        monkeypatch.setattr(goursat.TeleEngine, "cvec", _counted(
+            goursat.TeleEngine.cvec, counts, "cvec"))
+        monkeypatch.setattr(goursat._EtaConv, "_ends", _counted(
+            goursat._EtaConv._ends, counts, "_ends"))
+        TABLES.clear()
+        cold = solve(prob, n_t=cfg["n_t"], n_x=cfg["n_x"], quad=quad,
+                     series=cfg["series"])
+        assert counts["cvec"] > 0 and counts["_ends"] > 0
+        counts.update(dict.fromkeys(counts, 0))
+        warm = solve(prob, n_t=cfg["n_t"], n_x=cfg["n_x"], quad=quad,
+                     series=cfg["series"])
+        assert counts == {"cvec": 0, "_ends": 0}
+        assert np.array_equal(warm.u, cold.u)
+        assert np.array_equal(warm.tau.tau, cold.tau.tau)
+
     def test_large_cap_operator_builds_no_rules_again(self, monkeypatch):
         # caps (431, 57, 80): every table of the assembly's eta-mesh and
         # t-rules is built by the cold solve only
@@ -645,19 +667,19 @@ class TestWarmSolve:
                         TelegraphCoeffs(-3.0, 2.0), DOMAIN,
                         phi=lambda t: 1.0, psi=lambda x: 0.3,
                         M=lambda t: 0.5 + 0.5 * np.asarray(t, dtype=float))
-        counts = dict.fromkeys(("build_rule", "lag_table"), 0)
+        counts = dict.fromkeys(("build_rule", "cvec"), 0)
         monkeypatch.setattr(volterra, "build_rule", _counted(
             volterra.build_rule, counts, "build_rule"))
-        monkeypatch.setattr(goursat.TeleEngine, "lag_table", _counted(
-            goursat.TeleEngine.lag_table, counts, "lag_table"))
+        monkeypatch.setattr(goursat.TeleEngine, "cvec", _counted(
+            goursat.TeleEngine.cvec, counts, "cvec"))
         TABLES.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             cold = solve(prob, n_t=4, n_x=128, quad=QUICK, strict=False)
-            assert counts["build_rule"] > 0 and counts["lag_table"] > 0
+            assert counts["build_rule"] > 0 and counts["cvec"] > 0
             counts.update(dict.fromkeys(counts, 0))
             warm = solve(prob, n_t=4, n_x=128, quad=QUICK, strict=False)
-        assert counts == {"build_rule": 0, "lag_table": 0}
+        assert counts == {"build_rule": 0, "cvec": 0}
         assert np.array_equal(warm.u, cold.u)
 
     @pytest.mark.parametrize("n", [32, 6])
@@ -674,8 +696,7 @@ class TestWarmSolve:
             forcing = goursat.ForcingTerm(engine, prob.f_smooth, 0.0, 0.0,
                                           rounded)
             system = assemble_system(engine, prob.domain, prob.M, prob.phi,
-                                     prob.psi, forcing,
-                                     QuadPolicy(n_points=n), rounded)
+                                     prob.psi, forcing, rounded)
             u = goursat.goursat_grid(engine, solve_tau(system), prob.phi,
                                      forcing, rounded, rounded, quad,
                                      corner_tol=1e-4)
@@ -700,10 +721,9 @@ class TestWarmSolve:
             goursat.ForcingTerm(engine, prob.f_smooth, 0.0, 0.0, rounded)
         with pytest.raises(InvalidData):
             assemble_system(engine, prob.domain, prob.M, prob.phi, prob.psi,
-                            None, QUICK, rounded)
+                            None, rounded)
         trace = solve_tau(assemble_system(engine, prob.domain, prob.M,
-                                          prob.phi, prob.psi, None, QUICK,
-                                          exact))
+                                          prob.phi, prob.psi, None, exact))
         for t_nodes, x_nodes in ((rounded, exact), (exact, rounded)):
             with pytest.raises(DomainError):
                 goursat.goursat_grid(engine, trace, prob.phi, None, t_nodes,

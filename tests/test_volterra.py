@@ -39,6 +39,7 @@ from prabtel.volterra import (
     solve_tau,
 )
 from prabtel.goursat import ml3_tele_variant
+from test_goursat import _row_weights
 
 
 PARAMS = PrabhakarParams(alpha=1.0, beta=0.5, gamma=0.5, delta=-1.0)
@@ -66,14 +67,13 @@ def fbar(eng, v, s, dx):
     return eng.ypowers(dx) @ (eng.jw[v].T @ c)
 
 
-def assemble(params, coeffs, domain, M, phi, psi, f=None,
-             quad=QuadPolicy()):
-    """``assemble_system`` on a fresh engine of the domain, with
-    quad.n_points cells on [0, p]."""
+def assemble(params, coeffs, domain, M, phi, psi, f=None, n=256):
+    """``assemble_system`` on a fresh engine of the domain, with n
+    x-cells on [0, p]."""
     engine = TeleEngine(params, coeffs, domain.q, domain.p)
-    x = np.linspace(0.0, domain.p, quad.n_points + 1)
+    x = np.linspace(0.0, domain.p, n + 1)
     forcing = None if f is None else ForcingTerm(engine, f, 0.0, 0.0, x)
-    return assemble_system(engine, domain, M, phi, psi, forcing, quad, x)
+    return assemble_system(engine, domain, M, phi, psi, forcing, x)
 
 
 def manufactured_system(n: int) -> VolterraSystem:
@@ -243,9 +243,8 @@ class TestKernelM1:
     """M1 from the assembled kernel samples, ``system.m2 * system.A``."""
 
     def test_translation_invariance(self):
-        quad = QuadPolicy(n_points=64)
         M = lambda t: 1.0 + 0.5 * np.asarray(t, dtype=float)
-        sys_ = assemble(PARAMS, COEFFS, DOMAIN, M, ones, zeros, quad=quad)
+        sys_ = assemble(PARAMS, COEFFS, DOMAIN, M, ones, zeros, n=64)
         m1 = sys_.m2 * sys_.A
         # (xi, x) = (0, 0.3125), (0.1875, 0.5) and (0.4375, 0.75)
         vals = [m1[i, j] for j, i in ((0, 20), (12, 32), (28, 48))]
@@ -280,22 +279,20 @@ class TestRhsG:
         assert g0 == pytest.approx(phi0 * a_true, rel=1e-9)
 
     def test_psi_enters_additively(self):
-        quad = QuadPolicy(n_points=32)
         psi1 = lambda x: np.sin(np.asarray(x, dtype=float))
         phi = lambda t: 0.0 * np.asarray(t, dtype=float)
-        base = assemble(PARAMS, COEFFS, DOMAIN, ones, phi, zeros, quad=quad)
-        with_psi = assemble(PARAMS, COEFFS, DOMAIN, ones, phi, psi1,
-                            quad=quad)
+        base = assemble(PARAMS, COEFFS, DOMAIN, ones, phi, zeros, n=32)
+        with_psi = assemble(PARAMS, COEFFS, DOMAIN, ones, phi, psi1, n=32)
         got = (with_psi.rhs - base.rhs) * base.A
         assert np.abs(got - np.sin(base.x_grid)).max() <= 1e-14
 
 
-def _g_values_by_row(engine, rules, M, phi, psi, forcing, domain, quad,
+def _g_values_by_row(engine, rules, M, phi, psi, forcing, domain, n,
                      x_arr):
     """``_g_values`` one eta-mesh row at a time: each row t_k = k h of the
-    phi and forcing convolutions from its own ``_EtaConv._cells``
-    weights, times its weight of ``_eta_weights`` and M(t_k), the row
-    t = 0 by its limit weight, and the phi(0) term by ``fbar``."""
+    phi and forcing convolutions from its own ``_row_weights``, times its
+    weight of ``_eta_weights`` and M(t_k), the row t = 0 by its limit
+    weight, and the phi(0) term by ``fbar``."""
     co, m_cap = engine.coeffs, engine.m_cap
     phi0 = float(phi(0.0))
     out = _call_on(psi, x_arr).copy()
@@ -305,7 +302,7 @@ def _g_values_by_row(engine, rules, M, phi, psi, forcing, domain, quad,
     out += np.exp(co.b * x_arr) * c_phi
     out -= co.a * phi0 * (fbar(engine, "V1", rules.beta.nodes, x_arr)
                           @ rules.mw)
-    conv = _EtaConv(engine, domain.q, quad.n_points)
+    conv = _EtaConv(engine, domain.q, n)
     m_eta = _call_on(M, conv.etas)
 
     def row_sum(samples, eps1):  # sum_k a_k R_k, samples (cells + 1, ncols)
@@ -313,11 +310,7 @@ def _g_values_by_row(engine, rules, M, phi, psi, forcing, domain, quad,
         acc = np.zeros((samples.shape[1], m_cap))
         acc[:, 0] = a[0] * samples[0]
         for k in range(1, conv.cells + 1):
-            left, right = conv._cells(k * conv.h, eps1)
-            w = np.zeros((k + 1, m_cap))
-            w[:-1] += left
-            w[1:] += right
-            acc += a[k] * (samples[:k + 1].T @ w)
+            acc += a[k] * (samples.T @ _row_weights(conv, k * conv.h, eps1))
         return acc
 
     cacc = row_sum(_call_on(phi, conv.etas)[:, None], 0.0)[0]
@@ -334,14 +327,13 @@ class TestGValues:
     @pytest.mark.parametrize("n_points", [32, 160])
     def test_batched_integrals_match_row_loops(self, forced, n_points):
         prob = _smooth_problem(forcing=forced)
-        quad = QuadPolicy(n_points=n_points)
         engine = TeleEngine(prob.params, prob.coeffs, 1.0, 1.0)
         x = np.linspace(0.0, 1.0, 33)
         forcing = (ForcingTerm(engine, prob.f_smooth, 0.0, 0.0, x)
                    if forced else None)
-        rules = _t_rules(engine, prob.M, prob.domain, quad)
+        rules = _t_rules(engine, prob.M, prob.domain, n_points)
         args = (engine, rules, prob.M, prob.phi, prob.psi, forcing,
-                prob.domain, quad, x)
+                prob.domain, n_points, x)
         want = _g_values_by_row(*args)
         got = _g_values(*args)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -360,10 +352,9 @@ class TestGValues:
                    if forced else None)
 
         def g(n_points):
-            quad = QuadPolicy(n_points=n_points)
-            rules = _t_rules(engine, prob.M, prob.domain, quad)
+            rules = _t_rules(engine, prob.M, prob.domain, n_points)
             return _g_values(engine, rules, prob.M, prob.phi, zeros, forcing,
-                             prob.domain, quad, x)
+                             prob.domain, n_points, x)
 
         ref = g(1024)
         errors = [np.abs(g(n) - ref).max() for n in (16, 32, 64)]
@@ -377,7 +368,7 @@ class TestShiftedPass:
         # of ``gamma_e2`` and ``fbar`` sum the same terms per t-node
         prob = _smooth_problem(forcing=False)
         engine = TeleEngine(prob.params, prob.coeffs, 1.0, 1.0)
-        rules = _t_rules(engine, prob.M, prob.domain, QuadPolicy(n_points=64))
+        rules = _t_rules(engine, prob.M, prob.domain, 64)
         nodes, x = rules.beta.nodes, np.linspace(0.0, 1.0, 65)
         want = engine.coeffs.a * float(rules.mw @ gamma_e2(engine, nodes))
         assert _a_integrals(engine, rules)[1] == pytest.approx(want,
@@ -399,7 +390,7 @@ class TestShiftedPass:
         prob = _smooth_problem(forcing=True)
         TABLES.clear()  # count a cold assembly
         assemble(prob.params, prob.coeffs, prob.domain, prob.M, prob.phi,
-                 prob.psi, prob.f_smooth, quad=QuadPolicy(n_points=32))
+                 prob.psi, prob.f_smooth, n=32)
         # the fine and the coarse level
         assert calls.count(True) == 2
 
@@ -409,7 +400,7 @@ class TestAssemble:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sys_ = assemble(PARAMS, COEFFS, DOMAIN, ones, ones, zeros,
-                            quad=QuadPolicy(n_points=1024))
+                            n=1024)
         sol = solve_tau(sys_)
         assert np.abs(sol.tau - 1.0).max() <= 1e-6
 
@@ -417,18 +408,17 @@ class TestAssemble:
         phi = lambda t: 0.6 + 0.2 * np.sin(np.asarray(t, dtype=float))
         # psi(0) chosen so the compatibility condition holds exactly
         M = lambda t: 0.5 + 0.5 * np.asarray(t, dtype=float)
-        quad = QuadPolicy(n_points=128)
         flatrule_mass = adaptive_quad(
             lambda t: (0.5 + 0.5 * float(t)) * (0.6 + 0.2 * math.sin(float(t))),
             0.0, 1.0, weight_exponent=0.0, tol=1e-13, dps=30)
         psi0 = 0.6 - float(flatrule_mass)
         psi = lambda x: psi0 + 0.1 * np.asarray(x, dtype=float)
-        sys_ = assemble(PARAMS, COEFFS, DOMAIN, M, phi, psi, quad=quad)
+        sys_ = assemble(PARAMS, COEFFS, DOMAIN, M, phi, psi, n=128)
         assert sys_.rhs[0] == pytest.approx(0.6, abs=1e-6)
 
     def test_diagnostics_report_refinement(self):
         sys_ = assemble(PARAMS, COEFFS, DOMAIN, ones, ones, zeros,
-                        quad=QuadPolicy(n_points=64))
+                        n=64)
         d = sys_.diagnostics
         assert d["a_refinement_delta"] < 1e-4
         assert d["m1_refinement_delta"] < 1e-4
@@ -440,7 +430,7 @@ class TestAssemble:
         relaxed = PrabhakarParams(alpha=1.0, beta=0.5, gamma=0.5, delta=0.5)
         with pytest.warns(RuntimeWarning):
             assemble(relaxed, COEFFS, DOMAIN, ones, ones, zeros,
-                     quad=QuadPolicy(n_points=32))
+                     n=32)
 
     def test_strict_note_points_at_the_caller(self):
         # called directly and through solve, the warning names this file
@@ -448,7 +438,7 @@ class TestAssemble:
         engine = TeleEngine(relaxed, COEFFS, 1.0, 1.0)
         with pytest.warns(RuntimeWarning) as direct:
             assemble_system(engine, DOMAIN, ones, ones, zeros, None,
-                            QuadPolicy(n_points=16), np.linspace(0.0, 1.0, 9))
+                            np.linspace(0.0, 1.0, 9))
         with pytest.warns(RuntimeWarning) as via_solve:
             solve(_smooth_problem(params=relaxed), n_t=8, n_x=8,
                   quad=QuadPolicy(n_points=32), strict=False)
@@ -458,22 +448,19 @@ class TestAssemble:
 
     def test_grid_and_forcing_must_fit(self):
         engine = TeleEngine(PARAMS, COEFFS, 1.0, 1.0)
-        quad = QuadPolicy(n_points=16)
         x = np.linspace(0.0, 1.0, 17)
         for bad in (x ** 2, x[1:], x[:1]):
             with pytest.raises(InvalidData):
-                assemble_system(engine, DOMAIN, ones, ones, zeros, None, quad,
-                                bad)
+                assemble_system(engine, DOMAIN, ones, ones, zeros, None, bad)
         f = lambda t, x: t * x
         for other in (ForcingTerm(engine, f, 0.0, 0.0, x[::2]),
                       ForcingTerm(TeleEngine(PARAMS, COEFFS, 1.0, 1.0), f,
                                   0.0, 0.0, x)):
             with pytest.raises(InvalidData):
-                assemble_system(engine, DOMAIN, ones, ones, zeros, other,
-                                quad, x)
+                assemble_system(engine, DOMAIN, ones, ones, zeros, other, x)
 
     def test_strict_regime_is_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assemble(PARAMS, COEFFS, DOMAIN, ones, ones, zeros,
-                     quad=QuadPolicy(n_points=32))
+                     n=32)
