@@ -22,7 +22,7 @@ import numpy as np
 
 from .cache import TABLES, exact_key
 from .errors import DomainError, InvalidParams, NonConvergence, QuadratureFailure
-from .quadrature import _call_on, graded_mesh
+from .quadrature import _call_on, _toeplitz_matrix, graded_mesh
 from .specfun import _CONSECUTIVE_SMALL, SeriesPolicy, rgamma
 
 __all__ = [
@@ -247,17 +247,15 @@ def _fractional_rows(params: PrabhakarParams, t_grid: np.ndarray,
     at every time of a uniform grid from 0 (as ``GridSolution`` holds),
     by the rule of ``_slope_weights`` on the grid's own cells; row 0 is
     zero.  The lag cells of every row are the leading grid cells, so
-    rows 1..n are one lower-triangular Toeplitz product.  Its (n, n)
-    matrix depends on (params, t_grid, series) alone and is kept in
-    ``cache.TABLES``, C-contiguous.
+    rows 1..n are one product with the lower-triangular Toeplitz matrix
+    of the weights (``quadrature._toeplitz_matrix``).  That (n, n) matrix
+    depends on (params, t_grid, series) alone and is kept in
+    ``cache.TABLES``.
     """
-    def toeplitz():  # [i, j] the weight of lag cell i - j, or 0
-        lag = np.subtract.outer(*2 * (np.arange(t_grid.size - 1),))
-        return np.tril(_slope_weights(params, t_grid, series)[lag])
-
-    slopes = (u[1:, :] - u[:-1, :]) / np.diff(t_grid)[:, None]
+    matrix = TABLES.get((exact_key(params, series), "slope",
+                         np.asarray(t_grid, dtype=float).tobytes()),
+                        lambda: _toeplitz_matrix(
+                            _slope_weights(params, t_grid, series)))
     out = np.zeros_like(u)
-    out[1:] = TABLES.get((exact_key(params, series), "slope",
-                          np.asarray(t_grid, dtype=float).tobytes()),
-                         toeplitz) @ slopes
+    out[1:] = matrix @ ((u[1:, :] - u[:-1, :]) / np.diff(t_grid)[:, None])
     return out

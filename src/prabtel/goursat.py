@@ -32,14 +32,12 @@ the uniform lattice from 0 that ``solve`` builds
 (``quadrature._is_lattice``).  Its phi and forcing convolutions share
 one eta-mesh (``_EtaConv``) of ``quad.n_points`` cells, rounded up to a
 multiple of n_t, so every time row is a mesh node: the data are sampled
-once, and each row is one product of shifted slices of the tables of
-the row t_max, plus its end pieces when eps1 > 0.  On a lattice the phi
-rows and the tau convolution are Toeplitz products with the weights of
-the last node, a block of rows at a time (``_toeplitz_rows``).  The
-trace assembly, on max(n_x, 16) cells, integrates the same rows against
-M on an eta-mesh of its own by the adjoint of the convolution, sampling
-phi, f and M once per level (``_EtaConv.adjoint``,
-``volterra._g_values``).
+once, and each row, as the tau convolution, is one lattice product
+(``quadrature._lattice_rows``) with the tables of the last node, plus
+its end pieces when eps1 > 0.  The trace assembly, on max(n_x, 16)
+cells, integrates the same rows against M on an eta-mesh of its own by
+the adjoint of the convolution, sampling phi, f and M once per level
+(``_EtaConv.adjoint``, ``volterra._g_values``).
 
 Accuracy envelope: the tensors are exponentiated log-gamma ratios in
 float64 (``math.lgamma`` tables, see ``TeleEngine``).  For X = a t^beta < 0
@@ -58,7 +56,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .cache import TABLES, exact_key
 from .errors import (
@@ -68,7 +65,8 @@ from .errors import (
     InvalidParams,
 )
 from .fracops import PrabhakarParams, QuadPolicy
-from .quadrature import _call_grid, _call_on, _is_lattice
+from .quadrature import (_CONV_CHUNK, _call_grid, _call_on, _is_lattice,
+                         _lattice_rows)
 from .specfun import (
     ML2Params,
     ML3Params,
@@ -79,10 +77,6 @@ from .specfun import (
 )
 
 _VARIANTS = ("V1", "V2", "V3", "V4")
-
-# floats (128 KB) per temporary of a time convolution: a block of rows,
-# lags or end pieces (``_EtaConv``, ``_toeplitz_rows``)
-_CONV_CHUNK = 16384
 
 # the 4-point Gauss-Legendre rule on [0, 1] of each inner cell of the
 # grid fill's eta-mesh, in closed form: the first call of an eigensolver
@@ -375,8 +369,11 @@ def _hat_moments(mesh: np.ndarray, j_cap: int, x_ref: float,
                  sign_b: float) -> tuple:
     """(left, inner), each (mesh.size - 1, j_cap): the moments in
     (sign_b (x_n - xi)/x_ref)^j of the hats of the last node x_n of a
-    uniform mesh from 0, in the layout of ``_toeplitz_rows``: left[c] the
-    left hat of cell c, inner[c] the hat of node c + 1 on [0, x_n].
+    uniform mesh from 0: left[c] the left hat of cell c, inner[c] the hat
+    of node c + 1 on [0, x_n].  A hat's moments depend on its lag from x_n
+    alone, so the trace moments int_0^(x_i) tau(xi) (sign_b (x_i -
+    xi)/x_ref)^j dxi of a tau linear between the nodes are the
+    ``_lattice_rows`` of tau against inner, with left as the edge table.
 
     In v = (x_(c+1) - xi)/x_ref every cell, of the mean step s = x_n /
     (n x_ref), has the hat moments x_ref s^(l+1) / (l+2) (left) and
@@ -395,50 +392,6 @@ def _hat_moments(mesh: np.ndarray, j_cap: int, x_ref: float,
                    for hat in (own, own / (j + 1.0)))
     inner[:-1] += left[1:]
     return left, inner
-
-
-def _toeplitz_rows(samples: np.ndarray, left: np.ndarray, inner: np.ndarray,
-                   k: np.ndarray) -> np.ndarray:
-    """Rows k (whole, 1 <= k <= n) of a lattice convolution of one column
-    of samples on the nodes 0..n, shape (k.size, inner.shape[1]), from the
-    weights (left, inner) of the row n.
-
-    Row k weighs samples[j] by inner[n - k + j - 1] for j >= 1, and
-    samples[0] by left[n - k].  After n zeros the samples 1..n read as a
-    Hankel matrix, whose row k meets ``inner`` at those indices, so a
-    ``_CONV_CHUNK`` block of rows is one gather and one matrix product.
-    """
-    n = len(inner)
-    windows = sliding_window_view(
-        np.concatenate((np.zeros(n), samples[1:])), n)
-    out = np.empty((k.size, inner.shape[1]))
-    step = max(1, _CONV_CHUNK // n)
-    for lo in range(0, k.size, step):
-        rows = k[lo:lo + step]
-        out[lo:lo + step] = windows[rows] @ inner + samples[0] * left[n - rows]
-    return out
-
-
-def _toeplitz_sums(a: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """S[c] = sum_(l >= c) a[n + c - l] table[l], n = a.size - 1, for c
-    below len(table): the rows k that read table[n - k + c] for their
-    cell c, summed with weights a[k].  a[n + c - l] is Toeplitz in (c, l),
-    a strided view of the reversed a after zeros: one matrix product."""
-    n = len(table)
-    ext = np.concatenate((np.zeros(n - 1), a[:-n - 1:-1]))
-    toeplitz = as_strided(ext[n - 1:], (n, n),
-                          (-ext.strides[0], ext.strides[0]))
-    return (toeplitz @ table.reshape(n, -1)).reshape(table.shape)
-
-
-def _trace_moments(trace: TraceSolution, hats: tuple) -> np.ndarray:
-    """mom[i, j] = int_0^{x_i} tau(xi) (sign_b (x_i - xi)/x_ref)^j dxi at
-    the nodes of the trace's grid, uniform from 0, from the
-    ``_hat_moments`` of that grid: tau is linear between the nodes, and
-    the moments of a hat depend on its lag from x_i alone."""
-    mom = np.zeros((trace.tau.size, hats[1].shape[1]))
-    mom[1:] = _toeplitz_rows(trace.tau, *hats, np.arange(1, trace.tau.size))
-    return mom
 
 
 def _xi_moments(mesh: np.ndarray, eps2: float, jw: np.ndarray,
@@ -500,18 +453,16 @@ class _EtaConv:
     kernel of ``kt["base"]`` (which the V3 and V4 instances share) and y
     the piecewise-linear interpolant of samples on the uniform mesh
     ``etas``, eta_j = j h, h = t_max / cells.  Every row is a node t = k h,
-    and every row is one product of shifted slices plus its end pieces.
-    With eps1 = 0 a row weighs eta_j by its lag k - j alone (Toeplitz),
-    so it reads the node weights of the row t_max shifted by cells - k
-    nodes: eta_1 .. eta_k take the contiguous ``inner[cells - k:]``, eta_0
-    the left hat of cell cells - k (``_toeplitz_rows`` takes a block of
-    such rows of one column of samples at once).  With eps1 > 0 the inner
-    cells 1 .. k - 3 of a row weigh the samples at their 4 Gauss nodes by
-    the hats and eta^-eps1 (``_inner_hats``), which do not depend on the
-    row, against the kernel at the lags of the row t_max (``_lags``) from
-    cell cells - k + 1 on.  In every row the two cells at the lag end,
-    where s^(beta-1) is nearly singular, and for eps1 > 0 the first cell
-    take rules of their own (``_ends``).  The weights of the row t_max,
+    and one ``quadrature._lattice_rows`` row plus its end pieces.  With
+    eps1 = 0 a row weighs eta_j by its lag k - j alone, so eta_1 .. eta_k
+    read ``inner[cells - k:]`` of the row t_max, and eta_0 the edge
+    ``left[cells - k]``.  With eps1 > 0 the inner cells 1 .. k - 3 of a
+    row weigh the samples at their 4 Gauss nodes by the hats and
+    eta^-eps1 (``_inner_hats``), which do not depend on the row, against
+    the kernel at the lags of the row t_max (``_lags``) from cell cells -
+    k + 1 on.  In every row the two cells at the lag end, where
+    s^(beta-1) is nearly singular, and for eps1 > 0 the first cell take
+    rules of their own (``_ends``).  The weights of the row t_max,
     its lags and the end pieces of a set of rows (``_end_batch``) depend
     on the engine, t_max, cells, eps1 and the row times alone, and are
     kept in ``cache.TABLES``.
@@ -530,22 +481,26 @@ class _EtaConv:
 
     def _toeplitz(self) -> tuple:
         """(left, inner) of the row t_max with eps1 = 0: the left hats of
-        its cells, and its right hats plus the left hats of the next cells
-        (``_toeplitz_rows``).  The inner cells take the kernel at their
-        Gauss nodes, in ``_CONV_CHUNK`` blocks, the two lag-end cells
-        their ``_ends``."""
-        n = self.cells
-        hats = np.zeros((2, n, self.engine.m_cap))
-        for lo in range(0, n - 2, self._step):
-            hi = min(lo + self._step, n - 2)
-            hats[:, lo:hi] = np.matmul(
-                self.h * _LAG_HATS,
-                self._kernel(self.t_max - self._eta[lo:hi])).transpose(1, 0, 2)
+        its cells, and its right hats plus the left hats of the next cells,
+        the edge table and the table of ``_lattice_rows``.  The inner cells
+        take the kernel at their Gauss nodes (``_lag_blocks``), the two
+        lag-end cells their ``_ends``."""
+        hats = np.zeros((2, self.cells, self.engine.m_cap))
+        for lo, hi, kernel in self._lag_blocks():
+            hats[:, lo:hi] = np.matmul(self.h * _LAG_HATS,
+                                       kernel).transpose(1, 0, 2)
         cells, adds = self._ends(np.array([self.t_max]), 0.0)
         np.add.at(hats, (slice(None), cells[0]), adds[0])
         left, inner = hats
         inner[:-1] += left[1:]
         return left, inner
+
+    def _lag_blocks(self):
+        """Yield (lo, hi, ``_kernel`` at the Gauss nodes of the inner cells
+        lo .. hi - 1 of the row t_max), in ``_CONV_CHUNK`` blocks."""
+        for lo in range(0, self.cells - 2, self._step):
+            hi = min(lo + self._step, self.cells - 2)
+            yield lo, hi, self._kernel(self.t_max - self._eta[lo:hi])
 
     def _kernel(self, s: np.ndarray) -> np.ndarray:
         """s^(beta-1) c(m; s) at an array of lags, shape (*s.shape, m_cap)."""
@@ -557,15 +512,10 @@ class _EtaConv:
         """``_kernel`` at the lags of the inner cells of the row t_max,
         shape (cells - 2, 4, m_cap): a row t = k h reads the same lags for
         its cell j at j + cells - k.  Built on the first use with
-        eps1 > 0, in ``_CONV_CHUNK`` blocks, and kept in ``cache.TABLES``."""
-        def build():
-            out = np.empty((self.cells - 2, 4, self.engine.m_cap))
-            for lo in range(0, self.cells - 2, self._step):
-                hi = min(lo + self._step, self.cells - 2)
-                out[lo:hi] = self._kernel(self.t_max - self._eta[lo:hi])
-            return out
-
-        return TABLES.get(self.key + ("lags",), build)
+        eps1 > 0, from ``_lag_blocks``, and kept in ``cache.TABLES``."""
+        return TABLES.get(self.key + ("lags",), lambda: np.concatenate(
+            [np.empty((0, 4, self.engine.m_cap))]
+            + [kernel for _, _, kernel in self._lag_blocks()]))
 
     def _inner_hats(self, eps1: float) -> np.ndarray:
         """The weights (cells - 3, 2, 4) of the 4 Gauss nodes of the inner
@@ -603,6 +553,7 @@ class _EtaConv:
         Gauss-Jacobi for eta^-eps1.  A piece in cell j gives eta_j D1 / h
         and eta_(j+1) D0 - D1 / h, with D0 and D1 the integrals of the
         row's weight against 1 and against s - s_(j+1), s_j = t - eta_j.
+        Rows from t = 3 h share lag-end nodes; ``cvec`` takes each once.
         """
         h, beta = self.h, self.engine.params.beta
         n = np.maximum(self.index(t), 1)
@@ -629,7 +580,8 @@ class _EtaConv:
             s = np.concatenate((s, t[:, None, None] - eta), axis=1)
             w = np.concatenate((w, (0.5 * first[:, None, None]) ** (1.0 - eps1)
                                 * wv * s[:, 2:] ** (beta - 1.0)), axis=1)
-            c = self.engine.cvec(s.ravel(), shifted=False).T.reshape(
+            nodes, at = np.unique(s.ravel(), return_inverse=True)
+            c = self.engine.cvec(nodes, shifted=False).T[at].reshape(
                 *s.shape, -1)
             d0 = np.einsum("bpv,bpvm->bpm", w, c)
             d1 = np.einsum("bpv,bpvm->bpm", w * x, c)
@@ -655,25 +607,25 @@ class _EtaConv:
     def adjoint(self, a: np.ndarray, eps1: float = 0.0) -> np.ndarray:
         """W = sum_k a[k] w_k (cells + 1, m_cap) over the rows t = k h,
         k >= 1, with w_k the node weights of row k (``apply``): samples @
-        W sums the rows with weights a.  W is one ``_toeplitz_sums`` of
-        ``inner`` (eps1 = 0), or of ``_lags`` for the inner cells plus the
-        ends of all rows from one ``_end_batch``, summed by one
-        ``np.bincount`` (eps1 > 0)."""
+        W sums the rows with weights a.  W takes the ``_lattice_rows`` of
+        the reversed a[:0:-1] with lengths n .. 1 against a table of n
+        rows: ``inner`` (eps1 = 0), or ``_lags`` for the inner cells plus
+        the ends of all rows from one ``_end_batch`` (eps1 > 0)."""
         n, m_cap = self.cells, self.engine.m_cap
         if eps1 == 0.0:
-            return np.vstack((a[1:] @ self.left[::-1],
-                              _toeplitz_sums(a, self.inner)))
+            return np.vstack((a[1:] @ self.left[::-1], _lattice_rows(
+                a[:0:-1], self.inner, np.arange(n, 0, -1))))
         cells, adds = self._end_batch(self.etas[1:], eps1)
         nodes = cells[:, None, :, None] + np.arange(2)[:, None, None]
         w = np.bincount((nodes * m_cap + np.arange(m_cap)).ravel(),
                         (a[1:, None, None, None] * adds).ravel(),
                         (n + 1) * m_cap).reshape(n + 1, m_cap)
-        if n > 3:  # inner cells 1..n-3, past the Gauss-Jacobi cell 0
-            left, right = np.matmul(
-                self._inner_hats(eps1),
-                _toeplitz_sums(a, self._lags[1:])).transpose(1, 0, 2)
-            w[1:-3] += left
-            w[2:-2] += right
+        # inner cells 1..n-3, past the Gauss-Jacobi cell 0
+        left, right = np.matmul(self._inner_hats(eps1), _lattice_rows(
+            a[:0:-1], self._lags[1:], np.arange(n - 3, 0, -1))).transpose(
+                1, 0, 2)
+        w[1:-3] += left
+        w[2:-2] += right
         return w
 
     def apply(self, samples: np.ndarray, times: np.ndarray,
@@ -681,12 +633,12 @@ class _EtaConv:
         """Yield (rows, G) per block of times on the mesh, G[i] = sum_j
         samples[j] outer w_i(eta_j), shape (rows.size, ncols, m_cap), for
         samples (cells + 1, ncols) on ``etas``; a block fills
-        ``_CONV_CHUNK``.  Row t = k h is one product of shifted slices:
-        of the samples with ``inner[cells - k:]`` and ``left[cells - k]``
+        ``_CONV_CHUNK``.  Row t = k h is one ``_lattice_rows`` row: of the
+        samples with ``inner[cells - k:]`` and the edge ``left[cells - k]``
         (eps1 = 0), or of the ``_inner_hats``-weighted samples at the Gauss
         nodes of its inner cells with the last k - 3 cells of ``_lags``,
         plus its end pieces from one ``_end_batch`` (eps1 > 0)."""
-        cells, m_cap = self.cells, self.engine.m_cap
+        m_cap = self.engine.m_cap
         k = self.index(times)
         live = k > 0
         if eps1 > 0.0:
@@ -694,21 +646,17 @@ class _EtaConv:
             weighted = (hats[:, 0] * samples[1:-3, None]
                         + hats[:, 1] * samples[2:-2, None]).reshape(
                             -1, samples.shape[1])
-            lags = self._lags[1:].reshape(-1, m_cap)
+            table, lengths, edge = (self._lags[1:].reshape(-1, m_cap),
+                                    4 * np.maximum(k - 3, 0), None)
             ends, adds = self._end_batch(times[live], eps1)
             entry = np.cumsum(live) - 1
+        else:
+            weighted, table, lengths, edge = (samples[1:], self.inner, k,
+                                              (samples[0], self.left))
         step = max(1, _CONV_CHUNK // (samples.shape[1] * m_cap))
         for lo in range(0, times.size, step):
             rows = np.arange(lo, min(lo + step, times.size))
-            g = np.zeros((rows.size, samples.shape[1], m_cap))
-            for out, n in zip(g, k[rows].tolist()):
-                if n > 0 and eps1 > 0.0:
-                    r = 4 * max(n - 3, 0)
-                    out[:] = weighted[:r].T @ lags[len(lags) - r:]
-                elif n > 0:
-                    top = cells - n
-                    out[:] = (samples[1:n + 1].T @ self.inner[top:]
-                              + np.outer(samples[0], self.left[top]))
+            g = _lattice_rows(weighted, table, lengths[rows], edge)
             if eps1 > 0.0:
                 own = rows[live[rows]]
                 e = entry[own]
@@ -791,10 +739,10 @@ def goursat_grid(engine: TeleEngine, tau, phi, forcing, t_nodes, x_nodes,
 
     The terms that sample no data under an integral (phi(t), E2, the V1
     and V2 instances) come from one coefficient matrix of all t nodes,
-    the tau convolution from the trace moments (``_trace_moments``).  The
+    the tau convolution from the trace moments (``_hat_moments``).  The
     phi and forcing convolutions share one ``_EtaConv`` on [0, t_max] of
     quad.n_points cells, rounded up to a multiple of the n_t t-cells: the
-    phi rows are one ``_toeplitz_rows``, the forcing ``ForcingTerm.fill``.
+    phi rows are one ``_lattice_rows``, the forcing ``ForcingTerm.fill``.
     The forcing is filled first: its samples of f are the largest
     temporary of the fill, and u does not exist yet beside them.
     """
@@ -817,13 +765,14 @@ def goursat_grid(engine: TeleEngine, tau, phi, forcing, t_nodes, x_nodes,
     c1 = TABLES.get((engine.key, "cvec", t_nodes.tobytes()),
                     lambda: engine.cvec(t_nodes, shifted=True))
     ypx = engine.ypowers(x_nodes)
-    mom = _trace_moments(tau, TABLES.get(
-        (engine.key, "hats", x_nodes.tobytes()),
-        lambda: _hat_moments(x_nodes, engine.j_cap, engine.x_ref,
-                             engine._sign_b)))
-    phi_rows = np.zeros((t_nodes.size, engine.m_cap))
-    phi_rows[1:] = _toeplitz_rows(_call_on(phi, conv.etas), conv.left,
-                                  conv.inner, conv.index(t_nodes[1:]))
+    left, inner = TABLES.get((engine.key, "hats", x_nodes.tobytes()),
+                             lambda: _hat_moments(x_nodes, engine.j_cap,
+                                                  engine.x_ref, engine._sign_b))
+    mom = _lattice_rows(tau_x[1:], inner, np.arange(tau_x.size),
+                        (tau_x[0], left))
+    phi_eta = _call_on(phi, conv.etas)
+    phi_rows = _lattice_rows(phi_eta[1:], conv.inner, conv.index(t_nodes),
+                             (phi_eta[0], conv.left))
     at_beta = a * t_nodes ** engine.params.beta
     u = tau_x + np.multiply.outer(_call_on(phi, t_nodes) - phi0,
                                   np.exp(b * x_nodes))

@@ -1,4 +1,4 @@
-"""Singular-weight product integration on graded meshes.
+"""Singular-weight product integration on graded meshes and lattice products.
 
 The fractional operators and the solution formula all integrate products
 w(s) y(s) where w is a power weight (possibly singular at 0) and y is only
@@ -6,17 +6,26 @@ known at mesh nodes. The rules built here integrate w exactly against the
 piecewise-linear interpolant of y, which keeps second-order accuracy in the
 mesh size even when the weight blows up at an endpoint. Meshes are power
 graded toward 0 to resolve the singularity.
+
+On the lattice from 0 of every solver stage (``_is_lattice``) a weight
+depends on its lag alone: ``_lattice_rows`` and ``_toeplitz_matrix`` do
+every lag gather of the solver.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DomainError, InvalidParams
 
 __all__ = ["GradedMesh", "WeightedRule", "graded_mesh", "power_moment", "build_rule"]
+
+# floats (128 KB) per temporary block of rows, lags or end pieces
+_CONV_CHUNK = 16384
 
 # the power r of every graded mesh of the solver (``volterra`` raises it
 # to 1/beta where beta is below 1/2)
@@ -145,6 +154,45 @@ def _is_lattice(nodes) -> bool:
     return bool(0.0 < top < np.inf
                 and np.abs(nodes - np.arange(n + 1) * (top / n)).max()
                 <= 1e-13 * top)
+
+
+def _lattice_rows(samples: np.ndarray, table: np.ndarray, lengths,
+                  edge: tuple = None) -> np.ndarray:
+    """Rows (lengths.size, *samples.shape[1:], *table.shape[1:]) of a
+    lattice convolution: row i is sum_(e < L_i) samples[e] (x) table[n -
+    L_i + e], n = len(table), L_i = lengths[i] <= n, plus edge[0] (x)
+    edge[1][n - L_i] if an edge (a sample, a table shaped as ``table``) is
+    given; a row of length 0 is zero.  Several columns take one product
+    per row; one column, after n zeros, reads as a Hankel matrix whose row
+    L_i meets ``table`` at those indices: one gather and one product per
+    ``_CONV_CHUNK`` block of rows."""
+    n, lengths = len(table), np.asarray(lengths)
+    flat = table.reshape(n, math.prod(table.shape[1:]))
+    tail = None if edge is None else edge[1].reshape(flat.shape)
+    out = np.zeros((lengths.size, *samples.shape[1:], flat.shape[1]))
+    live = np.flatnonzero(lengths)
+    if samples.ndim > 1:
+        for i, size in zip(live.tolist(), lengths[live].tolist()):
+            out[i] = samples[:size].T @ flat[n - size:]
+            if tail is not None:
+                out[i] += np.multiply.outer(edge[0], tail[n - size])
+    elif live.size:
+        ext = np.concatenate((np.zeros(n), samples[:n]))
+        windows = as_strided(ext, (n + 1, n), ext.strides * 2)
+        step = max(1, _CONV_CHUNK // n)
+        for lo in range(0, live.size, step):
+            rows = live[lo:lo + step]
+            out[rows] = windows[lengths[rows]] @ flat
+            if tail is not None:
+                out[rows] += edge[0] * tail[n - lengths[rows]]
+    return out.reshape(lengths.size, *samples.shape[1:], *table.shape[1:])
+
+
+def _toeplitz_matrix(values) -> np.ndarray:
+    """The C-contiguous lower-triangular [i, j] = values[i - j], i >= j."""
+    ext = np.concatenate((np.zeros(len(values) - 1), values))
+    return as_strided(ext[len(values) - 1:], (len(values),) * 2,
+                      (ext.itemsize, -ext.itemsize)).copy()
 
 
 def _call_on(fn, values) -> np.ndarray:

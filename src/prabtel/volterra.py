@@ -65,6 +65,7 @@ from .quadrature import (
     WeightedRule,
     _call_on,
     _is_lattice,
+    _toeplitz_matrix,
     _trapezoid_vec,
     build_rule,
     graded_mesh,
@@ -219,6 +220,15 @@ def _eta_weights(conv: _EtaConv, eps1: float) -> np.ndarray:
     return TABLES.get(conv.key + ("weights", eps1), build)
 
 
+def _phi_sum(conv: _EtaConv, a: np.ndarray, phi_eta: np.ndarray) -> np.ndarray:
+    """phi_eta @ ``conv.adjoint(a)`` plus a[0] phi(0) at m = 0, by one
+    correlation of a and phi against ``inner``: no W for one column."""
+    corr = np.correlate(a[1:], phi_eta[1:], "full")[conv.cells - 1:][::-1]
+    out = corr @ conv.inner + phi_eta[0] * (a[1:] @ conv.left[::-1])
+    out[0] += a[0] * phi_eta[0]
+    return out
+
+
 def _g_values(engine: TeleEngine, rules: _TRules, M, phi, psi, forcing,
               domain: Domain2D, n: int, x_arr: np.ndarray) -> np.ndarray:
     """Right-hand side g on an array of x values (display normalization).
@@ -244,12 +254,7 @@ def _g_values(engine: TeleEngine, rules: _TRules, M, phi, psi, forcing,
     conv = _EtaConv(engine, q, n)
     m_eta = _call_on(M, conv.etas)
     a = _eta_weights(conv, 0.0) * m_eta
-    # the phi rows are Toeplitz (``_toeplitz_rows``): their a-weighted sum
-    # reads inner[l] with the correlation of a and phi, and left with a
-    phi_eta = _call_on(phi, conv.etas)
-    corr = np.correlate(a[1:], phi_eta[1:], "full")[conv.cells - 1:][::-1]
-    cacc = corr @ conv.inner + phi_eta[0] * (a[1:] @ conv.left[::-1])
-    cacc[0] += a[0] * phi_eta[0]
+    cacc = _phi_sum(conv, a, _call_on(phi, conv.etas))
     j3 = engine.ypowers(x_arr) @ (engine.jw["V3"].T @ cacc)
     out += co.a * co.b * x_arr * j3
 
@@ -327,8 +332,7 @@ def assemble_system(engine: TeleEngine, domain: Domain2D, M, phi, psi,
             f"does not clear {A_TOL}")
 
     m1 = _m1_at(engine, rules, x_grid)
-    idx = np.arange(x_grid.size)
-    m2 = np.tril(m1[np.maximum(idx[:, None] - idx[None, :], 0)]) / a_true
+    m2 = _toeplitz_matrix(m1) / a_true
     g = _g_values(engine, rules, M, phi, psi, forcing, domain, n, x_grid)
 
     coarse = max(n // 2, 8)

@@ -6,10 +6,12 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import as_strided
 from scipy.integrate import quad as adaptive
 from scipy.special import gammaln
 
 import prabtel.goursat as goursat
+import prabtel.quadrature as quadrature
 import prabtel.volterra as volterra
 from prabtel.acceptance import _smooth_problem
 from prabtel.cache import TABLES
@@ -34,8 +36,6 @@ from prabtel.goursat import (
     _pascal,
     _power_rows,
     _shift_matrix,
-    _toeplitz_rows,
-    _trace_moments,
     _variant_shifts,
     _xi_moments,
     goursat_grid,
@@ -44,7 +44,13 @@ from prabtel.goursat import (
 )
 from prabtel.oracle import classical_telegraph_fd
 from prabtel.problem import solve
-from prabtel.quadrature import _GRADING, _call_on, build_rule, graded_mesh
+from prabtel.quadrature import (
+    _GRADING,
+    _call_on,
+    _lattice_rows,
+    build_rule,
+    graded_mesh,
+)
 from prabtel.specfun import (
     SeriesPolicy,
     SeriesTensors,
@@ -565,12 +571,11 @@ class TestForcingTerm:
 
 
 def _phi_rows(conv, phi, t_nodes):
-    """The phi rows of the grid fill on ``conv``: zero at t = 0, then one
-    ``_toeplitz_rows`` of phi on the eta-mesh."""
-    rows = np.zeros((t_nodes.size, conv.engine.m_cap))
-    rows[1:] = _toeplitz_rows(_call_on(phi, conv.etas), conv.left, conv.inner,
-                              conv.index(t_nodes[1:]))
-    return rows
+    """The phi rows of the grid fill on ``conv``: one ``_lattice_rows`` of
+    phi on the eta-mesh, zero at t = 0."""
+    samples = _call_on(phi, conv.etas)
+    return _lattice_rows(samples[1:], conv.inner, conv.index(t_nodes),
+                         (samples[0], conv.left))
 
 
 class TestEtaMesh:
@@ -645,14 +650,14 @@ class TestEtaMesh:
         np.linspace(0.0, 1.0, 9),  # 32 cells
         np.linspace(0.0, 1.0, 4)])  # n_t = 3: 33 cells
     def test_phi_rows_match_one_row_at_a_time(self, t_nodes, monkeypatch):
-        # the rows come from ``_toeplitz_rows``, against each row's own
+        # the rows come from ``_lattice_rows``, against each row's own
         # weights
         eng = TeleEngine(PARAMS, COEFFS, 1.0, 1.0)
         phi = lambda t: np.cos(3.0 * np.asarray(t, dtype=float))
         n_t = t_nodes.size - 1
         conv = _EtaConv(eng, t_nodes[-1], n_t * -(-32 // n_t))
         # blocks of 3 Hankel rows
-        monkeypatch.setattr(goursat, "_CONV_CHUNK", 3 * conv.cells)
+        monkeypatch.setattr(quadrature, "_CONV_CHUNK", 3 * conv.cells)
         got = _phi_rows(conv, phi, t_nodes)
         samples = phi(conv.etas)
         for tk, g in zip(t_nodes, got):
@@ -674,6 +679,66 @@ class TestEtaMesh:
         got = conv.adjoint(a, eps1)
         assert got.shape == (cells + 1, eng.m_cap)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("eps1", [0.0, 0.25])
+    def test_adjoint_is_the_transpose_of_apply(self, eps1, monkeypatch):
+        # sum_k a_k <row_k(s), y> = <s, W y> on random data, the rows from
+        # ``apply`` in blocks of 3 and W from ``adjoint``
+        eng = TeleEngine(PARAMS, COEFFS, 1.0, 1.0)
+        conv = _EtaConv(eng, 1.0, 40)
+        rng = np.random.default_rng(11)
+        a, s = rng.standard_normal((2, conv.cells + 1))
+        y = rng.standard_normal(eng.m_cap)
+        monkeypatch.setattr(goursat, "_CONV_CHUNK", 3 * eng.m_cap)
+        rows = np.zeros((conv.cells + 1, eng.m_cap))
+        for k, g in conv.apply(s[:, None], conv.etas, eps1):
+            rows[k] = g[:, 0]
+        w = conv.adjoint(a, eps1)
+        scale = max(np.abs(a) @ np.abs(rows) @ np.abs(y),
+                    np.abs(s) @ np.abs(w) @ np.abs(y))
+        assert abs(a @ rows @ y - s @ w @ y) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("cells", [4, 40])
+    def test_adjoint_rows_match_strided_sums(self, cells):
+        # the adjoint's reversed-weight rows against a strided Toeplitz
+        # view, on the tables of both eps1 branches
+        eng = TeleEngine(PARAMS, COEFFS, 1.0, 1.0)
+        conv = _EtaConv(eng, 1.0, cells)
+        a = np.random.default_rng(cells).standard_normal(cells + 1)
+        for table in (conv.inner, conv._lags[1:]):
+            want = _toeplitz_sums(a, table)
+            got = _lattice_rows(a[:0:-1], table, np.arange(len(table), 0, -1))
+            assert got.shape == table.shape
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    def test_ends_evaluate_each_distinct_node_once(self, monkeypatch):
+        # eps1 > 0 on 16 rows: 8 first-cell nodes t - eta per row, and the
+        # lag-end nodes: 16 that every row from t = 3 h shares, 8 of the
+        # row t = h, and one each for the empty second pieces of the rows
+        # h and 2 h, where the rule has 24 nodes per row
+        columns = []
+        original = TeleEngine.cvec
+
+        def counted(self, s, shifted):
+            columns.append(np.size(s))
+            return original(self, s, shifted)
+
+        eng = TeleEngine(PARAMS, COEFFS, 1.0, 1.0)
+        conv = _EtaConv(eng, 1.0, 16)
+        monkeypatch.setattr(TeleEngine, "cvec", counted)
+        conv._ends(conv.etas[1:], 0.25)
+        assert columns == [8 * 16 + 26]
+
+
+def _toeplitz_sums(a, table):
+    """S[c] = sum_(l >= c) a[n + c - l] table[l], n = a.size - 1, by one
+    product with a strided Toeplitz view of the reversed a after zeros:
+    the reference of the adjoint's reversed-weight ``_lattice_rows``."""
+    n = len(table)
+    ext = np.concatenate((np.zeros(n - 1), a[:-n - 1:-1]))
+    toeplitz = as_strided(ext[n - 1:], (n, n),
+                          (-ext.strides[0], ext.strides[0]))
+    return (toeplitz @ table.reshape(n, -1)).reshape(table.shape)
 
 
 def _cvec_by_pow(eng, s, shifted):
@@ -869,7 +934,9 @@ class TestLagTables:
         grid, x_ref = self._GRIDS[case]
         trace = TraceSolution(grid, np.exp(-grid) + np.sin(5.0 * grid))
         want = _trace_moments_per_node(trace, grid, 32, x_ref, sign_b)
-        got = _trace_moments(trace, _hat_moments(grid, 32, x_ref, sign_b))
+        left, inner = _hat_moments(grid, 32, x_ref, sign_b)
+        got = _lattice_rows(trace.tau[1:], inner, np.arange(grid.size),
+                            (trace.tau[0], left))
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
 
@@ -909,8 +976,8 @@ class TestLagTables:
         want = (dense @ samples[1:]).T + samples[0] * left[::-1]
         k = np.array([n, 1, 7, 2, 9])
         # blocks of 3 rows
-        monkeypatch.setattr(goursat, "_CONV_CHUNK", 3 * n)
-        got = _toeplitz_rows(samples, left, inner, k)
+        monkeypatch.setattr(quadrature, "_CONV_CHUNK", 3 * n)
+        got = _lattice_rows(samples[1:], inner, k, (samples[0], left))
         assert got.shape == (k.size, width)
         assert np.abs(got - want[k - 1]).max() <= 1e-14 * np.abs(want).max()
 
@@ -934,7 +1001,7 @@ class TestLagTables:
 
     def test_unforced_solve_makes_no_cvec_call_per_row(self, monkeypatch):
         # the phi convolution and the V3 integral contract whole blocks of
-        # time rows (``_toeplitz_rows``, ``_EtaConv.adjoint``); only
+        # time rows (``_lattice_rows``, ``_EtaConv.adjoint``); only
         # whole-grid cvec calls remain
         calls = []
         original = TeleEngine.cvec

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+import prabtel.quadrature as quadrature
 from prabtel.errors import DomainError, InvalidParams
 from prabtel.quadrature import (
     GradedMesh,
     _is_lattice,
+    _lattice_rows,
+    _toeplitz_matrix,
     _trapezoid_vec,
     build_rule,
     graded_mesh,
@@ -169,3 +172,56 @@ class TestIsLattice:
         np.zeros((2, 2))])
     def test_rejects_other_grids(self, nodes):
         assert not _is_lattice(nodes)
+
+
+def _rows_by_loop(samples, table, lengths, edge):
+    """``_lattice_rows`` one row and one sample at a time, from its
+    definition."""
+    n = len(table)
+    out = np.zeros((len(lengths), *samples.shape[1:], *table.shape[1:]))
+    for row, size in zip(out, lengths):
+        for e in range(size):
+            row += np.multiply.outer(samples[e], table[n - size + e])
+        if edge is not None and size > 0:
+            row += np.multiply.outer(edge[0], edge[1][n - size])
+    return out
+
+
+class TestLatticeRows:
+    @pytest.mark.parametrize("columns", [(), (3,)])
+    @pytest.mark.parametrize("with_edge", [False, True])
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 16384])
+    def test_matches_row_loop(self, columns, with_edge, chunk, monkeypatch):
+        # every length 0..n in a shuffled order, some twice; the Hankel
+        # blocks of one column hold chunk rows (one when chunk < n), and
+        # the table has two trailing axes
+        rng = np.random.default_rng(len(columns) + 2 * with_edge + chunk)
+        n = 9
+        table = rng.standard_normal((n, 2, 3))
+        samples = rng.standard_normal((n + 2, *columns))
+        edge = ((rng.standard_normal(columns), rng.standard_normal((n, 2, 3)))
+                if with_edge else None)
+        lengths = rng.permutation(np.concatenate((np.arange(n + 1),
+                                                  [0, n, 4])))
+        monkeypatch.setattr(quadrature, "_CONV_CHUNK", chunk * n)
+        got = _lattice_rows(samples, table, lengths, edge)
+        want = _rows_by_loop(samples, table, lengths, edge)
+        assert got.shape == (lengths.size, *columns, 2, 3)
+        assert not got[lengths == 0].any()
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_empty_table_gives_zero_rows(self):
+        for samples in (np.ones(3), np.ones((3, 2))):
+            got = _lattice_rows(samples, np.zeros((0, 4)), np.zeros(2, int))
+            assert got.shape == (2, *samples.shape[1:], 4) and not got.any()
+
+
+class TestToeplitzMatrix:
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_matches_definition(self, n):
+        values = np.random.default_rng(n).standard_normal(n)
+        want = np.array([[values[i - j] if i >= j else 0.0
+                          for j in range(n)] for i in range(n)])
+        got = _toeplitz_matrix(values)
+        assert np.array_equal(got, want)
+        assert got.flags.c_contiguous and got.flags.writeable

@@ -32,6 +32,7 @@ from prabtel.volterra import (
     _eta_weights,
     _g_values,
     _m1_at,
+    _phi_sum,
     _t_rules,
     _trapezoid_weights,
     assemble_system,
@@ -360,6 +361,21 @@ class TestGValues:
         errors = [np.abs(g(n) - ref).max() for n in (16, 32, 64)]
         orders = np.log2(np.array(errors[:-1]) / errors[1:])
         assert np.all(orders >= 1.8), orders
+
+
+    @pytest.mark.parametrize("cells", [16, 40])
+    def test_phi_sum_matches_adjoint(self, cells):
+        # the correlation form of the V3 sum against phi_eta @ W with its
+        # t = 0 term, W the adjoint of the eta-mesh rows
+        eng = TeleEngine(PARAMS, COEFFS, 1.0, 1.0)
+        conv = _EtaConv(eng, 1.0, cells)
+        rng = np.random.default_rng(cells)
+        a, phi_eta = rng.standard_normal((2, cells + 1))
+        w = conv.adjoint(a)
+        w[0, 0] += a[0]
+        want = phi_eta @ w
+        got = _phi_sum(conv, a, phi_eta)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestShiftedPass:
