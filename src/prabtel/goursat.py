@@ -34,7 +34,9 @@ one eta-mesh (``_EtaConv``) of ``quad.n_points`` cells, rounded up to a
 multiple of n_t, so every time row is a mesh node: the data are sampled
 once, and each row, as the tau convolution, is one lattice product
 (``quadrature._lattice_rows``) with the tables of the last node, plus
-its end pieces when eps1 > 0.  The trace assembly, on max(n_x, 16)
+its end pieces when eps1 > 0.  The forcing convolves the columns of a
+cross approximation of its samples, as many as their numerical rank
+(``ForcingTerm.fill``).  The trace assembly, on max(n_x, 16)
 cells, integrates the same rows against M on an eta-mesh of its own by
 the adjoint of the convolution, sampling phi, f and M once per level
 (``_EtaConv.adjoint``, ``volterra._g_values``).
@@ -89,6 +91,15 @@ _LAG_HATS = np.stack((1.0 - _LAG_U, _LAG_U)) * (
 
 # Gauss nodes per singular end piece of a row with eps1 > 0
 _END_NODES = 8
+
+# the grid fill factors the forcing's samples S ~ C V once the exact
+# residual max|S - C V| is at most this times max|S| (``_cross``) ...
+_RANK_TOL = 1e-15
+# ... unless the rank passes this share of the x-nodes first, and then
+# convolves all of S.  A search that gives up costs about 7 us a rank on
+# a 2-core x86-64 host with one BLAS thread: at 1/8 that read 4-5% of a
+# warm full-rank 32/128 solve, at 1/16 2-4%
+_RANK_SHARE = 1 / 16
 
 # an engine rejects argument scales |a| t_max^beta, |b| x_max or
 # |delta| t_max^alpha above this
@@ -632,12 +643,16 @@ class _EtaConv:
               eps1: float = 0.0):
         """Yield (rows, G) per block of times on the mesh, G[i] = sum_j
         samples[j] outer w_i(eta_j), shape (rows.size, ncols, m_cap), for
-        samples (cells + 1, ncols) on ``etas``; a block fills
+        samples (cells + 1, ncols) on ``etas``: columns of data, or any
+        linear combination of them, as the columns of the cross
+        approximation that ``ForcingTerm.fill`` passes; a block fills
         ``_CONV_CHUNK``.  Row t = k h is one ``_lattice_rows`` row: of the
         samples with ``inner[cells - k:]`` and the edge ``left[cells - k]``
         (eps1 = 0), or of the ``_inner_hats``-weighted samples at the Gauss
         nodes of its inner cells with the last k - 3 cells of ``_lags``,
-        plus its end pieces from one ``_end_batch`` (eps1 > 0)."""
+        plus its end pieces from one ``_end_batch`` (eps1 > 0).  Up to
+        ``quadrature._HANKEL_COLS`` columns take the one-column form of
+        ``_lattice_rows`` one at a time."""
         m_cap = self.engine.m_cap
         k = self.index(times)
         live = k > 0
@@ -667,6 +682,57 @@ class _EtaConv:
             yield rows, g
 
 
+def _largest(a: np.ndarray) -> tuple:
+    """(i, j) of the entry of largest modulus of a 2-D array (a NaN, if
+    any), by its largest and smallest entries: no |a| temporary."""
+    at = max(int(a.argmax()), int(a.argmin()), key=lambda k: abs(a.flat[k]))
+    return divmod(at, a.shape[1])
+
+
+def _cross(s: np.ndarray, cap: int):
+    """(C, V) with max|s - C V| <= _RANK_TOL max|s|, C (rows, r) and V
+    (r, cols), r <= cap, or None when no such r is found or s is not
+    finite: adaptive cross approximation with partial pivoting
+    (Bebendorf, Numer. Math. 86 (2000) 565-589).
+
+    Each step takes the residual row i, whose largest entry j is the
+    pivot, adds the residual column j over the pivot as a rank-one term,
+    and moves to the row where that column is largest; the first pivot is
+    the largest entry of s.  Step k costs O((rows + cols) k) and reads
+    no sample beyond s.  Once a residual row is all within the tolerance,
+    the exact residual, in ``_CONV_CHUNK`` blocks of rows, decides: it
+    stops, or names the next pivot.
+    """
+    i, j = _largest(s)
+    bound = _RANK_TOL * abs(s[i, j])
+    if not math.isfinite(bound):
+        return None
+    c, v = np.empty((cap, s.shape[0])), np.empty((cap, s.shape[1]))
+    step = max(1, _CONV_CHUNK // s.shape[1])
+    k = 0
+    while True:
+        row = s[i] - c[:k, i] @ v[:k]
+        j = int(np.abs(row).argmax())
+        if abs(row[j]) <= bound:
+            worst = -1.0
+            for lo in range(0, s.shape[0], step):
+                rest = s[lo:lo + step] - c[:k, lo:lo + step].T @ v[:k]
+                at = _largest(rest)
+                if abs(rest[at]) > worst:
+                    worst, i, j = abs(rest[at]), lo + at[0], at[1]
+                    row = rest[at[0]]
+            if worst <= bound:
+                return c[:k].T, v[:k]
+        if k == cap:
+            return None
+        np.divide(row, row[j], out=v[k])
+        np.subtract(s[:, j], v[:k, j] @ c[:k], out=c[k])
+        k += 1
+        size = np.abs(c[k - 1])
+        size[i] = -1.0  # its residual is the pivot until this term goes
+        i = int(size.argmax())
+
+
 class ForcingTerm:
     """Double integral of the forcing against the V4 instance.
 
@@ -681,7 +747,8 @@ class ForcingTerm:
     eta-mesh of an ``_EtaConv``, by one ``quadrature._call_grid``
     (``_sample``).  The exponents must pass ``_check_exponents``.  ``q``
     depends on the engine, the x-nodes and eps2 alone, and is kept in
-    ``cache.TABLES``.
+    ``cache.TABLES``.  ``rank`` is the number of columns that the last
+    ``fill`` convolved.
     """
 
     def __init__(self, engine: TeleEngine, f, eps1: float, eps2: float,
@@ -694,6 +761,7 @@ class ForcingTerm:
             (engine.key, "xi", self.x_nodes.tobytes(), self.eps2),
             lambda: _xi_moments(self.x_nodes, self.eps2, engine.jw["V4"],
                                 engine.x_ref, engine._sign_b))
+        self.rank = None
 
     def _sample(self, etas: np.ndarray) -> np.ndarray:
         """f on the (eta x x_nodes) array."""
@@ -702,11 +770,27 @@ class ForcingTerm:
     def fill(self, conv: "_EtaConv", times) -> np.ndarray:
         """T(times[i], x_nodes) at nodes of the eta-mesh, shape
         (times.size, x_nodes.size), from one call of f on
-        (conv.etas x x_nodes); zero at t = 0."""
+        (conv.etas x x_nodes); zero at t = 0.
+
+        The cost follows the numerical rank of f on the eta-mesh: the
+        samples S factor as S ~ C V (``_cross``) at a rank r up to
+        ``_RANK_SHARE`` of the x-nodes, the r columns of C go through
+        ``conv.apply``, and V folds into ``q`` as V q, one (r, m_cap)
+        product per x-node.  Past that rank, all of S goes through
+        ``conv.apply`` against ``q``.
+        """
         times = np.asarray(times, dtype=float)
-        out = np.empty((times.size, self.x_nodes.size))
-        for rows, g in conv.apply(self._sample(conv.etas), times, self.eps1):
-            out[rows] = g.reshape(rows.size, -1) @ self.q.T
+        nodes = self.x_nodes.size
+        samples, q = self._sample(conv.etas), self.q
+        factors = _cross(samples, int(nodes * _RANK_SHARE))
+        if factors is not None:
+            samples, v = factors
+            q = np.matmul(v, q.reshape(nodes, nodes, -1)).reshape(nodes, -1)
+        self.rank = samples.shape[1]
+        out = np.zeros((times.size, nodes))
+        if self.rank:
+            for rows, g in conv.apply(samples, times, self.eps1):
+                out[rows] = g.reshape(rows.size, -1) @ q.T
         return out
 
 

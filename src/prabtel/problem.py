@@ -292,6 +292,8 @@ def solve(problem: ProblemN, n_t: int = 64, n_x: int = 64,
     diagnostics["tau_residual"] = trace.diagnostics.get("residual")
     diagnostics["g0_defect"] = g0_defect
     diagnostics["strict_regime"] = problem.strict_regime
+    if forcing is not None:
+        diagnostics["forcing_rank"] = forcing.rank
     return GridSolution(t_grid=t_grid, x_grid=x_grid, u=u,
                         tau=trace, A=float(diagnostics["a_display"]),
                         compatibility=compatibility_check(problem, quad),

@@ -27,6 +27,11 @@ __all__ = ["GradedMesh", "WeightedRule", "graded_mesh", "power_moment", "build_r
 # floats (128 KB) per temporary block of rows, lags or end pieces
 _CONV_CHUNK = 16384
 
+# ``_lattice_rows`` takes up to this many columns one at a time in its
+# one-column form: on the grid fill's rows, one product per row wins from
+# 5-7 columns with eps1 = 0 and from 2-3 with eps1 > 0 (32/128 to 128/512)
+_HANKEL_COLS = 4
+
 # the power r of every graded mesh of the solver (``volterra`` raises it
 # to 1/beta where beta is below 1/2)
 _GRADING = 2.0
@@ -162,10 +167,16 @@ def _lattice_rows(samples: np.ndarray, table: np.ndarray, lengths,
     lattice convolution: row i is sum_(e < L_i) samples[e] (x) table[n -
     L_i + e], n = len(table), L_i = lengths[i] <= n, plus edge[0] (x)
     edge[1][n - L_i] if an edge (a sample, a table shaped as ``table``) is
-    given; a row of length 0 is zero.  Several columns take one product
-    per row; one column, after n zeros, reads as a Hankel matrix whose row
-    L_i meets ``table`` at those indices: one gather and one product per
-    ``_CONV_CHUNK`` block of rows."""
+    given; a row of length 0 is zero.  One column, after n zeros, reads
+    as a Hankel matrix whose row L_i meets ``table`` at those indices: one
+    gather and one product per ``_CONV_CHUNK`` block of rows.  Up to
+    ``_HANKEL_COLS`` columns take that form one at a time, more columns
+    one product per row."""
+    if samples.ndim == 2 and samples.shape[1] <= _HANKEL_COLS:
+        edges = [None] * samples.shape[1] if edge is None else [
+            (first, edge[1]) for first in edge[0]]
+        return np.stack([_lattice_rows(column, table, lengths, one)
+                         for column, one in zip(samples.T, edges)], axis=1)
     n, lengths = len(table), np.asarray(lengths)
     flat = table.reshape(n, math.prod(table.shape[1:]))
     tail = None if edge is None else edge[1].reshape(flat.shape)

@@ -495,29 +495,45 @@ class TestForcingTerm:
                 @ _forcing_rows_per_time(forcing, outer.nodes, fine))
         assert np.abs(got - want).max() <= bound
 
-    @pytest.mark.parametrize("broadcasts", [True, False])
-    def test_rows_match_per_time_loop(self, broadcasts, monkeypatch):
+    @pytest.mark.parametrize("share", [goursat._RANK_SHARE, 1.0],
+                             ids=["share", "full"])
+    @pytest.mark.parametrize("name", ["wavy", "per_point", "tx", "sin8tx",
+                                      "inv3tx", "sqrt_abs", "noise"])
+    def test_rows_match_per_time_loop(self, name, share, monkeypatch):
         eng = TeleEngine(PARAMS, COEFFS, 1.0, 1.0)
-        if broadcasts:
-            f = wavy
-        else:
-            f = lambda t, x: (math.cos(3.0 * x) * (1.0 + t)
-                              + math.sqrt(x + 0.01)) / 5.0
+        table = np.random.default_rng(3).standard_normal((41, 17))
+        f = {"wavy": wavy,
+             "per_point": lambda t, x: (math.cos(3.0 * x) * (1.0 + t)
+                                        + math.sqrt(x + 0.01)) / 5.0,
+             "tx": lambda t, x: t * x / 10.0,
+             "sin8tx": lambda t, x: np.sin(8.0 * t * x),
+             "inv3tx": lambda t, x: 1.0 / (3.0 - t * x),
+             "sqrt_abs": lambda t, x: np.abs(t - x) ** 0.5,
+             "noise": lambda t, x: table[np.rint(40.0 * t).astype(int),
+                                         np.rint(16.0 * x).astype(int)],
+             }[name]
         # 10 positive times on the nodes of a 40-cell eta-mesh; with
-        # eps1 = 0 they read its Toeplitz table.  Blocks of 3 rows: the
-        # 12 rows span 4 blocks
+        # eps1 = 0 they read its Toeplitz table.  Blocks of 3 rows of all
+        # 17 columns: the 12 rows span 4 blocks.  A share of 1 lets the
+        # cross approximation run to full rank, so every factored rank
+        # meets the per-time loop too.  The singular values of 1/(3 - tx)
+        # fall by about 3 per rank: a rank cut at 1e3 times the
+        # tolerance misses here by 1e-13
         conv = _EtaConv(eng, 1.0, 40)
         monkeypatch.setattr(goursat, "_CONV_CHUNK", 3 * 17 * eng.m_cap + 1)
+        monkeypatch.setattr(goursat, "_RANK_SHARE", share)
         times = np.concatenate(([0.0], np.linspace(0.0, 1.0, 11)[1:][::-1],
                                 [0.0]))
         for eps1 in (0.0, 0.25):
-            forcing = ForcingTerm(eng, f, eps1, 0.5,
-                                  np.linspace(0.0, 1.0, 17))
-            got = forcing.fill(conv, times)
-            want = _fill_per_time(forcing, conv, times)
-            assert got.shape == (times.size, 17)
-            assert not got[times == 0.0].any()
-            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            for eps2 in (0.0, 0.5):
+                forcing = ForcingTerm(eng, f, eps1, eps2,
+                                      np.linspace(0.0, 1.0, 17))
+                got = forcing.fill(conv, times)
+                want = _fill_per_time(forcing, conv, times)
+                assert got.shape == (times.size, 17)
+                assert not got[times == 0.0].any()
+                assert (np.abs(got - want).max()
+                        <= 1e-14 * np.abs(want).max())
 
     def test_f_sampled_once_per_row(self):
         calls = []

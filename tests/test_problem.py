@@ -202,6 +202,48 @@ class TestSolve:
         scaled = solve(smooth_problem(scale=s), n_t=10, n_x=10, quad=QUICK)
         assert np.abs(scaled.u - s * base.u).max() <= 1e-10 * s
 
+    @pytest.mark.parametrize("name, rank", [("tx", 1), ("noise", 65)])
+    def test_forcing_rank_in_diagnostics(self, name, rank):
+        # the grid fill convolves the cross-approximated columns of f, or
+        # all n_x + 1 when the factorization gives up; seeded noise, one
+        # table entry per sample of the fill's 256 x 64 mesh, is full rank
+        table = np.random.default_rng(5).standard_normal((257, 65))
+        f = {"tx": lambda t, x: np.asarray(t) * np.asarray(x) / 10.0,
+             "noise": lambda t, x: table[
+                 np.rint(256.0 * np.asarray(t)).astype(int) % 257,
+                 np.rint(64.0 * np.asarray(x)).astype(int) % 65] / 10.0}[name]
+        prob = replace(smooth_problem(), f_smooth=f)
+        sol = solve(prob, n_t=64, n_x=64, quad=QuadPolicy(n_points=256))
+        assert sol.diagnostics["forcing_rank"] == rank
+        unforced = solve(smooth_problem(forcing=False), n_t=8, n_x=8,
+                         quad=QuadPolicy(n_points=32))
+        assert "forcing_rank" not in unforced.diagnostics
+
+    def test_non_finite_forcing_sample_raises(self):
+        # one NaN on the grid fill's mesh (t = x = 0.5 are nodes of it)
+        # reaches the grid: the factorization gives up on it
+        f = lambda t, x: np.where((np.asarray(t) == 0.5)
+                                  & (np.asarray(x) == 0.5), np.nan,
+                                  np.asarray(t) * np.asarray(x) / 10.0)
+        prob = replace(smooth_problem(), f_smooth=f)
+        with pytest.raises(InvalidData):
+            solve(prob, n_t=16, n_x=16, quad=QuadPolicy(n_points=64))
+        engine = goursat.TeleEngine(prob.params, prob.coeffs, 1.0, 1.0)
+        forcing = goursat.ForcingTerm(engine, f, 0.0, 0.0,
+                                      np.linspace(0.0, 1.0, 17))
+        got = forcing.fill(goursat._EtaConv(engine, 1.0, 64),
+                           np.linspace(0.0, 1.0, 17))
+        assert np.isnan(got).any() and forcing.rank == 17
+
+    def test_all_zero_forcing_gives_the_unforced_grid(self):
+        prob = replace(smooth_problem(),
+                       f_smooth=lambda t, x: 0.0 * np.asarray(t) * np.asarray(x))
+        quad = QuadPolicy(n_points=64)
+        sol = solve(prob, n_t=16, n_x=16, quad=quad)
+        want = solve(smooth_problem(forcing=False), n_t=16, n_x=16, quad=quad)
+        assert sol.diagnostics["forcing_rank"] == 0
+        assert np.array_equal(sol.u, want.u)
+
     def test_nonlinear_forcing_self_convergence(self):
         # the forcing is sampled on the solution x-grid; refinement must
         # still shrink the self-difference on the shared nodes
