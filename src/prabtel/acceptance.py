@@ -134,16 +134,16 @@ def check_prabhakar_integral_identity():
                 f"(tol 1e-10)")
 
 
-def _manufactured_error(n: int) -> float:
+def _manufactured_system(n: int) -> VolterraSystem:
     # tau(x) = 1 + x^2 solves tau - int_0^x e^(xi - x) tau dxi = g
     x = np.linspace(0.0, 1.0, n + 1)
-    tau_true = 1.0 + x ** 2
-    m2 = np.tril(np.exp(x[None, :] - x[:, None]))
-    rhs = 2.0 * x - 2.0 + 3.0 * np.exp(-x)
-    system = VolterraSystem(A=1.0, x_grid=x, m2=m2, rhs=rhs, coupling=1.0,
-                            diagnostics={})
-    got = solve_tau(system)
-    return float(np.abs(got.tau - tau_true).max())
+    return VolterraSystem(A=1.0, x_grid=x, kernel=np.exp(-x),
+                          rhs=2.0 * x - 2.0 + 3.0 * np.exp(-x), coupling=1.0)
+
+
+def _manufactured_error(n: int) -> float:
+    got = solve_tau(_manufactured_system(n))
+    return float(np.abs(got.tau - (1.0 + got.x_grid ** 2)).max())
 
 
 def check_quadrature_order():
@@ -231,24 +231,17 @@ def check_classical_limit():
 
 
 def check_solver_cross_check():
-    """Direct substitution against Picard iteration on every assembled
-    trace system."""
-    worst, x = 0.0, np.linspace(0.0, 1.0, 129)
+    """The series-reciprocal trace solve against Picard iteration on every
+    assembled trace system."""
+    systems, x = [_manufactured_system(128)], np.linspace(0.0, 1.0, 129)
     for prob in (_constant_problem(), _smooth_problem()):
         eng = TeleEngine(prob.params, prob.coeffs, 1.0, 1.0)
         forcing = (None if prob.f_smooth is None else
                    ForcingTerm(eng, prob.f_smooth, 0.0, 0.0, x))
-        system = assemble_system(eng, prob.domain, prob.M, prob.phi, prob.psi,
-                                 forcing, x)
-        direct = solve_tau(system)
-        picard = picard_solve(system)
-        worst = max(worst, float(np.abs(direct.tau - picard.tau).max()))
-    system = VolterraSystem(A=1.0, x_grid=x,
-                            m2=np.tril(np.exp(x[None, :] - x[:, None])),
-                            rhs=2.0 * x - 2.0 + 3.0 * np.exp(-x),
-                            coupling=1.0, diagnostics={})
-    worst = max(worst, float(np.abs(solve_tau(system).tau
-                                    - picard_solve(system).tau).max()))
+        systems.append(assemble_system(eng, prob.domain, prob.M, prob.phi,
+                                       prob.psi, forcing, x))
+    worst = max(float(np.abs(solve_tau(s).tau - picard_solve(s).tau).max())
+                for s in systems)
     ok = worst <= 1e-8
     return ok, f"max |direct - picard| = {worst:.2e} (tol 1e-8)"
 

@@ -11,7 +11,7 @@ u(t, 0) = phi(t) and the nonlocal initial condition
     u(0, x) - int_0^q M(t) u(t, x) dt = psi(x).
 
 solve() reduces the unknown trace tau(x) = u(0, x) to a second-kind
-Volterra equation, solves it by Nystrom forward substitution, and fills
+Volterra equation, solves it as a Toeplitz convolution system, and fills
 the grid from the closed-form representation.  verify() re-differentiates
 the computed samples numerically (product integration in t against the
 exact derivative kernel, central differences in x) and reports max-norm

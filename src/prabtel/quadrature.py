@@ -9,7 +9,8 @@ graded toward 0 to resolve the singularity.
 
 On the lattice from 0 of every solver stage (``_is_lattice``) a weight
 depends on its lag alone: ``_lattice_rows`` and ``_toeplitz_matrix`` do
-every lag gather of the solver.
+every lag gather of the solver; ``_toeplitz_product`` and
+``_toeplitz_solve`` apply and invert one from its first column.
 """
 
 from __future__ import annotations
@@ -204,6 +205,30 @@ def _toeplitz_matrix(values) -> np.ndarray:
     ext = np.concatenate((np.zeros(len(values) - 1), values))
     return as_strided(ext[len(values) - 1:], (len(values),) * 2,
                       (ext.itemsize, -ext.itemsize)).copy()
+
+
+def _toeplitz_product(column: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``_toeplitz_matrix(column) @ values`` by one convolution."""
+    return np.convolve(column, values)[:len(values)]
+
+
+def _toeplitz_solve(column: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Solve ``_toeplitz_matrix(column) @ out = values``, column[0] != 0.
+
+    The inverse is the Toeplitz matrix of the power-series reciprocal b
+    of ``column``, by Newton doubling b <- b (2 - column b): the terms of
+    column b past z^len(b), times b, give its next len(b) terms.  One
+    more convolution applies it.
+    """
+    n, m = len(column), 1
+    inverse = np.empty(n)
+    inverse[0] = 1.0 / column[0]
+    while m < n:
+        top = min(2 * m, n)
+        past = np.convolve(column[1:top], inverse[:m], "valid")
+        inverse[m:top] = -np.convolve(inverse[:m], past)[:top - m]
+        m = top
+    return _toeplitz_product(inverse, values)
 
 
 def _call_on(fn, values) -> np.ndarray:

@@ -13,8 +13,8 @@ with the weighted-moment constant A, the kernel M1 built from the V2
 series instance, and a right-hand side g assembled from psi, phi, M and
 the forcing.  ``assemble_system`` produces the discrete system on a
 uniform x-grid from a caller's ``TeleEngine`` and ``ForcingTerm``,
-``solve_tau`` runs the lower-triangular Nystrom sweep, and
-``picard_solve`` cross-checks it by successive approximations.
+``solve_tau`` solves it as the lower-triangular Toeplitz system it is,
+and ``picard_solve`` cross-checks it by successive approximations.
 
 Each assembly level evaluates each kernel family once: the shifted
 family (E2, V1, V2) through one coefficient vector (``_TRules.cm``), the
@@ -65,7 +65,8 @@ from .quadrature import (
     WeightedRule,
     _call_on,
     _is_lattice,
-    _toeplitz_matrix,
+    _toeplitz_product,
+    _toeplitz_solve,
     _trapezoid_vec,
     build_rule,
     graded_mesh,
@@ -76,63 +77,39 @@ A_TOL = 1e-10
 # M is declared degenerate when it never exceeds this at the sample nodes
 _M_ZERO_TOL = 1e-14
 
-# nodes per block of the trace solve: one matrix-vector product and one
-# dense solve each
-_TAU_BLOCK = 32
-
 
 @dataclass(frozen=True)
 class VolterraSystem:
-    """Discretized trace equation tau = rhs + coupling * int m2 tau.
+    """Discretized trace equation tau = rhs + coupling * int k(x - xi) tau.
 
-    ``m2`` holds kernel samples M2(xi_j, x_i) = M1(x_i - xi_j)/A for
-    xi_j <= x_i (entries above the diagonal are never read); ``rhs``
-    holds G = g/A at the nodes; ``coupling`` is the product a*b.
+    ``x_grid`` is a uniform lattice from 0 (``quadrature._is_lattice``);
+    ``kernel`` is the convolution kernel at its nodes, k_i = M1(x_i)/A,
+    the first column of the lower-triangular Toeplitz kernel matrix;
+    ``rhs`` holds G = g/A at the nodes; ``coupling`` is the product a*b.
     """
 
     A: float
     x_grid: np.ndarray
-    m2: np.ndarray
+    kernel: np.ndarray
     rhs: np.ndarray
     coupling: float
     diagnostics: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         x = np.asarray(self.x_grid, dtype=float)
-        m2 = np.asarray(self.m2, dtype=float)
+        kernel = np.asarray(self.kernel, dtype=float)
         rhs = np.asarray(self.rhs, dtype=float)
         object.__setattr__(self, "x_grid", x)
-        object.__setattr__(self, "m2", m2)
+        object.__setattr__(self, "kernel", kernel)
         object.__setattr__(self, "rhs", rhs)
         if not abs(self.A) > A_TOL:
             raise DegenerateNonlocal(
                 f"|A| = {abs(self.A):.3g} does not clear {A_TOL}")
-        n = x.size
-        if x.ndim != 1 or n < 2 or not np.all(np.diff(x) > 0.0):
-            raise InvalidData("x_grid must be ascending with >= 2 nodes")
-        if m2.shape != (n, n) or rhs.shape != (n,):
-            raise InvalidData(
-                f"shape mismatch: m2 {m2.shape}, rhs {rhs.shape}, grid {n}")
-
-
-def _trapezoid_weights(x_grid: np.ndarray) -> np.ndarray:
-    """Lower-triangular trapezoid weights: row i integrates over [0, x_i].
-
-    Row i holds h_0/2 at node 0, (h_{k-1} + h_k)/2 at the inner nodes
-    0 < k < i and h_{i-1}/2 on the diagonal, with h = diff(x_grid).
-    """
-    n = x_grid.size
-    if n < 2:
-        return np.zeros((n, n))
-    h = np.diff(x_grid)
-    col = np.empty(n)
-    col[0] = 0.5 * h[0]
-    col[1:-1] = 0.5 * (h[:-1] + h[1:])
-    col[-1] = 0.0
-    w = np.tril(np.broadcast_to(col, (n, n)), -1)
-    idx = np.arange(1, n)
-    w[idx, idx] = 0.5 * h
-    return w
+        if not _is_lattice(x):
+            raise InvalidData("x_grid must be uniform and ascend from 0")
+        if kernel.shape != x.shape or rhs.shape != x.shape:
+            raise InvalidData(f"shape mismatch: kernel {kernel.shape}, "
+                              f"rhs {rhs.shape}, grid {x.size}")
 
 
 def _sample_m(M, nodes: np.ndarray) -> np.ndarray:
@@ -332,7 +309,6 @@ def assemble_system(engine: TeleEngine, domain: Domain2D, M, phi, psi,
             f"does not clear {A_TOL}")
 
     m1 = _m1_at(engine, rules, x_grid)
-    m2 = _toeplitz_matrix(m1) / a_true
     g = _g_values(engine, rules, M, phi, psi, forcing, domain, n, x_grid)
 
     coarse = max(n // 2, 8)
@@ -350,60 +326,58 @@ def assemble_system(engine: TeleEngine, domain: Domain2D, M, phi, psi,
         "m1_refinement_delta": float(np.abs(m1 - m1_c).max()),
         "g_refinement_delta": float(np.abs(g - g_c).max()),
     }
-    return VolterraSystem(A=a_true, x_grid=x_grid, m2=m2, rhs=g / a_true,
-                          coupling=coeffs.a * coeffs.b,
+    return VolterraSystem(A=a_true, x_grid=x_grid, kernel=m1 / a_true,
+                          rhs=g / a_true, coupling=coeffs.a * coeffs.b,
                           diagnostics=diagnostics)
 
 
-def solve_tau(system: VolterraSystem) -> TraceSolution:
-    """Blocked forward-substitution Nystrom solve of the trace equation.
+def _kernel_product(system: VolterraSystem, tau: np.ndarray) -> np.ndarray:
+    """K tau, the trapezoid rule of coupling * int_0^x k(x - xi) tau dxi:
+    one Toeplitz product less half its two end terms (0 at x = 0)."""
+    k, x = system.kernel, system.x_grid
+    full = _toeplitz_product(k, tau) - 0.5 * (k * tau[0] + k[0] * tau)
+    return system.coupling * x[-1] / (x.size - 1) * full
 
-    Trapezoid weights in xi make every row i depend on nodes j <= i
-    only, so the system (I - coupling * w * m2) tau = rhs is lower
-    triangular, with the pivots 1 - coupling * w_ii * m2_ii on its
-    diagonal; all are checked first (SingularStep below 1e-12).  Then
-    each block of ``_TAU_BLOCK`` nodes takes the known nodes in one
-    matrix-vector product and its own lower-triangular block in one
-    dense solve.  The block is solved with its rows and columns reversed:
-    an upper-triangular matrix leaves row pivoting nothing to swap, so
-    the solve is a substitution node by node, exact at the first node
-    however large the kernel.  The discrete residual of the returned
-    trace is an algebraic identity (reported in diagnostics, <= 1e-12).
+
+def solve_tau(system: VolterraSystem) -> TraceSolution:
+    """Nystrom solve of the trace equation as the convolution it is.
+
+    With ch = coupling * h, the trapezoid rule in xi leaves tau_0 = rhs_0
+    and, for i >= 1, (1 - ch k_0 / 2) tau_i - ch sum_(0<j<i) k_(i-j) tau_j
+    = rhs_i + ch k_i tau_0 / 2: a lower-triangular Toeplitz system with
+    one pivot (SingularStep below 1e-12), which
+    ``quadrature._toeplitz_solve`` inverts.  The discrete residual
+    |tau - K tau - rhs|, one more convolution, is reported in diagnostics
+    (<= 1e-12 max(1, max|tau|)).
     """
-    x, rhs = system.x_grid, system.rhs
-    kernel = system.coupling * (_trapezoid_weights(x) * system.m2)
-    pivots = 1.0 - np.diagonal(kernel)
-    small = np.flatnonzero(np.abs(pivots) < 1e-12)
-    if small.size:
-        i = small[0]
-        raise SingularStep(
-            f"pivot {pivots[i]:.3g} at node {i} (x={x[i]:.6g})")
+    x, k, rhs = system.x_grid, system.kernel, system.rhs
+    ch = system.coupling * x[-1] / (x.size - 1)
+    pivot = 1.0 - 0.5 * ch * k[0]
+    if abs(pivot) < 1e-12:
+        raise SingularStep(f"pivot {pivot:.3g} of the nodes x > 0")
+    column = -ch * k[:-1]
+    column[0] = pivot
     tau = np.empty(x.size)
-    for lo in range(0, x.size, _TAU_BLOCK):
-        hi = min(lo + _TAU_BLOCK, x.size)
-        block = np.eye(hi - lo) - kernel[lo:hi, lo:hi]
-        known = rhs[lo:hi] + kernel[lo:hi, :lo] @ tau[:lo]
-        # contiguous copies: the solve ran slower on the reversed views
-        tau[lo:hi] = np.linalg.solve(np.ascontiguousarray(block[::-1, ::-1]),
-                                     known[::-1].copy())[::-1]
-    residual = float(np.abs(tau - kernel @ tau - rhs).max())
+    tau[0] = rhs[0]
+    tau[1:] = _toeplitz_solve(column, rhs[1:] + 0.5 * ch * k[1:] * tau[0])
+    residual = float(np.abs(tau - _kernel_product(system, tau) - rhs).max())
     return TraceSolution(x_grid=x.copy(), tau=tau,
                          diagnostics={"residual": residual})
 
 
 def picard_solve(system: VolterraSystem, max_iter: int = 200,
                  tol: float = 1e-12) -> TraceSolution:
-    """Successive approximations tau <- rhs + coupling * int m2 tau.
+    """Successive approximations tau <- rhs + K tau from tau = rhs, one
+    convolution per sweep; Volterra structure makes them contract.
 
-    Starts from tau = rhs; Volterra structure makes the iteration
-    contract after finitely many sweeps.  Raises MaxIterExceeded when
-    the successive max-norm difference has not dropped below tol.
+    They reach the trace with no series reciprocal and no pivot, so they
+    cross-check ``solve_tau``'s reciprocal against plain successive
+    approximation.  Raises MaxIterExceeded when the successive max-norm
+    difference has not dropped below tol.
     """
-    w = _trapezoid_weights(system.x_grid)
-    kernel = system.coupling * (w * system.m2)
     tau = system.rhs.copy()
     for it in range(1, max_iter + 1):
-        nxt = system.rhs + kernel @ tau
+        nxt = system.rhs + _kernel_product(system, tau)
         delta = float(np.abs(nxt - tau).max())
         tau = nxt
         if delta < tol:

@@ -14,6 +14,8 @@ from prabtel.quadrature import (
     _is_lattice,
     _lattice_rows,
     _toeplitz_matrix,
+    _toeplitz_product,
+    _toeplitz_solve,
     _trapezoid_vec,
     build_rule,
     graded_mesh,
@@ -225,3 +227,20 @@ class TestToeplitzMatrix:
         got = _toeplitz_matrix(values)
         assert np.array_equal(got, want)
         assert got.flags.c_contiguous and got.flags.writeable
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 100])
+    def test_product_and_solve_match_the_matrix(self, n):
+        # the column's first entry dominates, so the matrix is well
+        # conditioned and a dense solve is the reference; n = 100 takes
+        # Newton steps of 1, 2, ..., 64 coefficients and a last one of 36
+        rng = np.random.default_rng(n)
+        column = rng.standard_normal(n) / n
+        column[0] = 2.0
+        values = rng.standard_normal(n)
+        matrix = _toeplitz_matrix(column)
+        assert np.abs(_toeplitz_product(column, values)
+                      - matrix @ values).max() <= 1e-14
+        want = np.linalg.solve(matrix, values)
+        got = _toeplitz_solve(column, values)
+        assert got.shape == (n,)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()

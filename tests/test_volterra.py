@@ -12,7 +12,7 @@ from prabtel.errors import (
     MaxIterExceeded,
     SingularStep,
 )
-from prabtel.acceptance import _smooth_problem
+from prabtel.acceptance import _manufactured_system, _smooth_problem
 from prabtel.cache import TABLES
 from prabtel.fracops import PrabhakarParams, QuadPolicy
 from prabtel.goursat import (
@@ -34,7 +34,6 @@ from prabtel.volterra import (
     _m1_at,
     _phi_sum,
     _t_rules,
-    _trapezoid_weights,
     assemble_system,
     picard_solve,
     solve_tau,
@@ -77,53 +76,70 @@ def assemble(params, coeffs, domain, M, phi, psi, f=None, n=256):
     return assemble_system(engine, domain, M, phi, psi, forcing, x)
 
 
-def manufactured_system(n: int) -> VolterraSystem:
-    """tau*(x) = 1 + x^2 under kernel exp(xi - x) with unit coupling."""
-    x = np.linspace(0.0, 1.0, n + 1)
-    m2 = np.exp(x[None, :] - x[:, None])
-    rhs = 2.0 * x - 2.0 + 3.0 * np.exp(-x)
-    return VolterraSystem(A=1.0, x_grid=x, m2=m2, rhs=rhs, coupling=1.0)
-
-
 class TestSystemValidation:
     def test_degenerate_A_rejected(self):
         with pytest.raises(DegenerateNonlocal):
             VolterraSystem(A=1e-12, x_grid=np.array([0.0, 1.0]),
-                           m2=np.zeros((2, 2)), rhs=np.zeros(2),
+                           kernel=np.zeros(2), rhs=np.zeros(2),
                            coupling=1.0)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(InvalidData):
+        with pytest.raises(InvalidData, match="rhs"):
             VolterraSystem(A=1.0, x_grid=np.array([0.0, 1.0]),
-                           m2=np.zeros((3, 3)), rhs=np.zeros(2),
+                           kernel=np.zeros(2), rhs=np.zeros(3),
                            coupling=1.0)
+
+    def test_kernel_of_another_length_rejected(self):
+        with pytest.raises(InvalidData, match="kernel"):
+            VolterraSystem(A=1.0, x_grid=np.array([0.0, 1.0]),
+                           kernel=np.zeros(3), rhs=np.zeros(2),
+                           coupling=1.0)
+
+    def test_square_kernel_matrix_rejected(self):
+        # the (n, n) matrix a system once held is not its first column
+        x = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(InvalidData, match="kernel"):
+            VolterraSystem(A=1.0, x_grid=x,
+                           kernel=np.exp(x[None, :] - x[:, None]),
+                           rhs=np.zeros(5), coupling=1.0)
+
+    @pytest.mark.parametrize("x", [
+        np.linspace(0.0, 1.0, 5) ** 2,
+        np.linspace(0.5, 1.0, 5),
+        np.linspace(1.0, 0.0, 5),
+        np.array([0.0]),
+    ], ids=["graded", "not-from-0", "descending", "one-node"])
+    def test_grid_off_the_lattice_rejected(self, x):
+        with pytest.raises(InvalidData, match="uniform"):
+            VolterraSystem(A=1.0, x_grid=x, kernel=np.ones(x.size),
+                           rhs=np.ones(x.size), coupling=1.0)
 
 
 class TestSolvers:
     def test_manufactured_second_order(self):
         errors = []
         for n in (32, 64, 128):
-            sol = solve_tau(manufactured_system(n))
+            sol = solve_tau(_manufactured_system(n))
             exact = 1.0 + sol.x_grid ** 2
             errors.append(np.abs(sol.tau - exact).max())
         assert 3.5 <= errors[0] / errors[1] <= 4.5
         assert 3.5 <= errors[1] / errors[2] <= 4.5
 
     def test_discrete_residual_is_algebraic_identity(self):
-        sol = solve_tau(manufactured_system(64))
+        sol = solve_tau(_manufactured_system(64))
         assert sol.diagnostics["residual"] <= 1e-12
 
     def test_constant_kernel_resolvent_is_exp(self):
         x = np.linspace(0.0, 1.0, 257)
-        sys_ = VolterraSystem(A=1.0, x_grid=x, m2=np.ones((257, 257)),
+        sys_ = VolterraSystem(A=1.0, x_grid=x, kernel=np.ones(257),
                               rhs=np.ones(257), coupling=1.0)
         sol = solve_tau(sys_)
         assert np.abs(sol.tau - np.exp(x)).max() <= 5e-5
 
     def test_singular_pivot_detected(self):
         x = np.array([0.0, 0.5, 1.0])
-        m2 = np.full((3, 3), 4.0)  # coupling * (h/2) * 4 = 1 at h = 0.5
-        sys_ = VolterraSystem(A=1.0, x_grid=x, m2=m2, rhs=np.ones(3),
+        kernel = np.full(3, 4.0)  # coupling * (h/2) * 4 = 1 at h = 0.5
+        sys_ = VolterraSystem(A=1.0, x_grid=x, kernel=kernel, rhs=np.ones(3),
                               coupling=1.0)
         with pytest.raises(SingularStep):
             solve_tau(sys_)
@@ -131,40 +147,41 @@ class TestSolvers:
     @pytest.mark.parametrize("scale", [1.0, 1e3])
     @pytest.mark.parametrize("n", [2, 31, 33, 129])
     def test_blocked_solve_matches_forward_substitution(self, n, scale):
-        # n nodes: within one block, one block and a node, four blocks and
-        # a node; the kernel carries entries above the diagonal, which the
-        # trapezoid weights drop.  At scale 1e3 the entries below the
-        # diagonal outgrow it, where a pivoting solve would reorder rows
+        # a random Toeplitz column; at scale 1e3 the trace grows by 6e8
+        # over 129 nodes, and the series reciprocal must keep its digits
+        # relative to that growth.  n = 513 misses the 1e-14 bound (1.1e-14)
         x = np.linspace(0.0, 1.0, n)
-        m2 = scale * (np.exp(x[None, :] - x[:, None])
-                      * (1.0 + np.random.default_rng(n).random((n, n))))
-        sys_ = VolterraSystem(A=1.0, x_grid=x, m2=m2, rhs=np.cos(3.0 * x),
-                              coupling=-1.5)
+        kernel = scale * (np.exp(-x)
+                          * (1.0 + np.random.default_rng(n).random(n)))
+        sys_ = VolterraSystem(A=1.0, x_grid=x, kernel=kernel,
+                              rhs=np.cos(3.0 * x), coupling=-1.5)
         sol = solve_tau(sys_)
-        w, c = _trapezoid_weights(x), sys_.coupling
+        c, h = sys_.coupling, 1.0 / (n - 1)
         want = np.zeros(n)
         want[0] = sys_.rhs[0]
         for i in range(1, n):
-            acc = sys_.rhs[i] + c * (w[i, :i] * m2[i, :i]) @ want[:i]
-            want[i] = acc / (1.0 - c * w[i, i] * m2[i, i])
+            w = np.full(i, h)
+            w[0] = 0.5 * h
+            acc = sys_.rhs[i] + c * (w * kernel[i:0:-1]) @ want[:i]
+            want[i] = acc / (1.0 - c * 0.5 * h * kernel[0])
         assert sol.tau[0] == sys_.rhs[0]
         assert np.abs(sol.tau - want).max() <= 1e-14 * np.abs(want).max()
         assert sol.diagnostics["residual"] <= 1e-12 * max(
             1.0, np.abs(want).max())
 
-    def test_zero_pivot_past_the_first_block_detected(self):
-        # coupling * (h/2) * m2[40, 40] = 1 at h = 1/64 makes node 40 the
-        # only zero pivot
+    def test_zero_pivot_of_the_column_detected(self):
+        # coupling * (h/2) * kernel[0] = 1 at h = 1/64 zeroes the one pivot
+        # of every node x > 0, whatever the rest of the column
         x = np.linspace(0.0, 1.0, 65)
-        m2 = np.zeros((65, 65))
-        m2[40, 40] = 128.0
-        sys_ = VolterraSystem(A=1.0, x_grid=x, m2=m2, rhs=np.ones(65),
-                              coupling=1.0)
-        with pytest.raises(SingularStep, match="at node 40 "):
+        kernel = np.random.default_rng(3).random(65)
+        kernel[0] = 128.0
+        sys_ = VolterraSystem(A=1.0, x_grid=x, kernel=kernel,
+                              rhs=np.ones(65), coupling=1.0)
+        with pytest.raises(SingularStep, match="pivot 0 "):
             solve_tau(sys_)
 
     def test_picard_matches_direct(self):
-        sys_ = manufactured_system(64)
+        sys_ = _manufactured_system(64)
         direct = solve_tau(sys_)
         picard = picard_solve(sys_, tol=1e-13)
         assert np.abs(direct.tau - picard.tau).max() <= 1e-8
@@ -172,7 +189,7 @@ class TestSolvers:
     def test_picard_zero_kernel_returns_rhs(self):
         x = np.linspace(0.0, 1.0, 9)
         rhs = np.cos(x)
-        sys_ = VolterraSystem(A=1.0, x_grid=x, m2=np.zeros((9, 9)),
+        sys_ = VolterraSystem(A=1.0, x_grid=x, kernel=np.zeros(9),
                               rhs=rhs, coupling=1.0)
         sol = picard_solve(sys_)
         assert np.array_equal(sol.tau, rhs)
@@ -180,19 +197,7 @@ class TestSolvers:
 
     def test_picard_iteration_cap(self):
         with pytest.raises(MaxIterExceeded):
-            picard_solve(manufactured_system(32), max_iter=2, tol=1e-15)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 129])
-    def test_trapezoid_weights_match_row_loop(self, n):
-        x = np.sort(np.random.default_rng(7).random(n)) ** 2
-        want = np.zeros((n, n))
-        for i in range(1, n):
-            cells = np.diff(x[: i + 1])
-            want[i, 0] = 0.5 * cells[0]
-            want[i, i] = 0.5 * cells[-1]
-            if i > 1:
-                want[i, 1:i] = 0.5 * (cells[:-1] + cells[1:])
-        assert np.array_equal(_trapezoid_weights(x), want)
+            picard_solve(_manufactured_system(32), max_iter=2, tol=1e-15)
 
 
 class TestComputeA:
@@ -241,16 +246,20 @@ class TestComputeA:
 
 
 class TestKernelM1:
-    """M1 from the assembled kernel samples, ``system.m2 * system.A``."""
+    """M1 from the assembled kernel column, ``system.kernel * system.A``."""
 
     def test_translation_invariance(self):
+        # M1(x - xi) read at the lag of (xi, x) = (0, 0.3125), (0.1875,
+        # 0.5) and (0.4375, 0.75) equals _m1_at of the three differences
         M = lambda t: 1.0 + 0.5 * np.asarray(t, dtype=float)
         sys_ = assemble(PARAMS, COEFFS, DOMAIN, M, ones, zeros, n=64)
-        m1 = sys_.m2 * sys_.A
-        # (xi, x) = (0, 0.3125), (0.1875, 0.5) and (0.4375, 0.75)
-        vals = [m1[i, j] for j, i in ((0, 20), (12, 32), (28, 48))]
-        assert vals[0] == pytest.approx(vals[1], rel=1e-12)
-        assert vals[0] == pytest.approx(vals[2], rel=1e-12)
+        engine = TeleEngine(PARAMS, COEFFS, DOMAIN.q, DOMAIN.p)
+        rules = _t_rules(engine, M, DOMAIN, 64)
+        x = sys_.x_grid
+        diffs = np.array([x[i] - x[j] for j, i in ((0, 20), (12, 32),
+                                                   (28, 48))])
+        vals = _m1_at(engine, rules, diffs)
+        assert vals == pytest.approx(sys_.kernel[20] * sys_.A, rel=1e-12)
 
     def test_value_against_oracle_quadrature(self):
         packed = ml3_tele_variant("V2", PARAMS)
@@ -261,7 +270,7 @@ class TestKernelM1:
             0.0, 1.0, weight_exponent=0.0, tol=1e-12, dps=30)
         sys_ = assemble(PARAMS, COEFFS, DOMAIN, ones, ones, zeros)
         assert sys_.x_grid[128] == 0.5
-        got = sys_.m2[128, 0] * sys_.A
+        got = sys_.kernel[128] * sys_.A
         assert got == pytest.approx(float(ref), abs=5e-7)
 
 
